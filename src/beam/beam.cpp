@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
-#include <thread>
 
 #include "common/check.hpp"
+#include "sfi/driver.hpp"
 
 namespace sfi::beam {
 
@@ -67,10 +66,7 @@ BeamResult run_beam_experiment(const avp::Testcase& tc,
     strikes[i] = f;
   }
 
-  const u32 threads =
-      cfg.threads != 0
-          ? cfg.threads
-          : std::max(1u, std::thread::hardware_concurrency());
+  const u32 threads = inject::resolve_threads(cfg.threads);
 
   // Shared interval-checkpoint store: beam runs replay to the strike cycle
   // exactly like campaign injections, so Table 2 calibration gets the same
@@ -111,10 +107,12 @@ BeamResult run_beam_experiment(const avp::Testcase& tc,
 
   if (tel != nullptr) tel->prepare_workers(threads);
 
-  const auto work = [&](core::Pearl6Model& model, emu::Emulator& emu,
-                        u32 tid) {
+  inject::run_workers(threads, [&](u32 tid) {
     inject::WorkerTelemetry* wt =
         tel != nullptr ? &tel->worker(tid) : nullptr;
+    core::Pearl6Model model(cfg.core);
+    model.load_workload(tc.program, tc.init);
+    emu::Emulator emu(model);
     emu.reset();
     const emu::Checkpoint reset_cp = emu.save_checkpoint();
     InjectionRunner runner(model, emu, reset_cp, trace, golden, run_cfg,
@@ -144,26 +142,7 @@ BeamResult run_beam_experiment(const avp::Testcase& tc,
       }
       records[i] = rec;
     }
-  };
-
-  if (threads <= 1) {
-    core::Pearl6Model model(cfg.core);
-    model.load_workload(tc.program, tc.init);
-    emu::Emulator emu(model);
-    work(model, emu, 0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (u32 t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        core::Pearl6Model model(cfg.core);
-        model.load_workload(tc.program, tc.init);
-        emu::Emulator emu(model);
-        work(model, emu, t);
-      });
-    }
-    for (auto& th : pool) th.join();
-  }
+  });
 
   BeamResult result;
   result.records = std::move(records);

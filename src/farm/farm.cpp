@@ -14,6 +14,7 @@
 #include "farm/process.hpp"
 #include "store/merge.hpp"
 #include "store/tail.hpp"
+#include "store/trace_stitch.hpp"
 #include "store/writer.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
@@ -55,12 +56,9 @@ struct Slot {
 
 std::string shard_file_path(const std::string& out_path, u32 slot,
                             u32 generation) {
-  std::string base = out_path;
-  if (base.size() > 4 && base.ends_with(".sfr")) {
-    base.resize(base.size() - 4);
-  }
-  return base + ".w" + std::to_string(slot) + "g" +
-         std::to_string(generation) + ".sfr";
+  return store::store_sibling(out_path, ".w" + std::to_string(slot) + "g" +
+                                            std::to_string(generation) +
+                                            ".sfr");
 }
 
 /// True if `path` exists and opens as a store (header intact) — i.e. it can
@@ -87,14 +85,6 @@ std::string assignment_line(const WorkShard& shard, u64 trace_id,
   for (const u32 i : shard.indices) line << " " << i;
   if (trace_id != 0) line << " " << trace_id << " " << dispatch_span;
   return line.str();
-}
-
-std::string trace_sidecar_path(const std::string& out_path) {
-  std::string base = out_path;
-  if (base.size() > 4 && base.ends_with(".sfr")) {
-    base.resize(base.size() - 4);
-  }
-  return base + ".trace.sfr";
 }
 
 }  // namespace
@@ -173,8 +163,8 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       if (trace_id == 0) trace_id = 1;
     }
     tel->enable_span_plane("sfi farm", trace_id);
-    sidecar.emplace(
-        store::StoreWriter::create(trace_sidecar_path(out_path), meta));
+    sidecar.emplace(store::StoreWriter::create(
+        store::store_sibling(out_path, store::kTraceSidecarSuffix), meta));
   }
   // Drain the coordinator's own book into the sidecar, keeping a copy for
   // the live /trace view. Called opportunistically from the supervision
@@ -191,50 +181,19 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
   FarmResult result;
   result.meta = meta;
 
-  // done[i]: a committed record for i exists (inherited or from a worker
-  // this run). struck: indices declared HarnessFatal.
-  std::vector<bool> done(cfg.num_injections, false);
+  // done[i]: a committed record for i exists (inherited from the prior
+  // output store, read only as merge input, or from a worker this run).
+  // struck: indices declared HarnessFatal.
+  sched::PriorRecords prior =
+      sched::inherit_records(out_path, meta, resume, tel, farm.on_record);
+  std::vector<bool>& done = prior.done;
   std::set<u32> struck;
   std::map<u32, u32> strikes;
-  u64 done_count = 0;
+  u64 done_count = prior.count;
+  result.resumed = prior.count;
 
   std::vector<std::string> merge_inputs;
-
-  // --- resume: inherit the committed prefix of a prior output store ---
-  if (resume && std::filesystem::exists(out_path)) {
-    const store::StoreContents prior =
-        store::read_store(out_path, {.tolerate_torn_tail = true});
-    if (!prior.meta.same_campaign(meta)) {
-      throw store::StoreError(
-          "refusing to resume " + out_path +
-          ": it records a different campaign (seed/config/workload "
-          "fingerprint mismatch) — rerun without --resume to overwrite");
-    }
-    for (const store::StoredRecord& sr : prior.records) {
-      if (sr.index >= cfg.num_injections) {
-        throw store::StoreError("record index out of range in " + out_path);
-      }
-      if (!done[sr.index]) {
-        done[sr.index] = true;
-        ++done_count;
-        ++result.resumed;
-        if (farm.on_record) farm.on_record(sr);
-      }
-    }
-    merge_inputs.push_back(out_path);
-    if (tel != nullptr) {
-      if (auto* log = tel->events()) {
-        telemetry::JsonWriter w;
-        w.begin_object()
-            .field("ev", "resume")
-            .field("t_us", tel->now_us())
-            .field("resumed", result.resumed)
-            .field("store", out_path)
-            .end_object();
-        log->emit(w.str());
-      }
-    }
-  }
+  if (prior.exists) merge_inputs.push_back(out_path);
 
   // --- shard the remaining index space, cycle-sorted (checkpoint-hot) ---
   std::deque<WorkShard> queue;

@@ -1,13 +1,11 @@
 #include "sched/scheduler.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <mutex>
-#include <thread>
 
 #include "common/hash.hpp"
-#include "sfi/engine.hpp"
+#include "sfi/driver.hpp"
 #include "store/writer.hpp"
 #include "telemetry/json.hpp"
 
@@ -70,6 +68,52 @@ store::CampaignMeta make_campaign_meta(const avp::Testcase& tc,
   return meta;
 }
 
+PriorRecords inherit_records(
+    const std::string& path, const store::CampaignMeta& meta, bool resume,
+    inject::CampaignTelemetry* tel,
+    const std::function<void(const store::StoredRecord&)>& on_record) {
+  PriorRecords prior;
+  prior.done.assign(meta.num_injections, false);
+  if (!resume) return prior;
+  if (std::filesystem::exists(path)) {
+    const store::StoreContents stored =
+        store::read_store(path, {.tolerate_torn_tail = true});
+    if (!stored.meta.same_campaign(meta)) {
+      throw store::StoreError(
+          "refusing to resume " + path +
+          ": it records a different campaign (seed/config/workload "
+          "fingerprint mismatch) — rerun without --resume to overwrite");
+    }
+    if (stored.torn_tail) {
+      // Drop the torn final frame; its injection will simply be re-run.
+      std::filesystem::resize_file(path, stored.valid_bytes);
+    }
+    for (const store::StoredRecord& sr : stored.records) {
+      if (sr.index >= meta.num_injections) {
+        throw store::StoreError("record index out of range in " + path);
+      }
+      if (prior.done[sr.index]) continue;
+      prior.done[sr.index] = true;
+      ++prior.count;
+      if (on_record) on_record(sr);
+    }
+    prior.exists = true;
+  }
+  if (tel != nullptr) {
+    if (auto* log = tel->events()) {
+      telemetry::JsonWriter w;
+      w.begin_object()
+          .field("ev", "resume")
+          .field("t_us", tel->now_us())
+          .field("resumed", prior.count)
+          .field("store", path)
+          .end_object();
+      log->emit(w.str());
+    }
+  }
+  return prior;
+}
+
 ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
                                       const inject::CampaignConfig& cfg,
                                       const std::string& store_path,
@@ -101,57 +145,18 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
 
   ScheduledResult result;
   result.meta = meta;
-
-  std::vector<bool> done(cfg.num_injections, false);
-
-  // --- resume: inherit every intact record of a compatible prior run ---
-  bool fresh_store = true;
-  if (resume && std::filesystem::exists(store_path)) {
-    const store::StoreContents prior =
-        store::read_store(store_path, {.tolerate_torn_tail = true});
-    if (!prior.meta.same_campaign(meta)) {
-      throw store::StoreError(
-          "refusing to resume " + store_path +
-          ": it records a different campaign (seed/config/workload "
-          "fingerprint mismatch) — rerun without --resume to overwrite");
-    }
-    if (prior.torn_tail) {
-      // Drop the torn final frame; its injection will simply be re-run.
-      std::filesystem::resize_file(store_path, prior.valid_bytes);
-    }
-    for (const store::StoredRecord& sr : prior.records) {
-      if (sr.index >= cfg.num_injections) {
-        throw store::StoreError("record index out of range in " + store_path);
-      }
-      if (!done[sr.index]) {
-        done[sr.index] = true;
-        result.agg.add(sr.rec);
-        ++result.resumed;
-      }
-    }
-    fresh_store = false;
-  }
-  if (tel != nullptr && resume) {
-    if (auto* log = tel->events()) {
-      telemetry::JsonWriter w;
-      w.begin_object()
-          .field("ev", "resume")
-          .field("t_us", tel->now_us())
-          .field("resumed", result.resumed)
-          .field("store", store_path)
-          .end_object();
-      log->emit(w.str());
-    }
-  }
+  const PriorRecords prior = inherit_records(
+      store_path, meta, resume, tel,
+      [&](const store::StoredRecord& sr) { result.agg.add(sr.rec); });
+  result.resumed = prior.count;
 
   // Commit markers seal each flush window so a crash can be rolled back to
   // a whole-window boundary (no orphaned 'R' whose 'P' was lost).
   const store::WriteOptions wopts{.commit_markers = true};
   store::StoreWriter writer =
-      fresh_store ? store::StoreWriter::create(store_path, meta, wopts)
-                  : store::StoreWriter::append_to(store_path, wopts);
+      prior.exists ? store::StoreWriter::append_to(store_path, wopts)
+                   : store::StoreWriter::create(store_path, meta, wopts);
 
-  // --- shard the remaining index space, cycle-sorted ---
   // Workers warm-start from the plan's checkpoint store; handing out
   // injections in fault-cycle order keeps each worker's materialized
   // checkpoint hot across a shard. Records carry their index, so store
@@ -159,167 +164,52 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
   std::vector<u32> pending;
   pending.reserve(cfg.num_injections - result.resumed);
   for (const u32 i : plan.cycle_sorted_indices()) {
-    if (!done[i]) pending.push_back(i);
+    if (!prior.done[i]) pending.push_back(i);
   }
-
-  // The lane engine batches up to cfg.lanes in-flight injections per claim
-  // stream; shards below that would cap its batch size, so they grow to
-  // match. Shard boundaries are progress/telemetry granularity only —
-  // records are identical at any shard size.
-  const u32 shard_size =
-      std::max(std::max(1u, sched.shard_size),
-               cfg.engine == inject::EngineKind::Lanes ? cfg.lanes : 1u);
-  const u64 num_shards =
-      (pending.size() + shard_size - 1) / shard_size;
-  const u64 cap = sched.max_new_injections == 0
-                      ? pending.size()
-                      : std::min<u64>(sched.max_new_injections,
-                                      pending.size());
 
   if (sched.on_progress) {
     sched.on_progress({result.resumed, cfg.num_injections, result.resumed, 0,
                        wall_now(), steady_us_now()});
   }
 
-  std::atomic<u64> next_shard{0};
-  std::atomic<u64> claimed{0};
-  std::atomic<bool> stop_observed{false};
-  std::atomic<u64> cycles_evaluated{0};
-  std::atomic<u64> cycles_fast_forwarded{0};
-  std::atomic<u64> checkpoint_ops{0};
   std::mutex store_mu;
-  u64 persisted = result.resumed;  // guarded by store_mu
-  u64 executed_live = 0;           // guarded by store_mu
+  inject::DriverConfig dc;
+  dc.threads = sched.threads != 0 ? sched.threads : cfg.threads;
+  dc.shard_size = sched.shard_size;
+  dc.flush_records = sched.flush_records;
+  dc.max_new_injections = sched.max_new_injections;
+  dc.should_stop = sched.should_stop;
+  const inject::DriveResult d = inject::drive_campaign(
+      tc, cfg, plan, pending, dc, [&](const inject::FlushWindow& w) {
+        const std::lock_guard<std::mutex> lock(store_mu);
+        for (const inject::IndexedRecord& r : w.records) {
+          writer.append(store::StoredRecord{r.index, r.rec});
+          result.agg.add(r.rec);
+        }
+        // Footprints ride in the same flush window: a crash tears at most
+        // one window, and resume re-runs the injections whose records were
+        // lost (re-tracing their footprints with them).
+        for (const inject::PropagationRecord& fp : w.footprints) {
+          writer.append_propagation(fp);
+        }
+        writer.flush();
+        result.executed += w.records.size();
+        result.footprints += w.footprints.size();
+        if (sched.on_progress) {
+          sched.on_progress({result.resumed + result.executed,
+                             cfg.num_injections, result.resumed,
+                             result.executed, wall_now(), steady_us_now()});
+        }
+      });
 
-  const auto work = [&](inject::InjectionEngine& eng, u32 tid) {
-    inject::WorkerTelemetry* wt =
-        tel != nullptr ? &tel->worker(tid) : nullptr;
-    std::vector<store::StoredRecord> buf;
-    buf.reserve(sched.flush_records);
-    std::vector<inject::PropagationRecord> fp_buf;
-    inject::CampaignAggregate local;
-    u64 local_footprints = 0;
-
-    const auto flush = [&] {
-      // Fold this worker's metrics shard into the registry at every flush
-      // boundary: live readers (the daemon's /metrics scrape) then see
-      // near-current totals without ever touching a foreign shard. The
-      // worker thread owns the shard, so this is race-free by construction.
-      if (wt != nullptr) wt->fold();
-      if (buf.empty() && fp_buf.empty()) return;
-      const std::lock_guard<std::mutex> lock(store_mu);
-      writer.append(std::span<const store::StoredRecord>(buf.data(),
-                                                         buf.size()));
-      // Footprints ride in the same flush window: a crash tears at most one
-      // frame, and resume re-runs the injections whose records were lost
-      // (re-tracing their footprints with them).
-      for (const inject::PropagationRecord& fp : fp_buf) {
-        writer.append_propagation(fp);
-      }
-      writer.flush();
-      persisted += buf.size();
-      executed_live += buf.size();
-      if (sched.on_progress) {
-        sched.on_progress({persisted, cfg.num_injections, result.resumed,
-                           executed_live, wall_now(), steady_us_now()});
-      }
-      local_footprints += fp_buf.size();
-      buf.clear();
-      fp_buf.clear();
-    };
-
-    bool capped = false;
-    while (!capped) {
-      const u64 shard = next_shard.fetch_add(1, std::memory_order_relaxed);
-      if (shard >= num_shards) break;
-      const std::size_t begin = shard * shard_size;
-      const std::size_t end =
-          std::min<std::size_t>(begin + shard_size, pending.size());
-      if (wt != nullptr) wt->shard_begin(shard, end - begin);
-      u64 shard_executed = 0;
-      // The engine pulls claims one at a time; stop/cap checks live in the
-      // claim callback so an engine holding lanes in flight still stops
-      // claiming the moment either fires (everything already claimed is
-      // finished and emitted — the engine contract).
-      std::size_t p = begin;
-      eng.run(
-          [&]() -> std::optional<u32> {
-            if (p >= end) return std::nullopt;
-            // Cooperative interruption (SIGINT/SIGTERM): stop claiming
-            // work, fall through to the final flush so every finished
-            // record lands.
-            if (sched.should_stop && sched.should_stop()) {
-              stop_observed.store(true, std::memory_order_relaxed);
-              capped = true;
-              return std::nullopt;
-            }
-            // Claim one execution slot; the cap models an interrupted run.
-            if (claimed.fetch_add(1, std::memory_order_relaxed) >= cap) {
-              capped = true;
-              return std::nullopt;
-            }
-            return pending[p++];
-          },
-          [&](u32 index, const inject::InjectionRecord& rec,
-              std::optional<inject::PropagationRecord> fp) {
-            store::StoredRecord sr;
-            sr.index = index;
-            sr.rec = rec;
-            local.add(sr.rec);
-            buf.push_back(sr);
-            if (fp) fp_buf.push_back(std::move(*fp));
-            ++shard_executed;
-            if (buf.size() >= std::max(1u, sched.flush_records)) flush();
-          },
-          wt);
-      if (wt != nullptr) wt->shard_end(shard, shard_executed);
-    }
-    flush();
-    cycles_evaluated.fetch_add(eng.cycles_evaluated(),
-                               std::memory_order_relaxed);
-    cycles_fast_forwarded.fetch_add(eng.cycles_fast_forwarded(),
-                                    std::memory_order_relaxed);
-    checkpoint_ops.fetch_add(eng.checkpoint_ops(),
-                             std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(store_mu);
-    result.agg.merge(local);
-    result.executed += local.total();
-    result.footprints += local_footprints;
-  };
-
-  if (!pending.empty() && cap > 0) {
-    const u32 hw = std::max(1u, std::thread::hardware_concurrency());
-    const u32 want = sched.threads != 0
-                         ? sched.threads
-                         : (cfg.threads != 0 ? cfg.threads : hw);
-    const u32 threads = static_cast<u32>(std::min<u64>(want, num_shards));
-    if (tel != nullptr) tel->prepare_workers(threads);
-    if (threads <= 1) {
-      const auto eng = inject::make_engine(tc, cfg, plan);
-      work(*eng, 0);
-    } else {
-      std::vector<std::unique_ptr<inject::InjectionEngine>> engines;
-      engines.reserve(threads);
-      for (u32 t = 0; t < threads; ++t) {
-        engines.push_back(inject::make_engine(tc, cfg, plan));
-      }
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (u32 t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] { work(*engines[t], t); });
-      }
-      for (auto& th : pool) th.join();
-    }
-  }
-
-  result.shards = std::min<u64>(next_shard.load(), num_shards);
-  result.cycles_evaluated = cycles_evaluated.load();
-  result.cycles_fast_forwarded = cycles_fast_forwarded.load();
-  result.checkpoint_ops = checkpoint_ops.load();
+  result.shards = d.shards;
+  result.cycles_evaluated = d.cycles_evaluated;
+  result.cycles_fast_forwarded = d.cycles_fast_forwarded;
+  result.checkpoint_ops = d.checkpoint_ops;
   result.checkpoints = plan.ckpts.size();
   result.checkpoint_bytes = plan.ckpts.resident_bytes();
   result.complete = result.agg.total() == cfg.num_injections;
-  result.stopped = stop_observed.load();
+  result.stopped = d.stopped;
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -6,8 +6,8 @@
 // injections cannot afford that. The scheduler instead:
 //
 //   * splits the campaign's index space into shards,
-//   * runs shards on a worker pool where each worker owns a private
-//     simulation environment (paper §2.2),
+//   * runs shards on the campaign driver's worker pool (sfi/driver.hpp),
+//     where each worker owns a private simulation environment (paper §2.2),
 //   * streams completed records into the store as they finish — appends
 //     are order-insensitive because records carry their index — with a
 //     bounded, flush-throttled at-risk window,
@@ -121,6 +121,23 @@ struct ScheduledResult {
 [[nodiscard]] store::CampaignMeta make_campaign_meta(
     const avp::Testcase& testcase, const inject::CampaignConfig& config,
     const inject::CampaignPlan& plan);
+
+/// What a run inherits from the store already at its output path.
+struct PriorRecords {
+  std::vector<bool> done;  ///< per campaign index: already stored
+  u64 count = 0;           ///< distinct indices inherited
+  bool exists = false;     ///< a prior store was found (append to it)
+};
+
+/// The resume scan shared by the scheduler and the farm coordinator. With
+/// `resume` set and a store at `path`: refuse a store of another campaign,
+/// truncate a torn tail, range-check every record index, and pass each
+/// newly inherited record to `on_record`; then emit the telemetry `resume`
+/// event. Without `resume` nothing is read and every index is pending.
+[[nodiscard]] PriorRecords inherit_records(
+    const std::string& path, const store::CampaignMeta& meta, bool resume,
+    inject::CampaignTelemetry* telemetry,
+    const std::function<void(const store::StoredRecord&)>& on_record);
 
 /// Run (or resume) a campaign, streaming records into the store at
 /// `store_path`. With `resume` true and an existing store: validate it,

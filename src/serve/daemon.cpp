@@ -23,6 +23,7 @@
 #include "sfi/engine.hpp"
 #include "sfi/telemetry.hpp"
 #include "store/reader.hpp"
+#include "store/trace_stitch.hpp"
 #include "store/writer.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
@@ -649,12 +650,9 @@ void Daemon::finalize(Campaign& c, bool failed, const std::string& error) {
         try {
           const std::vector<telemetry::SpanRecord> spans = c.tel->all_spans();
           if (!spans.empty()) {
-            std::string base = c.store_path;
-            if (base.size() > 4 && base.ends_with(".sfr")) {
-              base.resize(base.size() - 4);
-            }
-            store::StoreWriter sw =
-                store::StoreWriter::create(base + ".trace.sfr", meta);
+            store::StoreWriter sw = store::StoreWriter::create(
+                store::store_sibling(c.store_path, store::kTraceSidecarSuffix),
+                meta);
             for (const telemetry::SpanRecord& sp : spans) sw.append_span(sp);
             sw.flush();
           }

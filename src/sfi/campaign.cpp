@@ -1,13 +1,12 @@
 #include "sfi/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
-#include <thread>
 
 #include "common/check.hpp"
-#include "sfi/engine.hpp"
+#include "sfi/driver.hpp"
 
 namespace sfi::inject {
 
@@ -190,73 +189,27 @@ CampaignResult run_campaign(const avp::Testcase& tc,
 
   const CampaignPlan plan = plan_campaign(tc, cfg);
 
-  const u32 threads =
-      cfg.threads != 0
-          ? cfg.threads
-          : std::max(1u, std::thread::hardware_concurrency());
-
-  std::vector<InjectionRecord> records(cfg.num_injections);
-  // Dispatch cycle-sorted so consecutive runs on a worker share a hot
-  // checkpoint; records land at their original index, so results stay
-  // identical to index-ordered dispatch.
-  const std::vector<u32> order = plan.cycle_sorted_indices();
-  std::atomic<u32> next{0};
-  std::atomic<u64> cycles_evaluated{0};
-  std::atomic<u64> cycles_fast_forwarded{0};
-  std::atomic<u64> checkpoint_ops{0};
-
-  if (tel != nullptr) tel->prepare_workers(threads);
-
-  std::vector<std::vector<PropagationRecord>> worker_footprints(
-      std::max(1u, threads));
-
-  const auto work = [&](InjectionEngine& eng, u32 tid) {
-    WorkerTelemetry* wt = tel != nullptr ? &tel->worker(tid) : nullptr;
-    std::vector<PropagationRecord>& fps = worker_footprints[tid];
-    eng.run(
-        [&]() -> std::optional<u32> {
-          const u32 k = next.fetch_add(1, std::memory_order_relaxed);
-          if (k >= cfg.num_injections) return std::nullopt;
-          return order[k];
-        },
-        [&](u32 i, const InjectionRecord& rec,
-            std::optional<PropagationRecord> fp) {
-          records[i] = rec;
-          if (fp) fps.push_back(std::move(*fp));
-        },
-        wt);
-    cycles_evaluated.fetch_add(eng.cycles_evaluated(),
-                               std::memory_order_relaxed);
-    cycles_fast_forwarded.fetch_add(eng.cycles_fast_forwarded(),
-                                    std::memory_order_relaxed);
-    checkpoint_ops.fetch_add(eng.checkpoint_ops(),
-                             std::memory_order_relaxed);
-  };
-
-  if (threads <= 1) {
-    const auto eng = make_engine(tc, cfg, plan);
-    work(*eng, 0);
-  } else {
-    std::vector<std::unique_ptr<InjectionEngine>> engines;
-    engines.reserve(threads);
-    for (u32 t = 0; t < threads; ++t) {
-      engines.push_back(make_engine(tc, cfg, plan));
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (u32 t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] { work(*engines[t], t); });
-    }
-    for (auto& th : pool) th.join();
-  }
-
   CampaignResult result;
-  result.records = std::move(records);
-  for (auto& fps : worker_footprints) {
-    result.footprints.insert(result.footprints.end(),
-                             std::make_move_iterator(fps.begin()),
-                             std::make_move_iterator(fps.end()));
-  }
+  result.records.resize(cfg.num_injections);
+  std::mutex footprints_mu;
+  // Nothing is persisted per shard here, so shards only need to be small
+  // enough to keep every thread busy on a small campaign.
+  DriverConfig dc;
+  dc.threads = cfg.threads;
+  dc.shard_size = 16;
+  const DriveResult d = drive_campaign(
+      tc, cfg, plan, plan.cycle_sorted_indices(), dc,
+      [&](const FlushWindow& w) {
+        // Indices are claimed once, so record slots never race.
+        for (const IndexedRecord& r : w.records) {
+          result.records[r.index] = r.rec;
+        }
+        if (w.footprints.empty()) return;
+        const std::lock_guard<std::mutex> lock(footprints_mu);
+        result.footprints.insert(result.footprints.end(),
+                                 w.footprints.begin(), w.footprints.end());
+      });
+
   std::sort(result.footprints.begin(), result.footprints.end(),
             [](const PropagationRecord& a, const PropagationRecord& b) {
               return a.index < b.index;
@@ -264,9 +217,9 @@ CampaignResult run_campaign(const avp::Testcase& tc,
   result.population_size = plan.population.size();
   result.workload_cycles = plan.trace.completion_cycle;
   result.workload_instructions = plan.golden.instructions;
-  result.cycles_evaluated = cycles_evaluated.load();
-  result.cycles_fast_forwarded = cycles_fast_forwarded.load();
-  result.checkpoint_ops = checkpoint_ops.load();
+  result.cycles_evaluated = d.cycles_evaluated;
+  result.cycles_fast_forwarded = d.cycles_fast_forwarded;
+  result.checkpoint_ops = d.checkpoint_ops;
   result.checkpoints = plan.ckpts.size();
   result.checkpoint_bytes = plan.ckpts.resident_bytes();
   result.agg = aggregate_records(result.records);

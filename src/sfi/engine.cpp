@@ -60,8 +60,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/aux_sig.hpp"
 #include "common/bits.hpp"
@@ -164,50 +162,6 @@ class LaneEngine final : public InjectionEngine {
     arm_aux_sig(*exec_model_, exec_sig_);
 
     deadline_ = plan.trace.completion_cycle + cfg.run.hang_margin;
-  }
-
-  ~LaneEngine() override {
-    if (std::getenv("SFI_LANE_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "[lane-debug] trips=%llu ejected=%llu tails=%llu "
-                   "fallbacks=%llu retired_conv=%llu finish_live=%llu "
-                   "exec_cycles=%llu\n",
-                   (unsigned long long)dbg_trips_,
-                   (unsigned long long)dbg_ejected_,
-                   (unsigned long long)dbg_tails_,
-                   (unsigned long long)dbg_fallbacks_,
-                   (unsigned long long)dbg_conv_,
-                   (unsigned long long)dbg_finish_,
-                   (unsigned long long)exec_emu_->cycles_evaluated());
-      std::fprintf(stderr,
-                   "[lane-debug] saves=%llu restores=%llu restore_s=%.3f "
-                   "mirror_hits=%llu\n",
-                   (unsigned long long)dbg_saves_,
-                   (unsigned long long)dbg_restores_, dbg_restore_s_,
-                   (unsigned long long)(dbg_trips_ - dbg_restores_));
-      std::fprintf(stderr,
-                   "[lane-debug] fail: sig=%llu ras=%llu wide=%llu | "
-                   "tail_cycles=%llu outcomes:",
-                   (unsigned long long)dbg_fail_sig_,
-                   (unsigned long long)dbg_fail_ras_,
-                   (unsigned long long)dbg_fail_wide_,
-                   (unsigned long long)dbg_tail_cycles_);
-      for (int i = 0; i < 8; ++i) {
-        if (dbg_tail_outcome_[i] != 0) {
-          std::fprintf(stderr, " %d:%llu", i,
-                       (unsigned long long)dbg_tail_outcome_[i]);
-        }
-      }
-      std::fprintf(stderr, "\n[lane-debug] tail exec cycles:");
-      for (int i = 0; i < 8; ++i) {
-        if (dbg_tail_exec_[i] != 0) {
-          std::fprintf(stderr, " %d:%llu", i,
-                       (unsigned long long)dbg_tail_exec_[i]);
-        }
-      }
-      std::fprintf(stderr, " completion=%llu\n",
-                   (unsigned long long)trace_->completion_cycle);
-    }
   }
 
   [[nodiscard]] std::string_view name() const override { return "lanes"; }
@@ -566,19 +520,14 @@ class LaneEngine final : public InjectionEngine {
       // skipped the lane's re-admission cycle): the restore would be a
       // byte-for-byte no-op.
     } else {
-      const auto t0 = std::chrono::steady_clock::now();
       if (!trail_saved_) {
         trail_.emu->save_checkpoint(pair_cp_);
         trail_saved_ = true;
-        ++dbg_saves_;
       }
       const auto words = pair_cp_.latches.words_mut();
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
       exec_emu_->restore_checkpoint(pair_cp_);
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
-      ++dbg_restores_;
-      dbg_restore_s_ += std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - t0).count();
     }
     exec_mirror_ = kNoSlot;
     RunPhaseTimes* ph = wt_ != nullptr ? wt_->phase_scratch() : nullptr;
@@ -588,20 +537,12 @@ class LaneEngine final : public InjectionEngine {
     const std::function<bool()> hook = [this, slot] {
       return try_readmit(slot);
     };
-    ++dbg_trips_;
     const RunResult rr =
         exec_runner_->continue_run(*ln.fault, ph, &hook, &ejected);
     if (ejected) {
-      ++dbg_ejected_;
       exec_mirror_ = slot;
       return false;
     }
-    ++dbg_tails_;
-    dbg_tail_cycles_ += rr.end_cycle > 0 ? rr.end_cycle - ln.fault->cycle : 0;
-    ++dbg_tail_outcome_[static_cast<int>(rr.outcome)];
-    // exec-paid cycles for this tail: from the trip cycle (lead's now) on.
-    dbg_tail_exec_[static_cast<int>(rr.outcome)] +=
-        rr.end_cycle > 0 ? rr.end_cycle - (lead_.emu->cycle() - 1) : 0;
     ln.live = false;
     --live_;
     finalize(ln.index, *ln.fault, rr, /*prefault_ready=*/false);
@@ -614,10 +555,7 @@ class LaneEngine final : public InjectionEngine {
   bool try_readmit(u32 slot) {
     // (a) Equal aux-mutation signatures: array/memory state stayed equal
     // through the cycle (given equal before it, which holds inductively).
-    if (exec_sig_.acc != lead_sig_.acc) {
-      ++dbg_fail_sig_;
-      return false;
-    }
+    if (exec_sig_.acc != lead_sig_.acc) return false;
     // (b) Equal RAS view: no detection bookkeeping, terminal check or
     // convergence gate could have seen anything the reference's didn't.
     const emu::RasStatus er = exec_model_->ras_status(exec_emu_->state());
@@ -628,7 +566,6 @@ class LaneEngine final : public InjectionEngine {
         er.corrected_count != lead_ras_.corrected_count ||
         er.instructions_completed != lead_ras_.instructions_completed ||
         er.test_finished != lead_ras_.test_finished) {
-      ++dbg_fail_ras_;
       return false;
     }
     // (c) The re-diff must fit the carrier and stay clear of the RAS bits
@@ -640,10 +577,7 @@ class LaneEngine final : public InjectionEngine {
     for (std::size_t w = 0; w < ew.size(); ++w) {
       const u64 x = ew[w] ^ lw[w];
       if (x == 0) continue;
-      if ((x & ras_mask_[w]) != 0 || nd == kMaxDiffWords) {
-        ++dbg_fail_wide_;
-        return false;
-      }
+      if ((x & ras_mask_[w]) != 0 || nd == kMaxDiffWords) return false;
       d[nd].word = static_cast<u32>(w);
       d[nd].bits = x;
       ++nd;
@@ -688,7 +622,6 @@ class LaneEngine final : public InjectionEngine {
                                                 /*early_exited=*/false);
       apply_detect_rule(rr);
       ensure(rr.end_cycle == now, "lane finish cycle mismatch");
-      ++dbg_finish_;
       ln.live = false;
       --live_;
       finalize(ln.index, *ln.fault, rr, /*prefault_ready=*/false);
@@ -712,7 +645,6 @@ class LaneEngine final : public InjectionEngine {
         // reference's, exactly the scalar early-exit classification.
         ln.live = false;
         --live_;
-        ++dbg_conv_;
         if (wt_ != nullptr) *wt_->phase_scratch() = RunPhaseTimes{};
         finalize(ln.index, *ln.fault, rr, /*prefault_ready=*/false);
       }
@@ -748,7 +680,6 @@ class LaneEngine final : public InjectionEngine {
 
   /// Scalar fallback: the unmodified CampaignWorker flow on the executor.
   void run_scalar(u32 index, const FaultSpec& f) {
-    ++dbg_fallbacks_;
     exec_mirror_ = kNoSlot;
     emu::Checkpoint* pf =
         tracker_ != nullptr ? &tracker_->prefault() : nullptr;
@@ -833,14 +764,6 @@ class LaneEngine final : public InjectionEngine {
   emu::Checkpoint pair_cp_;    ///< trail snapshot (trip materialization)
   emu::Checkpoint finish_cp_;  ///< lead snapshot (end-of-test classify)
   bool trail_saved_ = false;
-
-  u64 dbg_saves_ = 0, dbg_restores_ = 0;
-  double dbg_restore_s_ = 0.0;
-  u64 dbg_trips_ = 0, dbg_ejected_ = 0, dbg_tails_ = 0, dbg_fallbacks_ = 0,
-      dbg_conv_ = 0, dbg_finish_ = 0, dbg_fail_sig_ = 0, dbg_fail_ras_ = 0,
-      dbg_fail_wide_ = 0, dbg_tail_cycles_ = 0;
-  u64 dbg_tail_outcome_[8] = {};
-  u64 dbg_tail_exec_[8] = {};
 
   const Emit* emit_ = nullptr;
   WorkerTelemetry* wt_ = nullptr;

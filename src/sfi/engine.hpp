@@ -1,9 +1,9 @@
 // InjectionEngine: the backend-neutral execution engine behind a campaign.
 //
 // An engine turns a stream of planned fault indices into a stream of
-// (record, forensics) pairs. The contract is deliberately narrow so every
-// dispatcher (in-memory campaign, store scheduler, farm worker, serve
-// daemon) drives any engine the same way:
+// (record, forensics) pairs. The contract is deliberately narrow so both
+// dispatchers (the campaign driver behind the in-memory, store and serve
+// campaigns, and the farm worker) drive any engine the same way:
 //
 //   - the engine *pulls* injection indices via `next` until it returns
 //     nullopt (claiming stays with the caller: --max-new caps, SIGINT stop

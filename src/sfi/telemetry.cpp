@@ -32,16 +32,13 @@ u64 micros(double seconds) {
 }  // namespace
 
 WorkerTelemetry::WorkerTelemetry(CampaignTelemetry& owner, u32 tid)
-    : owner_(owner), tid_(tid), shard_(owner.registry_.make_shard()) {
-  if (owner_.trace_) {
-    track_ = &owner_.trace_->add_track("worker " + std::to_string(tid));
-  }
-  book_ = owner.span_book_.get();
-}
+    : owner_(owner),
+      tid_(tid),
+      shard_(owner.registry_.make_shard()),
+      book_(owner.span_book_.get()) {}
 
 void WorkerTelemetry::shard_begin(u64 shard, u64 injections) {
-  if (track_ != nullptr) shard_start_us_ = owner_.trace_->now_us();
-  if (book_ != nullptr) span_shard_start_us_ = book_->now_us();
+  if (book_ != nullptr) shard_start_us_ = book_->now_us();
   if (auto* log = owner_.events()) {
     telemetry::JsonWriter w;
     w.begin_object()
@@ -57,22 +54,13 @@ void WorkerTelemetry::shard_begin(u64 shard, u64 injections) {
 
 void WorkerTelemetry::shard_end(u64 shard, u64 executed) {
   shard_.add(owner_.c_shards_);
-  if (track_ != nullptr) {
-    const u64 now = owner_.trace_->now_us();
-    telemetry::JsonWriter args;
-    args.begin_object().field("shard", shard).field("executed", executed)
-        .end_object();
-    track_->slice("shard " + std::to_string(shard), "shard", shard_start_us_,
-                  now - shard_start_us_, args.str());
-  }
   if (book_ != nullptr) {
     const u64 now = book_->now_us();
     telemetry::JsonWriter args;
     args.begin_object().field("shard", shard).field("executed", executed)
         .end_object();
-    book_->slice("shard " + std::to_string(shard), "shard",
-                 span_shard_start_us_, now - span_shard_start_us_, 0,
-                 args.str(), tid_);
+    book_->slice("shard " + std::to_string(shard), "shard", shard_start_us_,
+                 now - shard_start_us_, 0, args.str(), tid_);
   }
   if (auto* log = owner_.events()) {
     telemetry::JsonWriter w;
@@ -158,41 +146,6 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
     log->emit(w.str());
   }
 
-  // --- chrome trace (sampled per-injection phase slices) ---
-  const u32 ss = o.cfg_.slice_sample;
-  if (track_ != nullptr && ss != 0 && seq_ % ss == 0) {
-    const u64 us_restore = micros(ph.seconds[0]);
-    const u64 us_ff = micros(ph.seconds[1]);
-    const u64 us_sim = micros(ph.seconds[2]);
-    const u64 us_poll = micros(ph.seconds[3]);
-    const u64 us_classify = micros(ph.seconds[4]);
-    const u64 total = us_restore + us_ff + us_sim + us_poll + us_classify;
-    const u64 end = o.trace_->now_us();
-    const u64 start = end > total ? end - total : 0;
-
-    telemetry::JsonWriter& args = scratch_;
-    args.clear();
-    args.begin_object()
-        .field("i", u64{index})
-        .field("fault_cycle", rec.fault.cycle)
-        .field("end_cycle", rec.end_cycle)
-        .end_object();
-    track_->slice(std::string("inject → ") +
-                      std::string(to_string(rec.outcome)),
-                  "injection", start, total, args.str());
-    u64 at = start;
-    track_->slice("restore", "phase", at, us_restore);
-    at += us_restore;
-    track_->slice("fast-forward", "phase", at, us_ff);
-    at += us_ff;
-    // The loop span (sim + polls) with the aggregate poll time nested at
-    // its start — polls are interleaved per-cycle, not contiguous.
-    track_->slice("post-fault-sim", "phase", at, us_sim + us_poll);
-    track_->slice("convergence-poll", "phase", at, us_poll);
-    at += us_sim + us_poll;
-    track_->slice("classify", "phase", at, us_classify);
-  }
-
   // --- span plane (tail-latency exemplar policy) ---
   // Full phase slices for every injection would dominate the 5% budget, so
   // the policy keeps the ones worth looking at: anything over the moving
@@ -231,7 +184,6 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
       book_->slice("classify", "phase", at, us_classify, parent, {}, tid_);
     }
   }
-  ++seq_;
 }
 
 void WorkerTelemetry::record_footprint(u32 index,
@@ -291,12 +243,11 @@ void WorkerTelemetry::record_footprint(u32 index,
     log->emit(w.str());
   }
 
-  // --- chrome trace (footprint slice + per-sample instants) ---
-  const u32 ss = o.cfg_.slice_sample;
-  if (track_ != nullptr && ss != 0 && seq_ % ss == 0) {
+  // --- span plane (one slice per re-run; the samples themselves are
+  // durable in the 'P' frame and shown by `sfi explain`) ---
+  if (book_ != nullptr) {
     const u64 dur = micros(seconds);
-    const u64 end = o.trace_->now_us();
-    const u64 start = end > dur ? end - dur : 0;
+    const u64 end = book_->now_us();
     telemetry::JsonWriter& args = scratch_;
     args.clear();
     args.begin_object()
@@ -304,24 +255,9 @@ void WorkerTelemetry::record_footprint(u32 index,
         .field("peak_bits", u64{rec.peak_bits})
         .field("outcome", to_string(rec.outcome))
         .end_object();
-    track_->slice(std::string("footprint ") +
-                      std::string(netlist::to_string(rec.unit)),
-                  "footprint", start, dur, args.str());
-    // Place sample instants proportionally over the slice so the infection
-    // curve is visible on the timeline.
-    const u32 span = rec.samples.empty() ? 1 : rec.samples.back().offset;
-    for (const FootprintSample& s : rec.samples) {
-      telemetry::JsonWriter sa;
-      sa.begin_object()
-          .field("offset", u64{s.offset})
-          .field("bits", u64{s.total_bits})
-          .end_object();
-      const u64 at =
-          span == 0 ? start : start + dur * s.offset / std::max<u32>(1, span);
-      track_->instant("+" + std::to_string(s.offset) + "c: " +
-                          std::to_string(s.total_bits) + "b",
-                      "footprint", at, sa.str());
-    }
+    book_->slice("footprint " + std::string(netlist::to_string(rec.unit)),
+                 "footprint", end > dur ? end - dur : 0, dur, 0, args.str(),
+                 tid_);
   }
 }
 
@@ -395,12 +331,6 @@ void CampaignTelemetry::open_event_log(const std::string& path) {
   events_.open(path);
 }
 
-void CampaignTelemetry::enable_chrome_trace() {
-  if (trace_) return;
-  trace_ = std::make_unique<telemetry::TraceCollector>("sfi");
-  main_track_ = &trace_->add_track("scheduler");
-}
-
 void CampaignTelemetry::enable_span_plane(std::string process_name,
                                           u64 trace_id) {
   if (!span_book_) {
@@ -440,21 +370,6 @@ std::string CampaignTelemetry::trace_chrome_json() const {
   return telemetry::spans_to_chrome_json(all_spans());
 }
 
-namespace {
-
-/// `"ev":"..."` extraction from a flight-recorder line (machine-written
-/// JSONL; a miss degrades to a generic name, never an error).
-std::string_view event_name_of(std::string_view line) {
-  const auto key = line.find("\"ev\":\"");
-  if (key == std::string_view::npos) return "event";
-  const auto begin = key + 6;
-  const auto end = line.find('"', begin);
-  if (end == std::string_view::npos) return "event";
-  return line.substr(begin, end - begin);
-}
-
-}  // namespace
-
 void CampaignTelemetry::flight_recorder_tail_to_spans(
     std::string_view reason) {
   if (!span_book_) return;
@@ -465,26 +380,17 @@ void CampaignTelemetry::flight_recorder_tail_to_spans(
   const u64 wall_offset = span_book_->now_us() - now_us();
   telemetry::JsonWriter name;
   for (const std::string& line : recorder.snapshot()) {
-    const auto t = line.find("\"t_us\":");
-    u64 t_us = 0;
-    if (t != std::string::npos) {
-      for (std::size_t i = t + 7; i < line.size(); ++i) {
-        const char c = line[i];
-        if (c < '0' || c > '9') break;
-        t_us = t_us * 10 + static_cast<u64>(c - '0');
-      }
-    }
     name.clear();
     name.begin_object().field("reason", reason).field("line", line)
         .end_object();
-    span_book_->instant(std::string(event_name_of(line)), "flight_recorder",
-                        t_us + wall_offset, 0, name.str());
+    span_book_->instant(telemetry::recorded_event(line), "flight_recorder",
+                        telemetry::recorded_t_us(line) + wall_offset, 0,
+                        name.str());
   }
 }
 
 void CampaignTelemetry::campaign_start(std::string_view kind, u64 seed,
                                        u64 total, u64 resumed) {
-  start_us_ = now_us();
   registry_.set_gauge(g_total_, static_cast<double>(total));
   registry_.set_gauge(g_resumed_, static_cast<double>(resumed));
   if (span_book_) {
@@ -503,7 +409,7 @@ void CampaignTelemetry::campaign_start(std::string_view kind, u64 seed,
     telemetry::JsonWriter w;
     w.begin_object()
         .field("ev", "campaign_start")
-        .field("t_us", start_us_)
+        .field("t_us", now_us())
         .field("kind", kind)
         .field("seed", seed)
         .field("total", total)
@@ -542,11 +448,11 @@ void CampaignTelemetry::checkpoint_store_built(
       log->emit(s.str());
     }
   }
-  if (main_track_ != nullptr) {
-    const u64 end = trace_->now_us();
+  if (span_book_) {
+    const u64 end = span_book_->now_us();
     const u64 dur = micros(build_seconds);
-    main_track_->slice("build checkpoint store", "plan",
-                       end > dur ? end - dur : 0, dur);
+    span_book_->slice("build checkpoint store", "plan",
+                      end > dur ? end - dur : 0, dur);
   }
 }
 
@@ -569,11 +475,6 @@ void CampaignTelemetry::campaign_finish(const CampaignAggregate& agg,
     w.end_object().end_object();
     log->emit(w.str());
     log->flush();
-  }
-  if (main_track_ != nullptr) {
-    const u64 end = trace_->now_us();
-    main_track_->slice("campaign", "campaign", start_us_,
-                       end > start_us_ ? end - start_us_ : 0);
   }
   if (span_book_) {
     const u64 end = span_book_->now_us();
@@ -841,11 +742,12 @@ void CampaignTelemetry::write_metrics(const std::string& path) {
 }
 
 void CampaignTelemetry::write_chrome_trace(const std::string& path) const {
-  if (!trace_) {
-    throw std::runtime_error(
-        "chrome trace was not enabled for this campaign");
+  if (!span_book_) {
+    throw std::runtime_error("span plane was not enabled for this campaign");
   }
-  trace_->write(path);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error("cannot open chrome trace output " + path);
+  out << trace_chrome_json() << '\n';
 }
 
 }  // namespace sfi::inject

@@ -1,13 +1,14 @@
 // Campaign telemetry facade: the one object wired through the campaign
-// driver, the sharded scheduler, the beam harness and the CLI. It owns
+// driver, the farm coordinator, the beam harness and the CLI. It owns
 //
 //   * the metrics registry (counters / gauges / phase & latency histograms,
 //     accumulated into per-worker shards, merged at finish),
 //   * the structured JSONL event log (campaign start/finish, shard
 //     dispatch/complete, sampled per-injection records, checkpoint
 //     save/restore), and
-//   * the Chrome-trace collector (one track per worker: shard spans with
-//     nested per-injection phase slices, loadable in chrome://tracing).
+//   * the span plane (one track per worker: shard spans with tail-latency
+//     exemplar phase slices; rendered as Chrome-trace JSON, and stitched
+//     across processes in farm mode).
 //
 // Telemetry is strictly read-only with respect to results: it observes
 // records after they are built and never feeds anything back into fault
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "sfi/record.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -76,37 +76,37 @@ struct RunPhaseTimes {
 
 struct TelemetryConfig {
   /// Emit every Nth per-injection event-log record (1 = all, 0 = none).
-  /// Lifecycle / shard / checkpoint events are never sampled away.
+  /// Lifecycle / shard / checkpoint events are never sampled away; trace
+  /// slices follow the span plane's exemplar policy instead.
   u32 event_sample = 1;
-  /// Emit every Nth injection as Chrome-trace phase slices (1 = all,
-  /// 0 = shard spans only). Counted per worker.
-  u32 slice_sample = 1;
 };
 
 class CampaignTelemetry;
 
-/// One worker thread's telemetry handle: a private metrics shard, a private
-/// trace track, and a scratch RunPhaseTimes for the runner. Not thread-safe;
-/// exactly one worker owns each handle (create via prepare_workers()).
+/// One worker thread's telemetry handle: a private metrics shard, a track
+/// on the span plane, and a scratch RunPhaseTimes for the runner. Not
+/// thread-safe; exactly one worker owns each handle (create via
+/// prepare_workers()).
 class WorkerTelemetry {
  public:
   /// Scratch the runner fills per injection (stable address).
   [[nodiscard]] RunPhaseTimes* phase_scratch() { return &phases_; }
 
-  /// Shard lifecycle (scheduler only): event-log record + trace span.
+  /// Shard lifecycle (campaign driver only): event-log record + trace span.
   void shard_begin(u64 shard, u64 injections);
   void shard_end(u64 shard, u64 executed);
 
   /// Observe one completed injection: phase histograms, outcome tallies,
-  /// detection latency, sampled event record and trace slices. `index` is
-  /// the injection's campaign index; `detect_latency` is cycles from fault
-  /// to first RAS reaction (nullopt: never detected).
+  /// detection latency, sampled event record and exemplar phase slices.
+  /// `index` is the injection's campaign index; `detect_latency` is cycles
+  /// from fault to first RAS reaction (nullopt: never detected).
   void record_injection(u32 index, const InjectionRecord& rec,
                         std::optional<Cycle> detect_latency);
 
   /// Observe one completed footprint re-run: spread counters, peak/mask
-  /// histograms, sampled "propagation" event record and a trace slice with
-  /// per-sample instants. `seconds` is the re-run's wall time.
+  /// histograms, sampled "propagation" event record and one trace slice
+  /// (its samples are durable in the 'P' frame `sfi explain` reads).
+  /// `seconds` is the re-run's wall time.
   void record_footprint(u32 index, const PropagationRecord& rec,
                         double seconds);
 
@@ -123,15 +123,12 @@ class WorkerTelemetry {
   CampaignTelemetry& owner_;
   u32 tid_ = 0;
   telemetry::MetricsShard shard_;
-  telemetry::TraceTrack* track_ = nullptr;
   RunPhaseTimes phases_;
   telemetry::JsonWriter scratch_;  ///< reused per event (no per-event alloc)
-  u64 seq_ = 0;            ///< injections seen by this worker (sampling)
-  u64 shard_start_us_ = 0;  ///< open shard span start
   /// Span plane (owner's book; null when the plane is off).
   telemetry::SpanBook* book_ = nullptr;
   telemetry::TailExemplarPolicy exemplar_;
-  u64 span_shard_start_us_ = 0;  ///< open shard span start (wall-anchored)
+  u64 shard_start_us_ = 0;  ///< open shard span start (wall-anchored)
 };
 
 class CampaignTelemetry {
@@ -143,8 +140,7 @@ class CampaignTelemetry {
 
   // --- sinks (attach before the campaign starts) ---
   void open_event_log(const std::string& path);
-  void enable_chrome_trace();
-  /// Attach the distributed span plane: a wall-anchored SpanBook every
+  /// Attach the span plane: a wall-anchored SpanBook every
   /// lifecycle / farm / per-injection hook records into, plus the
   /// tail-latency exemplar policy for per-injection phase slices.
   /// `process_name` labels this process's row in the stitched trace;
@@ -175,7 +171,6 @@ class CampaignTelemetry {
   [[nodiscard]] telemetry::EventLog* events() {
     return events_.is_open() ? &events_ : nullptr;
   }
-  [[nodiscard]] telemetry::TraceCollector* trace() { return trace_.get(); }
   [[nodiscard]] const TelemetryConfig& config() const { return cfg_; }
 
   // --- lifecycle (single-threaded call sites) ---
@@ -207,8 +202,8 @@ class CampaignTelemetry {
   /// than the warning threshold but short of the watchdog deadline).
   void farm_heartbeat_gap(u32 slot, double gap_seconds);
 
-  /// Create the per-worker handles (and trace tracks) before the pool
-  /// starts. Idempotent for the same `n`; references stay stable.
+  /// Create the per-worker handles before the pool starts. Idempotent for
+  /// the same `n`; references stay stable.
   void prepare_workers(u32 n);
   [[nodiscard]] WorkerTelemetry& worker(u32 tid) { return *workers_[tid]; }
 
@@ -255,6 +250,7 @@ class CampaignTelemetry {
   // --- outputs ---
   /// Merge outstanding shards and write the registry as JSON.
   void write_metrics(const std::string& path);
+  /// Write trace_chrome_json() to `path` (the span plane must be on).
   void write_chrome_trace(const std::string& path) const;
 
   /// Microseconds since this telemetry object was created (event stamps).
@@ -265,11 +261,8 @@ class CampaignTelemetry {
 
   TelemetryConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
-  u64 start_us_ = 0;  ///< campaign_start stamp (campaign trace slice)
   telemetry::MetricsRegistry registry_;
   telemetry::EventLog events_;
-  std::unique_ptr<telemetry::TraceCollector> trace_;
-  telemetry::TraceTrack* main_track_ = nullptr;
   std::vector<std::unique_ptr<WorkerTelemetry>> workers_;
 
   /// Span plane (enable_span_plane): the process-wide book plus spans

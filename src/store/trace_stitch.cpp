@@ -6,48 +6,18 @@
 #include <set>
 
 #include "store/reader.hpp"
+#include "telemetry/flight_recorder.hpp"
 
 namespace sfi::store {
 
-namespace {
-
 namespace fs = std::filesystem;
 
-/// `path` minus a trailing ".sfr" (shard/sidecar names derive from this,
-/// mirroring the farm coordinator's shard_file_path()).
-std::string base_of(const std::string& path) {
-  if (path.size() > 4 && path.ends_with(".sfr")) {
-    return path.substr(0, path.size() - 4);
-  }
-  return path;
+std::string store_sibling(const std::string& store_path,
+                          std::string_view suffix) {
+  std::string base = store_path;
+  if (base.size() > 4 && base.ends_with(".sfr")) base.resize(base.size() - 4);
+  return base.append(suffix);
 }
-
-/// Crude field extraction from a flight-recorder JSONL line. The recorder's
-/// lines are machine-written ({"t_us":N,"ev":"...",...}), so a substring
-/// scan is reliable enough for a postmortem overlay; anything unparsable
-/// degrades to a generic instant, never an error.
-u64 extract_t_us(const std::string& line) {
-  const auto key = line.find("\"t_us\":");
-  if (key == std::string::npos) return 0;
-  u64 v = 0;
-  for (std::size_t i = key + 7; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c < '0' || c > '9') break;
-    v = v * 10 + static_cast<u64>(c - '0');
-  }
-  return v;
-}
-
-std::string extract_ev(const std::string& line) {
-  const auto key = line.find("\"ev\":\"");
-  if (key == std::string::npos) return "event";
-  const auto begin = key + 6;
-  const auto end = line.find('"', begin);
-  if (end == std::string::npos) return "event";
-  return line.substr(begin, end - begin);
-}
-
-}  // namespace
 
 std::vector<telemetry::SpanRecord> read_spans(const std::string& path) {
   std::vector<telemetry::SpanRecord> out;
@@ -80,8 +50,7 @@ std::vector<std::string> discover_trace_inputs(const std::string& store_path) {
   };
 
   add(store_path);
-  const std::string base = base_of(store_path);
-  add(base + ".trace.sfr");
+  add(store_sibling(store_path, kTraceSidecarSuffix));
 
   // Sibling shard stores (`<base>.w<slot>g<gen>.sfr`), `.hf` fatal-synthesis
   // stores, and postmortem dumps, discovered by prefix scan so the stitcher
@@ -89,7 +58,8 @@ std::vector<std::string> discover_trace_inputs(const std::string& store_path) {
   const fs::path dir = fs::path(store_path).parent_path().empty()
                            ? fs::path(".")
                            : fs::path(store_path).parent_path();
-  const std::string stem = fs::path(base).filename().string() + ".";
+  const std::string stem =
+      fs::path(store_sibling(store_path, ".")).filename().string();
   std::vector<std::string> shards;
   std::vector<std::string> postmortems;
   std::error_code ec;
@@ -144,9 +114,9 @@ StitchResult stitch_trace(const std::string& store_path) {
       telemetry::SpanRecord s;
       s.pid = pid;
       s.ph = 'i';
-      s.ts_us = wall_min + extract_t_us(line);
+      s.ts_us = wall_min + telemetry::recorded_t_us(line);
       s.process = "postmortem: " + fs::path(path).filename().string();
-      s.name = extract_ev(line);
+      s.name = telemetry::recorded_event(line);
       s.cat = "postmortem";
       spans.push_back(std::move(s));
       contributed = true;

@@ -20,11 +20,22 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/span.hpp"
 
 namespace sfi::store {
+
+/// Suffix of a campaign's trace sidecar (see store_sibling).
+inline constexpr std::string_view kTraceSidecarSuffix = ".trace.sfr";
+
+/// The one owner of campaign-derived file names: `store_path` minus a
+/// trailing ".sfr", plus `suffix`. The trace sidecar (kTraceSidecarSuffix),
+/// farm shard stores (".w<slot>g<gen>.sfr") and the stitcher's prefix scan
+/// all derive from it.
+[[nodiscard]] std::string store_sibling(const std::string& store_path,
+                                        std::string_view suffix);
 
 /// All decodable 'S' frames of one store, tolerant of torn tails and
 /// unknown frames. Missing file => empty (shards may be cleaned up).

@@ -84,6 +84,27 @@ std::size_t FlightRecorder::dump(const std::string& path) const {
   return static_cast<std::size_t>(head > capacity_ ? capacity_ : head);
 }
 
+u64 recorded_t_us(std::string_view line) {
+  const auto key = line.find("\"t_us\":");
+  if (key == std::string_view::npos) return 0;
+  u64 v = 0;
+  for (std::size_t i = key + 7; i < line.size(); ++i) {
+    const char c = line[i];
+    if (c < '0' || c > '9') break;
+    v = v * 10 + static_cast<u64>(c - '0');
+  }
+  return v;
+}
+
+std::string_view recorded_event(std::string_view line) {
+  const auto key = line.find("\"ev\":\"");
+  if (key == std::string_view::npos) return "event";
+  const auto begin = key + 6;
+  const auto end = line.find('"', begin);
+  if (end == std::string_view::npos) return "event";
+  return line.substr(begin, end - begin);
+}
+
 namespace {
 
 // Fixed storage the signal handler can reach without allocating.

@@ -44,6 +44,9 @@ class FlightRecorder {
   static constexpr std::size_t kLineBytes = 480;
 
   FlightRecorder() = default;
+  /// Frees the ring. The global() recorder is never destroyed (signal
+  /// handlers may read it during teardown); local instances are.
+  ~FlightRecorder() { delete[] slots_.load(std::memory_order_acquire); }
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -94,5 +97,14 @@ class FlightRecorder {
   std::size_t capacity_ = 0;
   std::atomic<u64> head_{0};
 };
+
+// Field extraction from a recorded line. Lines are machine-written JSONL
+// ({"ev":"...","t_us":N,...}), so a substring scan is reliable enough for a
+// postmortem overlay; a miss degrades to a default, never an error.
+
+/// The line's `"t_us"` stamp (0 when absent).
+[[nodiscard]] u64 recorded_t_us(std::string_view line);
+/// The line's `"ev"` kind ("event" when absent).
+[[nodiscard]] std::string_view recorded_event(std::string_view line);
 
 }  // namespace sfi::telemetry

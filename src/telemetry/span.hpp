@@ -1,12 +1,12 @@
-// Cross-process span plane: the distributed complement of chrome_trace.
+// Span plane: the one trace producer, for a single process and a fleet.
 //
-// The PR 3 TraceCollector sees one process — its tracks share a steady
-// epoch, so a single-process file needs no clock story. A farm campaign is
-// many processes on (potentially) many hosts, and the interesting time goes
-// *between* them: dispatch-to-first-heartbeat, retry backoff, a straggler
-// shard. The span plane records those as SpanRecords, durably, in the same
-// store the results travel through ('S' frames, store/codec.hpp), and a
-// stitcher reassembles the fleet's timeline after the fact.
+// A single-process campaign renders its book directly as a one-pid trace
+// (one track per worker thread). A farm campaign is many processes on
+// (potentially) many hosts, and the interesting time goes *between* them:
+// dispatch-to-first-heartbeat, retry backoff, a straggler shard. The plane
+// records those as SpanRecords, durably, in the same store the results
+// travel through ('S' frames, store/codec.hpp), and a stitcher reassembles
+// the fleet's timeline after the fact.
 //
 // Clock reconciliation without coordination: every SpanBook captures one
 // (wall, steady) pair at construction and stamps spans with

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -616,6 +617,41 @@ TEST(Scheduler, ResumeEquivalence) {
 
   // The headline guarantee: canonical merges are byte-identical.
   TempFile ma("resume_merge_a"), mb("resume_merge_b");
+  (void)merge_stores({uninterrupted.path()}, ma.path());
+  (void)merge_stores({interrupted.path()}, mb.path());
+  EXPECT_EQ(slurp(ma.path()), slurp(mb.path()));
+}
+
+TEST(Scheduler, WorkerExceptionReachesCallerAndResumes) {
+  // A throw on a pool thread (here the progress callback, on its 3rd call)
+  // must reach the caller once every worker has joined instead of
+  // terminating the process, and the store it leaves resumes like any
+  // other interruption.
+  TempFile uninterrupted("throw_base"), interrupted("throw_cut");
+  const avp::Testcase tc = small_testcase();
+  const inject::CampaignConfig cfg = small_campaign();
+
+  sched::SchedulerConfig sc;
+  sc.threads = 2;
+  sc.shard_size = 8;
+  sc.flush_records = 4;
+  (void)sched::run_campaign_to_store(tc, cfg, uninterrupted.path(), sc);
+
+  sched::SchedulerConfig failing = sc;
+  int calls = 0;  // progress runs under the store lock
+  failing.on_progress = [&](const sched::Progress&) {
+    if (++calls == 3) throw std::runtime_error("progress sink failed");
+  };
+  EXPECT_THROW((void)sched::run_campaign_to_store(tc, cfg,
+                                                  interrupted.path(), failing),
+               std::runtime_error);
+
+  const auto rest = sched::run_campaign_to_store(tc, cfg, interrupted.path(),
+                                                 sc, /*resume=*/true);
+  EXPECT_TRUE(rest.complete);
+  EXPECT_GT(rest.resumed, 0u);
+
+  TempFile ma("throw_merge_a"), mb("throw_merge_b");
   (void)merge_stores({uninterrupted.path()}, ma.path());
   (void)merge_stores({interrupted.path()}, mb.path());
   EXPECT_EQ(slurp(ma.path()), slurp(mb.path()));

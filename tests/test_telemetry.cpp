@@ -3,19 +3,24 @@
 // sink enabled produces byte-identical records to one with telemetry off.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "avp/testgen.hpp"
 #include "sched/scheduler.hpp"
+#include "serve/wire.hpp"
 #include "sfi/campaign.hpp"
 #include "sfi/telemetry.hpp"
 #include "store/merge.hpp"
 #include "store/reader.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
@@ -314,7 +319,7 @@ TEST(FlightRecorder, EventLogTeesIntoGlobalRecorder) {
             std::string::npos);
 }
 
-// --- event log & chrome trace --------------------------------------------
+// --- event log ------------------------------------------------------------
 
 TEST(EventLog, EmitsOneLinePerEvent) {
   TempFile f("events.jsonl");
@@ -327,24 +332,20 @@ TEST(EventLog, EmitsOneLinePerEvent) {
   EXPECT_EQ(slurp(f.path()), "{\"ev\":\"a\"}\n{\"ev\":\"b\"}\n");
 }
 
-TEST(ChromeTrace, TracksSlicesAndMetadata) {
-  telemetry::TraceCollector tc("proc");
-  telemetry::TraceTrack& t0 = tc.add_track("worker 0");
-  telemetry::TraceTrack& t1 = tc.add_track("worker 1");
-  t0.slice("inject", "run", 10, 5, "{\"i\":1}");
-  t1.instant("mark", "run", 12);
-  const std::string j = tc.to_json();
-  EXPECT_NE(j.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(j.find("process_name"), std::string::npos);
-  EXPECT_NE(j.find("\"worker 0\""), std::string::npos);
-  EXPECT_NE(j.find("\"worker 1\""), std::string::npos);
-  EXPECT_NE(j.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(j.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(j.find("\"dur\":5"), std::string::npos);
-  EXPECT_NE(j.find("{\"i\":1}"), std::string::npos);
-}
-
 // --- campaign integration -------------------------------------------------
+
+/// The events of the `--chrome-trace` document (the span plane rendered as
+/// Trace Event JSON), parsed back: the document must be valid JSON.
+std::vector<serve::Json> chrome_trace_events(
+    const inject::CampaignTelemetry& tel) {
+  const serve::Json doc = serve::Json::parse(tel.trace_chrome_json());
+  const serve::Json* events = doc.find("traceEvents");
+  if (events == nullptr) {
+    ADD_FAILURE() << "no traceEvents array";
+    return {};
+  }
+  return events->items();
+}
 
 avp::Testcase small_testcase() {
   avp::TestcaseConfig cfg;
@@ -378,7 +379,7 @@ TEST(CampaignTelemetry, ResultsIdenticalWithAndWithoutTelemetry) {
   TempFile events("campaign_events.jsonl");
   inject::CampaignTelemetry tel;
   tel.open_event_log(events.path());
-  tel.enable_chrome_trace();
+  tel.enable_span_plane("sfi", /*trace_id=*/0);
   inject::CampaignConfig cfg = small_campaign(40, 2);
   cfg.telemetry = &tel;
   const inject::CampaignResult traced = inject::run_campaign(tc, cfg);
@@ -489,7 +490,6 @@ TEST(CampaignTelemetry, EventSamplingThinsInjectionRecords) {
   TempFile events("sampled_events.jsonl");
   inject::TelemetryConfig tcfg;
   tcfg.event_sample = 0;  // lifecycle only
-  tcfg.slice_sample = 0;
   inject::CampaignTelemetry tel(tcfg);
   tel.open_event_log(events.path());
   inject::CampaignConfig cfg = small_campaign(20, 1);
@@ -516,7 +516,7 @@ TEST(ScheduledTelemetry, StoreBytesIdenticalWithTelemetryOn) {
 
   inject::CampaignTelemetry tel;
   tel.open_event_log(events.path());
-  tel.enable_chrome_trace();
+  tel.enable_span_plane("sfi", /*trace_id=*/0);
   inject::CampaignConfig cfg = small_campaign(30, 1);
   cfg.telemetry = &tel;
   const sched::ScheduledResult r =
@@ -548,14 +548,67 @@ TEST(ScheduledTelemetry, CanonicalMergeIdenticalAcrossThreadCounts) {
                                      plain_store.path(), sc);
 
   inject::CampaignTelemetry tel;
-  tel.enable_chrome_trace();
+  tel.enable_span_plane("sfi", /*trace_id=*/0);
   inject::CampaignConfig cfg = small_campaign(36, 3);
   cfg.telemetry = &tel;
-  (void)sched::run_campaign_to_store(tc, cfg, traced_store.path(), sc);
+  // Hold the first claimer until a second worker claims too, so shard
+  // slices land on more than one track however the threads get scheduled.
+  sched::SchedulerConfig traced_sc = sc;
+  std::mutex claimers_mu;
+  std::condition_variable claimers_cv;
+  std::set<std::thread::id> claimers;  // guarded by claimers_mu
+  traced_sc.should_stop = [&] {
+    std::unique_lock<std::mutex> lock(claimers_mu);
+    claimers.insert(std::this_thread::get_id());
+    claimers_cv.notify_all();
+    claimers_cv.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return claimers.size() >= 2; });
+    return false;
+  };
+  (void)sched::run_campaign_to_store(tc, cfg, traced_store.path(), traced_sc);
 
   (void)store::merge_stores({plain_store.path()}, plain_merged.path());
   (void)store::merge_stores({traced_store.path()}, traced_merged.path());
   EXPECT_EQ(slurp(plain_merged.path()), slurp(traced_merged.path()));
+
+  // --chrome-trace renders the span plane: a one-pid stitched trace whose
+  // worker tracks carry the shard slices, plus the campaign root slice and
+  // the checkpoint-store build.
+  u64 process_rows = 0;
+  std::set<u64> shard_tids;
+  std::set<std::string> slices;
+  for (const serve::Json& e : chrome_trace_events(tel)) {
+    const std::string name = e.get_str("name", "");
+    if (name == "process_name") ++process_rows;
+    if (e.get_str("ph", "") == "X") slices.insert(name);
+    if (e.get_str("cat", "") == "shard") shard_tids.insert(e.get_u64("tid", 0));
+  }
+  EXPECT_EQ(process_rows, 1u);
+  EXPECT_GT(shard_tids.size(), 1u);
+  EXPECT_TRUE(slices.contains("campaign"));
+  EXPECT_TRUE(slices.contains("build checkpoint store"));
+}
+
+TEST(ScheduledTelemetry, ChromeTraceHasOneSlicePerFootprint) {
+  const avp::Testcase tc = small_testcase();
+  TempFile store("footprint_trace.sfr");
+  inject::CampaignTelemetry tel;
+  tel.enable_span_plane("sfi", /*trace_id=*/0);
+  inject::CampaignConfig cfg = small_campaign(24, 1);
+  cfg.footprint.enabled = true;
+  cfg.footprint.vanished_sample = 1;  // re-run every injection
+  cfg.telemetry = &tel;
+  const sched::ScheduledResult r =
+      sched::run_campaign_to_store(tc, cfg, store.path());
+  ASSERT_GT(r.footprints, 0u);
+
+  u64 footprint_slices = 0;
+  for (const serve::Json& e : chrome_trace_events(tel)) {
+    if (e.get_str("cat", "") == "footprint" && e.get_str("ph", "") == "X") {
+      ++footprint_slices;
+    }
+  }
+  EXPECT_EQ(footprint_slices, r.footprints);
 }
 
 TEST(ScheduledTelemetry, ProgressReportsExecutedAndWall) {

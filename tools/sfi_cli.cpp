@@ -121,12 +121,14 @@
 //   --events-out FILE     stream a structured JSONL event log (campaign
 //                         lifecycle, shard dispatch, checkpoint saves,
 //                         sampled per-injection records)
-//   --chrome-trace FILE   write a Chrome-trace/Perfetto timeline (one track
-//                         per worker, shard spans, per-injection phase
-//                         slices); load it in chrome://tracing
-//   --telemetry-sample N  keep every Nth per-injection event/trace slice
+//   --chrome-trace FILE   write a Chrome-trace/Perfetto timeline rendered
+//                         from the span plane (one track per worker, shard
+//                         spans, tail-latency exemplar phase slices); load
+//                         it in chrome://tracing
+//   --telemetry-sample N  keep every Nth per-injection event-log record
 //                         (default 1 = all; lifecycle events are never
-//                         sampled away)
+//                         sampled away, and trace slices follow the span
+//                         plane's exemplar policy instead)
 //   --progress            live one-line progress (rate, ETA, outcome
 //                         tallies) on stderr
 // Serve options (`sfi serve`):
@@ -345,7 +347,8 @@ commands:
               plane (--http ADDR [--interval SECS] [--once]); the same
               endpoint Prometheus scrapes at /metrics
 telemetry (campaign/beam): --metrics-out FILE, --events-out FILE.jsonl,
-  --chrome-trace FILE.json, --telemetry-sample N, --progress
+  --chrome-trace FILE.json, --telemetry-sample N (thins the event log
+  only), --progress
 run `head -60 tools/sfi_cli.cpp` for the full option list.
 )";
   return 2;
@@ -362,7 +365,10 @@ Args parse(int argc, char** argv) {
       continue;
     }
     key = key.substr(2);
-    if (flag_options().count(key) != 0) {
+    // `explain --json FILE` names an output file; elsewhere --json is a
+    // bare flag (machine-readable status / top).
+    const bool takes_value = a.command == "explain" && key == "json";
+    if (flag_options().count(key) != 0 && !takes_value) {
       a.flags.insert(key);
     } else if (i + 1 < argc) {
       a.opts[key] = argv[++i];
@@ -547,12 +553,11 @@ TelemetrySinks make_telemetry(const Args& a) {
       !postmortem && !trace_spans) {
     return s;
   }
-  inject::TelemetryConfig tc;
-  tc.event_sample = sample;
-  tc.slice_sample = sample;
-  s.tel = std::make_unique<inject::CampaignTelemetry>(tc);
+  s.tel = std::make_unique<inject::CampaignTelemetry>(
+      inject::TelemetryConfig{.event_sample = sample});
   if (events_out) s.tel->open_event_log(*events_out);
-  if (s.trace_out) s.tel->enable_chrome_trace();
+  // A single-process run renders as a stitched trace with one process row.
+  if (s.trace_out) s.tel->enable_span_plane("sfi", /*trace_id=*/0);
   return s;
 }
 
@@ -760,10 +765,9 @@ int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
     std::cout << "\n";
   }
   if (fc.trace_spans) {
-    std::string base = out;
-    if (base.size() > 4 && base.ends_with(".sfr")) base.resize(base.size() - 4);
-    std::cout << "trace sidecar: " << base
-              << ".trace.sfr (stitch with `sfi trace " << out << "`)\n";
+    std::cout << "trace sidecar: "
+              << store::store_sibling(out, store::kTraceSidecarSuffix)
+              << " (stitch with `sfi trace " << out << "`)\n";
   }
   std::cout << "workload: " << r.meta.workload_instructions
             << " instructions / " << r.meta.workload_cycles
