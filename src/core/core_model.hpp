@@ -43,6 +43,9 @@ class Pearl6Model final : public emu::Model {
     return reg_;
   }
   [[nodiscard]] netlist::ArrayRegistry& arrays() override { return arrays_; }
+  [[nodiscard]] const netlist::ArrayRegistry& arrays() const {
+    return arrays_;
+  }
   void reset(netlist::StateVector& sv) override;
   void evaluate(const netlist::CycleFrame& f) override;
   [[nodiscard]] emu::RasStatus ras_status(

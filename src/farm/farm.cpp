@@ -624,26 +624,18 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
   std::string synth_path;
   if (!struck.empty()) {
     synth_path = shard_file_path(out_path, 0, 0) + ".hf";
-    // One model purely for latch metadata (unit/type of the faulted latch);
-    // nothing is simulated.
-    core::Pearl6Model model(cfg.core);
+    // One model purely for record metadata (unit/type of the faulted
+    // latch); nothing is simulated.
+    const core::Pearl6Model model(cfg.core);
     store::StoreWriter synth = store::StoreWriter::create(synth_path, meta);
     for (const u32 i : struck) {
       const inject::FaultSpec& fault = plan.faults[i];
-      const netlist::LatchMeta& lmeta =
-          model.registry().meta_of_ordinal(fault.index);
-      store::StoredRecord sr;
-      sr.index = i;
-      sr.rec.fault = fault;
-      sr.rec.outcome = inject::Outcome::HarnessFatal;
-      sr.rec.unit = lmeta.unit;
-      sr.rec.type = lmeta.type;
+      inject::RunResult rr;
+      rr.outcome = inject::Outcome::HarnessFatal;
       // The harness died at the injection, so the fault cycle is the last
       // cycle this run meaningfully reached.
-      sr.rec.end_cycle = fault.cycle;
-      sr.rec.early_exited = false;
-      sr.rec.recoveries = 0;
-      synth.append(sr);
+      rr.end_cycle = fault.cycle;
+      synth.append({i, inject::make_record(model, fault, rr)});
       result.harness_fatal.push_back(i);
     }
     synth.flush();

@@ -146,8 +146,10 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
   ScheduledResult result;
   result.meta = meta;
   const PriorRecords prior = inherit_records(
-      store_path, meta, resume, tel,
-      [&](const store::StoredRecord& sr) { result.agg.add(sr.rec); });
+      store_path, meta, resume, tel, [&](const store::StoredRecord& sr) {
+        result.agg.add(sr.rec);
+        if (sched.on_record) sched.on_record(sr);
+      });
   result.resumed = prior.count;
 
   // Commit markers seal each flush window so a crash can be rolled back to
@@ -181,24 +183,33 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
   dc.should_stop = sched.should_stop;
   const inject::DriveResult d = inject::drive_campaign(
       tc, cfg, plan, pending, dc, [&](const inject::FlushWindow& w) {
-        const std::lock_guard<std::mutex> lock(store_mu);
-        for (const inject::IndexedRecord& r : w.records) {
-          writer.append(store::StoredRecord{r.index, r.rec});
-          result.agg.add(r.rec);
+        {
+          const std::lock_guard<std::mutex> lock(store_mu);
+          for (const inject::IndexedRecord& r : w.records) {
+            writer.append(store::StoredRecord{r.index, r.rec});
+            result.agg.add(r.rec);
+          }
+          // Footprints ride in the same flush window: a crash tears at most
+          // one window, and resume re-runs the injections whose records
+          // were lost (re-tracing their footprints with them).
+          for (const inject::PropagationRecord& fp : w.footprints) {
+            writer.append_propagation(fp);
+          }
+          writer.flush();
+          result.executed += w.records.size();
+          result.footprints += w.footprints.size();
+          if (sched.on_progress) {
+            sched.on_progress({result.resumed + result.executed,
+                               cfg.num_injections, result.resumed,
+                               result.executed, wall_now(), steady_us_now()});
+          }
         }
-        // Footprints ride in the same flush window: a crash tears at most
-        // one window, and resume re-runs the injections whose records were
-        // lost (re-tracing their footprints with them).
-        for (const inject::PropagationRecord& fp : w.footprints) {
-          writer.append_propagation(fp);
-        }
-        writer.flush();
-        result.executed += w.records.size();
-        result.footprints += w.footprints.size();
-        if (sched.on_progress) {
-          sched.on_progress({result.resumed + result.executed,
-                             cfg.num_injections, result.resumed,
-                             result.executed, wall_now(), steady_us_now()});
+        // The window is durable now, and this worker claims nothing more
+        // until the sink returns.
+        if (sched.on_record) {
+          for (const inject::IndexedRecord& r : w.records) {
+            sched.on_record({r.index, r.rec});
+          }
         }
       });
 

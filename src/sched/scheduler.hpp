@@ -80,6 +80,12 @@ struct SchedulerConfig {
   std::function<bool()> should_stop;
   /// Called under the store lock after every flushed batch.
   std::function<void(const Progress&)> on_progress;
+  /// Called once per durable record — inherited records at resume, then
+  /// each new record right after the flush that commits it, from the
+  /// flushing worker before its next claim (concurrently across workers).
+  /// The same contract as farm::FarmConfig::on_record: anything counted
+  /// through it is already safe on disk.
+  std::function<void(const store::StoredRecord&)> on_record;
 };
 
 struct ScheduledResult {

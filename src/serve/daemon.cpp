@@ -111,6 +111,35 @@ void write_file_atomically(const std::string& path,
   fs::rename(tmp, path);
 }
 
+/// The one reader of a CampaignSpec from JSON — a submit request or a
+/// manifest — defaulting every absent field to CampaignSpec's own default.
+/// An unknown inj_engine keeps the default; submit rejects it separately.
+CampaignSpec parse_spec(const Json& j) {
+  CampaignSpec spec;
+  spec.tenant = j.get_str("tenant", spec.tenant);
+  spec.seed = j.get_u64("seed", spec.seed);
+  spec.testcase_seed = j.get_u64("testcase_seed", spec.testcase_seed);
+  spec.instructions =
+      static_cast<u32>(j.get_u64("instructions", spec.instructions));
+  spec.n = static_cast<u32>(j.get_u64("n", spec.n));
+  spec.target.confidence = j.get_num("confidence", spec.target.confidence);
+  spec.target.half_width = j.get_num("half_width", spec.target.half_width);
+  spec.target.by_unit = j.get_bool("by_unit", spec.target.by_unit);
+  spec.threads = static_cast<u32>(j.get_u64("threads", spec.threads));
+  spec.workers = static_cast<u32>(j.get_u64("workers", spec.workers));
+  spec.shard_size = std::max<u32>(
+      1, static_cast<u32>(j.get_u64("shard_size", spec.shard_size)));
+  spec.flush_records = std::max<u32>(
+      1, static_cast<u32>(j.get_u64("flush_records", spec.flush_records)));
+  if (const auto kind = inject::parse_engine(
+          j.get_str("inj_engine", inject::engine_name(spec.engine)))) {
+    spec.engine = *kind;
+  }
+  spec.lanes =
+      std::max<u32>(1, static_cast<u32>(j.get_u64("lanes", spec.lanes)));
+  return spec;
+}
+
 constexpr std::size_t kMaxRequestBytes = 1 << 20;
 constexpr std::size_t kMaxWatcherBacklog = 8u << 20;
 
@@ -315,27 +344,7 @@ void Daemon::adopt_state_dir() {
     // Span plane from birth: the book's wall epoch is the adoption/submit
     // instant, which is what the admission-wait slice measures from.
     c->tel->enable_span_plane("sfi serve", id);
-    c->spec.tenant = m.get_str("tenant", "default");
-    c->spec.seed = m.get_u64("seed", 42);
-    c->spec.testcase_seed = m.get_u64("testcase_seed", 2026);
-    c->spec.instructions = static_cast<u32>(m.get_u64("instructions", 160));
-    c->spec.n = static_cast<u32>(m.get_u64("n", 1000));
-    c->spec.target.confidence =
-        m.get_num("confidence", stats::kDefaultConfidence);
-    c->spec.target.half_width = m.get_num("half_width", 0.02);
-    c->spec.target.by_unit = m.get_bool("by_unit", false);
-    c->spec.threads = static_cast<u32>(m.get_u64("threads", 0));
-    c->spec.workers = static_cast<u32>(m.get_u64("workers", 0));
-    c->spec.shard_size =
-        std::max<u32>(1, static_cast<u32>(m.get_u64("shard_size", 16)));
-    c->spec.flush_records =
-        std::max<u32>(1, static_cast<u32>(m.get_u64("flush_records", 8)));
-    if (const auto kind =
-            inject::parse_engine(m.get_str("inj_engine", "scalar"))) {
-      c->spec.engine = *kind;
-    }
-    c->spec.lanes =
-        std::max<u32>(1, static_cast<u32>(m.get_u64("lanes", 64)));
+    c->spec = parse_spec(m);
     c->manifest_path = path.string();
     c->store_path = m.get_str(
         "store",
@@ -468,13 +477,15 @@ void Daemon::run_one(Campaign& c) {
                              c.spec.target.half_width);
     }
 
-    const bool farm_mode = c.spec.workers > 0;
     std::mutex mon_mu;
-    std::unique_ptr<StopMonitor> monitor =
-        farm_mode
-            ? std::make_unique<StopMonitor>(c.spec.n, c.spec.target)
-            : std::make_unique<StopMonitor>(c.store_path, c.spec.n,
-                                            c.spec.target);
+    StopMonitor monitor(c.spec.n, c.spec.target);
+    // The one durable-record feed, on both execution paths: inherited
+    // records at resume, then each record right after the flush (scheduler)
+    // or commit marker (farm) that makes it durable.
+    const auto on_record = [&](const store::StoredRecord& sr) {
+      std::lock_guard lk(mon_mu);
+      monitor.observe(sr);
+    };
 
     using clock = std::chrono::steady_clock;
     clock::time_point last_interval{};  // guarded by mon_mu
@@ -486,10 +497,10 @@ void Daemon::run_one(Campaign& c) {
         return;
       }
       last_interval = now;
-      const double widest = widest_half_width(monitor->agg(), c.spec.target);
-      const u64 committed = monitor->committed();
+      const double widest = widest_half_width(monitor.agg(), c.spec.target);
+      const u64 committed = monitor.committed();
       std::vector<StratumInterval> strata =
-          stratum_intervals(monitor->agg(), c.spec.target);
+          stratum_intervals(monitor.agg(), c.spec.target);
       {
         std::lock_guard lk(mu_);
         c.committed = committed;
@@ -505,7 +516,7 @@ void Daemon::run_one(Campaign& c) {
           .field("widest_half_width", widest)
           .field("target_half_width", c.spec.target.half_width)
           .field("confidence", c.spec.target.confidence)
-          .field("met", monitor->met())
+          .field("met", monitor.met())
           .end_object();
       emit(c, w.str());
       if (c.tel != nullptr && c.tel->spans() != nullptr) {
@@ -516,7 +527,7 @@ void Daemon::run_one(Campaign& c) {
         args.begin_object()
             .field("committed", committed)
             .field("widest_half_width", widest)
-            .field("met", monitor->met())
+            .field("met", monitor.met())
             .end_object();
         book->instant("stop poll", "serve.stop", book->now_us(), 0,
                       args.str());
@@ -524,20 +535,19 @@ void Daemon::run_one(Campaign& c) {
     };
 
     // The sequential stop decision: polled by the engine before every
-    // claim. Commit-gated counting (FrameTail / farm on_record) means the
-    // recorded stop point is exactly the durable record set.
+    // claim. Commit-gated counting (on_record) means the recorded stop point
+    // is exactly the durable record set.
     const auto stop_fn = [&]() -> bool {
       if (stopping_.load(std::memory_order_relaxed)) return true;
       if (c.early_stop.load(std::memory_order_relaxed)) return true;
       std::unique_lock lk(mon_mu, std::try_to_lock);
       if (!lk.owns_lock()) return false;
-      // Tail mode polls on every claim, unthrottled: with one scheduler
-      // thread the buffer is empty exactly at flush boundaries, so the stop
-      // lands on the flush that met the target and the decision set IS the
-      // final record set (a throttle here would admit straggler records
-      // that could push a stratum back over the target).
-      if (!farm_mode) monitor->poll();
-      if (monitor->met()) {
+      // Checked on every claim, unthrottled: a scheduler worker feeds its
+      // flush to the monitor before its next claim, so with one scheduler
+      // thread the stop lands on the flush that met the target and the
+      // decision set IS the final record set (a throttle here would admit
+      // straggler records that could push a stratum back over the target).
+      if (monitor.met()) {
         c.early_stop.store(true);
         note_intervals(/*force=*/true);
         telemetry::JsonWriter w;
@@ -545,7 +555,7 @@ void Daemon::run_one(Campaign& c) {
             .field("ev", "early_stop")
             .field("t_us", now_us())
             .field("id", c.id)
-            .field("committed", monitor->committed())
+            .field("committed", monitor.committed())
             .field("target_half_width", c.spec.target.half_width)
             .field("confidence", c.spec.target.confidence)
             .end_object();
@@ -577,7 +587,7 @@ void Daemon::run_one(Campaign& c) {
       emit(c, w.str());
     };
 
-    if (farm_mode) {
+    if (c.farm()) {
       farm::FarmConfig fc;
       fc.hosts = {{"localhost", c.spec.workers}};
       fc.worker_command = {
@@ -607,10 +617,7 @@ void Daemon::run_one(Campaign& c) {
       fc.shard_size = c.spec.shard_size;
       fc.should_stop = stop_fn;
       fc.on_progress = progress_fn;
-      fc.on_record = [&](const store::StoredRecord& sr) {
-        std::lock_guard lk(mon_mu);
-        monitor->observe(sr);
-      };
+      fc.on_record = on_record;
       (void)farm::run_farm_campaign(tc, cfg, c.store_path, fc,
                                     /*resume=*/true);
     } else {
@@ -621,6 +628,7 @@ void Daemon::run_one(Campaign& c) {
       sc.flush_records = c.spec.flush_records;
       sc.should_stop = stop_fn;
       sc.on_progress = progress_fn;
+      sc.on_record = on_record;
       (void)sched::run_campaign_to_store(tc, cfg, c.store_path, sc,
                                          /*resume=*/true);
     }
@@ -958,25 +966,8 @@ void Daemon::handle_line(Conn& conn, const std::string& line) {
 }
 
 void Daemon::handle_submit(Conn& conn, const Json& req) {
-  CampaignSpec spec;
-  spec.tenant = req.get_str("tenant", "default");
-  spec.seed = req.get_u64("seed", 42);
-  spec.testcase_seed = req.get_u64("testcase_seed", 2026);
-  spec.instructions = static_cast<u32>(req.get_u64("instructions", 160));
-  spec.n = static_cast<u32>(req.get_u64("n", 1000));
-  spec.target.confidence = req.get_num("confidence", stats::kDefaultConfidence);
-  spec.target.half_width = req.get_num("half_width", 0.02);
-  spec.target.by_unit = req.get_bool("by_unit", false);
-  spec.threads = static_cast<u32>(req.get_u64("threads", 0));
-  spec.workers = static_cast<u32>(req.get_u64("workers", 0));
-  spec.shard_size =
-      std::max<u32>(1, static_cast<u32>(req.get_u64("shard_size", 16)));
-  spec.flush_records =
-      std::max<u32>(1, static_cast<u32>(req.get_u64("flush_records", 8)));
+  const CampaignSpec spec = parse_spec(req);
   const std::string engine = req.get_str("inj_engine", "scalar");
-  if (const auto kind = inject::parse_engine(engine)) spec.engine = *kind;
-  spec.lanes = std::max<u32>(1, static_cast<u32>(req.get_u64("lanes", 64)));
-
   std::string problem;
   if (!inject::parse_engine(engine)) {
     problem = "unknown inj_engine '" + engine + "' (scalar|lanes)";

@@ -1,7 +1,6 @@
 #include "serve/stop.hpp"
 
 #include "common/check.hpp"
-#include "store/format.hpp"
 
 namespace sfi::serve {
 
@@ -56,16 +55,6 @@ double widest_half_width(const inject::CampaignAggregate& agg,
   return widest;
 }
 
-StopMonitor::StopMonitor(std::string store_path, u32 num_injections,
-                         StopTarget target)
-    : target_(target),
-      tail_(store::FrameTail(std::move(store_path))),
-      seen_(num_injections, false) {
-  require(target.half_width > 0.0, "stop target half_width > 0");
-  require(target.confidence > 0.0 && target.confidence < 1.0,
-          "stop target confidence in (0,1)");
-}
-
 StopMonitor::StopMonitor(u32 num_injections, StopTarget target)
     : target_(target), seen_(num_injections, false) {
   require(target.half_width > 0.0, "stop target half_width > 0");
@@ -73,28 +62,12 @@ StopMonitor::StopMonitor(u32 num_injections, StopTarget target)
           "stop target confidence in (0,1)");
 }
 
-std::size_t StopMonitor::poll() {
-  if (!tail_.has_value()) return 0;
-  const u64 before = committed_;
-  tail_->poll([this](u8 kind, std::span<const u8> payload) {
-    if (kind != store::kRecordFrame) return;
-    add(store::decode_record(payload));
-  });
-  if (committed_ != before) met_ = target_met(agg_, target_);
-  return static_cast<std::size_t>(committed_ - before);
-}
-
 void StopMonitor::observe(const store::StoredRecord& rec) {
-  const u64 before = committed_;
-  add(rec);
-  if (committed_ != before) met_ = target_met(agg_, target_);
-}
-
-void StopMonitor::add(const store::StoredRecord& rec) {
   if (rec.index >= seen_.size() || seen_[rec.index]) return;
   seen_[rec.index] = true;
   agg_.add(rec.rec);
   ++committed_;
+  met_ = target_met(agg_, target_);
 }
 
 }  // namespace sfi::serve

@@ -5,21 +5,20 @@
 // dispatching the moment every stratum's half-width is under the submitted
 // target — the statistics, not a guess, decide when enough flips have run.
 //
-// Counting is commit-gated: StopMonitor tails the campaign's own store
-// through store::FrameTail, so a record participates in the decision only
-// once its frame is sealed by a commit marker on disk. "Counted" therefore
-// always equals "durable", and the stop point the daemon records is exactly
-// the set of records an offline `sfi report` of the store will see.
+// Counting is commit-gated: StopMonitor is fed by the executor's on_record
+// callback (sched::SchedulerConfig / farm::FarmConfig), which hands over a
+// record only once the flush or commit marker sealing it is on disk.
+// "Counted" therefore always equals "durable", and the stop point the daemon
+// records is exactly the set of records an offline `sfi report` of the
+// store will see.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "sfi/aggregate.hpp"
 #include "stats/intervals.hpp"
 #include "store/codec.hpp"
-#include "store/tail.hpp"
 
 namespace sfi::serve {
 
@@ -61,25 +60,13 @@ struct StratumInterval {
 [[nodiscard]] double widest_half_width(const inject::CampaignAggregate& agg,
                                        const StopTarget& target);
 
-/// Online stop decision over committed records.
-///
-/// Two feeding modes, matching the two execution paths:
-///   * tail mode (in-process scheduler): construct with the store path; each
-///     poll() reads newly committed 'R' frames straight from the store the
-///     scheduler is writing.
-///   * observe mode (farm): construct without a path; the farm coordinator's
-///     on_record callback — itself commit-gated via the shard FrameTails —
-///     feeds records through observe().
-/// Either way records are deduplicated by index (resume replays overlap).
+/// Online stop decision over committed records, fed through observe() by
+/// either execution path's on_record callback. Records are deduplicated by
+/// index (resume replays overlap).
 class StopMonitor {
  public:
-  StopMonitor(std::string store_path, u32 num_injections, StopTarget target);
   StopMonitor(u32 num_injections, StopTarget target);
 
-  /// Tail mode: drain newly committed records. Returns how many were new.
-  std::size_t poll();
-
-  /// Observe mode entry point (also usable in tail mode for testing).
   void observe(const store::StoredRecord& rec);
 
   [[nodiscard]] bool met() const { return met_; }
@@ -88,10 +75,7 @@ class StopMonitor {
   [[nodiscard]] const StopTarget& target() const { return target_; }
 
  private:
-  void add(const store::StoredRecord& rec);
-
   StopTarget target_;
-  std::optional<store::FrameTail> tail_;
   std::vector<bool> seen_;
   inject::CampaignAggregate agg_;
   u64 committed_ = 0;

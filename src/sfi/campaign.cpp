@@ -89,92 +89,23 @@ std::vector<u32> CampaignPlan::cycle_sorted_indices() const {
   return order;
 }
 
-CampaignWorker::CampaignWorker(const avp::Testcase& tc,
-                               const CampaignConfig& cfg,
-                               const CampaignPlan& plan) {
-  model_ = std::make_unique<core::Pearl6Model>(cfg.core);
-  model_->load_workload(tc.program, tc.init);
-  emu_ = std::make_unique<emu::Emulator>(*model_);
-  emu_->reset();
-  reset_cp_ = emu_->save_checkpoint();
-  runner_ = std::make_unique<InjectionRunner>(
-      *model_, *emu_, reset_cp_, plan.trace, plan.golden, cfg.run,
-      plan.ckpts.empty() ? nullptr : &plan.ckpts);
-  if (cfg.footprint.enabled) {
-    tracker_ = std::make_unique<InfectionTracker>(
-        *model_, *emu_, *runner_, plan.trace, plan.golden, cfg.footprint);
-    if (!tracker_->usable()) tracker_.reset();
-  }
-}
-
-CampaignWorker::~CampaignWorker() = default;
-CampaignWorker::CampaignWorker(CampaignWorker&&) noexcept = default;
-CampaignWorker& CampaignWorker::operator=(CampaignWorker&&) noexcept =
-    default;
-
-InjectionRecord CampaignWorker::run(const FaultSpec& fault) {
-  return run(fault, nullptr, 0, nullptr);
-}
-
-InjectionRecord CampaignWorker::run(const FaultSpec& fault,
-                                    WorkerTelemetry* telemetry, u32 index) {
-  return run(fault, telemetry, index, nullptr);
-}
-
-InjectionRecord make_record(const netlist::LatchRegistry& reg,
+InjectionRecord make_record(const core::Pearl6Model& model,
                             const FaultSpec& fault, const RunResult& rr) {
-  const netlist::LatchMeta& meta = reg.meta_of_ordinal(fault.index);
   InjectionRecord rec;
   rec.fault = fault;
   rec.outcome = rr.outcome;
-  rec.unit = meta.unit;
-  rec.type = meta.type;
+  if (fault.target == FaultTarget::Latch) {
+    const netlist::LatchMeta& meta =
+        model.registry().meta_of_ordinal(fault.index);
+    rec.unit = meta.unit;
+    rec.type = meta.type;
+  } else {
+    rec.unit = model.arrays().locate(fault.array_bit).array->unit();
+  }
   rec.end_cycle = rr.end_cycle;
   rec.early_exited = rr.early_exited;
   rec.recoveries = rr.recoveries;
   return rec;
-}
-
-InjectionRecord CampaignWorker::run(
-    const FaultSpec& fault, WorkerTelemetry* telemetry, u32 index,
-    std::optional<PropagationRecord>* footprint) {
-  // The pre-fault snapshot only exists so the tracker's deferred re-run can
-  // skip the seek; the primary run never reads it back.
-  emu::Checkpoint* prefault =
-      tracker_ != nullptr ? &tracker_->prefault() : nullptr;
-  const RunResult rr = runner_->run(
-      fault, telemetry != nullptr ? telemetry->phase_scratch() : nullptr,
-      prefault);
-  InjectionRecord rec = make_record(model_->registry(), fault, rr);
-  if (telemetry != nullptr) {
-    std::optional<Cycle> latency;
-    if (rr.detected_cycle) latency = *rr.detected_cycle - fault.cycle;
-    telemetry->record_injection(index, rec, latency);
-  }
-  if (tracker_ != nullptr && tracker_->should_trace(index, rr.outcome)) {
-    const auto t0 = std::chrono::steady_clock::now();
-    PropagationRecord prec = tracker_->trace(index, fault, rr);
-    if (telemetry != nullptr) {
-      telemetry->record_footprint(
-          index, prec,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-    if (footprint != nullptr) *footprint = std::move(prec);
-  }
-  return rec;
-}
-
-u64 CampaignWorker::cycles_evaluated() const {
-  return emu_->cycles_evaluated();
-}
-
-u64 CampaignWorker::cycles_fast_forwarded() const {
-  return emu_->cycles_fast_forwarded();
-}
-
-u64 CampaignWorker::checkpoint_ops() const {
-  return emu_->hostlink().checkpoint_ops;
 }
 
 CampaignResult run_campaign(const avp::Testcase& tc,

@@ -12,8 +12,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "avp/testgen.hpp"
@@ -104,48 +102,13 @@ struct CampaignPlan {
 [[nodiscard]] CampaignPlan plan_campaign(const avp::Testcase& testcase,
                                          const CampaignConfig& config);
 
-/// Build the durable injection record for (fault, result). Shared by every
-/// engine so records are field-identical by construction.
-[[nodiscard]] InjectionRecord make_record(const netlist::LatchRegistry& reg,
+/// Build the durable injection record for (fault, result): the faulted
+/// latch's unit and type, or the struck array's unit for an array-cell
+/// fault. The one record builder — every engine, beam, and the farm's
+/// HarnessFatal synthesis — so records are field-identical by construction.
+[[nodiscard]] InjectionRecord make_record(const core::Pearl6Model& model,
                                           const FaultSpec& fault,
                                           const RunResult& rr);
-
-/// One worker's private simulation environment ("multiple concurrent copies
-/// of the simulation environment", paper §2.2). Not thread-safe; create one
-/// per thread.
-class CampaignWorker {
- public:
-  CampaignWorker(const avp::Testcase& testcase, const CampaignConfig& config,
-                 const CampaignPlan& plan);
-  ~CampaignWorker();
-  CampaignWorker(CampaignWorker&&) noexcept;
-  CampaignWorker& operator=(CampaignWorker&&) noexcept;
-
-  /// Run one injection end to end and build its record.
-  [[nodiscard]] InjectionRecord run(const FaultSpec& fault);
-  /// Same, additionally reporting the injection (phase timings, outcome,
-  /// detection latency) to a worker telemetry handle. `index` is the
-  /// injection's campaign index (event/sampling identity).
-  [[nodiscard]] InjectionRecord run(const FaultSpec& fault,
-                                    WorkerTelemetry* telemetry, u32 index);
-  /// Same, additionally running the deferred footprint re-run when the
-  /// campaign's FootprintConfig selects this injection; the propagation
-  /// record (if any) is returned through `footprint`.
-  [[nodiscard]] InjectionRecord run(const FaultSpec& fault,
-                                    WorkerTelemetry* telemetry, u32 index,
-                                    std::optional<PropagationRecord>* footprint);
-
-  [[nodiscard]] u64 cycles_evaluated() const;
-  [[nodiscard]] u64 cycles_fast_forwarded() const;
-  [[nodiscard]] u64 checkpoint_ops() const;
-
- private:
-  std::unique_ptr<core::Pearl6Model> model_;
-  std::unique_ptr<emu::Emulator> emu_;
-  emu::Checkpoint reset_cp_;
-  std::unique_ptr<InjectionRunner> runner_;
-  std::unique_ptr<InfectionTracker> tracker_;
-};
 
 struct CampaignResult {
   /// Outcome histogram plus by-unit / by-latch-type breakdowns, built

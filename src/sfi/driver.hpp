@@ -1,8 +1,9 @@
 // Campaign driver: the one in-process executor behind every campaign caller.
 //
-// The in-memory campaign (inject::run_campaign) and the durable scheduler
-// (sched::run_campaign_to_store) differ only in where finished records go.
-// Everything else lives here, once:
+// The in-memory campaign (inject::run_campaign), the durable scheduler
+// (sched::run_campaign_to_store) and the beam experiment differ only in the
+// plan they hand over and where finished records go. Everything else lives
+// here, once:
 //
 //   * one engine per worker, built before any thread starts;
 //   * the worker pool (run inline at one thread), whose first worker

@@ -1,7 +1,8 @@
 // Engine implementations.
 //
-// ScalarEngine wraps the classic CampaignWorker: one injection at a time,
-// seek + flip + simulate + classify.
+// CampaignWorker is the scalar engine: one injection at a time, seek + flip
+// + simulate + classify, then retire() builds the record, reports it and
+// runs the footprint re-run. It is also the lane engine's private executor.
 //
 // LaneEngine is concurrent fault simulation by sparse diffs. Each in-flight
 // injection ("lane") is represented as the XOR difference D between its
@@ -17,9 +18,10 @@
 //     the same induction: identical reads imply identical writes.)
 //   - D ∩ R ≠ ∅: the lane's cycle may diverge. The lane is materialized
 //     from the trail cursor (one cycle behind the lead) by XOR-ing D into
-//     its snapshot, and finishes on a private executor running the *same*
-//     InjectionRunner post-fault loop (continue_run) the scalar engine
-//     runs — so records are byte-identical by construction.
+//     its snapshot, and finishes on a private executor — a CampaignWorker
+//     running the *same* InjectionRunner post-fault loop (continue_run)
+//     the scalar engine runs, and retiring through the same retire() — so
+//     records are byte-identical by construction.
 //
 // A lane retires Vanished the moment its masked diff (D ∩ hash_masks)
 // empties, under exactly the scalar runner's convergence-poll gate; lanes
@@ -68,40 +70,91 @@
 
 namespace sfi::inject {
 
-namespace {
+CampaignWorker::CampaignWorker(const avp::Testcase& tc,
+                               const CampaignConfig& cfg,
+                               const CampaignPlan& plan)
+    : plan_(plan) {
+  model_ = std::make_unique<core::Pearl6Model>(cfg.core);
+  model_->load_workload(tc.program, tc.init);
+  emu_ = std::make_unique<emu::Emulator>(*model_);
+  emu_->reset();
+  reset_cp_ = emu_->save_checkpoint();
+  runner_ = std::make_unique<InjectionRunner>(
+      *model_, *emu_, reset_cp_, plan.trace, plan.golden, cfg.run,
+      plan.ckpts.empty() ? nullptr : &plan.ckpts);
+  if (cfg.footprint.enabled) {
+    tracker_ = std::make_unique<InfectionTracker>(
+        *model_, *emu_, *runner_, plan.trace, plan.golden, cfg.footprint);
+    if (!tracker_->usable()) tracker_.reset();
+  }
+}
 
-class ScalarEngine final : public InjectionEngine {
- public:
-  ScalarEngine(const avp::Testcase& tc, const CampaignConfig& cfg,
-               const CampaignPlan& plan)
-      : plan_(plan), worker_(tc, cfg, plan) {}
+InjectionRecord CampaignWorker::run(
+    const FaultSpec& fault, WorkerTelemetry* telemetry, u32 index,
+    std::optional<PropagationRecord>* footprint) {
+  // The pre-fault snapshot only exists so the tracker's deferred re-run can
+  // skip the seek; the primary run never reads it back.
+  emu::Checkpoint* prefault =
+      tracker_ != nullptr ? &tracker_->prefault() : nullptr;
+  const RunResult rr = runner_->run(
+      fault, telemetry != nullptr ? telemetry->phase_scratch() : nullptr,
+      prefault);
+  return retire(index, fault, rr, telemetry, footprint,
+                /*prefault_ready=*/prefault != nullptr);
+}
 
-  [[nodiscard]] std::string_view name() const override { return "scalar"; }
+void CampaignWorker::run(const Next& next, const Emit& emit,
+                         WorkerTelemetry* telemetry) {
+  while (const std::optional<u32> i = next()) {
+    std::optional<PropagationRecord> fp;
+    const InjectionRecord rec = run(plan_.faults[*i], telemetry, *i, &fp);
+    emit(*i, rec, std::move(fp));
+  }
+}
 
-  void run(const Next& next, const Emit& emit,
-           WorkerTelemetry* telemetry) override {
-    while (const std::optional<u32> i = next()) {
-      std::optional<PropagationRecord> fp;
-      const InjectionRecord rec =
-          worker_.run(plan_.faults[*i], telemetry, *i, &fp);
-      emit(*i, rec, std::move(fp));
+InjectionRecord CampaignWorker::retire(
+    u32 index, const FaultSpec& fault, const RunResult& rr,
+    WorkerTelemetry* telemetry, std::optional<PropagationRecord>* footprint,
+    bool prefault_ready) {
+  InjectionRecord rec = make_record(*model_, fault, rr);
+  if (telemetry != nullptr) {
+    std::optional<Cycle> latency;
+    if (rr.detected_cycle) latency = *rr.detected_cycle - fault.cycle;
+    telemetry->record_injection(index, rec, latency);
+  }
+  if (tracker_ != nullptr && tracker_->should_trace(index, rr.outcome)) {
+    if (!prefault_ready) {
+      // The pre-fault machine is fault-free by definition, so the reference
+      // rebuilds the exact bytes the runner would have snapshotted.
+      runner_->seek_for_replay(fault.cycle);
+      emu_->save_checkpoint(tracker_->prefault());
     }
+    const auto t0 = std::chrono::steady_clock::now();
+    PropagationRecord prec = tracker_->trace(index, fault, rr);
+    if (telemetry != nullptr) {
+      telemetry->record_footprint(
+          index, prec,
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count());
+    }
+    if (footprint != nullptr) *footprint = std::move(prec);
   }
+  return rec;
+}
 
-  [[nodiscard]] u64 cycles_evaluated() const override {
-    return worker_.cycles_evaluated();
-  }
-  [[nodiscard]] u64 cycles_fast_forwarded() const override {
-    return worker_.cycles_fast_forwarded();
-  }
-  [[nodiscard]] u64 checkpoint_ops() const override {
-    return worker_.checkpoint_ops();
-  }
+u64 CampaignWorker::cycles_evaluated() const {
+  return emu_->cycles_evaluated();
+}
 
- private:
-  const CampaignPlan& plan_;
-  CampaignWorker worker_;
-};
+u64 CampaignWorker::cycles_fast_forwarded() const {
+  return emu_->cycles_fast_forwarded();
+}
+
+u64 CampaignWorker::checkpoint_ops() const {
+  return emu_->hostlink().checkpoint_ops;
+}
+
+namespace {
 
 class LaneEngine final : public InjectionEngine {
  public:
@@ -111,32 +164,16 @@ class LaneEngine final : public InjectionEngine {
         trace_(&plan.trace),
         ckpts_(plan.ckpts.empty() ? nullptr : &plan.ckpts),
         run_cfg_(cfg.run),
-        lanes_target_(std::max(1u, cfg.lanes)) {
+        lanes_target_(std::max(1u, cfg.lanes)),
+        exec_(tc, cfg, plan) {
     require(plan.trace.has_states(),
             "LaneEngine needs a golden trace with recorded states (the "
             "campaign planner always records them)");
     lead_ = make_cursor(tc, cfg);
     trail_ = make_cursor(tc, cfg);
 
-    // Private executor for everything that leaves the fast path: the same
-    // model/emulator/runner/tracker stack a CampaignWorker owns.
-    exec_model_ = std::make_unique<core::Pearl6Model>(cfg.core);
-    exec_model_->load_workload(tc.program, tc.init);
-    exec_emu_ = std::make_unique<emu::Emulator>(*exec_model_);
-    exec_emu_->reset();
-    exec_reset_cp_ = exec_emu_->save_checkpoint();
-    exec_runner_ = std::make_unique<InjectionRunner>(
-        *exec_model_, *exec_emu_, exec_reset_cp_, plan.trace, plan.golden,
-        cfg.run, ckpts_);
-    if (cfg.footprint.enabled) {
-      tracker_ = std::make_unique<InfectionTracker>(
-          *exec_model_, *exec_emu_, *exec_runner_, plan.trace, plan.golden,
-          cfg.footprint);
-      if (!tracker_->usable()) tracker_.reset();
-    }
-
     const std::size_t words = lead_.emu->state().words().size();
-    masks_ = exec_model_->registry().hash_masks();
+    masks_ = exec_.model().registry().hash_masks();
     word_lanes_.resize(words);
     rec_log_.bind(words);
     lead_.emu->set_access_recorder(&rec_log_);
@@ -159,12 +196,10 @@ class LaneEngine final : public InjectionEngine {
     // The same model builds both, so salt order matches and signatures are
     // comparable.
     arm_aux_sig(*lead_.model, lead_sig_);
-    arm_aux_sig(*exec_model_, exec_sig_);
+    arm_aux_sig(exec_.model(), exec_sig_);
 
     deadline_ = plan.trace.completion_cycle + cfg.run.hang_margin;
   }
-
-  [[nodiscard]] std::string_view name() const override { return "lanes"; }
 
   void run(const Next& next, const Emit& emit,
            WorkerTelemetry* telemetry) override {
@@ -191,17 +226,16 @@ class LaneEngine final : public InjectionEngine {
 
   [[nodiscard]] u64 cycles_evaluated() const override {
     return lead_.emu->cycles_evaluated() + trail_.emu->cycles_evaluated() +
-           exec_emu_->cycles_evaluated();
+           exec_.cycles_evaluated();
   }
   [[nodiscard]] u64 cycles_fast_forwarded() const override {
     return lead_.emu->cycles_fast_forwarded() +
            trail_.emu->cycles_fast_forwarded() +
-           exec_emu_->cycles_fast_forwarded();
+           exec_.cycles_fast_forwarded();
   }
   [[nodiscard]] u64 checkpoint_ops() const override {
     return lead_.emu->hostlink().checkpoint_ops +
-           trail_.emu->hostlink().checkpoint_ops +
-           exec_emu_->hostlink().checkpoint_ops;
+           trail_.emu->hostlink().checkpoint_ops + exec_.checkpoint_ops();
   }
 
  private:
@@ -342,7 +376,7 @@ class LaneEngine final : public InjectionEngine {
     std::array<DiffWord, kMaxDiffWords> d{};
     u32 nd = 0;
     if (fast) {
-      const netlist::LatchRegistry& reg = exec_model_->registry();
+      const netlist::LatchRegistry& reg = exec_.model().registry();
       const u32 width = std::max<u32>(1, f.adjacent_bits);
       for (u32 k = 0; k < width && fast; ++k) {
         const u32 ordinal = f.index + k;
@@ -513,8 +547,8 @@ class LaneEngine final : public InjectionEngine {
   /// the run and the lane retires (returns true).
   bool trip_lane(u32 slot) {
     Lane& ln = lanes_[slot];
-    if (exec_mirror_ == slot &&
-        exec_emu_->cycle() + 1 == lead_.emu->cycle()) {
+    emu::Emulator& exec_emu = exec_.emulator();
+    if (exec_mirror_ == slot && exec_emu.cycle() + 1 == lead_.emu->cycle()) {
       // The executor already holds this lane's exact state from its last
       // probation cycle (nothing touched it since, and the erase scan
       // skipped the lane's re-admission cycle): the restore would be a
@@ -526,7 +560,7 @@ class LaneEngine final : public InjectionEngine {
       }
       const auto words = pair_cp_.latches.words_mut();
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
-      exec_emu_->restore_checkpoint(pair_cp_);
+      exec_emu.restore_checkpoint(pair_cp_);
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
     }
     exec_mirror_ = kNoSlot;
@@ -538,14 +572,14 @@ class LaneEngine final : public InjectionEngine {
       return try_readmit(slot);
     };
     const RunResult rr =
-        exec_runner_->continue_run(*ln.fault, ph, &hook, &ejected);
+        exec_.runner().continue_run(*ln.fault, ph, &hook, &ejected);
     if (ejected) {
       exec_mirror_ = slot;
       return false;
     }
     ln.live = false;
     --live_;
-    finalize(ln.index, *ln.fault, rr, /*prefault_ready=*/false);
+    finalize(ln.index, *ln.fault, rr);
     return true;
   }
 
@@ -558,7 +592,8 @@ class LaneEngine final : public InjectionEngine {
     if (exec_sig_.acc != lead_sig_.acc) return false;
     // (b) Equal RAS view: no detection bookkeeping, terminal check or
     // convergence gate could have seen anything the reference's didn't.
-    const emu::RasStatus er = exec_model_->ras_status(exec_emu_->state());
+    const emu::RasStatus er =
+        exec_.model().ras_status(exec_.emulator().state());
     if (er.checkstop != lead_ras_.checkstop ||
         er.hang_detected != lead_ras_.hang_detected ||
         er.recovery_active != lead_ras_.recovery_active ||
@@ -570,7 +605,7 @@ class LaneEngine final : public InjectionEngine {
     }
     // (c) The re-diff must fit the carrier and stay clear of the RAS bits
     // (the admission invariant the whole fast path rests on).
-    const std::span<const u64> ew = exec_emu_->state().words();
+    const std::span<const u64> ew = exec_.emulator().state().words();
     const std::span<const u64> lw = lead_.emu->state().words();
     std::array<DiffWord, kMaxDiffWords> d{};
     u32 nd = 0;
@@ -615,16 +650,15 @@ class LaneEngine final : public InjectionEngine {
       Lane& ln = lanes_[slot];
       if (!ln.live) continue;
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
-      exec_emu_->restore_checkpoint(finish_cp_);
+      exec_.emulator().restore_checkpoint(finish_cp_);
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
       if (wt_ != nullptr) *wt_->phase_scratch() = RunPhaseTimes{};
-      RunResult rr = exec_runner_->classify_now(/*finished=*/true,
-                                                /*early_exited=*/false);
-      apply_detect_rule(rr);
+      const RunResult rr = exec_.runner().classify_now(
+          /*finished=*/true, /*early_exited=*/false);
       ensure(rr.end_cycle == now, "lane finish cycle mismatch");
       ln.live = false;
       --live_;
-      finalize(ln.index, *ln.fault, rr, /*prefault_ready=*/false);
+      finalize(ln.index, *ln.fault, rr);
     }
   }
 
@@ -646,7 +680,7 @@ class LaneEngine final : public InjectionEngine {
         ln.live = false;
         --live_;
         if (wt_ != nullptr) *wt_->phase_scratch() = RunPhaseTimes{};
-        finalize(ln.index, *ln.fault, rr, /*prefault_ready=*/false);
+        finalize(ln.index, *ln.fault, rr);
       }
       ln.polled = false;
       poll_candidates_[k] = poll_candidates_.back();
@@ -666,11 +700,11 @@ class LaneEngine final : public InjectionEngine {
         RunResult rr;
         rr.outcome = Outcome::Hang;
         rr.end_cycle = now;
-        rr.detected_cycle = now;  // readout-only detection, as in finish()
+        rr.detected_cycle = now;  // classify_now's rule for an undetected Hang
         ln.live = false;
         --live_;
         if (wt_ != nullptr) *wt_->phase_scratch() = RunPhaseTimes{};
-        finalize(ln.index, *ln.fault, rr, /*prefault_ready=*/false);
+        finalize(ln.index, *ln.fault, rr);
       } else {
         nxt = std::min(nxt, ln.hard_stop);
       }
@@ -681,53 +715,19 @@ class LaneEngine final : public InjectionEngine {
   /// Scalar fallback: the unmodified CampaignWorker flow on the executor.
   void run_scalar(u32 index, const FaultSpec& f) {
     exec_mirror_ = kNoSlot;
-    emu::Checkpoint* pf =
-        tracker_ != nullptr ? &tracker_->prefault() : nullptr;
-    const RunResult rr = exec_runner_->run(
-        f, wt_ != nullptr ? wt_->phase_scratch() : nullptr, pf);
-    finalize(index, f, rr, /*prefault_ready=*/pf != nullptr);
-  }
-
-  /// InjectionRunner::run's finish() detection rule for results built
-  /// outside it (classification-only paths).
-  static void apply_detect_rule(RunResult& rr) {
-    if (!rr.detected_cycle &&
-        (rr.outcome == Outcome::Checkstop || rr.outcome == Outcome::Hang ||
-         rr.recoveries > 0 || rr.corrected > 0)) {
-      rr.detected_cycle = rr.end_cycle;
-    }
-  }
-
-  void finalize(u32 index, const FaultSpec& fault, const RunResult& rr,
-                bool prefault_ready) {
-    const InjectionRecord rec =
-        make_record(exec_model_->registry(), fault, rr);
-    if (wt_ != nullptr) {
-      std::optional<Cycle> latency;
-      if (rr.detected_cycle) latency = *rr.detected_cycle - fault.cycle;
-      wt_->record_injection(index, rec, latency);
-    }
     std::optional<PropagationRecord> fp;
-    if (tracker_ != nullptr && tracker_->should_trace(index, rr.outcome)) {
-      exec_mirror_ = kNoSlot;  // the replay below repositions the executor
-      if (!prefault_ready) {
-        // Fast-path lanes never snapshotted a pre-fault state; rebuild it
-        // from the reference (identical bytes to the scalar's snapshot —
-        // the pre-fault machine is fault-free by definition).
-        exec_runner_->seek_for_replay(fault.cycle);
-        exec_emu_->save_checkpoint(tracker_->prefault());
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      PropagationRecord prec = tracker_->trace(index, fault, rr);
-      if (wt_ != nullptr) {
-        wt_->record_footprint(
-            index, prec,
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count());
-      }
-      fp = std::move(prec);
-    }
+    const InjectionRecord rec = exec_.run(f, wt_, index, &fp);
+    (*emit_)(index, rec, std::move(fp));
+  }
+
+  /// Retire a lane through the executor's record tail. Fast-path lanes
+  /// never snapshotted a pre-fault state, so a footprint re-run rebuilds
+  /// it and repositions the executor, which then mirrors no lane.
+  void finalize(u32 index, const FaultSpec& fault, const RunResult& rr) {
+    std::optional<PropagationRecord> fp;
+    const InjectionRecord rec =
+        exec_.retire(index, fault, rr, wt_, &fp, /*prefault_ready=*/false);
+    if (fp) exec_mirror_ = kNoSlot;
     (*emit_)(index, rec, std::move(fp));
   }
 
@@ -737,16 +737,13 @@ class LaneEngine final : public InjectionEngine {
   RunConfig run_cfg_;
   u32 lanes_target_;
 
+  /// Private executor for everything that leaves the fast path.
+  CampaignWorker exec_;
   Cursor lead_;
   Cursor trail_;
-  std::unique_ptr<core::Pearl6Model> exec_model_;
-  std::unique_ptr<emu::Emulator> exec_emu_;
-  emu::Checkpoint exec_reset_cp_;
-  std::unique_ptr<InjectionRunner> exec_runner_;
-  std::unique_ptr<InfectionTracker> tracker_;
 
   netlist::AccessRecorder rec_log_;
-  std::span<const u64> masks_;       ///< hash masks (exec model's registry)
+  std::span<const u64> masks_;       ///< hash masks (executor's registry)
   std::vector<u64> ras_mask_;        ///< bits the RAS/classifier peeks read
   AuxSig lead_sig_;                  ///< lead's aux mutations, this cycle
   AuxSig exec_sig_;                  ///< exec's aux mutations, probation
@@ -776,7 +773,7 @@ std::unique_ptr<InjectionEngine> make_engine(const avp::Testcase& tc,
                                              const CampaignPlan& plan) {
   switch (cfg.engine) {
     case EngineKind::Scalar:
-      return std::make_unique<ScalarEngine>(tc, cfg, plan);
+      return std::make_unique<CampaignWorker>(tc, cfg, plan);
     case EngineKind::Lanes:
       return std::make_unique<LaneEngine>(tc, cfg, plan);
   }

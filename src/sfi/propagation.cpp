@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "sfi/campaign.hpp"
 
 namespace sfi::inject {
 
@@ -56,16 +57,11 @@ PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
   rec.outcome = primary.outcome;
   rec.fault_cycle = fault.cycle;
   rec.first_corrupt.fill(kNeverCorrupted);
-  if (fault.target == FaultTarget::Latch) {
-    const netlist::LatchMeta& meta =
-        model_.registry().meta_of_ordinal(fault.index);
-    rec.unit = meta.unit;
-    rec.type = meta.type;
-  } else {
-    // An array cell is not a latch; the footprint shows its latch fallout.
-    rec.unit = model_.arrays().locate(fault.array_bit).array->unit();
-    rec.type = netlist::LatchType::Func;
-  }
+  // Unit and type exactly as the injection's own record carries them (an
+  // array cell is not a latch; the footprint shows its latch fallout).
+  const InjectionRecord primary_rec = make_record(model_, fault, primary);
+  rec.unit = primary_rec.unit;
+  rec.type = primary_rec.type;
   rec.detected = primary.detected_cycle.has_value();
   if (rec.detected) rec.detected_at = *primary.detected_cycle - fault.cycle;
 

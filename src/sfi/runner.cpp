@@ -89,8 +89,20 @@ void InjectionRunner::seek_to(Cycle target, RunPhaseTimes* tel) {
   }
 }
 
-RunResult InjectionRunner::classify_now(bool finished,
-                                        bool early_exited) const {
+RunResult InjectionRunner::classify_now(bool finished, bool early_exited,
+                                        std::optional<Cycle> detected) const {
+  RunResult r = classify_outcome(finished, early_exited);
+  r.detected_cycle = detected;
+  if (!r.detected_cycle &&
+      (r.outcome == Outcome::Checkstop || r.outcome == Outcome::Hang ||
+       r.recoveries > 0 || r.corrected > 0)) {
+    r.detected_cycle = r.end_cycle;
+  }
+  return r;
+}
+
+RunResult InjectionRunner::classify_outcome(bool finished,
+                                            bool early_exited) const {
   const emu::RasStatus ras = model_.ras_status(emu_.state());
   RunResult r;
   r.end_cycle = emu_.cycle();
@@ -219,7 +231,7 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
   // phase; the loop's wall time minus the poll aggregate is post-fault sim.
   const auto finish = [&](bool finished, bool early) {
     const Tick t_cl = tick(tel);
-    RunResult r = classify_now(finished, early);
+    RunResult r = classify_now(finished, early, detect);
     if (tel != nullptr) {
       const double poll_seconds =
           sampled_polls == 0
@@ -233,14 +245,6 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
       tel->seconds[static_cast<std::size_t>(RunPhase::Classify)] =
           seconds_between(t_cl, tick(tel));
       tel->polls = polls;
-    }
-    r.detected_cycle = detect;
-    if (!r.detected_cycle &&
-        (r.outcome == Outcome::Checkstop || r.outcome == Outcome::Hang ||
-         r.recoveries > 0 || r.corrected > 0)) {
-      // Only the end-of-test readout surfaced the fault (late correction or
-      // uncorrectable word): detection happened at classification time.
-      r.detected_cycle = r.end_cycle;
     }
     return r;
   };

@@ -78,8 +78,14 @@ class InjectionRunner {
                               emu::Checkpoint* prefault = nullptr);
 
   /// Classify the machine's current terminal state (used by run(), exposed
-  /// for the tracer which drives the emulator itself).
-  [[nodiscard]] RunResult classify_now(bool finished, bool early_exited) const;
+  /// for callers that drive the emulator themselves). `detected` is the
+  /// first cycle the RAS visibly reacted; when it never did but the outcome
+  /// is itself a detection (checkstop, hang, recovery or correction — only
+  /// the end-of-test readout surfaced the fault), detection happened at
+  /// classification time. This is the one place that rule lives.
+  [[nodiscard]] RunResult classify_now(
+      bool finished, bool early_exited,
+      std::optional<Cycle> detected = std::nullopt) const;
 
   /// Continue `fault`'s experiment from the machine's *current* state: the
   /// exact per-cycle tail of run() (RAS watch, convergence poll, deadlines,
@@ -123,6 +129,10 @@ class InjectionRunner {
   /// reset snapshot, then clock the remainder. Reports restore/fast-forward
   /// timings into `phases` when non-null.
   void seek_to(Cycle target, RunPhaseTimes* phases);
+
+  /// classify_now without the detection rule.
+  [[nodiscard]] RunResult classify_outcome(bool finished,
+                                           bool early_exited) const;
 
   core::Pearl6Model& model_;
   emu::Emulator& emu_;

@@ -5,16 +5,22 @@
 // same plan, for every lane count, fault mode, and resume split.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "avp/testgen.hpp"
+#include "beam/beam.hpp"
+#include "common/hash.hpp"
 #include "netlist/state_vector.hpp"
 #include "sched/scheduler.hpp"
+#include "sfi/driver.hpp"
 #include "sfi/engine.hpp"
+#include "store/codec.hpp"
 #include "store/merge.hpp"
+#include "store/writer.hpp"
 
 namespace sfi::inject {
 namespace {
@@ -207,6 +213,109 @@ TEST(EngineAB, ResumeAcrossEnginesByteIdentical) {
   EXPECT_EQ(r2.resumed, r1.executed);
   (void)store::merge_stores({raw.path()}, canon.path());
   EXPECT_EQ(slurp(canon.path()), reference);
+}
+
+// --- pinned records --------------------------------------------------------
+//
+// Every A/B test above compares two paths of one build, so a change that
+// moves both engines together passes them all. These hash the bytes fixed
+// runs produce and compare them with constants recorded from an earlier
+// build: a mismatch means records (or footprints) changed.
+
+struct PinnedHashes {
+  u64 store = 0;       ///< canonical store bytes
+  u64 footprints = 0;  ///< 'P' payloads in index order (merge drops them)
+};
+
+PinnedHashes pinned_run(const avp::Testcase& tc, CampaignConfig cfg,
+                        const CampaignPlan& plan, EngineKind engine,
+                        const std::string& tag) {
+  cfg.engine = engine;
+  TempFile raw("pin_raw_" + tag), canon("pin_canon_" + tag);
+  std::vector<PropagationRecord> fps;
+  {
+    store::StoreWriter w = store::StoreWriter::create(
+        raw.path(), sched::make_campaign_meta(tc, cfg, plan));
+    DriverConfig dc;
+    dc.threads = 1;
+    (void)drive_campaign(tc, cfg, plan, plan.cycle_sorted_indices(), dc,
+                         [&](const FlushWindow& win) {
+                           for (const IndexedRecord& r : win.records) {
+                             w.append(store::StoredRecord{r.index, r.rec});
+                           }
+                           fps.insert(fps.end(), win.footprints.begin(),
+                                      win.footprints.end());
+                         });
+    w.flush();
+  }
+  (void)store::merge_stores({raw.path()}, canon.path());
+  std::sort(fps.begin(), fps.end(),
+            [](const PropagationRecord& a, const PropagationRecord& b) {
+              return a.index < b.index;
+            });
+  PinnedHashes h;
+  h.store = hash_bytes(slurp(canon.path()));
+  for (const PropagationRecord& fp : fps) {
+    h.footprints = hash_bytes(store::encode_propagation(fp), h.footprints);
+  }
+  return h;
+}
+
+TEST(Pinned, CanonicalStoresAndFootprintsMatchRecordedHashes) {
+  struct Case {
+    const char* name;
+    FaultMode mode;
+    bool multi_bit;
+    u64 store;
+    u64 footprints;
+  };
+  const Case cases[] = {
+      {"toggle", FaultMode::Toggle, false, 0x2efddb1743714e8aull,
+       0xe93d7cc018647cecull},
+      {"sticky", FaultMode::Sticky, false, 0xb7324cf888c9f96full,
+       0x1633811c1bbb4545ull},
+      {"multibit", FaultMode::Toggle, true, 0xd3fdab37da6be891ull,
+       0x1f68b9abad318289ull},
+  };
+  const avp::Testcase tc = small_testcase();
+  for (const Case& c : cases) {
+    CampaignConfig cfg = small_campaign(120, EngineKind::Scalar);
+    cfg.mode = c.mode;
+    cfg.sticky_duration = 6;
+    cfg.footprint.enabled = true;
+    cfg.footprint.vanished_sample = 8;
+    CampaignPlan plan = plan_campaign(tc, cfg);
+    if (c.multi_bit) {
+      for (std::size_t i = 0; i < plan.faults.size(); ++i) {
+        plan.faults[i].adjacent_bits = static_cast<u8>(1 + i % 9);
+      }
+    }
+    for (const EngineKind engine : {EngineKind::Scalar, EngineKind::Lanes}) {
+      const PinnedHashes h = pinned_run(
+          tc, cfg, plan, engine, std::string(c.name) + engine_name(engine));
+      EXPECT_EQ(h.store, c.store)
+          << c.name << " " << engine_name(engine) << std::hex
+          << " store hash 0x" << h.store;
+      EXPECT_EQ(h.footprints, c.footprints)
+          << c.name << " " << engine_name(engine) << std::hex
+          << " footprint hash 0x" << h.footprints;
+    }
+  }
+}
+
+TEST(Pinned, BeamRecordsMatchRecordedHash) {
+  beam::BeamConfig cfg;
+  cfg.seed = 6;
+  cfg.num_events = 150;
+  cfg.threads = 2;
+  const beam::BeamResult r = beam::run_beam_experiment(small_testcase(), cfg);
+  ASSERT_GT(r.latch_events, 0u);
+  ASSERT_GT(r.array_events, 0u);
+  u64 h = 0;
+  for (u32 i = 0; i < r.records.size(); ++i) {
+    h = hash_bytes(store::encode_record({i, r.records[i]}), h);
+  }
+  EXPECT_EQ(h, 0x795b480a0a45bcd3ull) << std::hex << "beam record hash 0x" << h;
 }
 
 TEST(EngineAB, NamesRoundTrip) {

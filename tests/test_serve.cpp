@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -276,9 +277,10 @@ TEST(Stop, TighterConfidenceNeedsMoreRecords) {
 }
 
 TEST(Stop, MonitorCountsOnlyCommittedRecords) {
-  // Run a real scheduler campaign; the monitor tailing the same store must
-  // see exactly the committed record set, and re-polling must not double
-  // count.
+  // Feed the monitor through the scheduler's on_record, exactly as the
+  // daemon does: every record handed over must already be readable from
+  // the store (committed before it is counted), and the resume replay of
+  // the same records must not double count.
   TempDir dir("monitor");
   avp::TestcaseConfig tcfg;
   tcfg.seed = 11;
@@ -287,30 +289,44 @@ TEST(Stop, MonitorCountsOnlyCommittedRecords) {
   inject::CampaignConfig cfg;
   cfg.seed = 7;
   cfg.num_injections = 64;
+  const std::string path = dir.file("mon.sfr");
+
+  StopTarget loose;
+  loose.half_width = 0.49;
+  StopMonitor mon(cfg.num_injections, loose);
+  u64 fed = 0;
+  u64 not_yet_durable = 0;
   sched::SchedulerConfig sc;
   sc.threads = 1;
   sc.shard_size = 16;
   sc.flush_records = 8;
-  const std::string store = dir.file("mon.sfr");
-  const auto r = sched::run_campaign_to_store(tc, cfg, store, sc);
+  sc.on_record = [&](const store::StoredRecord& sr) {
+    const store::StoreContents on_disk =
+        store::read_store(path, {.tolerate_torn_tail = true});
+    if (std::none_of(on_disk.records.begin(), on_disk.records.end(),
+                     [&](const store::StoredRecord& d) {
+                       return d.index == sr.index;
+                     })) {
+      ++not_yet_durable;
+    }
+    ++fed;
+    mon.observe(sr);
+  };
+  const auto r = sched::run_campaign_to_store(tc, cfg, path, sc);
   ASSERT_TRUE(r.complete);
-
-  StopTarget loose;
-  loose.half_width = 0.49;
-  StopMonitor mon(store, cfg.num_injections, loose);
-  EXPECT_EQ(mon.poll(), 64u);
+  EXPECT_EQ(fed, 64u);
+  EXPECT_EQ(not_yet_durable, 0u);
   EXPECT_EQ(mon.committed(), 64u);
   EXPECT_TRUE(mon.met());
-  EXPECT_EQ(mon.poll(), 0u);  // no new frames, no re-count
-  EXPECT_EQ(mon.agg().total(), 64u);
 
-  // Observe-mode dedupe: replaying an already-tailed index is a no-op.
-  store::StoredRecord dup;
-  dup.index = 3;
-  StopMonitor obs(cfg.num_injections, loose);
-  obs.observe(dup);
-  obs.observe(dup);
-  EXPECT_EQ(obs.committed(), 1u);
+  // Resume hands every inherited record over again; none is re-counted.
+  fed = 0;
+  const auto again =
+      sched::run_campaign_to_store(tc, cfg, path, sc, /*resume=*/true);
+  EXPECT_EQ(again.executed, 0u);
+  EXPECT_EQ(fed, 64u);
+  EXPECT_EQ(mon.committed(), 64u);
+  EXPECT_EQ(mon.agg().total(), 64u);
 }
 
 // --- daemon --------------------------------------------------------------
@@ -531,10 +547,17 @@ TEST(Daemon, StoppedStoreIsByteIdenticalToMaxNewRun) {
 
 TEST(Daemon, ResumeHonorsEarlyStopPoint) {
   TempDir dir("resume_stop");
+  // Every non-default knob must survive adoption: the restarted daemon
+  // re-admits the campaign and rewrites its manifest from the adopted spec.
+  // (By-unit strata are smaller, hence the looser half-width.)
+  const std::string spec =
+      R"("tenant":"t","seed":7,"testcase_seed":11,"instructions":80,)"
+      R"("n":600,"half_width":0.2,"shard_size":8,"flush_records":4,)"
+      R"("inj_engine":"lanes","lanes":16,"by_unit":true)";
   u64 stop_point = 0;
   {
     DaemonHarness h(dir.path());
-    const u64 id = h.submit(kSmallSpec);
+    const u64 id = h.submit(spec);
     const std::vector<Json> events = h.watch(id);
     const Json* finish = find_event(events, "finish");
     ASSERT_NE(finish, nullptr);
@@ -571,6 +594,15 @@ TEST(Daemon, ResumeHonorsEarlyStopPoint) {
   }
   // Byte-for-byte: the resumed run appended nothing.
   EXPECT_EQ(slurp(dir.file("campaign-1.sfr")), before);
+
+  const std::vector<u8> raw = slurp(dir.file("campaign-1.json"));
+  const Json manifest = Json::parse(std::string(raw.begin(), raw.end()));
+  EXPECT_EQ(manifest.get_str("state", ""), "done");  // rewritten on adoption
+  EXPECT_EQ(manifest.get_u64("shard_size", 0), 8u);
+  EXPECT_EQ(manifest.get_u64("flush_records", 0), 4u);
+  EXPECT_EQ(manifest.get_str("inj_engine", ""), "lanes");
+  EXPECT_EQ(manifest.get_u64("lanes", 0), 16u);
+  EXPECT_TRUE(manifest.get_bool("by_unit", false));
 }
 
 TEST(Daemon, AdoptsFinishedCampaignsAcrossRestart) {

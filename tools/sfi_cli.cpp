@@ -1591,6 +1591,39 @@ int cmd_top(const Args& a) {
     const std::string body = http_get(addr, "/campaigns");
     const serve::Json r = serve::Json::parse(body);
     const auto now = std::chrono::steady_clock::now();
+    // One row per campaign: the rate since the previous poll and the ETA
+    // it implies (-1: none yet), computed once for either output format.
+    struct Row {
+      const serve::Json* c = nullptr;
+      u64 id = 0;
+      u64 done = 0;
+      u64 n = 0;
+      double rate = 0.0;
+      double eta = -1.0;
+    };
+    std::vector<Row> rows;
+    if (const serve::Json* cs = r.find("campaigns")) {
+      for (const serve::Json& c : cs->items()) {
+        Row row;
+        row.c = &c;
+        row.id = c.get_u64("id", 0);
+        row.done = c.get_u64("done", 0);
+        row.n = c.get_u64("n", 0);
+        if (const auto it = last.find(row.id); it != last.end()) {
+          const double dt =
+              std::chrono::duration<double>(now - it->second.at).count();
+          if (dt > 0.0 && row.done >= it->second.done) {
+            row.rate = static_cast<double>(row.done - it->second.done) / dt;
+          }
+        }
+        if (row.rate > 0.0 && row.n > row.done) {
+          row.eta = static_cast<double>(row.n - row.done) / row.rate;
+        }
+        last[row.id] = {row.done, now};
+        rows.push_back(row);
+      }
+    }
+
     if (json) {
       // Machine-readable refresh: one JSON object per line — the daemon's
       // /campaigns document plus the rates/ETAs this dashboard computes
@@ -1600,85 +1633,44 @@ int cmd_top(const Args& a) {
           .field("endpoint", addr.describe())
           .field("stopping", r.get_bool("stopping", false));
       w.key("campaigns").begin_array();
-      if (const serve::Json* cs = r.find("campaigns")) {
-        for (const serve::Json& c : cs->items()) {
-          const u64 id = c.get_u64("id", 0);
-          const u64 done = c.get_u64("done", 0);
-          const u64 n = c.get_u64("n", 0);
-          double rate = 0.0;
-          if (const auto it = last.find(id); it != last.end()) {
-            const double dt =
-                std::chrono::duration<double>(now - it->second.at).count();
-            if (dt > 0.0 && done >= it->second.done) {
-              rate = static_cast<double>(done - it->second.done) / dt;
-            }
-          }
-          last[id] = {done, now};
-          w.begin_object()
-              .field("id", id)
-              .field("tenant", c.get_str("tenant", "?"))
-              .field("state", c.get_str("state", "?"))
-              .field("engine", c.get_str("engine", "?"))
-              .field("done", done)
-              .field("n", n)
-              .field("committed", c.get_u64("committed", 0))
-              .field("rate_per_s", rate)
-              .field("eta_s", rate > 0.0 && n > done
-                                  ? static_cast<double>(n - done) / rate
-                                  : -1.0)
-              .field("widest_half_width",
-                     c.get_num("widest_half_width", -1.0))
-              .field("target_half_width",
-                     c.get_num("target_half_width", 0.0))
-              .field("early_stop", c.get_bool("early_stop", false))
-              .field("workers", c.get_u64("workers", 0))
-              .end_object();
-        }
+      for (const Row& row : rows) {
+        const serve::Json& c = *row.c;
+        w.begin_object()
+            .field("id", row.id)
+            .field("tenant", c.get_str("tenant", "?"))
+            .field("state", c.get_str("state", "?"))
+            .field("engine", c.get_str("engine", "?"))
+            .field("done", row.done)
+            .field("n", row.n)
+            .field("committed", c.get_u64("committed", 0))
+            .field("rate_per_s", row.rate)
+            .field("eta_s", row.eta)
+            .field("widest_half_width", c.get_num("widest_half_width", -1.0))
+            .field("target_half_width", c.get_num("target_half_width", 0.0))
+            .field("early_stop", c.get_bool("early_stop", false))
+            .field("workers", c.get_u64("workers", 0))
+            .end_object();
       }
       w.end_array().end_object();
       std::cout << w.str() << "\n" << std::flush;
-      if (once) return 0;
-      const auto deadline =
-          now +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(interval));
-      while (g_stop_requested == 0 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      continue;
-    }
-    if (!once) std::cout << "\x1b[H\x1b[2J";  // cursor home + clear screen
-    std::cout << "sfi top — " << addr.describe()
-              << (r.get_bool("stopping", false) ? " (stopping)" : "") << "\n";
-    report::Table t({"id", "tenant", "state", "eng", "done", "rate/s", "eta",
-                     "hw/target", "wrk", "outcome mix"});
-    if (const serve::Json* cs = r.find("campaigns")) {
-      for (const serve::Json& c : cs->items()) {
-        const u64 id = c.get_u64("id", 0);
-        const u64 done = c.get_u64("done", 0);
-        const u64 n = c.get_u64("n", 0);
+    } else {
+      if (!once) std::cout << "\x1b[H\x1b[2J";  // cursor home + clear screen
+      std::cout << "sfi top — " << addr.describe()
+                << (r.get_bool("stopping", false) ? " (stopping)" : "")
+                << "\n";
+      report::Table t({"id", "tenant", "state", "eng", "done", "rate/s",
+                       "eta", "hw/target", "wrk", "outcome mix"});
+      for (const Row& row : rows) {
+        const serve::Json& c = *row.c;
         const std::string state = c.get_str("state", "?");
-        double rate = 0.0;
-        if (const auto it = last.find(id); it != last.end()) {
-          const double dt =
-              std::chrono::duration<double>(now - it->second.at).count();
-          if (dt > 0.0 && done >= it->second.done) {
-            rate = static_cast<double>(done - it->second.done) / dt;
-          }
-        }
-        last[id] = {done, now};
-        std::string eta = "-";
-        if (state == "running" && rate > 0.0 && n > done) {
-          eta = report::Table::num(static_cast<double>(n - done) / rate, 0) +
-                "s";
-        }
+        const std::string eta = state == "running" && row.eta >= 0.0
+                                    ? report::Table::num(row.eta, 0) + "s"
+                                    : "-";
         const double widest = c.get_num("widest_half_width", -1.0);
         std::string hw =
             (widest < 0.0 ? std::string("-")
                           : report::Table::num(widest, 4)) +
-            "/" +
-            report::Table::num(c.get_num("target_half_width", 0.0), 4);
+            "/" + report::Table::num(c.get_num("target_half_width", 0.0), 4);
         if (c.get_bool("early_stop", false)) hw += " met";
         std::string mix;
         if (const serve::Json* counts = c.find("counts")) {
@@ -1700,14 +1692,14 @@ int cmd_top(const Args& a) {
                                       static_cast<double>(total));
           }
         }
-        t.add_row({std::to_string(id), c.get_str("tenant", "?"), state,
+        t.add_row({std::to_string(row.id), c.get_str("tenant", "?"), state,
                    c.get_str("engine", "?"),
-                   std::to_string(done) + "/" + std::to_string(n),
-                   report::Table::num(rate, 1), eta, hw,
+                   std::to_string(row.done) + "/" + std::to_string(row.n),
+                   report::Table::num(row.rate, 1), eta, hw,
                    std::to_string(c.get_u64("workers", 0)), mix});
       }
+      std::cout << t.to_string() << std::flush;
     }
-    std::cout << t.to_string() << std::flush;
     if (once) return 0;
     // Sleep in slices so Ctrl-C lands promptly, not a poll later.
     const auto deadline =
