@@ -2,13 +2,13 @@
 // farm plan. Every rep runs three arms back to back:
 //
 //   off    no telemetry attached;
-//   obs    the observability plane: campaign telemetry, per-worker 'M'
-//          metrics frames, a concurrent Prometheus-rendering scrape thread
-//          and the crash flight recorder;
-//   trace  the span plane: worker 'S' frames with exemplar phase slices,
-//          coordinator dispatch spans, the sidecar tee and the post-run
-//          stitch (inside the arm's wall time: "trace on" pays for both
-//          recording and reassembly).
+//   obs    the observability plane: campaign telemetry (which has the
+//          workers ship 'M' metrics frames), a concurrent Prometheus-
+//          rendering scrape thread and the crash flight recorder;
+//   trace  the span plane on that telemetry: worker 'S' frames (beside the
+//          'M' frames) with exemplar phase slices, coordinator dispatch
+//          spans, the sidecar tee and the post-run stitch (inside the arm's
+//          wall time: "trace on" pays for both recording and reassembly).
 //
 // Each plane's merged store must be byte-identical to its rep's off arm
 // (checked on every pair) and cost <5% wall clock. The overhead estimate is
@@ -82,7 +82,6 @@ int main(int argc, char** argv) {
     inject::CampaignConfig cfg = base;
     cfg.telemetry = &tel;
     farm::FarmConfig fc = farm_base;
-    fc.metrics_every = 32;  // workers stream cumulative 'M' frames
     fc.postmortem_path = postmortem;
 
     // A /metrics scrape once a second, rendered exactly the way the serve
@@ -114,11 +113,10 @@ int main(int argc, char** argv) {
   store::StitchResult stitched;
   const auto run_trace = [&](const std::string& out) {
     inject::CampaignTelemetry tel;
+    tel.enable_span_plane("sfi", /*trace_id=*/0);
     inject::CampaignConfig cfg = base;
     cfg.telemetry = &tel;
-    farm::FarmConfig fc = farm_base;
-    fc.trace_spans = true;
-    farm::FarmResult r = farm::run_farm_campaign(tc, cfg, out, fc);
+    farm::FarmResult r = farm::run_farm_campaign(tc, cfg, out, farm_base);
     const auto t0 = std::chrono::steady_clock::now();
     stitched = store::stitch_trace(out);
     r.wall_seconds += std::chrono::duration<double>(

@@ -12,6 +12,7 @@
 
 #include "core/core_model.hpp"
 #include "farm/process.hpp"
+#include "sfi/driver.hpp"
 #include "store/merge.hpp"
 #include "store/tail.hpp"
 #include "store/trace_stitch.hpp"
@@ -137,7 +138,14 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
         "farm: hosts given but no worker command to exec");
   }
 
+  // The attached telemetry decides what the fleet observes: workers ship
+  // metrics snapshots whenever there is one, and spans when its span plane
+  // is on. This is the only place workers learn either.
   inject::CampaignTelemetry* tel = cfg.telemetry;
+  telemetry::SpanBook* book = tel != nullptr ? tel->spans() : nullptr;
+  const bool spans_on = book != nullptr;
+  // Named before the first span so the stitched row carries the name.
+  if (spans_on) book->set_process_name("sfi farm");
   if (tel != nullptr) {
     tel->campaign_start("campaign", cfg.seed, cfg.num_injections,
                         /*resumed=*/0);
@@ -146,12 +154,11 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
   const inject::CampaignPlan plan = inject::plan_campaign(tc, cfg);
   const store::CampaignMeta meta = sched::make_campaign_meta(tc, cfg, plan);
 
-  // --- span plane: coordinator book + durable sidecar ---
-  const bool spans_on = farm.trace_spans && tel != nullptr;
+  // --- span plane: campaign trace id + durable sidecar ---
   u64 trace_id = 0;
   std::optional<store::StoreWriter> sidecar;
   if (spans_on) {
-    trace_id = farm.trace_id;
+    trace_id = book->trace_id();
     if (trace_id == 0) {
       // Campaign-scoped, fleet-unique enough: fingerprint ties the id to
       // the campaign, wall microseconds split re-runs of the same one.
@@ -161,8 +168,8 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
                          std::chrono::system_clock::now().time_since_epoch())
                          .count());
       if (trace_id == 0) trace_id = 1;
+      book->set_trace_id(trace_id);
     }
-    tel->enable_span_plane("sfi farm", trace_id);
     sidecar.emplace(store::StoreWriter::create(
         store::store_sibling(out_path, store::kTraceSidecarSuffix), meta));
   }
@@ -170,8 +177,8 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
   // the live /trace view. Called opportunistically from the supervision
   // loop and once at the very end (after campaign_finish's root slice).
   const auto flush_own_spans = [&] {
-    if (!sidecar || tel == nullptr || tel->spans() == nullptr) return;
-    const std::vector<telemetry::SpanRecord> drained = tel->spans()->drain();
+    if (!sidecar) return;
+    const std::vector<telemetry::SpanRecord> drained = book->drain();
     if (drained.empty()) return;
     for (const telemetry::SpanRecord& sp : drained) sidecar->append_span(sp);
     sidecar->flush();
@@ -195,10 +202,23 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
   std::vector<std::string> merge_inputs;
   if (prior.exists) merge_inputs.push_back(out_path);
 
+  // Footprints ('P') ride beside their records, but the canonical merge
+  // keeps records only: collect every committed one (the prior store's
+  // included) and append them, index-sorted, after the merge.
+  std::map<u32, inject::PropagationRecord> footprints;
+  const auto keep_footprint = [&](inject::PropagationRecord fp) {
+    const u32 index = fp.index;
+    footprints.try_emplace(index, std::move(fp));
+  };
+  if (cfg.footprint.enabled && prior.exists) {
+    (void)store::for_each_propagation(out_path, keep_footprint,
+                                      {.tolerate_torn_tail = true});
+  }
+
   // --- shard the remaining index space, cycle-sorted (checkpoint-hot) ---
   std::deque<WorkShard> queue;
   {
-    const u32 shard_size = std::max(1u, farm.shard_size);
+    const u32 shard_size = inject::campaign_shard_size(cfg, farm.shard_size);
     WorkShard cur;
     u64 next_id = 0;
     for (const u32 i : plan.cycle_sorted_indices()) {
@@ -264,13 +284,14 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       argv.push_back(s.shard_path);
       argv.push_back("--worker-id");
       argv.push_back(std::to_string(s.id));
-      if (farm.trace_spans) argv.push_back("--trace-spans");
+      if (tel != nullptr) argv.push_back("--ship-metrics");
+      if (spans_on) argv.push_back("--trace-spans");
       s.proc = spawn_exec(argv);
     } else {
       const WorkerOptions wo{s.id,          s.shard_path,
                              /*control_fd=*/-1,
-                             farm.sabotage, farm.metrics_every,
-                             farm.trace_spans};
+                             farm.sabotage, /*ship_metrics=*/tel != nullptr,
+                             /*ship_spans=*/spans_on};
       s.proc = spawn_call([&tc, &cfg, &plan, wo](int control_fd) {
         WorkerOptions opts = wo;
         opts.control_fd = control_fd;
@@ -373,6 +394,9 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
         }
         break;
       }
+      case store::kPropagationFrame:
+        keep_footprint(store::decode_propagation(payload));
+        break;
       case store::kMetricsFrame: {
         if (tel == nullptr) break;
         try {
@@ -400,7 +424,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
         break;
       }
       default:
-        break;  // 'A' echoes, 'P' footprints: liveness only
+        break;  // 'A' echoes: liveness only
     }
   };
 
@@ -535,8 +559,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       // Dispatch span: the worker parents its shard slice under this id,
       // which is how the stitched trace links coordinator to worker.
       u64 dispatch_span = 0;
-      if (spans_on && tel->spans() != nullptr) {
-        telemetry::SpanBook* book = tel->spans();
+      if (spans_on) {
         telemetry::JsonWriter args;
         args.begin_object()
             .field("shard", shard.id)
@@ -660,6 +683,11 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     const store::MergeSummary summary = store::merge_stores(
         merge_inputs, out_path, {.tolerate_torn_tail = true});
     result.complete = summary.missing == 0;
+  }
+  if (!footprints.empty()) {
+    store::StoreWriter w = store::StoreWriter::append_to(out_path);
+    for (const auto& [index, fp] : footprints) w.append_propagation(fp);
+    w.flush();
   }
 
   if (!farm.keep_shards) {

@@ -24,7 +24,8 @@
 //     then merges shard stores (tolerantly — a killed worker's shard
 //     legitimately ends in a torn window) into the canonical output, which
 //     is byte-identical to a single-process run of the same (seed, size)
-//     campaign whenever nothing was struck out.
+//     campaign whenever nothing was struck out. Footprints ('P'), which the
+//     merge drops, follow the merged records in index order.
 #pragma once
 
 #include <functional>
@@ -56,6 +57,8 @@ struct FarmConfig {
   /// Required when `hosts` is non-empty; built by the CLI so the worker
   /// sees exactly the flags the coordinator was invoked with.
   std::vector<std::string> worker_command;
+  /// Injections per assignment, grown to the lane batch width under the
+  /// lane engine (inject::campaign_shard_size — the driver's rule).
   u32 shard_size = 64;
   /// Strikes before an injection is declared HarnessFatal.
   u32 max_strikes = 3;
@@ -82,29 +85,18 @@ struct FarmConfig {
   std::function<void(const store::StoredRecord&)> on_record;
   /// Keep per-worker shard files after the merge (forensics; default off).
   bool keep_shards = false;
-  /// Ask workers to serialize a cumulative metrics snapshot ('M' frame)
-  /// into their shard store every N executed injections (0 = off). The
-  /// coordinator folds delivered snapshots into the campaign telemetry's
-  /// fleet view (CampaignTelemetry::note_worker_snapshot), which is what
-  /// the serve daemon's /metrics endpoint reads. Fork-call workers receive
-  /// this directly; exec workers need --metrics-every in worker_command.
-  u32 metrics_every = 0;
   /// When non-empty and the global flight recorder is enabled, dump the
   /// recorder's ring here after every supervision failure (worker crash,
   /// watchdog kill, strikeout) — the postmortem trace of the last seconds
   /// before the fatality. Rewritten per failure; observability-only.
   std::string postmortem_path;
-  /// Distributed span plane: workers record spans ('S' frames) into their
-  /// shard stores; the coordinator tees delivered spans plus its own into
-  /// the `<out>.trace.sfr` sidecar, which survives shard cleanup so
-  /// `sfi trace` can stitch the fleet's timeline later. The canonical merge
-  /// drops 'S' frames, so the merged store is byte-identical either way.
-  /// Fork-call workers receive this directly; exec workers get
-  /// --trace-spans appended to worker_command by the coordinator.
-  bool trace_spans = false;
-  /// Campaign-scoped trace id propagated through assignment lines to every
-  /// worker (0: derive one from the campaign fingerprint and wall clock).
-  u64 trace_id = 0;
+  // What workers observe is not configured here: it follows the campaign
+  // telemetry attached to the CampaignConfig. With one, workers ship
+  // cumulative metrics snapshots ('M' frames) that fold into its fleet view;
+  // with its span plane on, they also ship spans ('S' frames) under the
+  // book's trace id, teed with the coordinator's into the `<out>.trace.sfr`
+  // sidecar. Canonical merge drops both kinds, so the merged store is
+  // byte-identical either way.
 };
 
 struct FarmResult {

@@ -84,6 +84,9 @@ bool parse_assignment(const std::string& line, Assignment& out) {
   return true;
 }
 
+/// Executed injections between two 'M' frames (one fixed fleet cadence).
+constexpr u64 kMetricsCadence = 32;
+
 void maybe_sabotage(const SabotageConfig& sabotage, u32 index, u32 attempt) {
   if (sabotage.crash_index && *sabotage.crash_index == index &&
       attempt == 0) {
@@ -105,18 +108,18 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
                const WorkerOptions& opts,
                const inject::CampaignPlan* plan_in) {
   // Workers are single-threaded and report nothing to a telemetry facade —
-  // their observable output is the shard store, full stop. (With
-  // metrics_every set, a worker-private registry accumulates phase/outcome
-  // metrics and ships them as 'M' frames through that same store.)
+  // their observable output is the shard store, full stop. (When asked to
+  // ship metrics or spans, a worker-private facade records them and they
+  // travel as 'M'/'S' frames through that same store.)
   inject::CampaignConfig wcfg = cfg;
   wcfg.telemetry = nullptr;
   wcfg.threads = 1;
 
   std::optional<inject::CampaignTelemetry> tel;
   inject::WorkerTelemetry* wt = nullptr;
-  if (opts.metrics_every > 0 || opts.trace_spans) {
+  if (opts.ship_metrics || opts.ship_spans) {
     tel.emplace();
-    if (opts.trace_spans) {
+    if (opts.ship_spans) {
       // Trace id arrives with the first assignment; until then spans carry
       // id 0 and the book back-fills nothing — all spans recorded after
       // set_trace_id carry the campaign id, and the pre-assignment ones
@@ -130,7 +133,7 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
   telemetry::SpanBook* book = tel ? tel->spans() : nullptr;
   // Drain recorded spans into the shard store as 'S' frames; committed by
   // the caller's next flush, delivered by the coordinator's FrameTail.
-  const auto ship_spans = [&](store::StoreWriter& w) {
+  const auto drain_spans = [&](store::StoreWriter& w) {
     if (book == nullptr || book->size() == 0) return;
     for (const telemetry::SpanRecord& sp : book->drain()) w.append_span(sp);
   };
@@ -164,7 +167,6 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
   // coordinator keeps only the newest per (slot, generation), so cadence
   // only trades freshness against bytes.
   const auto emit_metrics = [&] {
-    if (wt == nullptr) return;
     wt->fold();
     writer.append_metrics({opts.worker_id, m_seq++, tel->metrics().snapshot()});
     last_snapshot = executed;
@@ -217,14 +219,14 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
           writer.append(sr);
           if (fp) writer.append_propagation(*fp);
           ++executed;
-          if (opts.metrics_every > 0 &&
-              executed - last_snapshot >= opts.metrics_every) {
+          if (opts.ship_metrics &&
+              executed - last_snapshot >= kMetricsCadence) {
             emit_metrics();
           }
           // Per-record flush+commit: the coordinator's done-count advances
           // one committed record at a time, and a crash can only lose the
           // injections in flight — exactly what the supervisor re-runs.
-          ship_spans(writer);
+          drain_spans(writer);
           writer.flush();
         },
         wt);
@@ -242,13 +244,13 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
                       std::to_string(a.attempt),
                   "shard.exec", shard_t0, book->now_us() - shard_t0,
                   a.dispatch_span, args.str());
-      ship_spans(writer);
+      drain_spans(writer);
       writer.flush();
     }
   }
   // Parting snapshot so the fleet view ends exact, not one interval stale.
-  if (wt != nullptr && executed != last_snapshot) emit_metrics();
-  ship_spans(writer);
+  if (opts.ship_metrics && executed != last_snapshot) emit_metrics();
+  drain_spans(writer);
   writer.flush();
   return 0;
 }

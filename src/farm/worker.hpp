@@ -52,20 +52,20 @@ struct WorkerOptions {
   /// Assignment stream (read side). Exec-mode workers pass STDIN_FILENO.
   int control_fd = 0;
   SabotageConfig sabotage;
+  // What to ship is the coordinator's call (it follows the campaign
+  // telemetry the caller attached; farm.cpp). Both are observability-only:
+  // canonical merge drops 'M' and 'S' frames, so the merged store is
+  // byte-identical either way.
   /// Serialize a cumulative metrics snapshot ('M' frame) into the shard
-  /// store every N executed injections (0 = off). Observability-only: the
-  /// coordinator folds the snapshots into its fleet view; canonical merge
-  /// drops the frames, so the merged store is byte-identical either way.
-  /// The default matches the farm coordinator's and daemon's cadence (32):
-  /// a hand-launched `sfi worker` emits the same fleet view as a spawned
-  /// one (tests/test_farm.cpp pins the three defaults together).
-  u32 metrics_every = 32;
+  /// store every 32 executed injections and at drain, for the
+  /// coordinator's fleet view (`sfi worker --ship-metrics`).
+  bool ship_metrics = false;
   /// Record distributed trace spans ('S' frames) into the shard store:
   /// plan-build and per-assignment shard slices, plus tail-latency exemplar
   /// phase slices per injection. The trace/parent ids arrive with each
   /// assignment line, so worker spans stitch under the coordinator's
-  /// dispatch span. Observability-only, like metrics_every.
-  bool trace_spans = false;
+  /// dispatch span (`sfi worker --trace-spans`).
+  bool ship_spans = false;
 };
 
 /// Worker main loop; returns the process exit code (0 = clean drain).

@@ -7,7 +7,6 @@
 #include "common/hash.hpp"
 #include "sfi/driver.hpp"
 #include "store/writer.hpp"
-#include "telemetry/json.hpp"
 
 namespace sfi::sched {
 
@@ -99,18 +98,7 @@ PriorRecords inherit_records(
     }
     prior.exists = true;
   }
-  if (tel != nullptr) {
-    if (auto* log = tel->events()) {
-      telemetry::JsonWriter w;
-      w.begin_object()
-          .field("ev", "resume")
-          .field("t_us", tel->now_us())
-          .field("resumed", prior.count)
-          .field("store", path)
-          .end_object();
-      log->emit(w.str());
-    }
-  }
+  if (tel != nullptr) tel->campaign_resumed(prior.count, path);
   return prior;
 }
 

@@ -46,6 +46,22 @@ std::string_view to_string(CampaignState s) {
 /// guarded by Daemon::mu_ except the atomics, which runner callbacks update
 /// on the injection hot path.
 struct Daemon::Campaign {
+  /// A submitted or adopted campaign. Its telemetry has the span plane on
+  /// from birth: the book's wall epoch is the submit/adoption instant the
+  /// admission-wait slice measures from, and the campaign id is its trace
+  /// id. Store and manifest default to `state_dir`/campaign-<id>.*.
+  Campaign(u64 campaign_id, CampaignSpec campaign_spec,
+           const std::string& state_dir)
+      : id(campaign_id),
+        spec(std::move(campaign_spec)),
+        tel(std::make_shared<inject::CampaignTelemetry>()) {
+    tel->enable_span_plane("sfi serve", id);
+    const std::string stem =
+        (fs::path(state_dir) / ("campaign-" + std::to_string(id))).string();
+    store_path = stem + ".sfr";
+    manifest_path = stem + ".json";
+  }
+
   u64 id = 0;
   CampaignSpec spec;
   std::string store_path;
@@ -67,8 +83,9 @@ struct Daemon::Campaign {
 
   /// Campaign telemetry: the fleet metrics view /metrics exposes. Created
   /// with the campaign so a scrape never races runner startup; shared_ptr
-  /// because metrics_text() snapshots it outside mu_.
+  /// because the views snapshot it outside mu_.
   std::shared_ptr<inject::CampaignTelemetry> tel;
+
   std::vector<StratumInterval> strata;  ///< live early-stop intervals (mu_)
 
   std::thread runner;
@@ -76,6 +93,29 @@ struct Daemon::Campaign {
   std::atomic<bool> runner_finished{false};
 
   [[nodiscard]] bool farm() const { return spec.workers > 0; }
+};
+
+/// What the read-only views (status, /campaigns, /metrics) show of one
+/// campaign, copied under mu_ by campaign_views().
+struct Daemon::CampaignView {
+  u64 id = 0;
+  std::string tenant;
+  CampaignState state = CampaignState::Queued;
+  bool failed = false;
+  bool farm = false;
+  u64 n = 0;
+  u64 done = 0;
+  u64 committed = 0;
+  double confidence = 0.0;
+  double target_hw = 0.0;
+  double widest = -1.0;
+  bool early = false;
+  u64 stop_point = 0;
+  bool complete = false;
+  u64 price = 0;
+  std::string store;
+  std::vector<StratumInterval> strata;
+  std::shared_ptr<inject::CampaignTelemetry> tel;
 };
 
 /// One client connection (request, watch stream, or HTTP scrape).
@@ -338,18 +378,9 @@ void Daemon::adopt_state_dir() {
     const u64 id = m.get_u64("id", 0);
     if (id == 0 || campaigns_.count(id) != 0) continue;
 
-    auto c = std::make_unique<Campaign>();
-    c->id = id;
-    c->tel = std::make_shared<inject::CampaignTelemetry>();
-    // Span plane from birth: the book's wall epoch is the adoption/submit
-    // instant, which is what the admission-wait slice measures from.
-    c->tel->enable_span_plane("sfi serve", id);
-    c->spec = parse_spec(m);
+    auto c = std::make_unique<Campaign>(id, parse_spec(m), cfg_.state_dir);
     c->manifest_path = path.string();
-    c->store_path = m.get_str(
-        "store",
-        (fs::path(cfg_.state_dir) / ("campaign-" + std::to_string(id) + ".sfr"))
-            .string());
+    c->store_path = m.get_str("store", c->store_path);
     c->records = m.get_u64("records", 0);
     c->stop_point = m.get_u64("stop_point", 0);
     c->complete = m.get_bool("complete", false);
@@ -599,21 +630,12 @@ void Daemon::run_one(Campaign& c) {
           "--n", std::to_string(c.spec.n),
           "--engine", inject::engine_name(c.spec.engine),
           "--lanes", std::to_string(c.spec.lanes)};
-      if (http_fd_ >= 0 && cfg_.metrics_every > 0) {
-        // Fleet metrics: workers snapshot their registries into the shard
-        // stream so /metrics covers every process, not just this one.
-        fc.metrics_every = cfg_.metrics_every;
-        fc.worker_command.push_back("--metrics-every");
-        fc.worker_command.push_back(std::to_string(cfg_.metrics_every));
-      }
       if (cfg_.flight_recorder_slots > 0) {
         fc.postmortem_path = c.store_path + ".postmortem.jsonl";
       }
-      // Distributed trace: the farm coordinator (this thread) propagates
-      // the campaign id as the trace id and appends --trace-spans to the
-      // worker command itself; the sidecar lands next to the store.
-      fc.trace_spans = true;
-      fc.trace_id = c.id;
+      // The campaign telemetry (span plane on, trace id = campaign id) is
+      // what tells the coordinator to have workers ship metrics and spans;
+      // the trace sidecar lands next to the store.
       fc.shard_size = c.spec.shard_size;
       fc.should_stop = stop_fn;
       fc.on_progress = progress_fn;
@@ -695,19 +717,13 @@ void Daemon::finalize(Campaign& c, bool failed, const std::string& error) {
     // stays Running on disk, so the next daemon requeues and resumes it.
     c.state = (failed || early || complete) ? CampaignState::Done
                                             : CampaignState::Running;
-    telemetry::JsonWriter w;
     std::string line;
     if (failed) {
-      w.begin_object()
-          .field("ev", "failed")
-          .field("t_us", now_us())
-          .field("id", c.id)
-          .field("error", why)
-          .end_object();
-      line = w.str();
+      line = failed_event_json(c.id, why);
     } else if (c.state == CampaignState::Done) {
       line = finish_event_json(c, agg);
     } else {
+      telemetry::JsonWriter w;
       w.begin_object()
           .field("ev", "interrupted")
           .field("t_us", now_us())
@@ -759,6 +775,17 @@ std::string Daemon::finish_event_json(
   return w.str();
 }
 
+std::string Daemon::failed_event_json(u64 id, std::string_view error) const {
+  telemetry::JsonWriter w;
+  w.begin_object()
+      .field("ev", "failed")
+      .field("t_us", now_us())
+      .field("id", id)
+      .field("error", error)
+      .end_object();
+  return w.str();
+}
+
 void Daemon::ensure_final_event(Campaign& c) {
   // Adopted-done campaigns carry no finish event yet; synthesize one from
   // the durable store so `sfi watch` of an old campaign still ends with the
@@ -770,35 +797,20 @@ void Daemon::ensure_final_event(Campaign& c) {
       return;
     }
   }
+  std::string line;
   if (c.failed) {
-    telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "failed")
-        .field("t_us", now_us())
-        .field("id", c.id)
-        .field("error", c.error)
-        .end_object();
-    c.events.push_back(w.str());
-    log_.emit(w.str());
-    return;
+    line = failed_event_json(c.id, c.error);
+  } else {
+    try {
+      auto [meta, agg] =
+          store::aggregate_store(c.store_path, {.tolerate_torn_tail = true});
+      line = finish_event_json(c, agg);
+    } catch (const std::exception& e) {
+      line = failed_event_json(c.id, e.what());
+    }
   }
-  try {
-    auto [meta, agg] =
-        store::aggregate_store(c.store_path, {.tolerate_torn_tail = true});
-    const std::string line = finish_event_json(c, agg);
-    c.events.push_back(line);
-    log_.emit(line);
-  } catch (const std::exception& e) {
-    telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "failed")
-        .field("t_us", now_us())
-        .field("id", c.id)
-        .field("error", std::string(e.what()))
-        .end_object();
-    c.events.push_back(w.str());
-    log_.emit(w.str());
-  }
+  c.events.push_back(line);
+  log_.emit(line);
 }
 
 // --- IO ------------------------------------------------------------------
@@ -992,18 +1004,7 @@ void Daemon::handle_submit(Conn& conn, const Json& req) {
   {
     std::lock_guard lk(mu_);
     id = next_id_++;
-    auto c = std::make_unique<Campaign>();
-    c->id = id;
-    c->tel = std::make_shared<inject::CampaignTelemetry>();
-    c->tel->enable_span_plane("sfi serve", id);
-    c->spec = spec;
-    c->store_path =
-        (fs::path(cfg_.state_dir) / ("campaign-" + std::to_string(id) + ".sfr"))
-            .string();
-    c->manifest_path =
-        (fs::path(cfg_.state_dir) /
-         ("campaign-" + std::to_string(id) + ".json"))
-            .string();
+    auto c = std::make_unique<Campaign>(id, spec, cfg_.state_dir);
     store_path = c->store_path;
     write_manifest(*c);
     telemetry::JsonWriter w;
@@ -1174,43 +1175,35 @@ void Daemon::handle_http(Conn& conn) {
   }
 }
 
+std::vector<Daemon::CampaignView> Daemon::campaign_views() {
+  std::lock_guard lk(mu_);
+  std::vector<CampaignView> views;
+  views.reserve(campaigns_.size());
+  for (const auto& [id, c] : campaigns_) {
+    views.push_back({id, c->spec.tenant, c->state, c->failed, c->farm(),
+                     c->spec.n,
+                     c->state == CampaignState::Done ? c->records
+                                                     : c->live_done.load(),
+                     c->committed, c->spec.target.confidence,
+                     c->spec.target.half_width, c->widest_hw,
+                     c->early_stop.load(), c->stop_point, c->complete,
+                     c->spec.price(), c->store_path, c->strata, c->tel});
+  }
+  return views;
+}
+
 std::string Daemon::metrics_text() {
-  // Copy what mu_ guards, then render (and snapshot telemetry) unlocked:
   // fleet_snapshot() copies a whole registry, which has no business running
-  // under the campaign-table lock.
-  struct Row {
-    u64 id = 0;
-    std::string tenant;
-    bool farm = false;
-    u64 n = 0;
-    u64 done = 0;
-    u64 committed = 0;
-    bool early = false;
-    double confidence = 0.0;
-    double target_hw = 0.0;
-    double widest = -1.0;
-    std::vector<StratumInterval> strata;
-    std::shared_ptr<inject::CampaignTelemetry> tel;
-  };
-  std::vector<Row> rows;
+  // under the campaign-table lock: render from the views.
+  const std::vector<CampaignView> views = campaign_views();
   u64 queued = 0;
   u64 running = 0;
   u64 done = 0;
-  {
-    std::lock_guard lk(mu_);
-    rows.reserve(campaigns_.size());
-    for (const auto& [id, c] : campaigns_) {
-      switch (c->state) {
-        case CampaignState::Queued: ++queued; break;
-        case CampaignState::Running: ++running; break;
-        case CampaignState::Done: ++done; break;
-      }
-      rows.push_back({id, c->spec.tenant, c->farm(), c->spec.n,
-                      c->state == CampaignState::Done ? c->records
-                                                      : c->live_done.load(),
-                      c->committed, c->early_stop.load(),
-                      c->spec.target.confidence, c->spec.target.half_width,
-                      c->widest_hw, c->strata, c->tel});
+  for (const CampaignView& v : views) {
+    switch (v.state) {
+      case CampaignState::Queued: ++queued; break;
+      case CampaignState::Running: ++running; break;
+      case CampaignState::Done: ++done; break;
     }
   }
 
@@ -1228,108 +1221,74 @@ std::string Daemon::metrics_text() {
                static_cast<double>(running));
   pw.add_gauge("serve.campaigns", state_label("done"),
                static_cast<double>(done));
-  for (const Row& r : rows) {
+  for (const CampaignView& v : views) {
     const std::vector<telemetry::PromLabel> labels = {
-        {"campaign", std::to_string(r.id)},
-        {"tenant", r.tenant},
-        {"engine", r.farm ? "farm" : "sched"}};
+        {"campaign", std::to_string(v.id)},
+        {"tenant", v.tenant},
+        {"engine", v.farm ? "farm" : "sched"}};
     pw.add_gauge("campaign.injections_total", labels,
-                 static_cast<double>(r.n));
-    pw.add_gauge("campaign.done", labels, static_cast<double>(r.done));
+                 static_cast<double>(v.n));
+    pw.add_gauge("campaign.done", labels, static_cast<double>(v.done));
     pw.add_gauge("campaign.committed", labels,
-                 static_cast<double>(r.committed));
-    pw.add_gauge("campaign.early_stop", labels, r.early ? 1.0 : 0.0);
-    pw.add_gauge("campaign.confidence", labels, r.confidence);
-    pw.add_gauge("campaign.target_half_width", labels, r.target_hw);
-    if (r.widest >= 0.0) {
-      pw.add_gauge("campaign.widest_half_width", labels, r.widest);
+                 static_cast<double>(v.committed));
+    pw.add_gauge("campaign.early_stop", labels, v.early ? 1.0 : 0.0);
+    pw.add_gauge("campaign.confidence", labels, v.confidence);
+    pw.add_gauge("campaign.target_half_width", labels, v.target_hw);
+    if (v.widest >= 0.0) {
+      pw.add_gauge("campaign.widest_half_width", labels, v.widest);
     }
     // Live early-stop state, one gauge triple per stratum: how many records
     // the stratum has, the proportion estimate, and how tight its Wilson
     // interval is against the target above.
-    for (const StratumInterval& s : r.strata) {
+    for (const StratumInterval& st : v.strata) {
       std::vector<telemetry::PromLabel> sl = labels;
-      sl.push_back({"stratum", s.stratum});
-      pw.add_gauge("stratum.n", sl, static_cast<double>(s.n));
-      if (s.n > 0) {
+      sl.push_back({"stratum", st.stratum});
+      pw.add_gauge("stratum.n", sl, static_cast<double>(st.n));
+      if (st.n > 0) {
         pw.add_gauge("stratum.proportion", sl,
-                     static_cast<double>(s.count) / static_cast<double>(s.n));
+                     static_cast<double>(st.count) / static_cast<double>(st.n));
       }
-      pw.add_gauge("stratum.half_width", sl, s.half_width());
+      pw.add_gauge("stratum.half_width", sl, st.half_width());
     }
-    if (r.tel != nullptr) {
+    if (v.tel != nullptr) {
       pw.add_gauge("campaign.fleet_workers", labels,
-                   static_cast<double>(r.tel->fleet_workers()));
-      pw.add_snapshot(r.tel->fleet_snapshot(), labels);
+                   static_cast<double>(v.tel->fleet_workers()));
+      pw.add_snapshot(v.tel->fleet_snapshot(), labels);
     }
   }
   return pw.str();
 }
 
 std::string Daemon::campaigns_json() {
-  struct Row {
-    u64 id = 0;
-    std::string tenant;
-    std::string state;
-    bool farm = false;
-    u64 n = 0;
-    u64 done = 0;
-    u64 committed = 0;
-    double confidence = 0.0;
-    double target_hw = 0.0;
-    double widest = -1.0;
-    bool early = false;
-    u64 stop_point = 0;
-    bool complete = false;
-    u64 price = 0;
-    std::string store;
-    std::shared_ptr<inject::CampaignTelemetry> tel;
-  };
-  std::vector<Row> rows;
-  {
-    std::lock_guard lk(mu_);
-    rows.reserve(campaigns_.size());
-    for (const auto& [id, c] : campaigns_) {
-      rows.push_back({id, c->spec.tenant,
-                      std::string(c->failed ? std::string_view("failed")
-                                            : to_string(c->state)),
-                      c->farm(), c->spec.n,
-                      c->state == CampaignState::Done ? c->records
-                                                      : c->live_done.load(),
-                      c->committed, c->spec.target.confidence,
-                      c->spec.target.half_width, c->widest_hw,
-                      c->early_stop.load(), c->stop_point, c->complete,
-                      c->spec.price(), c->store_path, c->tel});
-    }
-  }
-
+  const std::vector<CampaignView> views = campaign_views();
   telemetry::JsonWriter w;
   w.begin_object()
       .field("ok", true)
       .field("stopping", stopping_.load())
       .field("t_us", now_us());
   w.key("campaigns").begin_array();
-  for (const Row& r : rows) {
+  for (const CampaignView& v : views) {
     w.begin_object()
-        .field("id", r.id)
-        .field("tenant", r.tenant)
-        .field("state", r.state)
-        .field("engine", r.farm ? std::string_view("farm")
+        .field("id", v.id)
+        .field("tenant", v.tenant)
+        .field("state", v.failed ? std::string_view("failed")
+                                 : to_string(v.state))
+        .field("engine", v.farm ? std::string_view("farm")
                                 : std::string_view("sched"))
-        .field("n", r.n)
-        .field("done", r.done)
-        .field("committed", r.committed)
-        .field("confidence", r.confidence)
-        .field("target_half_width", r.target_hw)
-        .field("widest_half_width", r.widest)
-        .field("early_stop", r.early)
-        .field("stop_point", r.stop_point)
-        .field("complete", r.complete)
-        .field("price", r.price)
-        .field("store", r.store);
-    if (r.tel != nullptr) {
-      const telemetry::MetricsSnapshot snap = r.tel->fleet_snapshot();
-      w.field("workers", static_cast<u64>(r.tel->fleet_workers()));
+        .field("n", v.n)
+        .field("done", v.done)
+        .field("committed", v.committed)
+        .field("confidence", v.confidence)
+        .field("target_half_width", v.target_hw)
+        .field("widest_half_width", v.widest)
+        .field("early_stop", v.early)
+        .field("stop_point", v.stop_point)
+        .field("complete", v.complete)
+        .field("price", v.price)
+        .field("store", v.store);
+    if (v.tel != nullptr) {
+      const telemetry::MetricsSnapshot snap = v.tel->fleet_snapshot();
+      w.field("workers", static_cast<u64>(v.tel->fleet_workers()));
       w.key("counts").begin_object();
       for (const inject::Outcome o : inject::kAllOutcomes) {
         w.field(inject::to_string(o),

@@ -114,12 +114,10 @@ struct ServeConfig {
   /// HTTP plane off. Serves GET /metrics (Prometheus 0.0.4 text exposition
   /// over every campaign's fleet metrics snapshot plus live early-stop
   /// gauges), /healthz and /campaigns (JSON). Strictly read-only: scraping
-  /// never changes campaign behaviour or store bytes.
+  /// never changes campaign behaviour or store bytes. Farm campaigns feed
+  /// their fleet view whether or not the plane is on: every campaign has
+  /// telemetry, so its workers always ship metrics snapshots.
   std::string http;
-  /// Farm-worker metrics cadence while the HTTP plane is on: workers
-  /// serialize a cumulative snapshot ('M' frame) every N injections so
-  /// /metrics covers the whole fleet, not just the coordinator. 0 = off.
-  u32 metrics_every = 32;
   /// Flight-recorder ring size (recent telemetry lines kept in memory).
   /// When > 0 a fatal signal in the daemon dumps the ring to
   /// <state_dir>/serve.postmortem.jsonl, and farm-mode supervision
@@ -153,6 +151,7 @@ class Daemon {
 
  private:
   struct Campaign;
+  struct CampaignView;
   struct Conn;
 
   // --- lifecycle ---
@@ -175,6 +174,9 @@ class Daemon {
 
   // --- HTTP observability plane (read-only) ---
   void handle_http(Conn& conn);
+  /// Copy every campaign's displayed fields under mu_ (the views render
+  /// them, and snapshot telemetry, outside it).
+  [[nodiscard]] std::vector<CampaignView> campaign_views();
   [[nodiscard]] std::string metrics_text();
   [[nodiscard]] std::string campaigns_json();
 
@@ -184,6 +186,8 @@ class Daemon {
   void ensure_final_event(Campaign& c);
   [[nodiscard]] std::string finish_event_json(
       const Campaign& c, const inject::CampaignAggregate& agg) const;
+  [[nodiscard]] std::string failed_event_json(u64 id,
+                                              std::string_view error) const;
 
   ServeConfig cfg_;
   Address addr_;

@@ -17,6 +17,11 @@ u32 resolve_threads(u32 requested) {
                         : std::max(1u, std::thread::hardware_concurrency());
 }
 
+u32 campaign_shard_size(const CampaignConfig& cfg, u32 requested) {
+  return std::max(
+      {1u, requested, cfg.engine == EngineKind::Lanes ? cfg.lanes : 1u});
+}
+
 void run_workers(u32 threads, const std::function<void(u32 tid)>& work) {
   if (threads <= 1) {
     work(0);
@@ -48,11 +53,7 @@ DriveResult drive_campaign(const avp::Testcase& tc, const CampaignConfig& cfg,
                            const DriverConfig& dc,
                            const std::function<void(const FlushWindow&)>& sink) {
   DriveResult result;
-  // The lane engine batches up to cfg.lanes in-flight injections per claim
-  // stream; shards below that would cap its batch size, so they grow to
-  // match. Shard boundaries are progress/telemetry granularity only.
-  const u64 shard_size = std::max(
-      {1u, dc.shard_size, cfg.engine == EngineKind::Lanes ? cfg.lanes : 1u});
+  const u64 shard_size = campaign_shard_size(cfg, dc.shard_size);
   const u64 num_shards = (pending.size() + shard_size - 1) / shard_size;
   const u64 cap = dc.max_new_injections == 0
                       ? pending.size()

@@ -32,6 +32,13 @@ namespace sfi::inject {
 /// `requested`, or the hardware concurrency when 0 (never below 1).
 [[nodiscard]] u32 resolve_threads(u32 requested);
 
+/// Injections per claim unit, for the driver and the farm alike:
+/// `requested` (at least 1), grown to `config.lanes` under the lane engine,
+/// whose batches a smaller shard would cap. Shard boundaries are dispatch,
+/// progress and telemetry granularity only; records never depend on them.
+[[nodiscard]] u32 campaign_shard_size(const CampaignConfig& config,
+                                      u32 requested);
+
 /// Run `work(tid)` for tid in [0, threads): inline when threads <= 1, else
 /// on a pool of threads. Every thread joins before this returns; the first
 /// exception any worker threw is then rethrown here.

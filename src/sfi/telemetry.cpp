@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "sfi/aggregate.hpp"
 #include "sfi/propagation.hpp"
@@ -29,6 +30,56 @@ u64 micros(double seconds) {
   return seconds <= 0.0 ? 0 : static_cast<u64>(seconds * 1e6);
 }
 
+using telemetry::JsonWriter;
+using telemetry::SpanBook;
+
+/// Span form of a fact that stays in the event log only.
+constexpr auto kLogOnly = [](SpanBook&, std::string) {};
+
+/// Span form of a farm supervision fact: an instant on the coordinator row.
+auto farm_instant(std::string name) {
+  return [name = std::move(name)](SpanBook& book, std::string args) {
+    book.instant(name, "farm", book.now_us(), 0, std::move(args));
+  };
+}
+
+/// The one emitter of lifecycle facts. `fields` writes the fact's
+/// (non-empty) field list once; the emitter renders it as the event-log
+/// line {"ev": ev, "t_us": ..., fields...} and hands the same JSON object
+/// to `span` as the args of the span it records when the span plane is on.
+/// `supervision` facts (the farm hooks) also reach the crash flight
+/// recorder when no event log is attached — exactly the context a
+/// postmortem needs (EventLog::emit tees into the recorder on its own).
+template <typename Fields, typename Span>
+void emit_fact(CampaignTelemetry& tel, std::string_view ev, bool supervision,
+               Fields&& fields, Span&& span) {
+  constexpr bool log_only =
+      std::is_same_v<std::decay_t<Span>, std::decay_t<decltype(kLogOnly)>>;
+  telemetry::EventLog* log = tel.events();
+  SpanBook* book = log_only ? nullptr : tel.spans();
+  auto& recorder = telemetry::FlightRecorder::global();
+  const bool to_recorder =
+      log == nullptr && supervision && recorder.enabled();
+  if (log == nullptr && !to_recorder && book == nullptr) return;
+  JsonWriter f;
+  f.begin_object();
+  fields(f);
+  f.end_object();
+  const std::string& args = f.str();
+  if (log != nullptr || to_recorder) {
+    JsonWriter head;
+    head.begin_object().field("ev", ev).field("t_us", tel.now_us());
+    // The head's object stays open; the field list's closing brace ends it.
+    const std::string line = head.str() + ',' + args.substr(1);
+    if (log != nullptr) {
+      log->emit(line);
+    } else {
+      recorder.note(line);
+    }
+  }
+  if (book != nullptr) span(*book, args);
+}
+
 }  // namespace
 
 WorkerTelemetry::WorkerTelemetry(CampaignTelemetry& owner, u32 tid)
@@ -39,40 +90,30 @@ WorkerTelemetry::WorkerTelemetry(CampaignTelemetry& owner, u32 tid)
 
 void WorkerTelemetry::shard_begin(u64 shard, u64 injections) {
   if (book_ != nullptr) shard_start_us_ = book_->now_us();
-  if (auto* log = owner_.events()) {
-    telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "shard_dispatch")
-        .field("t_us", owner_.now_us())
-        .field("shard", shard)
-        .field("worker", u64{tid_})
-        .field("injections", injections)
-        .end_object();
-    log->emit(w.str());
-  }
+  emit_fact(
+      owner_, "shard_dispatch", false,
+      [&](JsonWriter& f) {
+        f.field("shard", shard)
+            .field("worker", u64{tid_})
+            .field("injections", injections);
+      },
+      kLogOnly);
 }
 
 void WorkerTelemetry::shard_end(u64 shard, u64 executed) {
   shard_.add(owner_.c_shards_);
-  if (book_ != nullptr) {
-    const u64 now = book_->now_us();
-    telemetry::JsonWriter args;
-    args.begin_object().field("shard", shard).field("executed", executed)
-        .end_object();
-    book_->slice("shard " + std::to_string(shard), "shard", shard_start_us_,
-                 now - shard_start_us_, 0, args.str(), tid_);
-  }
-  if (auto* log = owner_.events()) {
-    telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "shard_complete")
-        .field("t_us", owner_.now_us())
-        .field("shard", shard)
-        .field("worker", u64{tid_})
-        .field("executed", executed)
-        .end_object();
-    log->emit(w.str());
-  }
+  emit_fact(
+      owner_, "shard_complete", false,
+      [&](JsonWriter& f) {
+        f.field("shard", shard)
+            .field("worker", u64{tid_})
+            .field("executed", executed);
+      },
+      [&](SpanBook& book, std::string args) {
+        book.slice("shard " + std::to_string(shard), "shard",
+                   shard_start_us_, book.now_us() - shard_start_us_, 0,
+                   std::move(args), tid_);
+      });
 }
 
 void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
@@ -393,30 +434,29 @@ void CampaignTelemetry::campaign_start(std::string_view kind, u64 seed,
                                        u64 total, u64 resumed) {
   registry_.set_gauge(g_total_, static_cast<double>(total));
   registry_.set_gauge(g_resumed_, static_cast<double>(resumed));
-  if (span_book_) {
-    span_campaign_start_us_ = span_book_->now_us();
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("kind", kind)
-        .field("seed", seed)
-        .field("total", total)
-        .field("resumed", resumed)
-        .end_object();
-    span_book_->instant("campaign start", "lifecycle",
-                        span_campaign_start_us_, 0, args.str());
-  }
-  if (auto* log = events()) {
-    telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "campaign_start")
-        .field("t_us", now_us())
-        .field("kind", kind)
-        .field("seed", seed)
-        .field("total", total)
-        .field("resumed", resumed)
-        .end_object();
-    log->emit(w.str());
-  }
+  emit_fact(
+      *this, "campaign_start", false,
+      [&](JsonWriter& f) {
+        f.field("kind", kind)
+            .field("seed", seed)
+            .field("total", total)
+            .field("resumed", resumed);
+      },
+      [this](SpanBook& book, std::string args) {
+        span_campaign_start_us_ = book.now_us();
+        book.instant("campaign start", "lifecycle", span_campaign_start_us_,
+                     0, std::move(args));
+      });
+}
+
+void CampaignTelemetry::campaign_resumed(u64 resumed,
+                                         std::string_view store) {
+  emit_fact(
+      *this, "resume", false,
+      [&](JsonWriter& f) {
+        f.field("resumed", resumed).field("store", store);
+      },
+      kLogOnly);
 }
 
 void CampaignTelemetry::checkpoint_store_built(
@@ -425,20 +465,25 @@ void CampaignTelemetry::checkpoint_store_built(
   registry_.set_gauge(g_ckpt_count_, static_cast<double>(count));
   registry_.set_gauge(g_ckpt_bytes_, static_cast<double>(resident_bytes));
   registry_.set_gauge(g_ckpt_interval_, static_cast<double>(interval));
+  emit_fact(
+      *this, "ckpt_store", false,
+      [&](JsonWriter& f) {
+        f.field("count", u64{count})
+            .field("resident_bytes", resident_bytes)
+            .field("interval", interval)
+            .field("build_seconds", build_seconds);
+      },
+      [&](SpanBook& book, std::string args) {
+        const u64 end = book.now_us();
+        const u64 dur = micros(build_seconds);
+        book.slice("build checkpoint store", "plan",
+                   end > dur ? end - dur : 0, dur, 0, std::move(args));
+      });
+  // Per-snapshot saves are per-item facts: event log only, sampled.
   if (auto* log = events()) {
-    telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "ckpt_store")
-        .field("t_us", now_us())
-        .field("count", u64{count})
-        .field("resident_bytes", resident_bytes)
-        .field("interval", interval)
-        .field("build_seconds", build_seconds)
-        .end_object();
-    log->emit(w.str());
     const u32 es = cfg_.event_sample == 0 ? 1 : cfg_.event_sample;
     for (std::size_t i = 0; i < cycles.size(); i += es) {
-      telemetry::JsonWriter s;
+      JsonWriter s;
       s.begin_object()
           .field("ev", "ckpt_save")
           .field("t_us", now_us())
@@ -448,12 +493,6 @@ void CampaignTelemetry::checkpoint_store_built(
       log->emit(s.str());
     }
   }
-  if (span_book_) {
-    const u64 end = span_book_->now_us();
-    const u64 dur = micros(build_seconds);
-    span_book_->slice("build checkpoint store", "plan",
-                      end > dur ? end - dur : 0, dur);
-  }
 }
 
 void CampaignTelemetry::campaign_finish(const CampaignAggregate& agg,
@@ -461,170 +500,106 @@ void CampaignTelemetry::campaign_finish(const CampaignAggregate& agg,
   merge_workers();
   registry_.set_gauge(g_wall_seconds_, wall_seconds);
   registry_.set_gauge(g_executed_, static_cast<double>(executed));
-  if (auto* log = events()) {
-    telemetry::JsonWriter w;
-    w.begin_object()
-        .field("ev", "campaign_finish")
-        .field("t_us", now_us())
-        .field("executed", executed)
-        .field("wall_seconds", wall_seconds);
-    w.key("outcomes").begin_object();
-    for (const auto o : kAllOutcomes) {
-      w.field(to_string(o), agg.counts.of(o));
-    }
-    w.end_object().end_object();
-    log->emit(w.str());
-    log->flush();
-  }
-  if (span_book_) {
-    const u64 end = span_book_->now_us();
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("executed", executed)
-        .field("wall_seconds", wall_seconds)
-        .end_object();
-    span_book_->slice("campaign", "lifecycle", span_campaign_start_us_,
-                      end > span_campaign_start_us_
-                          ? end - span_campaign_start_us_
-                          : 0,
-                      0, args.str());
-  }
+  emit_fact(
+      *this, "campaign_finish", false,
+      [&](JsonWriter& f) {
+        f.field("executed", executed).field("wall_seconds", wall_seconds);
+        f.key("outcomes").begin_object();
+        for (const auto o : kAllOutcomes) {
+          f.field(to_string(o), agg.counts.of(o));
+        }
+        f.end_object();
+      },
+      [this](SpanBook& book, std::string args) {
+        const u64 end = book.now_us();
+        book.slice("campaign", "lifecycle", span_campaign_start_us_,
+                   end > span_campaign_start_us_
+                       ? end - span_campaign_start_us_
+                       : 0,
+                   0, std::move(args));
+      });
+  if (auto* log = events()) log->flush();
 }
-
-namespace {
-
-/// Shared shape of the farm lifecycle events: {"ev": ..., "t_us": ...} plus
-/// caller-specific fields appended by `extra`.
-template <typename Fn>
-void emit_farm_event(telemetry::EventLog* log, u64 t_us, std::string_view ev,
-                     Fn&& extra) {
-  // Without an event log the line still goes to the crash flight recorder
-  // (when one is enabled): farm supervision events are exactly the context
-  // a postmortem needs. EventLog::emit tees on its own, so the direct
-  // note() only runs on the log-less path.
-  auto& recorder = telemetry::FlightRecorder::global();
-  if (log == nullptr && !recorder.enabled()) return;
-  telemetry::JsonWriter w;
-  w.begin_object().field("ev", ev).field("t_us", t_us);
-  extra(w);
-  w.end_object();
-  if (log != nullptr) {
-    log->emit(w.str());
-  } else {
-    recorder.note(w.str());
-  }
-}
-
-}  // namespace
 
 void CampaignTelemetry::farm_worker_spawned(u32 slot, i64 pid,
                                             u32 generation) {
   registry_.add(c_farm_spawned_);
-  emit_farm_event(events(), now_us(), "farm_spawn", [&](auto& w) {
-    w.field("slot", static_cast<u64>(slot))
-        .field("pid", pid)
-        .field("generation", static_cast<u64>(generation));
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("slot", static_cast<u64>(slot))
-        .field("pid", pid)
-        .field("generation", static_cast<u64>(generation))
-        .end_object();
-    span_book_->instant("spawn worker " + std::to_string(slot), "farm",
-                        span_book_->now_us(), 0, args.str());
-  }
+  emit_fact(
+      *this, "farm_spawn", true,
+      [&](JsonWriter& f) {
+        f.field("slot", u64{slot})
+            .field("pid", pid)
+            .field("generation", u64{generation});
+      },
+      farm_instant("spawn worker " + std::to_string(slot)));
 }
 
 void CampaignTelemetry::farm_worker_exited(u32 slot, i64 pid, bool clean,
                                            int detail) {
   if (!clean) registry_.add(c_farm_crashes_);
-  emit_farm_event(events(), now_us(), "farm_exit", [&](auto& w) {
-    w.field("slot", static_cast<u64>(slot))
-        .field("pid", pid)
-        .field("clean", clean)
-        .field("detail", static_cast<i64>(detail));
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("slot", static_cast<u64>(slot))
-        .field("pid", pid)
-        .field("clean", clean)
-        .field("detail", static_cast<i64>(detail))
-        .end_object();
-    span_book_->instant(
-        std::string(clean ? "worker exit " : "worker crash ") +
-            std::to_string(slot),
-        "farm", span_book_->now_us(), 0, args.str());
-  }
+  emit_fact(
+      *this, "farm_exit", true,
+      [&](JsonWriter& f) {
+        f.field("slot", u64{slot})
+            .field("pid", pid)
+            .field("clean", clean)
+            .field("detail", i64{detail});
+      },
+      farm_instant((clean ? "worker exit " : "worker crash ") +
+                   std::to_string(slot)));
 }
 
 void CampaignTelemetry::farm_watchdog_kill(u32 slot, i64 pid,
                                            std::optional<u32> in_flight) {
   registry_.add(c_farm_watchdog_kills_);
-  emit_farm_event(events(), now_us(), "farm_watchdog_kill", [&](auto& w) {
-    w.field("slot", static_cast<u64>(slot)).field("pid", pid);
-    if (in_flight) w.field("in_flight", static_cast<u64>(*in_flight));
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object().field("slot", static_cast<u64>(slot)).field("pid",
-                                                                    pid);
-    if (in_flight) args.field("in_flight", static_cast<u64>(*in_flight));
-    args.end_object();
-    span_book_->instant("watchdog kill " + std::to_string(slot), "farm",
-                        span_book_->now_us(), 0, args.str());
-  }
+  emit_fact(
+      *this, "farm_watchdog_kill", true,
+      [&](JsonWriter& f) {
+        f.field("slot", u64{slot}).field("pid", pid);
+        if (in_flight) f.field("in_flight", u64{*in_flight});
+      },
+      farm_instant("watchdog kill " + std::to_string(slot)));
 }
 
 void CampaignTelemetry::farm_shard_retry(u64 shard, u32 attempt,
                                          double backoff_seconds) {
   registry_.add(c_farm_retries_);
-  emit_farm_event(events(), now_us(), "farm_retry", [&](auto& w) {
-    w.field("shard", shard)
-        .field("attempt", static_cast<u64>(attempt))
-        .field("backoff_seconds", backoff_seconds);
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("shard", shard)
-        .field("attempt", static_cast<u64>(attempt))
-        .field("backoff_seconds", backoff_seconds)
-        .end_object();
-    // The backoff window is a real slice of campaign wall time: dispatch of
-    // this shard is deferred until the slice's right edge.
-    span_book_->slice("retry shard " + std::to_string(shard) + " backoff",
-                      "farm.retry", span_book_->now_us(),
-                      micros(backoff_seconds), 0, args.str());
-  }
+  emit_fact(
+      *this, "farm_retry", true,
+      [&](JsonWriter& f) {
+        f.field("shard", shard)
+            .field("attempt", u64{attempt})
+            .field("backoff_seconds", backoff_seconds);
+      },
+      [&](SpanBook& book, std::string args) {
+        // The backoff window is a real slice of campaign wall time:
+        // dispatch of this shard is deferred until the slice's right edge.
+        book.slice("retry shard " + std::to_string(shard) + " backoff",
+                   "farm.retry", book.now_us(), micros(backoff_seconds), 0,
+                   std::move(args));
+      });
 }
 
 void CampaignTelemetry::farm_strikeout(u32 index, u32 strikes) {
   registry_.add(c_farm_strikeouts_);
-  emit_farm_event(events(), now_us(), "farm_strikeout", [&](auto& w) {
-    w.field("index", static_cast<u64>(index))
-        .field("strikes", static_cast<u64>(strikes));
-  });
-  if (span_book_) {
-    telemetry::JsonWriter args;
-    args.begin_object()
-        .field("i", static_cast<u64>(index))
-        .field("strikes", static_cast<u64>(strikes))
-        .end_object();
-    span_book_->instant("strikeout i=" + std::to_string(index), "farm",
-                        span_book_->now_us(), 0, args.str());
-  }
+  // "i": the record id, named as in injection/propagation events and
+  // exemplar spans.
+  emit_fact(
+      *this, "farm_strikeout", true,
+      [&](JsonWriter& f) {
+        f.field("i", u64{index}).field("strikes", u64{strikes});
+      },
+      farm_instant("strikeout i=" + std::to_string(index)));
 }
 
 void CampaignTelemetry::farm_heartbeat_gap(u32 slot, double gap_seconds) {
   registry_.add(c_farm_hb_gaps_);
-  emit_farm_event(events(), now_us(), "farm_heartbeat_gap", [&](auto& w) {
-    w.field("slot", static_cast<u64>(slot))
-        .field("gap_seconds", gap_seconds);
-  });
+  emit_fact(
+      *this, "farm_heartbeat_gap", true,
+      [&](JsonWriter& f) {
+        f.field("slot", u64{slot}).field("gap_seconds", gap_seconds);
+      },
+      kLogOnly);
 }
 
 void CampaignTelemetry::prepare_workers(u32 n) {
@@ -649,11 +624,15 @@ void CampaignTelemetry::note_worker_snapshot(u32 slot, u32 generation,
 }
 
 telemetry::MetricsSnapshot CampaignTelemetry::fleet_snapshot() const {
-  telemetry::MetricsSnapshot fleet = registry_.snapshot();
-  const std::lock_guard<std::mutex> lock(fleet_mu_);
-  for (const auto& [key, snap] : worker_snapshots_) {
-    fleet.merge_from(snap);
+  // Workers first, this registry last: gauges are last-write-wins, and the
+  // workers never set the campaign-level ones (total_injections,
+  // wall_seconds, ckpt.*), so folding them last would zero this process's.
+  telemetry::MetricsSnapshot fleet;
+  {
+    const std::lock_guard<std::mutex> lock(fleet_mu_);
+    for (const auto& [key, snap] : worker_snapshots_) fleet.merge_from(snap);
   }
+  fleet.merge_from(registry_.snapshot());
   return fleet;
 }
 
@@ -736,7 +715,7 @@ void CampaignTelemetry::write_metrics(const std::string& path) {
   merge_workers();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot open metrics output " + path);
-  const std::string json = registry_.to_json();
+  const std::string json = fleet_snapshot().to_json();
   out.write(json.data(), static_cast<std::streamsize>(json.size()));
   out.put('\n');
 }

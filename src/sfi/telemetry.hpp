@@ -174,10 +174,15 @@ class CampaignTelemetry {
   [[nodiscard]] const TelemetryConfig& config() const { return cfg_; }
 
   // --- lifecycle (single-threaded call sites) ---
+  // Each lifecycle fact has one field list, rendered by one emitter into
+  // both the event log and (when on) the span plane.
   /// `kind` is "campaign" or "beam"; `resumed` the records inherited from a
   /// prior store (0 for fresh / in-memory runs).
   void campaign_start(std::string_view kind, u64 seed, u64 total,
                       u64 resumed);
+  /// The resume scan of the store at `store` finished: `resumed` records
+  /// are inherited (0 on a fresh run). Event log only.
+  void campaign_resumed(u64 resumed, std::string_view store);
   /// The reference run's interval-checkpoint store was built. Emits one
   /// summary event plus per-snapshot ckpt_save records (event-sampled).
   void checkpoint_store_built(std::size_t count, u64 resident_bytes,
@@ -217,8 +222,9 @@ class CampaignTelemetry {
   /// crashed predecessor's final counts. Thread-safe.
   void note_worker_snapshot(u32 slot, u32 generation,
                             telemetry::MetricsSnapshot snap);
-  /// This process's registry folded with the latest snapshot from every
-  /// worker process ever observed: the fleet-wide view /metrics exposes.
+  /// The latest snapshot from every worker process ever observed, with
+  /// this process's registry folded in last (so its gauges win): the
+  /// fleet-wide view /metrics and write_metrics() expose.
   /// Does NOT touch live worker shards (those fold themselves at flush
   /// boundaries), so it is safe to call from any thread mid-campaign.
   /// Approximate under supervised retries: injections a crashed worker
@@ -248,7 +254,7 @@ class CampaignTelemetry {
                                           double wall_seconds) const;
 
   // --- outputs ---
-  /// Merge outstanding shards and write the registry as JSON.
+  /// Merge outstanding shards and write fleet_snapshot() as JSON.
   void write_metrics(const std::string& path);
   /// Write trace_chrome_json() to `path` (the span plane must be on).
   void write_chrome_trace(const std::string& path) const;

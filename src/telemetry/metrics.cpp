@@ -264,31 +264,26 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return s;
 }
 
-std::string MetricsRegistry::to_json() const {
-  const std::lock_guard<std::mutex> lock(mu_);
+std::string MetricsSnapshot::to_json() const {
   JsonWriter w;
   w.begin_object();
   w.key("counters").begin_object();
-  for (std::size_t i = 0; i < counter_names_.size(); ++i) {
-    w.field(counter_names_[i], counters_[i]);
-  }
+  for (const auto& [name, value] : counters) w.field(name, value);
   w.end_object();
   w.key("gauges").begin_object();
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    w.field(gauge_names_[i], gauges_[i]);
-  }
+  for (const auto& [name, value] : gauges) w.field(name, value);
   w.end_object();
   w.key("histograms").begin_object();
-  for (std::size_t i = 0; i < hist_defs_.size(); ++i) {
-    w.key(hist_defs_[i].name).begin_object();
+  for (const Hist& h : histograms) {
+    w.key(h.name).begin_object();
     w.key("bounds").begin_array();
-    for (const double b : hist_defs_[i].bounds) w.value(b);
+    for (const double b : h.bounds) w.value(b);
     w.end_array();
     w.key("buckets").begin_array();
-    for (const u64 c : hists_[i].buckets) w.value(c);
+    for (const u64 c : h.buckets) w.value(c);
     w.end_array();
-    w.field("count", hists_[i].count);
-    w.field("sum", hists_[i].sum);
+    w.field("count", h.count);
+    w.field("sum", h.sum);
     w.end_object();
   }
   w.end_object();

@@ -86,6 +86,12 @@ struct MetricsSnapshot {
   [[nodiscard]] u64 counter_value(std::string_view name) const;
   [[nodiscard]] double gauge_value(std::string_view name) const;
   [[nodiscard]] const Hist* histogram(std::string_view name) const;
+
+  /// The snapshot as one JSON object:
+  /// {"counters":{...},"gauges":{...},"histograms":{name:{bounds,buckets,
+  /// count,sum}}} in instrument order (registration order for a registry's
+  /// snapshot, so stable across runs).
+  [[nodiscard]] std::string to_json() const;
 };
 
 /// One worker's private accumulation slots. Not thread-safe by design —
@@ -155,11 +161,6 @@ class MetricsRegistry {
       HistogramId h) const {
     return hist_defs_[h.index].bounds;
   }
-
-  /// The whole registry as one JSON object:
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{bounds,buckets,
-  /// count,sum}}} in registration order (stable across runs).
-  [[nodiscard]] std::string to_json() const;
 
   /// Copy every instrument's current merged value (registration order,
   /// stable across runs). Takes the registry lock once; worker shards that

@@ -8,9 +8,11 @@
 // campaign.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "sfi/telemetry.hpp"
 #include "store/merge.hpp"
 #include "store/reader.hpp"
+#include "store/trace_stitch.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace sfi::farm {
@@ -214,12 +217,11 @@ TEST(Farm, MetricsSnapshotsFeedFleetViewStoreUnchanged) {
   const avp::Testcase tc = small_testcase();
   inject::CampaignConfig cfg = small_campaign(40);
 
-  // Workers report cumulative 'M' frames every 4 injections; the
+  // With telemetry attached, workers report cumulative 'M' frames; the
   // coordinator folds them into the campaign telemetry's fleet view.
   inject::CampaignTelemetry tel;
   cfg.telemetry = &tel;
   FarmConfig fc = quick_farm(2);
-  fc.metrics_every = 4;
 
   TempFile out("metrics");
   const FarmResult r = run_farm_campaign(tc, cfg, out.path(), fc);
@@ -330,12 +332,179 @@ TEST(Farm, ResumeRefusesForeignStore) {
                store::StoreError);
 }
 
-TEST(Farm, WorkerMetricsCadenceDefaultIsFleetCadence) {
-  // Regression: `sfi worker` used to default --metrics-every to 0 while the
-  // farm coordinator and daemon defaulted to 32, so a hand-launched worker
-  // silently emitted no 'M' frames. The CLI now takes its default from
-  // WorkerOptions; pin the unified cadence here.
-  EXPECT_EQ(WorkerOptions{}.metrics_every, 32u);
+/// Frame-kind counts of each shard store a keep_shards run left next to
+/// `out` (one map per shard file); the files are removed.
+std::vector<std::map<u8, u64>> take_shard_frames(const std::string& out) {
+  const std::string prefix = store::store_sibling(out, ".w");
+  std::vector<std::map<u8, u64>> shards;
+  for (const auto& e : std::filesystem::directory_iterator(
+           std::filesystem::path(out).parent_path())) {
+    const std::string path = e.path().string();
+    if (!path.starts_with(prefix) || !path.ends_with(".sfr")) continue;
+    std::map<u8, u64> kinds;
+    {
+      store::StoreReader reader(path, {.tolerate_torn_tail = true});
+      u8 kind = 0;
+      std::vector<u8> payload;
+      while (reader.next_frame(kind, payload)) ++kinds[kind];
+    }
+    shards.push_back(std::move(kinds));
+    std::filesystem::remove(path);
+  }
+  return shards;
+}
+
+TEST(Farm, AttachedTelemetryDecidesWhatWorkersShip) {
+  const avp::Testcase tc = small_testcase();
+  FarmConfig fc = quick_farm(2);
+  fc.keep_shards = true;
+
+  // No telemetry: workers ship neither metrics nor spans.
+  {
+    TempFile out("ship_nothing");
+    const FarmResult r =
+        run_farm_campaign(tc, small_campaign(40), out.path(), fc);
+    ASSERT_TRUE(r.complete);
+    const auto shards = take_shard_frames(out.path());
+    ASSERT_EQ(shards.size(), 2u);
+    for (const auto& kinds : shards) {
+      EXPECT_EQ(kinds.count(store::kMetricsFrame), 0u);
+      EXPECT_EQ(kinds.count(store::kSpanFrame), 0u);
+    }
+  }
+
+  // Telemetry without the span plane: every worker ships metrics, the
+  // fleet counts every injection, and nobody ships spans.
+  {
+    inject::CampaignTelemetry tel;
+    inject::CampaignConfig cfg = small_campaign(40);
+    cfg.telemetry = &tel;
+    TempFile out("ship_metrics");
+    const FarmResult r = run_farm_campaign(tc, cfg, out.path(), fc);
+    ASSERT_TRUE(r.complete);
+    const auto shards = take_shard_frames(out.path());
+    ASSERT_EQ(shards.size(), 2u);
+    for (const auto& kinds : shards) {
+      EXPECT_GT(kinds.count(store::kMetricsFrame), 0u);
+      EXPECT_EQ(kinds.count(store::kSpanFrame), 0u);
+    }
+    EXPECT_EQ(tel.fleet_snapshot().counter_value("injections"), 40u);
+  }
+
+  // Span plane on, its book already carrying a trace id: workers ship
+  // spans too, under that id, and the sidecar alone stitches the
+  // coordinator's row with every worker's.
+  {
+    inject::CampaignTelemetry tel;
+    tel.enable_span_plane("sfi", /*trace_id=*/0xBEEF);
+    inject::CampaignConfig cfg = small_campaign(40);
+    cfg.telemetry = &tel;
+    TempFile out("ship_spans");
+    const FarmResult r = run_farm_campaign(tc, cfg, out.path(), fc);
+    ASSERT_TRUE(r.complete);
+    const auto shards = take_shard_frames(out.path());
+    ASSERT_EQ(shards.size(), 2u);
+    for (const auto& kinds : shards) {
+      EXPECT_GT(kinds.count(store::kMetricsFrame), 0u);
+      EXPECT_GT(kinds.count(store::kSpanFrame), 0u);
+    }
+    const std::string sidecar =
+        store::store_sibling(out.path(), store::kTraceSidecarSuffix);
+    for (const telemetry::SpanRecord& sp : store::read_spans(sidecar)) {
+      if (sp.cat == "shard.exec") {
+        EXPECT_EQ(sp.trace_id, 0xBEEFu);
+      }
+    }
+    const store::StitchResult st = store::stitch_trace(out.path());
+    EXPECT_EQ(st.files, 1u) << "the sidecar alone (shards are gone)";
+    EXPECT_GE(st.processes, 3u);
+    for (const char* row : {"\"sfi farm\"", "\"sfi worker 0\"",
+                            "\"sfi worker 1\""}) {
+      EXPECT_NE(st.json.find(row), std::string::npos) << row;
+    }
+    std::filesystem::remove(sidecar);
+  }
+}
+
+TEST(Farm, MetricsOutCountsTheFleet) {
+  const avp::Testcase tc = small_testcase();
+  inject::CampaignTelemetry tel;
+  inject::CampaignConfig cfg = small_campaign(40);
+  cfg.telemetry = &tel;
+  TempFile out("metrics_out");
+  const FarmResult r = run_farm_campaign(tc, cfg, out.path(), quick_farm(2));
+  ASSERT_TRUE(r.complete);
+
+  // The written file is the fleet view: the injections ran in the workers,
+  // and the coordinator's campaign gauges survive their snapshots.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "sfi_farm_metrics_out.json")
+          .string();
+  tel.write_metrics(path);
+  const std::vector<u8> bytes = slurp(path);
+  std::filesystem::remove(path);
+  const std::string json(bytes.begin(), bytes.end());
+  EXPECT_NE(json.find("\"injections\":40,"), std::string::npos) << json;
+  EXPECT_EQ(tel.fleet_snapshot().gauge_value("total_injections"), 40.0);
+}
+
+/// Every 'P' payload of a store, ordered by injection index.
+std::vector<std::vector<u8>> footprint_payloads(const std::string& path) {
+  std::vector<std::pair<u32, std::vector<u8>>> found;
+  store::StoreReader reader(path, {});
+  u8 kind = 0;
+  std::vector<u8> payload;
+  while (reader.next_frame(kind, payload)) {
+    if (kind != store::kPropagationFrame) continue;
+    found.emplace_back(store::decode_propagation(payload).index, payload);
+  }
+  std::sort(found.begin(), found.end());
+  std::vector<std::vector<u8>> out;
+  for (auto& [index, bytes] : found) out.push_back(std::move(bytes));
+  return out;
+}
+
+TEST(Farm, FootprintsSurviveTheMerge) {
+  const avp::Testcase tc = small_testcase();
+  inject::CampaignConfig cfg = small_campaign(40);
+  cfg.footprint.enabled = true;
+  cfg.footprint.vanished_sample = 4;
+
+  TempFile single("fp_single");
+  const sched::ScheduledResult ref =
+      sched::run_campaign_to_store(tc, cfg, single.path(), {});
+  ASSERT_GT(ref.footprints, 0u);
+
+  // A worker kill -9'd mid-shard: the footprints its committed records
+  // carried, and the retried remainder's, all reach the output.
+  FarmConfig fc = quick_farm(2);
+  fc.sabotage.crash_index = 13;
+  TempFile out("fp_farm");
+  const FarmResult r = run_farm_campaign(tc, cfg, out.path(), fc);
+  ASSERT_TRUE(r.complete);
+  EXPECT_GE(r.worker_crashes, 1u);
+  const std::vector<std::vector<u8>> farm_fps = footprint_payloads(out.path());
+  EXPECT_EQ(farm_fps.size(), ref.footprints);
+  EXPECT_EQ(farm_fps, footprint_payloads(single.path()));
+
+  // Footprints follow the records; the canonical merge drops them again.
+  TempFile canon_farm("fp_canon_farm"), canon_single("fp_canon_single");
+  (void)store::merge_stores({out.path()}, canon_farm.path());
+  (void)store::merge_stores({single.path()}, canon_single.path());
+  EXPECT_EQ(slurp(canon_farm.path()), slurp(canon_single.path()));
+}
+
+TEST(Farm, LaneShardsFollowTheDriverRule) {
+  const avp::Testcase tc = small_testcase();
+  inject::CampaignConfig cfg = small_campaign(40);
+  cfg.engine = inject::EngineKind::Lanes;
+  cfg.lanes = 16;  // above quick_farm's shard size of 8
+
+  TempFile out("lane_shards");
+  const FarmResult r = run_farm_campaign(tc, cfg, out.path(), quick_farm(2));
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.assignments, (40u + cfg.lanes - 1) / cfg.lanes);
+  EXPECT_EQ(slurp(out.path()), canonical_single_process(tc, cfg, "lanes"));
 }
 
 }  // namespace

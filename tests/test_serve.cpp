@@ -856,11 +856,5 @@ TEST(DaemonHttp, DisabledPlaneLeavesNoListener) {
   EXPECT_TRUE(h.request(R"({"op":"ping"})").get_bool("ok", false));
 }
 
-TEST(Serve, MetricsCadenceMatchesWorkerDefault) {
-  // One fleet cadence everywhere: daemon-spawned and hand-launched workers
-  // snapshot at the same rate (see test_farm's regression pin).
-  EXPECT_EQ(ServeConfig{}.metrics_every, farm::WorkerOptions{}.metrics_every);
-}
-
 }  // namespace
 }  // namespace sfi::serve

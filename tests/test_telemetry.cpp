@@ -252,7 +252,7 @@ TEST(Metrics, ToJsonCarriesEveryInstrument) {
   reg.add(c, 3);
   reg.set_gauge(g, 2.5);
   reg.observe(h, 1.5);
-  const std::string j = reg.to_json();
+  const std::string j = reg.snapshot().to_json();
   EXPECT_NE(j.find("\"hits\":3"), std::string::npos);
   EXPECT_NE(j.find("\"level\":2.5"), std::string::npos);
   EXPECT_NE(j.find("\"lat\""), std::string::npos);
@@ -483,6 +483,21 @@ TEST(CampaignTelemetry, FleetSnapshotFoldsWorkerReports) {
   tel.note_worker_snapshot(0, 1, w0g1);
   EXPECT_EQ(tel.fleet_workers(), 3u);
   EXPECT_EQ(tel.fleet_snapshot().counter_value("injections"), 35u);
+}
+
+TEST(CampaignTelemetry, CoordinatorGaugesSurviveWorkerSnapshots) {
+  inject::CampaignTelemetry tel;
+  tel.campaign_start("campaign", /*seed=*/1, /*total=*/500, /*resumed=*/0);
+
+  // Workers never set the campaign-level gauges; their snapshots carry 0.
+  telemetry::MetricsSnapshot w;
+  w.counters.emplace_back("injections", 7);
+  w.gauges.emplace_back("total_injections", 0.0);
+  tel.note_worker_snapshot(0, 1, w);
+
+  const telemetry::MetricsSnapshot fleet = tel.fleet_snapshot();
+  EXPECT_EQ(fleet.counter_value("injections"), 7u);
+  EXPECT_EQ(fleet.gauge_value("total_injections"), 500.0);
 }
 
 TEST(CampaignTelemetry, EventSamplingThinsInjectionRecords) {

@@ -295,7 +295,7 @@ TEST(FarmTracePlane, SidecarStitchesAndStoreBytesIdentical) {
     fc.shard_size = 8;
     fc.watchdog_seconds = 20.0;
     fc.poll_seconds = 0.005;
-    fc.trace_spans = spans;
+    if (spans) tel.enable_span_plane("sfi", /*trace_id=*/0);
     fc.sabotage.crash_index = 5;  // one kill -9 mid-shard => retry spans
     const farm::FarmResult r =
         farm::run_farm_campaign(tc, run_cfg, out.path(), fc);

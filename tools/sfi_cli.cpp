@@ -73,29 +73,29 @@
 //                         (attempt 0 only, so the retry succeeds)
 //   --sabotage-wedge I    test hook: worker spins forever at index I
 //   --sabotage-wedge-once wedge only on attempt 0 (watchdog drill)
-//   --metrics-every N     workers serialize a cumulative metrics snapshot
-//                         ('M' frame) into their shard store every N
-//                         injections (default 32 — same as sfi serve;
-//                         0 = off); the coordinator folds them into its
-//                         fleet metrics view. Observability-only: the
-//                         canonical merge drops 'M' frames, so the merged
-//                         store is byte-identical either way
-//   --trace-spans         distributed trace: every process records spans
-//                         ('S' frames) — dispatch, retries, per-shard
-//                         execution, tail-latency exemplar injections —
-//                         teed into a <out>.trace.sfr sidecar that
-//                         `sfi trace <out>.sfr` stitches into one
-//                         Perfetto timeline. Merge drops 'S' frames, so
-//                         the canonical store stays byte-identical
+//   --trace-spans         turn the span plane on (as --chrome-trace does)
+//                         without writing a trace file: in farm mode every
+//                         process records spans ('S' frames) — dispatch,
+//                         retries, per-shard execution, tail-latency
+//                         exemplar injections — teed into a <out>.trace.sfr
+//                         sidecar that `sfi trace <out>.sfr` stitches into
+//                         one Perfetto timeline
 //   --postmortem FILE     crash flight recorder: keep recent telemetry
 //                         lines in a fixed in-memory ring and dump them to
 //                         FILE on a fatal signal; in farm mode also dumped
 //                         after every supervision failure (worker crash,
 //                         watchdog kill, strikeout)
+//   What workers ship follows the telemetry options: with any of them,
+//   workers send cumulative metrics snapshots ('M' frames, every 32
+//   injections) to the coordinator's fleet metrics; with the span plane on,
+//   spans too. Merge drops 'M' and 'S' frames, so the canonical store is
+//   byte-identical either way
 // Worker options (`sfi worker`; campaign flags same as the coordinator):
 //   --shard-store FILE    shard store this worker appends to (required)
 //   --worker-id N         id stamped into heartbeat/assignment frames
-//   --metrics-every N     as above (appended by the coordinator)
+//   --ship-metrics        ship 'M' metrics snapshots (appended by the
+//                         coordinator when it has campaign telemetry)
+//   --trace-spans         ship 'S' spans (appended when its span plane is on)
 // Propagation forensics (campaign; records/store R frames stay byte-identical
 // with these on — footprints are extra 'P' frames older readers skip):
 //   --footprint           trace infection footprints: every non-Vanished
@@ -123,8 +123,8 @@
 //                         sampled per-injection records)
 //   --chrome-trace FILE   write a Chrome-trace/Perfetto timeline rendered
 //                         from the span plane (one track per worker, shard
-//                         spans, tail-latency exemplar phase slices); load
-//                         it in chrome://tracing
+//                         spans, tail-latency exemplar phase slices; farm
+//                         worker rows too); load it in chrome://tracing
 //   --telemetry-sample N  keep every Nth per-injection event-log record
 //                         (default 1 = all; lifecycle events are never
 //                         sampled away, and trace slices follow the span
@@ -149,8 +149,6 @@
 //                         early-stop gauges), /healthz and /campaigns
 //                         (JSON), /trace?campaign=N (live Trace Event JSON
 //                         of the campaign's distributed span plane)
-//   --metrics-every N     farm-worker snapshot cadence for daemon campaigns
-//                         while --http is on (default 32; 0 = off)
 // Top options (`sfi top`; a terminal dashboard over the HTTP plane):
 //   --http ADDR           daemon HTTP address to poll (required)
 //   --interval SECS       refresh period (default 2)
@@ -272,7 +270,8 @@ const std::set<std::string>& flag_options() {
       "raw",       "resume",      "progress",
       "footprint", "footprint-every-cycle",
       "keep-shards", "sabotage-wedge-once",
-      "wait", "json", "stratify-unit", "once", "trace-spans"};
+      "wait", "json", "stratify-unit", "once", "trace-spans",
+      "ship-metrics"};
   return flags;
 }
 
@@ -546,18 +545,17 @@ TelemetrySinks make_telemetry(const Args& a) {
   // holds lines the telemetry layer emits, so without one the dump would
   // always be empty.
   const bool postmortem = a.str("postmortem").has_value();
-  // --trace-spans needs the facade too: the span plane hangs off
-  // CampaignTelemetry (the farm coordinator enables it there).
-  const bool trace_spans = a.flag("trace-spans");
-  if (!s.metrics_out && !s.trace_out && !events_out && !s.progress &&
-      !postmortem && !trace_spans) {
+  const bool spans = s.trace_out || a.flag("trace-spans");
+  if (!s.metrics_out && !events_out && !s.progress && !postmortem &&
+      !spans) {
     return s;
   }
   s.tel = std::make_unique<inject::CampaignTelemetry>(
       inject::TelemetryConfig{.event_sample = sample});
   if (events_out) s.tel->open_event_log(*events_out);
-  // A single-process run renders as a stitched trace with one process row.
-  if (s.trace_out) s.tel->enable_span_plane("sfi", /*trace_id=*/0);
+  // A single-process run renders as a stitched trace with one process row;
+  // a farm coordinator renames its row and gives the book a trace id.
+  if (spans) s.tel->enable_span_plane("sfi", /*trace_id=*/0);
   return s;
 }
 
@@ -682,7 +680,7 @@ std::vector<std::string> worker_command_from_args(const Args& a) {
       "sticky",        "ckpt-interval",    "ckpt-mem",
       "footprint-sample", "footprint-window",
       "engine",        "lanes",
-      "sabotage-crash", "sabotage-wedge",  "metrics-every"};
+      "sabotage-crash", "sabotage-wedge"};
   static const std::set<std::string> keep_flags = {
       "raw", "footprint", "footprint-every-cycle", "sabotage-wedge-once"};
   std::vector<std::string> cmd = {farm::self_exe(), "worker"};
@@ -704,27 +702,15 @@ int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
                       const std::string& out, const TelemetrySinks& sinks) {
   farm::FarmConfig fc;
   fc.workers = a.num_u32("workers", 2);
-  // Fleet metrics on by default (cadence 32), matching `sfi serve`: the
-  // coordinator's progress line and any scraper get the same fleet view a
-  // daemon campaign would. 'M' frames are merge-dropped, so the canonical
-  // store is byte-identical either way.
-  fc.metrics_every = a.num_u32("metrics-every", 32);
   if (const auto hosts = a.str("farm")) {
     fc.hosts = farm::parse_hosts_file(*hosts);
     fc.worker_command = worker_command_from_args(a);
-    if (a.opts.count("metrics-every") == 0 && fc.metrics_every > 0) {
-      // The whitelist only forwards flags the user typed; the default
-      // cadence has to reach exec workers explicitly.
-      fc.worker_command.push_back("--metrics-every");
-      fc.worker_command.push_back(std::to_string(fc.metrics_every));
-    }
   }
   fc.shard_size = a.num_u32("shard-size", 64);
   fc.max_strikes = a.num_u32("strikes", 3);
   fc.watchdog_seconds = static_cast<double>(a.num("watchdog", 30));
   fc.sabotage = sabotage_from_args(a);
   fc.keep_shards = a.flag("keep-shards");
-  fc.trace_spans = a.flag("trace-spans");
   fc.postmortem_path = postmortem_from_args(a);
   install_stop_handler();
   fc.should_stop = [] { return g_stop_requested != 0; };
@@ -764,7 +750,7 @@ int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
     for (const u32 i : r.harness_fatal) std::cout << " " << i;
     std::cout << "\n";
   }
-  if (fc.trace_spans) {
+  if (sinks.tel && sinks.tel->spans() != nullptr) {
     std::cout << "trace sidecar: "
               << store::store_sibling(out, store::kTraceSidecarSuffix)
               << " (stitch with `sfi trace " << out << "`)\n";
@@ -797,12 +783,8 @@ int cmd_worker(const Args& a) {
   wo.shard_path = *shard;
   wo.control_fd = 0;  // assignments arrive on stdin
   wo.sabotage = sabotage_from_args(a);
-  // Same default cadence as the farm coordinator and `sfi serve` (32): a
-  // worker launched without the flag used to silently disable snapshots,
-  // starving the coordinator's fleet metrics view of exec-spawned workers.
-  wo.metrics_every =
-      a.num_u32("metrics-every", farm::WorkerOptions{}.metrics_every);
-  wo.trace_spans = a.flag("trace-spans");
+  wo.ship_metrics = a.flag("ship-metrics");
+  wo.ship_spans = a.flag("trace-spans");
   return farm::run_worker(tc, cfg, wo);
 }
 
@@ -1384,7 +1366,6 @@ int cmd_serve(const Args& a) {
   sc.max_active = a.num_u32("max-active", 2);
   sc.default_threads = a.num_u32("campaign-threads", 1);
   if (const auto h = a.str("http")) sc.http = *h;
-  sc.metrics_every = a.num_u32("metrics-every", 32);
   install_stop_handler();
   sc.should_stop = [] { return g_stop_requested != 0; };
   serve::Daemon d(sc);
