@@ -286,6 +286,13 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       argv.push_back(std::to_string(s.id));
       if (tel != nullptr) argv.push_back("--ship-metrics");
       if (spans_on) argv.push_back("--trace-spans");
+      if (const auto i = farm.sabotage.crash_index) {
+        argv.insert(argv.end(), {"--sabotage-crash", std::to_string(*i)});
+      }
+      if (const auto i = farm.sabotage.wedge_index) {
+        argv.insert(argv.end(), {"--sabotage-wedge", std::to_string(*i)});
+      }
+      if (farm.sabotage.wedge_once) argv.push_back("--sabotage-wedge-once");
       s.proc = spawn_exec(argv);
     } else {
       const WorkerOptions wo{s.id,          s.shard_path,

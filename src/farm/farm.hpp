@@ -16,7 +16,10 @@
 // Supervision policy:
 //   * crash (unexpected exit) or watchdog expiry (no committed frame for
 //     watchdog_seconds) kills the worker; its unfinished indices requeue
-//     with exponential backoff and a fresh worker takes the slot.
+//     with exponential backoff. A fresh worker takes the slot only when
+//     there is work for it: a dead slot is respawned when the dispatch pass
+//     hands it a shard, so with several slots a live worker may take the
+//     retry instead.
 //   * the culprit index (last heartbeat without a committed record) takes a
 //     strike; at max_strikes it is recorded as Outcome::HarnessFatal and
 //     excluded — graceful degradation instead of a sunk campaign.
@@ -52,10 +55,11 @@ struct FarmConfig {
   /// Fork-call worker count; ignored when `hosts` is non-empty.
   u32 workers = 2;
   std::vector<HostSlot> hosts;
-  /// Exec-mode worker command (binary + `worker` verb + campaign flags,
-  /// without --shard-store/--worker-id, which the coordinator appends).
-  /// Required when `hosts` is non-empty; built by the CLI so the worker
-  /// sees exactly the flags the coordinator was invoked with.
+  /// Exec-mode worker command (binary + `worker` verb + campaign flags;
+  /// serve::worker_command builds it from the campaign spec). The
+  /// coordinator appends the worker protocol flags: --shard-store,
+  /// --worker-id, what to ship, and the sabotage hooks. Required when
+  /// `hosts` is non-empty.
   std::vector<std::string> worker_command;
   /// Injections per assignment, grown to the lane batch width under the
   /// lane engine (inject::campaign_shard_size — the driver's rule).
@@ -70,8 +74,7 @@ struct FarmConfig {
   double backoff_base_seconds = 0.25;
   double backoff_cap_seconds = 10.0;
   double poll_seconds = 0.02;
-  /// Test hook forwarded to fork-call workers (exec workers receive theirs
-  /// via worker_command flags).
+  /// Test hook forwarded to every worker (to exec workers as flags).
   SabotageConfig sabotage;
   /// Cooperative stop (SIGINT/SIGTERM): stop dispatching, kill in-flight
   /// workers (their committed records survive), merge what exists.

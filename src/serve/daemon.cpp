@@ -15,12 +15,10 @@
 #include <iterator>
 #include <sstream>
 
-#include "avp/testgen.hpp"
 #include "common/check.hpp"
 #include "farm/farm.hpp"
 #include "farm/process.hpp"
 #include "sched/scheduler.hpp"
-#include "sfi/engine.hpp"
 #include "sfi/telemetry.hpp"
 #include "store/reader.hpp"
 #include "store/trace_stitch.hpp"
@@ -149,35 +147,6 @@ void write_file_atomically(const std::string& path,
     out << contents;
   }
   fs::rename(tmp, path);
-}
-
-/// The one reader of a CampaignSpec from JSON — a submit request or a
-/// manifest — defaulting every absent field to CampaignSpec's own default.
-/// An unknown inj_engine keeps the default; submit rejects it separately.
-CampaignSpec parse_spec(const Json& j) {
-  CampaignSpec spec;
-  spec.tenant = j.get_str("tenant", spec.tenant);
-  spec.seed = j.get_u64("seed", spec.seed);
-  spec.testcase_seed = j.get_u64("testcase_seed", spec.testcase_seed);
-  spec.instructions =
-      static_cast<u32>(j.get_u64("instructions", spec.instructions));
-  spec.n = static_cast<u32>(j.get_u64("n", spec.n));
-  spec.target.confidence = j.get_num("confidence", spec.target.confidence);
-  spec.target.half_width = j.get_num("half_width", spec.target.half_width);
-  spec.target.by_unit = j.get_bool("by_unit", spec.target.by_unit);
-  spec.threads = static_cast<u32>(j.get_u64("threads", spec.threads));
-  spec.workers = static_cast<u32>(j.get_u64("workers", spec.workers));
-  spec.shard_size = std::max<u32>(
-      1, static_cast<u32>(j.get_u64("shard_size", spec.shard_size)));
-  spec.flush_records = std::max<u32>(
-      1, static_cast<u32>(j.get_u64("flush_records", spec.flush_records)));
-  if (const auto kind = inject::parse_engine(
-          j.get_str("inj_engine", inject::engine_name(spec.engine)))) {
-    spec.engine = *kind;
-  }
-  spec.lanes =
-      std::max<u32>(1, static_cast<u32>(j.get_u64("lanes", spec.lanes)));
-  return spec;
 }
 
 constexpr std::size_t kMaxRequestBytes = 1 << 20;
@@ -327,23 +296,10 @@ void Daemon::write_manifest(const Campaign& c) {
   telemetry::JsonWriter w;
   w.begin_object()
       .field("id", c.id)
-      .field("tenant", c.spec.tenant)
       .field("state", c.failed ? std::string_view("failed")
-                               : to_string(c.state))
-      .field("seed", c.spec.seed)
-      .field("testcase_seed", c.spec.testcase_seed)
-      .field("instructions", c.spec.instructions)
-      .field("n", c.spec.n)
-      .field("confidence", c.spec.target.confidence)
-      .field("half_width", c.spec.target.half_width)
-      .field("by_unit", c.spec.target.by_unit)
-      .field("threads", c.spec.threads)
-      .field("workers", c.spec.workers)
-      .field("shard_size", c.spec.shard_size)
-      .field("flush_records", c.spec.flush_records)
-      .field("inj_engine", inject::engine_name(c.spec.engine))
-      .field("lanes", c.spec.lanes)
-      .field("early_stop", c.early_stop.load())
+                               : to_string(c.state));
+  write_spec(w, c.spec, /*all=*/true);
+  w.field("early_stop", c.early_stop.load())
       .field("stop_point", c.stop_point)
       .field("records", c.records)
       .field("complete", c.complete)
@@ -367,18 +323,22 @@ void Daemon::adopt_state_dir() {
   std::lock_guard lk(mu_);
   for (const fs::path& path : manifests) {
     Json m;
+    CampaignSpec spec;
     try {
       std::ifstream in(path, std::ios::binary);
       const std::string text{std::istreambuf_iterator<char>(in),
                              std::istreambuf_iterator<char>()};
       m = Json::parse(text);
+      spec = spec_from_json(m);
     } catch (const std::exception&) {
-      continue;  // unreadable manifest: leave the files alone, don't adopt
+      // Unreadable manifest, or a spec that fails validation: leave the
+      // files alone, don't adopt.
+      continue;
     }
     const u64 id = m.get_u64("id", 0);
     if (id == 0 || campaigns_.count(id) != 0) continue;
 
-    auto c = std::make_unique<Campaign>(id, parse_spec(m), cfg_.state_dir);
+    auto c = std::make_unique<Campaign>(id, std::move(spec), cfg_.state_dir);
     c->manifest_path = path.string();
     c->store_path = m.get_str("store", c->store_path);
     c->records = m.get_u64("records", 0);
@@ -490,26 +450,19 @@ void Daemon::run_one(Campaign& c) {
       book->slice("admission wait", "serve.admission", t0,
                   book->now_us() - t0, 0, args.str());
     }
-    avp::TestcaseConfig tcfg;
-    tcfg.seed = c.spec.testcase_seed;
-    tcfg.num_instructions = c.spec.instructions;
-    const avp::Testcase tc = avp::generate_testcase(tcfg);
-
-    inject::CampaignConfig cfg;
-    cfg.seed = c.spec.seed;
-    cfg.num_injections = c.spec.n;
-    cfg.engine = c.spec.engine;
-    cfg.lanes = c.spec.lanes;
+    // The same conversion `sfi campaign` runs: every option in the spec.
+    CampaignRun run = campaign_run(c.spec);
+    const avp::Testcase tc = avp::generate_testcase(run.testcase);
     // Observability only: telemetry never feeds back into execution, so the
     // store bytes are identical with the plane on or off.
-    cfg.telemetry = c.tel.get();
+    run.config.telemetry = c.tel.get();
+    const StopTarget target = c.spec.target();
     if (c.tel != nullptr) {
-      c.tel->set_stop_target(c.spec.target.confidence,
-                             c.spec.target.half_width);
+      c.tel->set_stop_target(target.confidence, target.half_width);
     }
 
     std::mutex mon_mu;
-    StopMonitor monitor(c.spec.n, c.spec.target);
+    StopMonitor monitor(c.spec.n, target);
     // The one durable-record feed, on both execution paths: inherited
     // records at resume, then each record right after the flush (scheduler)
     // or commit marker (farm) that makes it durable.
@@ -528,10 +481,10 @@ void Daemon::run_one(Campaign& c) {
         return;
       }
       last_interval = now;
-      const double widest = widest_half_width(monitor.agg(), c.spec.target);
+      const double widest = widest_half_width(monitor.agg(), target);
       const u64 committed = monitor.committed();
       std::vector<StratumInterval> strata =
-          stratum_intervals(monitor.agg(), c.spec.target);
+          stratum_intervals(monitor.agg(), target);
       {
         std::lock_guard lk(mu_);
         c.committed = committed;
@@ -545,8 +498,8 @@ void Daemon::run_one(Campaign& c) {
           .field("id", c.id)
           .field("committed", committed)
           .field("widest_half_width", widest)
-          .field("target_half_width", c.spec.target.half_width)
-          .field("confidence", c.spec.target.confidence)
+          .field("target_half_width", target.half_width)
+          .field("confidence", target.confidence)
           .field("met", monitor.met())
           .end_object();
       emit(c, w.str());
@@ -587,8 +540,8 @@ void Daemon::run_one(Campaign& c) {
             .field("t_us", now_us())
             .field("id", c.id)
             .field("committed", monitor.committed())
-            .field("target_half_width", c.spec.target.half_width)
-            .field("confidence", c.spec.target.confidence)
+            .field("target_half_width", target.half_width)
+            .field("confidence", target.confidence)
             .end_object();
         emit(c, w.str());
         return true;
@@ -621,15 +574,7 @@ void Daemon::run_one(Campaign& c) {
     if (c.farm()) {
       farm::FarmConfig fc;
       fc.hosts = {{"localhost", c.spec.workers}};
-      fc.worker_command = {
-          cfg_.worker_binary.empty() ? farm::self_exe() : cfg_.worker_binary,
-          "worker",
-          "--seed", std::to_string(c.spec.seed),
-          "--testcase-seed", std::to_string(c.spec.testcase_seed),
-          "--instructions", std::to_string(c.spec.instructions),
-          "--n", std::to_string(c.spec.n),
-          "--engine", inject::engine_name(c.spec.engine),
-          "--lanes", std::to_string(c.spec.lanes)};
+      fc.worker_command = worker_command(c.spec);
       if (cfg_.flight_recorder_slots > 0) {
         fc.postmortem_path = c.store_path + ".postmortem.jsonl";
       }
@@ -640,18 +585,14 @@ void Daemon::run_one(Campaign& c) {
       fc.should_stop = stop_fn;
       fc.on_progress = progress_fn;
       fc.on_record = on_record;
-      (void)farm::run_farm_campaign(tc, cfg, c.store_path, fc,
+      (void)farm::run_farm_campaign(tc, run.config, c.store_path, fc,
                                     /*resume=*/true);
     } else {
-      sched::SchedulerConfig sc;
-      sc.threads =
-          c.spec.threads != 0 ? c.spec.threads : cfg_.default_threads;
-      sc.shard_size = c.spec.shard_size;
-      sc.flush_records = c.spec.flush_records;
+      sched::SchedulerConfig& sc = run.sched;
       sc.should_stop = stop_fn;
       sc.on_progress = progress_fn;
       sc.on_record = on_record;
-      (void)sched::run_campaign_to_store(tc, cfg, c.store_path, sc,
+      (void)sched::run_campaign_to_store(tc, run.config, c.store_path, sc,
                                          /*resume=*/true);
     }
     finalize(c, /*failed=*/false, "");
@@ -710,8 +651,8 @@ void Daemon::finalize(Campaign& c, bool failed, const std::string& error) {
     c.committed = records;
     if (early) c.stop_point = records;
     if (!failed) {
-      c.widest_hw = widest_half_width(agg, c.spec.target);
-      c.strata = stratum_intervals(agg, c.spec.target);
+      c.widest_hw = widest_half_width(agg, c.spec.target());
+      c.strata = stratum_intervals(agg, c.spec.target());
     }
     // Interrupted (daemon shutdown before the target or N was reached):
     // stays Running on disk, so the next daemon requeues and resumes it.
@@ -752,8 +693,8 @@ std::string Daemon::finish_event_json(
       .field("complete", c.complete)
       .field("early_stop", c.early_stop.load())
       .field("stop_point", c.stop_point)
-      .field("confidence", c.spec.target.confidence)
-      .field("target_half_width", c.spec.target.half_width)
+      .field("confidence", c.spec.confidence)
+      .field("target_half_width", c.spec.half_width)
       .field("store", c.store_path);
   w.key("counts").begin_object();
   for (const inject::Outcome o : inject::kAllOutcomes) {
@@ -761,7 +702,7 @@ std::string Daemon::finish_event_json(
   }
   w.end_object();
   w.key("strata").begin_array();
-  for (const StratumInterval& s : stratum_intervals(agg, c.spec.target)) {
+  for (const StratumInterval& s : stratum_intervals(agg, c.spec.target())) {
     w.begin_object()
         .field("stratum", s.stratum)
         .field("count", s.count)
@@ -978,17 +919,12 @@ void Daemon::handle_line(Conn& conn, const std::string& line) {
 }
 
 void Daemon::handle_submit(Conn& conn, const Json& req) {
-  const CampaignSpec spec = parse_spec(req);
-  const std::string engine = req.get_str("inj_engine", "scalar");
+  CampaignSpec spec;
   std::string problem;
-  if (!inject::parse_engine(engine)) {
-    problem = "unknown inj_engine '" + engine + "' (scalar|lanes)";
-  }
-  if (spec.n == 0) problem = "n must be >= 1";
-  if (spec.instructions == 0) problem = "instructions must be >= 1";
-  if (!(spec.target.half_width > 0.0)) problem = "half_width must be > 0";
-  if (!(spec.target.confidence > 0.0 && spec.target.confidence < 1.0)) {
-    problem = "confidence must be in (0,1)";
+  try {
+    spec = spec_from_json(req);
+  } catch (const SpecError& e) {
+    problem = e.what();
   }
   if (stopping_.load()) problem = "daemon is shutting down";
   if (!problem.empty()) {
@@ -1014,8 +950,8 @@ void Daemon::handle_submit(Conn& conn, const Json& req) {
         .field("id", id)
         .field("tenant", spec.tenant)
         .field("n", spec.n)
-        .field("confidence", spec.target.confidence)
-        .field("half_width", spec.target.half_width)
+        .field("confidence", spec.confidence)
+        .field("half_width", spec.half_width)
         .field("price", spec.price())
         .field("workers", spec.workers)
         .end_object();
@@ -1184,8 +1120,8 @@ std::vector<Daemon::CampaignView> Daemon::campaign_views() {
                      c->spec.n,
                      c->state == CampaignState::Done ? c->records
                                                      : c->live_done.load(),
-                     c->committed, c->spec.target.confidence,
-                     c->spec.target.half_width, c->widest_hw,
+                     c->committed, c->spec.confidence,
+                     c->spec.half_width, c->widest_hw,
                      c->early_stop.load(), c->stop_point, c->complete,
                      c->spec.price(), c->store_path, c->strata, c->tel});
   }

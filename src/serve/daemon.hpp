@@ -47,38 +47,13 @@
 #include <thread>
 #include <vector>
 
+#include "serve/spec.hpp"
 #include "serve/stop.hpp"
 #include "serve/wire.hpp"
 #include "sfi/campaign.hpp"
 #include "telemetry/events.hpp"
 
 namespace sfi::serve {
-
-/// One submitted campaign's parameters (the "submit" request body).
-struct CampaignSpec {
-  std::string tenant = "default";
-  u64 seed = 42;
-  u64 testcase_seed = 2026;
-  u32 instructions = 160;
-  u32 n = 1000;  ///< fixed-N ceiling; early stop may finish well short of it
-  StopTarget target;
-  u32 threads = 0;  ///< 0: daemon default (1, for deterministic stop points)
-  u32 workers = 0;  ///< >0: run on the farm with this many worker processes
-  u32 shard_size = 16;
-  u32 flush_records = 8;
-  /// Injection engine ("inj_engine" on the wire — "engine" in status rows
-  /// already names the dispatch mode, farm/sched). Outcome-neutral: stores
-  /// resume under either engine, so adoption never has to re-check it.
-  inject::EngineKind engine = inject::EngineKind::Scalar;
-  u32 lanes = 64;  ///< lane-engine batch width (ignored by scalar)
-
-  /// Queue price: estimated work before any simulation runs. Injections x
-  /// workload instructions is proportional to replayed cycles for a fixed
-  /// design, which is all fair-share needs.
-  [[nodiscard]] u64 price() const {
-    return static_cast<u64>(n) * instructions;
-  }
-};
 
 enum class CampaignState : u8 {
   Queued,   ///< submitted, waiting for a slot
@@ -96,19 +71,11 @@ struct ServeConfig {
   std::string state_dir;
   /// Campaigns running concurrently; queued beyond that.
   u32 max_active = 2;
-  /// Scheduler threads per campaign when the submission leaves it 0. The
-  /// default of 1 keeps early-stop points deterministic: a single worker
-  /// claims the cycle-sorted dispatch order as an exact prefix, so a
-  /// daemon-run campaign stopped at k records is byte-identical (after
-  /// canonical merge) to `sfi campaign --threads 1 --max-new k`.
-  u32 default_threads = 1;
   /// IO loop poll interval.
   double poll_seconds = 0.02;
   /// External stop (the CLI wires SIGINT/SIGTERM here). Running campaigns
   /// wind down cleanly and stay resumable.
   std::function<bool()> should_stop;
-  /// Binary for farm-mode worker processes; empty uses this executable.
-  std::string worker_binary;
   /// HTTP observability listener (wire::parse_address grammar; `tcp:0`
   /// binds an ephemeral port — read it back via http_address()). Empty:
   /// HTTP plane off. Serves GET /metrics (Prometheus 0.0.4 text exposition

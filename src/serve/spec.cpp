@@ -1,0 +1,285 @@
+#include "serve/spec.hpp"
+
+#include <algorithm>
+#include <array>
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cstdlib>
+#include <limits>
+
+#include "farm/process.hpp"
+#include "sfi/engine.hpp"
+
+namespace sfi::serve {
+
+namespace {
+
+using S = CampaignSpec;
+
+[[noreturn]] void invalid(std::string_view what, std::string_view text,
+                          const std::string& why) {
+  throw SpecError("invalid value for " + std::string(what) + ": '" +
+                  std::string(text) + "' (" + why + ")");
+}
+
+std::string real_text(double v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
+}
+
+/// An unsigned integer in [min, max] (max defaults to what fits the
+/// member). With `zero_keeps_default`, 0 leaves the member as it is: for
+/// threads, 0 has always meant "the runner's default".
+template <class T>
+SpecOption count(std::string_view flag, std::string_view key, bool exec,
+                 T S::*m, T dflt, T min = 0,
+                 T max = std::numeric_limits<T>::max(),
+                 bool zero_keeps_default = false) {
+  return {flag, key, exec, SpecKind::Number, std::to_string(dflt),
+          [m](const S& s) { return std::to_string(s.*m); },
+          [=](S& s, std::string_view what, const std::string& text) {
+            const u64 v = parse_count(what, text);
+            if (v == 0 && zero_keeps_default) return;
+            if (v < min || v > max) {
+              invalid(what, text,
+                      "must be in [" + std::to_string(min) + ", " +
+                          std::to_string(max) + "]");
+            }
+            s.*m = static_cast<T>(v);
+          }};
+}
+
+/// A real strictly between `above` and `below`.
+SpecOption real(std::string_view flag, std::string_view key, double S::*m,
+                double dflt, double above, double below) {
+  return {flag, key, false, SpecKind::Number, real_text(dflt),
+          [m](const S& s) { return real_text(s.*m); },
+          [=](S& s, std::string_view what, const std::string& text) {
+            const double v = parse_real(what, text);
+            if (!(v > above && v < below)) {
+              invalid(what, text,
+                      "must be in (" + real_text(above) + ", " +
+                          real_text(below) + ")");
+            }
+            s.*m = v;
+          }};
+}
+
+/// A bare flag: off unless given.
+SpecOption flag_on(std::string_view flag, std::string_view key, bool exec,
+                   bool S::*m) {
+  return {flag, key, exec, SpecKind::Switch, "",
+          [m](const S& s) { return std::string(s.*m ? "true" : ""); },
+          [m](S& s, std::string_view, const std::string&) { s.*m = true; }};
+}
+
+/// Text: the default or one of `names` (any text when there are none).
+SpecOption text(std::string_view flag, std::string_view key, bool exec,
+                std::string S::*m, const std::string& dflt,
+                std::vector<std::string> names) {
+  return {flag, key, exec, SpecKind::Text, dflt,
+          [m](const S& s) { return s.*m; },
+          [=](S& s, std::string_view what, const std::string& v) {
+            if (!names.empty() && v != dflt &&
+                std::find(names.begin(), names.end(), v) == names.end()) {
+              std::string known;
+              for (const std::string& n : names) known += "|" + n;
+              invalid(what, v, "expected one of " + known.substr(1));
+            }
+            s.*m = v;
+          }};
+}
+
+template <class E, std::size_t N>
+std::vector<std::string> names_of(const std::array<E, N>& all) {
+  std::vector<std::string> names;
+  for (const E v : all) names.emplace_back(to_string(v));
+  return names;
+}
+
+}  // namespace
+
+const std::vector<SpecOption>& spec_options() {
+  static const std::vector<SpecOption> rows = [] {
+    const inject::CampaignConfig cc;
+    const StopTarget st;
+    const auto any = ~u32{0};
+    return std::vector<SpecOption>{
+        text("tenant", "tenant", false, &S::tenant, "default", {}),
+        count("seed", "seed", true, &S::seed, cc.seed),
+        count<u64>("testcase-seed", "testcase_seed", true, &S::testcase_seed,
+                   2026),
+        count("instructions", "instructions", true, &S::instructions,
+              avp::TestcaseConfig{}.num_instructions, 1u),
+        count<u32>("n", "n", true, &S::n, 1000, 1),
+        // The daemon's stop granularity: one scheduler thread claims the
+        // cycle-sorted order as an exact prefix, so a campaign stopped at k
+        // records is byte-identical (after canonical merge) to `sfi
+        // campaign --threads 1 --max-new k --shard-size 16 --flush 8`.
+        count<u32>("threads", "threads", false, &S::threads, 1, 1, any, true),
+        count<u32>("workers", "workers", false, &S::workers, 0),
+        count<u32>("shard-size", "shard_size", false, &S::shard_size, 16, 1),
+        count<u32>("flush", "flush_records", false, &S::flush_records, 8, 1),
+        real("confidence", "confidence", &S::confidence, st.confidence, 0.0,
+             1.0),
+        real("half-width", "half_width", &S::half_width, st.half_width, 0.0,
+             std::numeric_limits<double>::infinity()),
+        flag_on("stratify-unit", "by_unit", false, &S::by_unit),
+        text("engine", "inj_engine", true, &S::engine,
+             inject::engine_name(cc.engine),
+             {inject::engine_name(inject::EngineKind::Scalar),
+              inject::engine_name(inject::EngineKind::Lanes)}),
+        count("lanes", "lanes", true, &S::lanes, cc.lanes, 1u),
+        flag_on("raw", "raw", true, &S::raw),
+        text("unit", "unit", true, &S::unit, "", names_of(netlist::kAllUnits)),
+        text("type", "type", true, &S::type, "",
+             names_of(netlist::kAllLatchTypes)),
+        count<u64>("sticky", "sticky", true, &S::sticky, 0),
+        count("ckpt-interval", "ckpt_interval", true, &S::ckpt_interval,
+              cc.ckpt_interval),
+        count("ckpt-mem", "ckpt_mem", true, &S::ckpt_mem,
+              cc.ckpt_memory_budget >> 20, u64{0}, ~u64{0} >> 20),
+        flag_on("footprint", "footprint", true, &S::footprint),
+        count("footprint-sample", "footprint_sample", true,
+              &S::footprint_sample, cc.footprint.vanished_sample),
+        count("footprint-window", "footprint_window", true,
+              &S::footprint_window, cc.footprint.max_trace_cycles),
+        flag_on("footprint-every-cycle", "footprint_every_cycle", true,
+                &S::footprint_every_cycle),
+    };
+  }();
+  return rows;
+}
+
+CampaignSpec::CampaignSpec() {
+  for (const SpecOption& row : spec_options()) {
+    if (!row.bare()) row.set(*this, row.flag, row.dflt);
+  }
+}
+
+u64 parse_count(std::string_view what, const std::string& text) {
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    invalid(what, text, "expected an unsigned integer");
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+  if (errno == ERANGE) invalid(what, text, "out of range for a 64-bit value");
+  if (end != text.c_str() + text.size()) {
+    invalid(what, text, "trailing characters after the number");
+  }
+  return v;
+}
+
+double parse_real(std::string_view what, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) {
+    invalid(what, text, "expected a number");
+  }
+  if (errno == ERANGE) invalid(what, text, "out of range");
+  return v;
+}
+
+void apply_flags(CampaignSpec& spec,
+                 const std::map<std::string, std::string>& values,
+                 const std::set<std::string>& bare) {
+  for (const SpecOption& row : spec_options()) {
+    const std::string flag(row.flag);
+    if (row.bare() ? bare.count(flag) != 0 : values.count(flag) != 0) {
+      row.set(spec, "--" + flag, row.bare() ? "" : values.at(flag));
+    }
+  }
+}
+
+CampaignSpec spec_from_json(const Json& j) {
+  CampaignSpec spec;
+  for (const SpecOption& row : spec_options()) {
+    const std::string key(row.key);
+    const Json* v = j.find(key);
+    if (v == nullptr) continue;
+    const Json::Type want = row.bare()                   ? Json::Type::Bool
+                            : row.kind == SpecKind::Text ? Json::Type::String
+                                                         : Json::Type::Number;
+    if (v->type() != want) {
+      invalid(key, v->str(),
+              want == Json::Type::Bool     ? "expected true or false"
+              : want == Json::Type::String ? "expected a string"
+                                           : "expected a number");
+    }
+    if (!row.bare()) {
+      row.set(spec, key, v->str());  // a number's literal: exact past 2^53
+    } else if (v->boolean()) {
+      row.set(spec, key, "");
+    }
+  }
+  return spec;
+}
+
+void write_spec(telemetry::JsonWriter& w, const CampaignSpec& spec,
+                bool all) {
+  for (const SpecOption& row : spec_options()) {
+    const std::string v = row.get(spec);
+    if (!all && v == row.dflt) continue;
+    w.key(row.key);
+    if (row.kind == SpecKind::Text) {
+      w.value(v);
+    } else if (row.bare()) {
+      w.value(!v.empty());
+    } else {
+      w.raw(v);  // a number, spelled exactly
+    }
+  }
+}
+
+std::vector<std::string> worker_command(const CampaignSpec& spec) {
+  std::vector<std::string> cmd = {farm::self_exe(), "worker"};
+  for (const SpecOption& row : spec_options()) {
+    const std::string v = row.get(spec);
+    if (!row.exec || v == row.dflt) continue;
+    cmd.push_back("--" + std::string(row.flag));
+    if (!row.bare()) cmd.push_back(v);
+  }
+  return cmd;
+}
+
+CampaignRun campaign_run(const CampaignSpec& spec) {
+  CampaignRun run;
+  run.testcase.seed = spec.testcase_seed;
+  run.testcase.num_instructions = spec.instructions;
+  run.sched.shard_size = spec.shard_size;
+  run.sched.flush_records = spec.flush_records;
+
+  inject::CampaignConfig& c = run.config;
+  c.seed = spec.seed;
+  c.num_injections = spec.n;
+  c.threads = spec.threads;
+  c.core.checkers_enabled = !spec.raw;
+  c.ckpt_interval = spec.ckpt_interval;
+  c.ckpt_memory_budget = spec.ckpt_mem << 20;
+  if (spec.sticky != 0) {
+    c.mode = inject::FaultMode::Sticky;
+    c.sticky_duration = spec.sticky;
+  }
+  c.footprint.enabled = spec.footprint || spec.footprint_every_cycle;
+  c.footprint.vanished_sample = spec.footprint_sample;
+  c.footprint.max_trace_cycles = spec.footprint_window;
+  if (spec.footprint_every_cycle) {
+    c.footprint.sampling = inject::FootprintSampling::EveryCycle;
+  }
+  c.engine = inject::parse_engine(spec.engine).value();  // a validated name
+  c.lanes = spec.lanes;
+  // Unit and latch type narrow the population together.
+  if (!spec.unit.empty() || !spec.type.empty()) {
+    c.filter = [unit = spec.unit,
+                type = spec.type](const netlist::LatchMeta& m) {
+      return (unit.empty() || to_string(m.unit) == unit) &&
+             (type.empty() || to_string(m.type) == type);
+    };
+  }
+  return run;
+}
+
+}  // namespace sfi::serve

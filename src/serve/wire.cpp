@@ -199,7 +199,8 @@ class Parser {
     if (ec != std::errc() || ptr != text_.data() + pos_ || pos_ == start) {
       fail("bad number");
     }
-    return Json::make_number(v);
+    return Json::make_number(v,
+                             std::string(text_.substr(start, pos_ - start)));
   }
 
   std::string_view text_;
@@ -216,10 +217,11 @@ Json Json::make_bool(bool v) {
   return j;
 }
 
-Json Json::make_number(double v) {
+Json Json::make_number(double v, std::string literal) {
   Json j;
   j.type_ = Type::Number;
   j.num_ = v;
+  j.str_ = std::move(literal);
   return j;
 }
 
@@ -265,8 +267,11 @@ double Json::get_num(const std::string& key, double dflt) const {
 
 u64 Json::get_u64(const std::string& key, u64 dflt) const {
   const Json* v = find(key);
-  if (v == nullptr || v->type_ != Type::Number || v->num_ < 0.0) return dflt;
-  return static_cast<u64>(v->num_);
+  if (v == nullptr || v->type_ != Type::Number) return dflt;
+  u64 out = 0;
+  const char* end = v->str_.data() + v->str_.size();
+  const auto [ptr, ec] = std::from_chars(v->str_.data(), end, out);
+  return ec == std::errc() && ptr == end ? out : dflt;
 }
 
 bool Json::get_bool(const std::string& key, bool dflt) const {

@@ -42,13 +42,16 @@ class Json {
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Json* find(const std::string& key) const;
 
-  /// Typed accessors with defaults (lenient: absent/mistyped -> default).
+  /// Typed accessors with defaults (lenient: absent/mistyped -> default;
+  /// get_u64 also for anything but an unsigned integer literal that fits).
   [[nodiscard]] std::string get_str(const std::string& key,
                                     const std::string& dflt) const;
   [[nodiscard]] double get_num(const std::string& key, double dflt) const;
   [[nodiscard]] u64 get_u64(const std::string& key, u64 dflt) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool dflt) const;
 
+  /// A string's value, or a number's text as written: exact where num() is
+  /// not (integers past 2^53), and the only way to tell 7 from 7.0.
   [[nodiscard]] const std::string& str() const { return str_; }
   [[nodiscard]] double num() const { return num_; }
   [[nodiscard]] bool boolean() const { return bool_; }
@@ -57,7 +60,7 @@ class Json {
   /// Construction helpers (used by the parser; not a builder API — the
   /// emission side of the protocol is telemetry::JsonWriter).
   static Json make_bool(bool v);
-  static Json make_number(double v);
+  static Json make_number(double v, std::string literal);
   static Json make_string(std::string v);
   static Json make_array(std::vector<Json> items);
   static Json make_object(std::map<std::string, Json> members);
@@ -66,7 +69,7 @@ class Json {
   Type type_ = Type::Null;
   bool bool_ = false;
   double num_ = 0.0;
-  std::string str_;
+  std::string str_;  ///< string value, or a number's literal
   std::vector<Json> items_;                 ///< array elements
   std::map<std::string, Json> members_;     ///< object members
 };

@@ -45,8 +45,11 @@ std::vector<telemetry::SpanRecord> read_spans(const std::string& path) {
 std::vector<std::string> discover_trace_inputs(const std::string& store_path) {
   std::vector<std::string> inputs;
   std::set<std::string> seen;
+  // The directory scan spells a relative store "./run.trace.sfr" where the
+  // sibling rule spells it "run.trace.sfr": compare normalised paths.
   const auto add = [&](const std::string& p) {
-    if (seen.insert(p).second) inputs.push_back(p);
+    const std::string path = fs::path(p).lexically_normal().string();
+    if (seen.insert(path).second) inputs.push_back(path);
   };
 
   add(store_path);

@@ -149,8 +149,10 @@ TEST(Farm, CrashedWorkerIsRetriedByteIdentical) {
 
   // kill -9 mid-shard at index 13 (attempt 0 only): the supervisor must
   // retry the shard's unfinished remainder on a fresh worker and the
-  // determinism contract makes the retry byte-identical.
-  FarmConfig fc = quick_farm(2);
+  // determinism contract makes the retry byte-identical. One slot, because
+  // a dead slot is respawned only when it is handed work: with two, the
+  // live worker may take the retry instead.
+  FarmConfig fc = quick_farm(1);
   fc.sabotage.crash_index = 13;
 
   TempFile out("crash");
@@ -160,7 +162,7 @@ TEST(Farm, CrashedWorkerIsRetriedByteIdentical) {
   EXPECT_TRUE(r.harness_fatal.empty());
   EXPECT_GE(r.worker_crashes, 1u);
   EXPECT_GE(r.shard_retries, 1u);
-  EXPECT_GT(r.workers_spawned, 2u);  // the replacement worker
+  EXPECT_GT(r.workers_spawned, 1u);  // the replacement worker
 
   EXPECT_EQ(slurp(out.path()),
             canonical_single_process(tc, cfg, "crash"));

@@ -18,8 +18,10 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "farm/worker.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/daemon.hpp"
+#include "serve/spec.hpp"
 #include "serve/stop.hpp"
 #include "serve/wire.hpp"
 #include "store/merge.hpp"
@@ -119,6 +122,128 @@ TEST(Wire, AddressGrammar) {
   EXPECT_THROW((void)parse_address(""), WireError);
   EXPECT_THROW((void)parse_address("tcp:"), WireError);
   EXPECT_THROW((void)parse_address("tcp:host:notaport"), WireError);
+}
+
+// --- campaign spec table ------------------------------------------------
+
+const SpecOption& row_for(const std::string& flag) {
+  const auto& rows = spec_options();
+  const auto row = std::ranges::find(rows, flag, &SpecOption::flag);
+  if (row == rows.end()) throw std::runtime_error("no row --" + flag);
+  return *row;
+}
+
+/// `--flag [value]` words, split the way the CLI parser splits them.
+CampaignSpec spec_from_words(const std::vector<std::string>& words) {
+  std::map<std::string, std::string> values;
+  std::set<std::string> bare;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const std::string flag = words[i].substr(2);
+    if (row_for(flag).bare()) {
+      bare.insert(flag);
+    } else {
+      values[flag] = words.at(++i);
+    }
+  }
+  CampaignSpec spec;
+  apply_flags(spec, values, bare);
+  return spec;
+}
+
+std::string spec_json(const CampaignSpec& spec, bool all) {
+  telemetry::JsonWriter w;
+  w.begin_object();
+  write_spec(w, spec, all);
+  w.end_object();
+  return w.str();
+}
+
+TEST(Spec, EveryRowRoundTripsThroughFlagsJsonAndWorkerArgv) {
+  // One off-default value per row, spelled as a user types it. The seed is
+  // 2^53 + 1, which a JSON double cannot hold.
+  const std::vector<std::vector<std::string>> given = {
+      {"--tenant", "t"},          {"--seed", "9007199254740993"},
+      {"--testcase-seed", "11"},  {"--instructions", "80"},
+      {"--n", "4294967295"},      {"--threads", "3"},
+      {"--workers", "2"},         {"--shard-size", "5"},
+      {"--flush", "6"},           {"--confidence", "0.9"},
+      {"--half-width", "0.125"},  {"--stratify-unit"},
+      {"--engine", "lanes"},      {"--lanes", "16"},
+      {"--raw"},                  {"--unit", "FXU"},
+      {"--type", "REGFILE"},      {"--sticky", "3"},
+      {"--ckpt-interval", "0"},   {"--ckpt-mem", "8"},
+      {"--footprint"},            {"--footprint-sample", "0"},
+      {"--footprint-window", "64"}, {"--footprint-every-cycle"}};
+  ASSERT_EQ(given.size(), spec_options().size()) << "one value per row";
+  // What the coordinator keeps to itself; every other option defines the
+  // plan, which an exec worker rebuilds from its flags.
+  const std::set<std::string> coordinator_only = {
+      "--tenant",     "--threads",    "--workers",    "--shard-size",
+      "--flush",      "--confidence", "--half-width", "--stratify-unit"};
+  std::vector<std::string> words;
+  std::vector<std::string> exec_words;
+  for (const auto& option : given) {
+    words.insert(words.end(), option.begin(), option.end());
+    const bool exec = coordinator_only.count(option[0]) == 0;
+    EXPECT_EQ(row_for(option[0].substr(2)).exec, exec) << option[0];
+    if (exec) exec_words.insert(exec_words.end(), option.begin(), option.end());
+  }
+
+  // flags -> spec: every row took its value, so the submit body, which
+  // carries only what differs from the defaults, names every key.
+  const CampaignSpec spec = spec_from_words(words);
+  const Json body = Json::parse(spec_json(spec, /*all=*/false));
+  for (const SpecOption& row : spec_options()) {
+    EXPECT_NE(body.find(std::string(row.key)), nullptr) << row.key;
+  }
+  // spec -> submit JSON -> spec, and the same through a manifest.
+  const CampaignSpec submitted = spec_from_json(body);
+  EXPECT_EQ(submitted, spec);
+  EXPECT_EQ(spec_from_json(Json::parse(spec_json(spec, /*all=*/true))), spec);
+  // spec -> worker argv -> spec: exactly the exec rows travel.
+  std::vector<std::string> argv = worker_command(submitted);
+  ASSERT_GE(argv.size(), 2u);
+  EXPECT_EQ(argv[1], "worker");
+  argv.erase(argv.begin(), argv.begin() + 2);
+  EXPECT_EQ(spec_from_words(argv), spec_from_words(exec_words));
+
+  // The defaults write nothing: an empty submit body, a bare worker verb.
+  EXPECT_EQ(spec_json(CampaignSpec{}, /*all=*/false), "{}");
+  EXPECT_EQ(worker_command(CampaignSpec{}).size(), 2u);
+  // A manifest holds every row, and reads back as the defaults.
+  EXPECT_EQ(spec_from_json(Json::parse(spec_json(CampaignSpec{}, true))),
+            CampaignSpec{});
+}
+
+TEST(Spec, RejectsWhatDoesNotFitAndNamesTheOption) {
+  const auto json_error = [](const std::string& body) -> std::string {
+    try {
+      (void)spec_from_json(Json::parse(body));
+    } catch (const SpecError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"n", "4294967297"}, {"n", "2.5"},        {"n", "-5"},
+      {"n", R"("100")"},   {"n", "0"},          {"n", "1e3"},
+      {"lanes", "0"},      {"raw", "1"},        {"unit", R"("FOO")"},
+      {"confidence", "1"}, {"half_width", "0"}, {"inj_engine", R"("warp")"},
+      {"seed", "18446744073709551616"}};
+  for (const auto& [key, value] : bad) {
+    const std::string error = json_error("{\"" + key + "\":" + value + "}");
+    EXPECT_EQ(error.rfind("invalid value for " + key + ":", 0), 0u)
+        << key << "=" << value << " -> " << error;
+  }
+  // Threads 0 has always asked for the daemon's default, and still does.
+  EXPECT_EQ(spec_from_json(Json::parse(R"({"threads":0})")).threads,
+            CampaignSpec{}.threads);
+
+  CampaignSpec spec;
+  EXPECT_THROW(apply_flags(spec, {{"n", "12x"}}, {}), SpecError);
+  EXPECT_THROW(apply_flags(spec, {{"lanes", "0"}}, {}), SpecError);
+  EXPECT_THROW(apply_flags(spec, {{"type", "func"}}, {}), SpecError);
+  EXPECT_EQ(spec, CampaignSpec{});
 }
 
 // --- prometheus exposition -------------------------------------------------
@@ -629,6 +754,34 @@ TEST(Daemon, AdoptsFinishedCampaignsAcrossRestart) {
   }
 }
 
+TEST(Daemon, AdoptsOlderManifestsAndSkipsInvalidOnes) {
+  // A manifest an older daemon wrote holds a subset of the rows and
+  // threads 0 ("the daemon's default"): it adopts with the defaults for the
+  // rest. One whose spec fails validation is left alone, like an
+  // unreadable one.
+  TempDir dir("adopt_manifests");
+  const std::string older =
+      R"({"id":1,"tenant":"old","state":"done","seed":42,)"
+      R"("testcase_seed":2026,"instructions":160,"n":200,"confidence":0.95,)"
+      R"("half_width":0.001,"by_unit":false,"threads":0,"workers":0,)"
+      R"("shard_size":16,"flush_records":8,"inj_engine":"lanes","lanes":32,)"
+      R"("early_stop":false,"stop_point":0,"records":200,"complete":true})";
+  CampaignSpec want;
+  want.tenant = "old";
+  want.n = 200;
+  want.half_width = 0.001;
+  want.engine = "lanes";
+  want.lanes = 32;
+  EXPECT_EQ(spec_from_json(Json::parse(older)), want);
+  std::ofstream(dir.file("campaign-1.json")) << older << "\n";
+  std::ofstream(dir.file("campaign-2.json"))
+      << R"({"id":2,"tenant":"bad","state":"done","n":4294967297})" << "\n";
+
+  DaemonHarness h(dir.path());
+  EXPECT_EQ(h.status_of(1).get_str("tenant", ""), "old");
+  EXPECT_EQ(h.status_of(2).find("id"), nullptr);
+}
+
 TEST(Daemon, FairShareAdmissionAcrossTenants) {
   TempDir dir("fair_share");
   // One slot; alice submits two campaigns back to back, then bob one. The
@@ -723,6 +876,17 @@ TEST(Daemon, RejectsBadSubmissionsAndUnknownOps) {
   const Json bad_engine =
       h.request(R"({"op":"submit","n":10,"inj_engine":"warp"})");
   EXPECT_FALSE(bad_engine.get_bool("ok", true));
+  // Numbers that do not fit the member are refused by name, never narrowed
+  // or defaulted.
+  for (const char* n : {"4294967297", "2.5", "-5", R"("100")"}) {
+    const Json bad_n =
+        h.request(std::string(R"({"op":"submit","n":)") + n + "}");
+    EXPECT_FALSE(bad_n.get_bool("ok", true)) << n;
+    EXPECT_NE(bad_n.get_str("error", "").find("for n:"), std::string::npos)
+        << n;
+  }
+  const Json bad_lanes = h.request(R"({"op":"submit","n":10,"lanes":0})");
+  EXPECT_FALSE(bad_lanes.get_bool("ok", true));
   const Json unknown = h.request(R"({"op":"frobnicate"})");
   EXPECT_FALSE(unknown.get_bool("ok", true));
   const Json bad_watch = h.request(R"({"op":"watch","id":999})");

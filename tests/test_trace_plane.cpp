@@ -275,6 +275,28 @@ TEST(TraceStitch, MissingFilesYieldEmptyResult) {
   EXPECT_NE(r.json.find("traceEvents"), std::string::npos);
 }
 
+TEST(TraceStitch, RelativeStorePathReadsEachFileOnce) {
+  // The sibling rule spells a relative sidecar "x.trace.sfr" and the
+  // directory scan "./x.trace.sfr": both must name one input.
+  TempFile out("relative");
+  for (const std::string& p : {out.path(), out.sidecar()}) {
+    store::StoreWriter w = store::StoreWriter::create(p, tiny_meta());
+    w.append_span(sample_span());
+    w.flush();
+  }
+  const store::StitchResult full = store::stitch_trace(out.path());
+  const std::filesystem::path here = std::filesystem::current_path();
+  const std::filesystem::path store_path(out.path());
+  std::filesystem::current_path(store_path.parent_path());
+  const store::StitchResult rel =
+      store::stitch_trace(store_path.filename().string());
+  std::filesystem::current_path(here);
+  EXPECT_EQ(full.files, 2u);
+  EXPECT_EQ(full.spans, 2u);
+  EXPECT_EQ(rel.files, full.files);
+  EXPECT_EQ(rel.spans, full.spans);
+}
+
 TEST(FarmTracePlane, SidecarStitchesAndStoreBytesIdentical) {
   avp::TestcaseConfig tcfg;
   tcfg.seed = 11;

@@ -21,6 +21,13 @@
 //   sfi shutdown --connect ADDR            graceful daemon stop
 //   sfi top      --http ADDR               live per-campaign fleet table
 //
+// Every campaign option below (the seed, workload, sample size, population,
+// fault mode, checkers, engine, scheduler windows, footprints and the
+// early-stop target) is one row of serve::spec_options(): `sfi campaign`,
+// `worker`, `beam`, `derate` and `submit` read the same flags, and the
+// daemon runs the same options from a submit request. Any option name
+// neither that table nor this tool knows exits 2.
+//
 // Common options:
 //   --seed N              experiment seed               (default 42)
 //   --testcase-seed N     AVP workload seed             (default 2026)
@@ -90,7 +97,7 @@
 //   injections) to the coordinator's fleet metrics; with the span plane on,
 //   spans too. Merge drops 'M' and 'S' frames, so the canonical store is
 //   byte-identical either way
-// Worker options (`sfi worker`; campaign flags same as the coordinator):
+// Worker options (`sfi worker`; campaign flags from serve::worker_command):
 //   --shard-store FILE    shard store this worker appends to (required)
 //   --worker-id N         id stamped into heartbeat/assignment frames
 //   --ship-metrics        ship 'M' metrics snapshots (appended by the
@@ -140,8 +147,6 @@
 //   --max-active N        campaigns running concurrently (default 2);
 //                         queued submissions are admitted fair-share by
 //                         tenant spend (price = injections x instructions)
-//   --campaign-threads N  scheduler threads for submissions that leave
-//                         --threads 0 (default 1: deterministic stop points)
 //   --http ADDR           HTTP observability listener (tcp:HOST:PORT or
 //                         tcp:PORT; tcp:0 picks a free port): GET /metrics
 //                         (Prometheus text format: fleet-wide counters,
@@ -156,7 +161,10 @@
 //   --json                machine-readable: one JSON object per refresh
 //                         (campaigns plus computed rate/ETA; no screen
 //                         control — pipe it to jq or a logger)
-// Client options (`sfi submit` / `status` / `watch` / `shutdown`):
+// Client options (`sfi submit` / `status` / `watch` / `shutdown`; submit
+// takes any campaign option and sends only those given; the rest take the
+// daemon's defaults, whose one thread and small shard and flush windows make
+// stop points deterministic):
 //   --connect ADDR        daemon address (same grammar as --listen)
 //   --tenant T            fair-share accounting bucket (default "default")
 //   --confidence C        interval confidence in (0,1)  (default 0.95; also
@@ -218,62 +226,40 @@ namespace {
 
 using namespace sfi;
 
-/// A bad command line (unknown value, missing argument). Exits with 2, like
-/// usage(), rather than 1 (runtime failure).
+/// A bad command line (unknown option, missing argument). Exits with 2,
+/// like usage() and a bad campaign option (serve::SpecError), rather than 1
+/// (runtime failure).
 struct CliError : std::runtime_error {
   explicit CliError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Strict unsigned parse (base prefix honoured): the whole token must be a
-/// non-negative integer that fits u64. std::stoull alone would accept
-/// "12abc", wrap "-3" around, and throw bare std::invalid_argument at the
-/// user on "abc".
-u64 parse_u64(const std::string& key, const std::string& value) {
-  const auto fail = [&](const char* why) -> u64 {
-    throw CliError("invalid value for --" + key + ": '" + value + "' (" +
-                     why + ")");
-  };
-  if (value.empty()) return fail("expected an unsigned integer");
-  if (!std::isdigit(static_cast<unsigned char>(value.front()))) {
-    return fail("expected an unsigned integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-  if (errno == ERANGE) return fail("out of range for a 64-bit value");
-  if (end != value.c_str() + value.size()) {
-    return fail("trailing characters after the number");
-  }
-  return v;
-}
-
-/// Strict floating-point parse: the whole token must be a finite number.
-double parse_f64(const std::string& key, const std::string& value) {
-  const auto fail = [&](const char* why) -> double {
-    throw CliError("invalid value for --" + key + ": '" + value + "' (" +
-                   why + ")");
-  };
-  if (value.empty()) return fail("expected a number");
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (errno == ERANGE) return fail("out of range");
-  if (end != value.c_str() + value.size()) {
-    return fail("trailing characters after the number");
-  }
-  return v;
-}
-
-/// Options that are bare flags (consume no value).
-const std::set<std::string>& flag_options() {
-  static const std::set<std::string> flags = {
-      "raw",       "resume",      "progress",
-      "footprint", "footprint-every-cycle",
-      "keep-shards", "sabotage-wedge-once",
-      "wait", "json", "stratify-unit", "once", "trace-spans",
-      "ship-metrics"};
-  return flags;
-}
+/// The options that are not campaign-spec rows (serve::spec_options() has
+/// those): together with the rows, every name the parser accepts. A bare
+/// option takes no value.
+struct CliOption {
+  std::string_view name;
+  bool bare;
+};
+constexpr CliOption kCliOptions[] = {
+    // durable campaigns and the farm
+    {"out", false}, {"resume", true}, {"max-new", false}, {"farm", false},
+    {"watchdog", false}, {"strikes", false}, {"keep-shards", true},
+    {"sabotage-crash", false}, {"sabotage-wedge", false},
+    {"sabotage-wedge-once", true},
+    // farm workers
+    {"shard-store", false}, {"worker-id", false}, {"ship-metrics", true},
+    // telemetry
+    {"metrics-out", false}, {"events-out", false}, {"chrome-trace", false},
+    {"telemetry-sample", false}, {"progress", true}, {"trace-spans", true},
+    {"postmortem", false},
+    // report, explain, trace
+    {"from", false}, {"json", true}, {"csv", false}, {"latch", false},
+    {"cycle", false},
+    // serve and its clients
+    {"state-dir", false}, {"listen", false}, {"max-active", false},
+    {"http", false}, {"connect", false}, {"wait", true}, {"id", false},
+    {"interval", false}, {"once", true},
+};
 
 struct Args {
   std::string command;
@@ -283,7 +269,7 @@ struct Args {
 
   [[nodiscard]] u64 num(const std::string& key, u64 dflt) const {
     const auto it = opts.find(key);
-    return it == opts.end() ? dflt : parse_u64(key, it->second);
+    return it == opts.end() ? dflt : serve::parse_count("--" + key, it->second);
   }
   /// num() for options that land in a u32 destination: values above 2^32-1
   /// are a usage error, not a silent wrap (--n 4294967297 used to become 1).
@@ -297,7 +283,7 @@ struct Args {
   }
   [[nodiscard]] double fnum(const std::string& key, double dflt) const {
     const auto it = opts.find(key);
-    return it == opts.end() ? dflt : parse_f64(key, it->second);
+    return it == opts.end() ? dflt : serve::parse_real("--" + key, it->second);
   }
   [[nodiscard]] std::optional<std::string> str(const std::string& key) const {
     const auto it = opts.find(key);
@@ -337,8 +323,9 @@ commands:
                [--max-active N]); campaigns stop as soon as every stratum's
               Wilson interval is under the submitted half-width target
   submit      submit a campaign to a daemon (--connect ADDR [--tenant T]
-              [--n N] [--confidence C] [--half-width W] [--stratify-unit]
-              [--workers N] [--engine scalar|lanes] [--lanes N] [--wait])
+              [--wait] and any campaign option — --n, --half-width,
+              --stratify-unit, --workers, --raw, --unit, --sticky, ...;
+              only the options given are sent)
   status      one-line-per-campaign daemon status (--connect ADDR [--json])
   watch       stream a campaign's JSONL event log (--connect ADDR --id N)
   shutdown    ask a daemon to stop (running campaigns stay resumable)
@@ -364,10 +351,21 @@ Args parse(int argc, char** argv) {
       continue;
     }
     key = key.substr(2);
-    // `explain --json FILE` names an output file; elsewhere --json is a
-    // bare flag (machine-readable status / top).
-    const bool takes_value = a.command == "explain" && key == "json";
-    if (flag_options().count(key) != 0 && !takes_value) {
+    bool bare = false;
+    const auto& rows = serve::spec_options();
+    if (const auto row = std::ranges::find(rows, key, &serve::SpecOption::flag);
+        row != rows.end()) {
+      bare = row->bare();
+    } else if (const auto* o = std::ranges::find(kCliOptions, key,
+                                                  &CliOption::name);
+               o != std::end(kCliOptions)) {
+      // `explain --json FILE` names an output file; elsewhere --json is a
+      // bare flag (machine-readable status / top).
+      bare = o->bare && !(a.command == "explain" && key == "json");
+    } else {
+      throw CliError("unknown option --" + key);
+    }
+    if (bare) {
       a.flags.insert(key);
     } else if (i + 1 < argc) {
       a.opts[key] = argv[++i];
@@ -378,34 +376,24 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-avp::Testcase make_testcase(const Args& a) {
-  avp::TestcaseConfig cfg;
-  cfg.seed = a.num("testcase-seed", 2026);
-  cfg.num_instructions = a.num_u32("instructions", 160);
-  return avp::generate_testcase(cfg);
+/// The campaign options on the command line, over `base`: the daemon's
+/// defaults unless a verb has its own.
+serve::CampaignSpec campaign_spec(const Args& a,
+                                  serve::CampaignSpec base = {}) {
+  serve::apply_flags(base, a.opts, a.flags);
+  return base;
 }
 
-std::optional<netlist::Unit> parse_unit(const std::string& s) {
-  for (const auto u : netlist::kAllUnits) {
-    if (s == to_string(u)) return u;
-  }
-  return std::nullopt;
-}
-
-std::optional<netlist::LatchType> parse_type(const std::string& s) {
-  for (const auto t : netlist::kAllLatchTypes) {
-    if (s == to_string(t)) return t;
-  }
-  return std::nullopt;
-}
-
-/// Confidence level for every interval a command prints (default 95%).
-double confidence_from(const Args& a) {
-  const double c = a.fnum("confidence", stats::kDefaultConfidence);
-  if (!(c > 0.0 && c < 1.0)) {
-    throw CliError("--confidence must be in (0,1)");
-  }
-  return c;
+/// What `sfi campaign` runs with when a flag is not given: the scheduler's
+/// shard and flush windows and hardware threads, not the daemon's
+/// deterministic-stop ones.
+serve::CampaignSpec campaign_defaults() {
+  serve::CampaignSpec spec;
+  const sched::SchedulerConfig sc;
+  spec.threads = inject::CampaignConfig{}.threads;
+  spec.shard_size = sc.shard_size;
+  spec.flush_records = sc.flush_records;
+  return spec;
 }
 
 std::string ci_label(double confidence) {
@@ -559,51 +547,6 @@ TelemetrySinks make_telemetry(const Args& a) {
   return s;
 }
 
-inject::CampaignConfig campaign_config(const Args& a, u32 default_n) {
-  inject::CampaignConfig cfg;
-  cfg.seed = a.num("seed", 42);
-  cfg.num_injections = a.num_u32("n", default_n);
-  cfg.threads = a.num_u32("threads", 0);
-  cfg.core.checkers_enabled = !a.flag("raw");
-  cfg.ckpt_interval = a.num("ckpt-interval", emu::kCkptAuto);
-  cfg.ckpt_memory_budget = a.num("ckpt-mem", 64) << 20;
-  if (const auto d = a.num("sticky", 0); d != 0) {
-    cfg.mode = inject::FaultMode::Sticky;
-    cfg.sticky_duration = d;
-  }
-  cfg.footprint.enabled =
-      a.flag("footprint") || a.flag("footprint-every-cycle");
-  cfg.footprint.vanished_sample =
-      a.num_u32("footprint-sample", 32);
-  cfg.footprint.max_trace_cycles = a.num("footprint-window", 512);
-  if (a.flag("footprint-every-cycle")) {
-    cfg.footprint.sampling = inject::FootprintSampling::EveryCycle;
-  }
-  if (const auto e = a.str("engine")) {
-    const auto kind = inject::parse_engine(*e);
-    if (!kind) {
-      throw CliError("unknown engine '" + *e + "' (expected scalar or lanes)");
-    }
-    cfg.engine = *kind;
-  }
-  cfg.lanes = a.num_u32("lanes", cfg.lanes);
-  if (cfg.lanes == 0) throw CliError("--lanes must be >= 1");
-  if (const auto u = a.str("unit")) {
-    const auto unit = parse_unit(*u);
-    if (!unit) throw CliError("unknown unit " + *u);
-    cfg.filter = [unit](const netlist::LatchMeta& m) {
-      return m.unit == *unit;
-    };
-  } else if (const auto t = a.str("type")) {
-    const auto type = parse_type(*t);
-    if (!type) throw CliError("unknown latch type " + *t);
-    cfg.filter = [type](const netlist::LatchMeta& m) {
-      return m.type == *type;
-    };
-  }
-  return cfg;
-}
-
 /// Cooperative-stop latch for durable campaigns. The first SIGINT/SIGTERM
 /// flips the flag and lets the scheduler/farm wind down cleanly (flush, close
 /// store, print the --resume hint); a second one restores the default
@@ -668,46 +611,19 @@ farm::SabotageConfig sabotage_from_args(const Args& a) {
   return s;
 }
 
-/// Rebuild the campaign-defining flags for an exec-mode worker command line.
-/// Whitelisted: everything that feeds make_testcase/campaign_config (plus the
-/// sabotage hooks, which are attempt-gated and so safe on every worker);
-/// coordinator-only options (--out, --workers, telemetry sinks, ...) and
-/// --threads (workers are single-threaded by construction) stay behind.
-std::vector<std::string> worker_command_from_args(const Args& a) {
-  static const std::set<std::string> keep = {
-      "seed",          "testcase-seed",    "instructions",
-      "n",             "unit",             "type",
-      "sticky",        "ckpt-interval",    "ckpt-mem",
-      "footprint-sample", "footprint-window",
-      "engine",        "lanes",
-      "sabotage-crash", "sabotage-wedge"};
-  static const std::set<std::string> keep_flags = {
-      "raw", "footprint", "footprint-every-cycle", "sabotage-wedge-once"};
-  std::vector<std::string> cmd = {farm::self_exe(), "worker"};
-  for (const auto& [key, value] : a.opts) {
-    if (keep.count(key) == 0) continue;
-    cmd.push_back("--" + key);
-    cmd.push_back(value);
-  }
-  for (const auto& flag : a.flags) {
-    if (keep_flags.count(flag) != 0) cmd.push_back("--" + flag);
-  }
-  return cmd;
-}
-
 /// Farm campaign: supervised multi-process execution into per-worker shard
 /// stores, merged byte-identically into `out`.
-int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
-                      const inject::CampaignConfig& cfg,
+int cmd_campaign_farm(const Args& a, const serve::CampaignSpec& spec,
+                      const avp::Testcase& tc, const serve::CampaignRun& run,
                       const std::string& out, const TelemetrySinks& sinks) {
   farm::FarmConfig fc;
-  fc.workers = a.num_u32("workers", 2);
+  fc.workers = spec.workers;
   if (const auto hosts = a.str("farm")) {
     fc.hosts = farm::parse_hosts_file(*hosts);
-    fc.worker_command = worker_command_from_args(a);
+    fc.worker_command = serve::worker_command(spec);
   }
-  fc.shard_size = a.num_u32("shard-size", 64);
-  fc.max_strikes = a.num_u32("strikes", 3);
+  fc.shard_size = spec.shard_size;
+  fc.max_strikes = a.num_u32("strikes", fc.max_strikes);
   fc.watchdog_seconds = static_cast<double>(a.num("watchdog", 30));
   fc.sabotage = sabotage_from_args(a);
   fc.keep_shards = a.flag("keep-shards");
@@ -731,7 +647,7 @@ int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
   }
 
   const farm::FarmResult r =
-      farm::run_farm_campaign(tc, cfg, out, fc, a.flag("resume"));
+      farm::run_farm_campaign(tc, run.config, out, fc, a.flag("resume"));
   std::cerr << "\n";
 
   std::cout << report::section("farm campaign result");
@@ -763,7 +679,7 @@ int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
             << " injections/s\n";
   sinks.write_outputs();
   std::cout << "\n";
-  print_campaign_tables(r.agg, confidence_from(a));
+  print_campaign_tables(r.agg, spec.confidence);
   if (r.stopped) {
     print_resume_hint(out);
     return 130;
@@ -772,12 +688,12 @@ int cmd_campaign_farm(const Args& a, const avp::Testcase& tc,
 }
 
 /// Farm worker process: `sfi worker --shard-store FILE [--worker-id N]`.
-/// Campaign flags mirror the coordinator's so both build the same plan.
+/// Its campaign flags are serve::worker_command's, read over the same
+/// defaults, so coordinator and worker build the same plan.
 int cmd_worker(const Args& a) {
   const auto shard = a.str("shard-store");
   if (!shard) throw CliError("worker requires --shard-store FILE.sfr");
-  const avp::Testcase tc = make_testcase(a);
-  const inject::CampaignConfig cfg = campaign_config(a, 1000);
+  const serve::CampaignRun run = serve::campaign_run(campaign_spec(a));
   farm::WorkerOptions wo;
   wo.worker_id = a.num_u32("worker-id", 0);
   wo.shard_path = *shard;
@@ -785,18 +701,18 @@ int cmd_worker(const Args& a) {
   wo.sabotage = sabotage_from_args(a);
   wo.ship_metrics = a.flag("ship-metrics");
   wo.ship_spans = a.flag("trace-spans");
-  return farm::run_worker(tc, cfg, wo);
+  return farm::run_worker(avp::generate_testcase(run.testcase), run.config,
+                          wo);
 }
 
 /// Scheduled (durable) campaign: stream records into a store file.
-int cmd_campaign_to_store(const Args& a, const avp::Testcase& tc,
-                          const inject::CampaignConfig& cfg,
+int cmd_campaign_to_store(const Args& a, const serve::CampaignSpec& spec,
+                          const avp::Testcase& tc,
+                          const serve::CampaignRun& run,
                           const std::string& out,
                           const TelemetrySinks& sinks) {
-  sched::SchedulerConfig sc;
-  sc.shard_size = a.num_u32("shard-size", 64);
-  sc.flush_records = a.num_u32("flush", 32);
-  sc.max_new_injections = a.num("max-new", 0);
+  sched::SchedulerConfig sc = run.sched;
+  sc.max_new_injections = a.num("max-new", sc.max_new_injections);
   (void)postmortem_from_args(a);  // in-process: dump on fatal signal only
   install_stop_handler();
   sc.should_stop = [] { return g_stop_requested != 0; };
@@ -817,7 +733,7 @@ int cmd_campaign_to_store(const Args& a, const avp::Testcase& tc,
   }
 
   const sched::ScheduledResult r =
-      sched::run_campaign_to_store(tc, cfg, out, sc, a.flag("resume"));
+      sched::run_campaign_to_store(tc, run.config, out, sc, a.flag("resume"));
   std::cerr << "\n";
 
   std::cout << report::section("campaign result");
@@ -825,7 +741,7 @@ int cmd_campaign_to_store(const Args& a, const avp::Testcase& tc,
             << (r.complete ? "complete" : "INCOMPLETE — finish with --resume")
             << "); " << r.executed << " executed this run, " << r.resumed
             << " resumed, " << r.shards << " shards\n";
-  if (cfg.footprint.enabled) {
+  if (run.config.footprint.enabled) {
     std::cout << "footprints: " << r.footprints
               << " propagation traces persisted (inspect with `sfi explain "
                  "--from "
@@ -842,7 +758,7 @@ int cmd_campaign_to_store(const Args& a, const avp::Testcase& tc,
                    r.checkpoint_bytes);
   sinks.write_outputs();
   std::cout << "\n";
-  print_campaign_tables(r.agg, confidence_from(a));
+  print_campaign_tables(r.agg, spec.confidence);
   if (r.stopped) {
     print_resume_hint(out);
     return 130;
@@ -851,16 +767,16 @@ int cmd_campaign_to_store(const Args& a, const avp::Testcase& tc,
 }
 
 int cmd_campaign(const Args& a) {
-  const avp::Testcase tc = make_testcase(a);
-  inject::CampaignConfig cfg = campaign_config(a, 1000);
+  const serve::CampaignSpec spec = campaign_spec(a, campaign_defaults());
+  serve::CampaignRun run = serve::campaign_run(spec);
+  const avp::Testcase tc = avp::generate_testcase(run.testcase);
   const TelemetrySinks sinks = make_telemetry(a);
-  cfg.telemetry = sinks.get();
+  run.config.telemetry = sinks.get();
 
-  const bool farm_mode =
-      a.opts.count("workers") != 0 || a.opts.count("farm") != 0;
+  const bool farm_mode = spec.workers != 0 || a.opts.count("farm") != 0;
   if (const auto out = a.str("out")) {
-    if (farm_mode) return cmd_campaign_farm(a, tc, cfg, *out, sinks);
-    return cmd_campaign_to_store(a, tc, cfg, *out, sinks);
+    if (farm_mode) return cmd_campaign_farm(a, spec, tc, run, *out, sinks);
+    return cmd_campaign_to_store(a, spec, tc, run, *out, sinks);
   }
   if (farm_mode) {
     throw CliError(
@@ -870,7 +786,7 @@ int cmd_campaign(const Args& a) {
     throw CliError("--resume requires --out FILE (a store to resume into)");
   }
 
-  const inject::CampaignResult r = inject::run_campaign(tc, cfg);
+  const inject::CampaignResult r = inject::run_campaign(tc, run.config);
   if (sinks.progress && sinks.tel) {
     std::cerr << "[campaign] "
               << sinks.tel->progress_line(r.records.size(), r.records.size(),
@@ -888,7 +804,7 @@ int cmd_campaign(const Args& a) {
                    r.checkpoint_bytes);
   sinks.write_outputs();
   std::cout << "\n";
-  print_campaign_tables(r.agg, confidence_from(a));
+  print_campaign_tables(r.agg, spec.confidence);
   return 0;
 }
 
@@ -908,7 +824,7 @@ int cmd_report(const Args& a) {
             << " instructions / " << meta.workload_cycles
             << " cycles; population " << meta.population_size
             << " latches\n\n";
-  print_campaign_tables(agg, confidence_from(a));
+  print_campaign_tables(agg, campaign_spec(a).confidence);
   return 0;
 }
 
@@ -1203,26 +1119,23 @@ int cmd_beam(const Args& a) {
   // (diff-vs-reference convergence), which beam disables by design to model
   // physical irradiation, and array strikes diverge in aux state the latch
   // diff carrier can't see. See DESIGN.md §16 and beam.cpp.
-  if (const auto e = a.str("engine")) {
-    const auto kind = inject::parse_engine(*e);
-    if (!kind) {
-      throw CliError("unknown engine '" + *e + "' (expected scalar or lanes)");
-    }
-    if (*kind != inject::EngineKind::Scalar) {
-      throw CliError(
-          "beam supports --engine scalar only: beam classification is "
-          "RAS/end-of-test observable-only (no internal-state convergence "
-          "proof), which is the lane engine's entire fast path");
-    }
+  const serve::CampaignSpec spec = campaign_spec(a, campaign_defaults());
+  if (spec.engine != inject::engine_name(inject::EngineKind::Scalar)) {
+    throw CliError(
+        "beam supports --engine scalar only: beam classification is "
+        "RAS/end-of-test observable-only (no internal-state convergence "
+        "proof), which is the lane engine's entire fast path");
   }
-  const avp::Testcase tc = make_testcase(a);
+  const serve::CampaignRun run = serve::campaign_run(spec);
+  const avp::Testcase tc = avp::generate_testcase(run.testcase);
+  const inject::CampaignConfig& c = run.config;
   beam::BeamConfig cfg;
-  cfg.seed = a.num("seed", 42);
-  cfg.num_events = a.num_u32("n", 1000);
-  cfg.threads = a.num_u32("threads", 0);
-  cfg.core.checkers_enabled = !a.flag("raw");
-  cfg.ckpt_interval = a.num("ckpt-interval", emu::kCkptAuto);
-  cfg.ckpt_memory_budget = a.num("ckpt-mem", 64) << 20;
+  cfg.seed = c.seed;
+  cfg.num_events = c.num_injections;
+  cfg.threads = c.threads;
+  cfg.ckpt_interval = c.ckpt_interval;
+  cfg.ckpt_memory_budget = c.ckpt_memory_budget;
+  cfg.core = c.core;
   const TelemetrySinks sinks = make_telemetry(a);
   cfg.telemetry = sinks.get();
   const beam::BeamResult r = beam::run_beam_experiment(tc, cfg);
@@ -1235,7 +1148,7 @@ int cmd_beam(const Args& a) {
   std::cout << report::section("beam exposure result");
   std::cout << r.latch_events << " latch strikes, " << r.array_events
             << " protected-array strikes\n\n";
-  print_outcomes(r.counts(), confidence_from(a));
+  print_outcomes(r.counts(), spec.confidence);
   sinks.write_outputs();
   return 0;
 }
@@ -1278,11 +1191,14 @@ int cmd_trace(const Args& a) {
   std::string name = *latch;
   u32 bit = 0;
   if (const auto colon = name.find(':'); colon != std::string::npos) {
-    bit = static_cast<u32>(parse_u64("latch", name.substr(colon + 1)));
+    bit = static_cast<u32>(
+        serve::parse_count("--latch", name.substr(colon + 1)));
     name = name.substr(0, colon);
   }
 
-  const avp::Testcase tc = make_testcase(a);
+  const serve::CampaignSpec spec = campaign_spec(a);
+  const avp::Testcase tc =
+      avp::generate_testcase(serve::campaign_run(spec).testcase);
   const avp::GoldenResult golden = avp::run_golden(tc);
   core::Pearl6Model model;
   emu::Emulator emu(model);
@@ -1305,9 +1221,9 @@ int cmd_trace(const Args& a) {
   inject::FaultSpec f;
   f.index = ords[bit];
   f.cycle = a.num("cycle", 30);
-  if (const auto d = a.num("sticky", 0); d != 0) {
+  if (spec.sticky != 0) {
     f.mode = inject::FaultMode::Sticky;
-    f.sticky_duration = d;
+    f.sticky_duration = spec.sticky;
     f.sticky_value = true;
   }
   const auto t = inject::trace_injection(model, emu, cp, trace, golden, f);
@@ -1316,9 +1232,11 @@ int cmd_trace(const Args& a) {
 }
 
 int cmd_derate(const Args& a) {
-  const avp::Testcase tc = make_testcase(a);
-  const inject::CampaignConfig cfg = campaign_config(a, 2000);
-  const inject::CampaignResult r = inject::run_campaign(tc, cfg);
+  serve::CampaignSpec base = campaign_defaults();
+  base.n = inject::CampaignConfig{}.num_injections;
+  const serve::CampaignRun run = serve::campaign_run(campaign_spec(a, base));
+  const inject::CampaignResult r = inject::run_campaign(
+      avp::generate_testcase(run.testcase), run.config);
 
   core::Pearl6Model model;
   inject::DeratingConfig dc;
@@ -1341,8 +1259,8 @@ int cmd_derate(const Args& a) {
 }
 
 int cmd_mix(const Args& a) {
-  const avp::Testcase tc = make_testcase(a);
-  const avp::MixReport rep = avp::measure_mix(tc);
+  const avp::MixReport rep = avp::measure_mix(
+      avp::generate_testcase(serve::campaign_run(campaign_spec(a)).testcase));
   std::cout << report::section("AVP instruction mix & CPI");
   report::Table t({"class", "fraction"});
   for (std::size_t c = 0; c < isa::kNumInstrClasses; ++c) {
@@ -1363,8 +1281,7 @@ int cmd_serve(const Args& a) {
   serve::ServeConfig sc;
   sc.state_dir = *state_dir;
   if (const auto l = a.str("listen")) sc.listen = *l;
-  sc.max_active = a.num_u32("max-active", 2);
-  sc.default_threads = a.num_u32("campaign-threads", 1);
+  sc.max_active = a.num_u32("max-active", sc.max_active);
   if (const auto h = a.str("http")) sc.http = *h;
   install_stop_handler();
   sc.should_stop = [] { return g_stop_requested != 0; };
@@ -1393,32 +1310,12 @@ int cmd_submit(const Args& a) {
   // Build (and strictly parse) the request before touching the socket so a
   // usage error is reported as such even when no daemon is listening.
   const serve::Address addr = client_address(a);
-  // Validate the engine name client-side so a typo is a usage error here,
-  // not a silently-defaulted daemon campaign. ("engine" in status replies
-  // names the dispatch mode, farm/sched — hence "inj_engine" on the wire.)
-  const std::string engine = a.str("engine").value_or("scalar");
-  if (!inject::parse_engine(engine)) {
-    throw CliError("unknown engine '" + engine +
-                   "' (expected scalar or lanes)");
-  }
+  // The body carries only the campaign options given: the daemon reads the
+  // rest from the same table's defaults.
   telemetry::JsonWriter w;
-  w.begin_object()
-      .field("op", "submit")
-      .field("tenant", a.str("tenant").value_or("default"))
-      .field("seed", a.num("seed", 42))
-      .field("testcase_seed", a.num("testcase-seed", 2026))
-      .field("instructions", a.num("instructions", 160))
-      .field("n", a.num("n", 1000))
-      .field("confidence", confidence_from(a))
-      .field("half_width", a.fnum("half-width", 0.02))
-      .field("by_unit", a.flag("stratify-unit"))
-      .field("threads", a.num("threads", 0))
-      .field("workers", a.num("workers", 0))
-      .field("shard_size", a.num("shard-size", 16))
-      .field("flush_records", a.num("flush", 8))
-      .field("inj_engine", engine)
-      .field("lanes", a.num_u32("lanes", 64))
-      .end_object();
+  w.begin_object().field("op", "submit");
+  serve::write_spec(w, campaign_spec(a), /*all=*/false);
+  w.end_object();
   serve::LineChannel ch(serve::connect_to(addr));
   if (!ch.send_line(w.str())) {
     throw std::runtime_error("submit: daemon closed the connection");
@@ -1727,6 +1624,9 @@ int main(int argc, char** argv) {
     if (a.command == "shutdown") return cmd_shutdown(a);
     if (a.command == "top") return cmd_top(a);
   } catch (const CliError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  } catch (const serve::SpecError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {
