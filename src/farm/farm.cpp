@@ -1,6 +1,7 @@
 #include "farm/farm.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <deque>
 #include <filesystem>
@@ -95,15 +96,24 @@ std::vector<HostSlot> parse_hosts_file(const std::string& path) {
   if (!in) throw std::runtime_error("cannot open hosts file: " + path);
   std::vector<HostSlot> hosts;
   std::string line;
-  while (std::getline(in, line)) {
+  for (u32 line_no = 1; std::getline(in, line); ++line_no) {
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream fields(line);
     HostSlot hs;
     if (!(fields >> hs.host)) continue;  // blank / comment-only line
-    if (!(fields >> hs.slots)) hs.slots = 1;
-    if (hs.slots == 0) {
-      throw std::runtime_error("hosts file: zero slots for " + hs.host);
+    // The slot count, when present, is the whole token: a positive decimal
+    // with no sign or suffix that fits a u32.
+    std::string count;
+    if (fields >> count) {
+      const char* end = count.data() + count.size();
+      const auto [ptr, ec] = std::from_chars(count.data(), end, hs.slots);
+      if (ec != std::errc{} || ptr != end || hs.slots == 0) {
+        throw std::runtime_error(
+            "hosts file " + path + " line " + std::to_string(line_no) +
+            ": bad slot count '" + count + "' for " + hs.host +
+            " (want a whole number from 1 to 4294967295)");
+      }
     }
     hosts.push_back(std::move(hs));
   }
@@ -180,7 +190,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     if (!sidecar) return;
     const std::vector<telemetry::SpanRecord> drained = book->drain();
     if (drained.empty()) return;
-    for (const telemetry::SpanRecord& sp : drained) sidecar->append_span(sp);
+    for (const telemetry::SpanRecord& sp : drained) sidecar->append(sp);
     sidecar->flush();
     tel->retain_spans(drained);
   };
@@ -421,7 +431,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
         try {
           const telemetry::SpanRecord sp = store::decode_span(payload);
           if (sidecar) {
-            sidecar->append_span(sp);
+            sidecar->append(sp);
           }
           tel->retain_spans({sp});
         } catch (const store::StoreError&) {
@@ -665,7 +675,8 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       // The harness died at the injection, so the fault cycle is the last
       // cycle this run meaningfully reached.
       rr.end_cycle = fault.cycle;
-      synth.append({i, inject::make_record(model, fault, rr)});
+      synth.append(
+          store::StoredRecord{i, inject::make_record(model, fault, rr)});
       result.harness_fatal.push_back(i);
     }
     synth.flush();
@@ -693,7 +704,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
   }
   if (!footprints.empty()) {
     store::StoreWriter w = store::StoreWriter::append_to(out_path);
-    for (const auto& [index, fp] : footprints) w.append_propagation(fp);
+    for (const auto& [index, fp] : footprints) w.append(fp);
     w.flush();
   }
 

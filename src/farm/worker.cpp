@@ -135,7 +135,7 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
   // the caller's next flush, delivered by the coordinator's FrameTail.
   const auto drain_spans = [&](store::StoreWriter& w) {
     if (book == nullptr || book->size() == 0) return;
-    for (const telemetry::SpanRecord& sp : book->drain()) w.append_span(sp);
+    for (const telemetry::SpanRecord& sp : book->drain()) w.append(sp);
   };
 
   std::optional<inject::CampaignPlan> own_plan;
@@ -168,13 +168,14 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
   // only trades freshness against bytes.
   const auto emit_metrics = [&] {
     wt->fold();
-    writer.append_metrics({opts.worker_id, m_seq++, tel->metrics().snapshot()});
+    writer.append(store::MetricsFrame{opts.worker_id, m_seq++,
+                                      tel->metrics().snapshot()});
     last_snapshot = executed;
   };
   // First committed frame doubles as the startup signal: the (possibly
   // slow) plan build above is done and the watchdog clock may start.
-  writer.append_heartbeat(
-      {opts.worker_id, hb_seq++, store::kHeartbeatIdle, executed});
+  writer.append(store::HeartbeatFrame{opts.worker_id, hb_seq++,
+                                      store::kHeartbeatIdle, executed});
   writer.flush();
 
   LineReader lines(opts.control_fd);
@@ -186,8 +187,8 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
     if (!parse_assignment(line, a)) return 3;
     if (book != nullptr && a.trace_id != 0) book->set_trace_id(a.trace_id);
     const u64 shard_t0 = book != nullptr ? book->now_us() : 0;
-    writer.append_assignment({opts.worker_id, a.shard, a.attempt,
-                              static_cast<u32>(a.indices.size())});
+    writer.append(store::AssignmentFrame{opts.worker_id, a.shard, a.attempt,
+                                         static_cast<u32>(a.indices.size())});
     writer.flush();
     // Claims pull from the assignment in order; the engine may hold several
     // in flight (lanes), so the heartbeat names the latest *claimed* index —
@@ -202,7 +203,8 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
             bad_index = true;
             return std::nullopt;
           }
-          writer.append_heartbeat({opts.worker_id, hb_seq++, index, executed});
+          writer.append(
+              store::HeartbeatFrame{opts.worker_id, hb_seq++, index, executed});
           writer.flush();
           // Sabotage strikes after the heartbeat commits, like the real
           // failure it stands in for (the injected flip wedging the harness
@@ -217,7 +219,7 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
           sr.index = index;
           sr.rec = rec;
           writer.append(sr);
-          if (fp) writer.append_propagation(*fp);
+          if (fp) writer.append(*fp);
           ++executed;
           if (opts.ship_metrics &&
               executed - last_snapshot >= kMetricsCadence) {

@@ -181,7 +181,7 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
           // one window, and resume re-runs the injections whose records
           // were lost (re-tracing their footprints with them).
           for (const inject::PropagationRecord& fp : w.footprints) {
-            writer.append_propagation(fp);
+            writer.append(fp);
           }
           writer.flush();
           result.executed += w.records.size();

@@ -624,7 +624,7 @@ void Daemon::finalize(Campaign& c, bool failed, const std::string& error) {
             store::StoreWriter sw = store::StoreWriter::create(
                 store::store_sibling(c.store_path, store::kTraceSidecarSuffix),
                 meta);
-            for (const telemetry::SpanRecord& sp : spans) sw.append_span(sp);
+            for (const telemetry::SpanRecord& sp : spans) sw.append(sp);
             sw.flush();
           }
         } catch (const std::exception&) {

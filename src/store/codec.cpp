@@ -1,375 +1,380 @@
 #include "store/codec.hpp"
 
 #include <bit>
+#include <string>
+#include <type_traits>
 
 namespace sfi::store {
 
-std::vector<u8> encode_meta(const CampaignMeta& m) {
-  ByteWriter w;
-  w.put_u32(m.format_version);
-  w.put_u64(m.seed);
-  w.put_u32(m.num_injections);
-  w.put_u64(m.config_fingerprint);
-  w.put_u64(m.workload_id);
-  w.put_u64(m.population_size);
-  w.put_u64(m.workload_cycles);
-  w.put_u64(m.workload_instructions);
-  w.put_u64(m.window_begin);
-  w.put_u64(m.window_end);
-  return w.bytes();
-}
-
-CampaignMeta decode_meta(std::span<const u8> payload) {
-  ByteReader r(payload);
-  CampaignMeta m;
-  m.format_version = r.get_u32();
-  if (m.format_version != kFormatVersion) {
-    throw StoreError("unsupported store format version " +
-                     std::to_string(m.format_version) + " (expected " +
-                     std::to_string(kFormatVersion) + ")");
-  }
-  m.seed = r.get_u64();
-  m.num_injections = r.get_u32();
-  m.config_fingerprint = r.get_u64();
-  m.workload_id = r.get_u64();
-  m.population_size = r.get_u64();
-  m.workload_cycles = r.get_u64();
-  m.workload_instructions = r.get_u64();
-  m.window_begin = r.get_u64();
-  m.window_end = r.get_u64();
-  if (!r.exhausted()) throw StoreError("trailing bytes in header payload");
-  return m;
-}
-
-std::vector<u8> encode_record(const StoredRecord& sr) {
-  const inject::InjectionRecord& rec = sr.rec;
-  ByteWriter w;
-  w.put_u32(sr.index);
-  w.put_u8(static_cast<u8>(rec.fault.target));
-  w.put_u32(rec.fault.index);
-  w.put_u64(rec.fault.array_bit);
-  w.put_u64(rec.fault.cycle);
-  w.put_u8(static_cast<u8>(rec.fault.mode));
-  w.put_u64(rec.fault.sticky_duration);
-  w.put_u8(rec.fault.sticky_value ? 1 : 0);
-  w.put_u8(rec.fault.adjacent_bits);
-  w.put_u8(static_cast<u8>(rec.outcome));
-  w.put_u8(static_cast<u8>(rec.unit));
-  w.put_u8(static_cast<u8>(rec.type));
-  w.put_u64(rec.end_cycle);
-  w.put_u8(rec.early_exited ? 1 : 0);
-  w.put_u32(rec.recoveries);
-  return w.bytes();
-}
-
 namespace {
 
-template <typename Enum>
-Enum checked_enum(u8 raw, u8 limit, const char* what) {
-  if (raw >= limit) {
-    throw StoreError(std::string("out-of-range ") + what + " value " +
-                     std::to_string(raw) + " in record payload");
+// Each payload type's layout is one field list, run by an Encoder to write
+// the payload and by a Decoder to read it back. Integers are little-endian
+// at their declared width, bools and enums take one byte, doubles travel as
+// their bit pattern, and strings and sequences carry a u32 count first.
+
+/// Cap on any one string field (metric names, span labels and args).
+constexpr u32 kMaxString = 4096;
+/// Cap on any one metrics sequence (counters, gauges, histograms, bounds).
+constexpr u32 kMaxCount = 1u << 20;
+
+class Encoder {
+ public:
+  static constexpr bool kDecoding = false;
+
+  template <class... T>
+  void operator()(const T&... fields) {
+    (field(fields), ...);
   }
-  return static_cast<Enum>(raw);
-}
-
-}  // namespace
-
-StoredRecord decode_record(std::span<const u8> payload) {
-  ByteReader r(payload);
-  StoredRecord sr;
-  sr.index = r.get_u32();
-  inject::InjectionRecord& rec = sr.rec;
-  rec.fault.target = checked_enum<inject::FaultTarget>(r.get_u8(), 2, "fault target");
-  rec.fault.index = r.get_u32();
-  rec.fault.array_bit = r.get_u64();
-  rec.fault.cycle = r.get_u64();
-  rec.fault.mode = checked_enum<inject::FaultMode>(r.get_u8(), 2, "fault mode");
-  rec.fault.sticky_duration = r.get_u64();
-  rec.fault.sticky_value = r.get_u8() != 0;
-  rec.fault.adjacent_bits = r.get_u8();
-  rec.outcome = checked_enum<inject::Outcome>(
-      r.get_u8(), static_cast<u8>(inject::kNumOutcomes), "outcome");
-  rec.unit = checked_enum<netlist::Unit>(
-      r.get_u8(), static_cast<u8>(netlist::kNumUnits), "unit");
-  rec.type = checked_enum<netlist::LatchType>(
-      r.get_u8(), static_cast<u8>(netlist::kNumLatchTypes), "latch type");
-  rec.end_cycle = r.get_u64();
-  rec.early_exited = r.get_u8() != 0;
-  rec.recoveries = r.get_u32();
-  if (!r.exhausted()) throw StoreError("trailing bytes in record payload");
-  return sr;
-}
-
-std::vector<u8> encode_propagation(const inject::PropagationRecord& rec) {
-  ByteWriter w;
-  w.put_u32(rec.index);
-  w.put_u8(static_cast<u8>(rec.unit));
-  w.put_u8(static_cast<u8>(rec.type));
-  w.put_u8(static_cast<u8>(rec.outcome));
-  u8 flags = 0;
-  if (rec.masked) flags |= 1u << 0;
-  if (rec.detected) flags |= 1u << 1;
-  if (rec.reached_arch) flags |= 1u << 2;
-  if (rec.reached_memory) flags |= 1u << 3;
-  if (rec.truncated) flags |= 1u << 4;
-  if (rec.checker_fired) flags |= 1u << 5;
-  if (rec.checker_fatal) flags |= 1u << 6;
-  w.put_u8(flags);
-  w.put_u8(static_cast<u8>(rec.checker));
-  w.put_u64(rec.fault_cycle);
-  w.put_u64(rec.masked_at);
-  w.put_u64(rec.detected_at);
-  w.put_u32(rec.peak_bits);
-  w.put_u32(rec.rerun_cycles);
-  for (const u32 fc : rec.first_corrupt) w.put_u32(fc);
-  w.put_u32(static_cast<u32>(rec.samples.size()));
-  for (const inject::FootprintSample& s : rec.samples) {
-    w.put_u32(s.offset);
-    w.put_u32(s.total_bits);
-    for (const u32 b : s.unit_bits) w.put_u32(b);
+  template <class E>
+  void enumeration(const E& v, unsigned /*limit*/, const char* /*what*/) {
+    field(v);
   }
-  return w.bytes();
-}
-
-inject::PropagationRecord decode_propagation(std::span<const u8> payload) {
-  ByteReader r(payload);
-  inject::PropagationRecord rec;
-  rec.index = r.get_u32();
-  rec.unit = checked_enum<netlist::Unit>(
-      r.get_u8(), static_cast<u8>(netlist::kNumUnits), "unit");
-  rec.type = checked_enum<netlist::LatchType>(
-      r.get_u8(), static_cast<u8>(netlist::kNumLatchTypes), "latch type");
-  rec.outcome = checked_enum<inject::Outcome>(
-      r.get_u8(), static_cast<u8>(inject::kNumOutcomes), "outcome");
-  const u8 flags = r.get_u8();
-  rec.masked = (flags & (1u << 0)) != 0;
-  rec.detected = (flags & (1u << 1)) != 0;
-  rec.reached_arch = (flags & (1u << 2)) != 0;
-  rec.reached_memory = (flags & (1u << 3)) != 0;
-  rec.truncated = (flags & (1u << 4)) != 0;
-  rec.checker_fired = (flags & (1u << 5)) != 0;
-  rec.checker_fatal = (flags & (1u << 6)) != 0;
-  const u8 checker = r.get_u8();
-  if (rec.checker_fired && checker >= core::kNumCheckers) {
-    throw StoreError("out-of-range checker id " + std::to_string(checker) +
-                     " in propagation payload");
+  template <class... B>
+  void flags(const B&... bits) {
+    u8 packed = 0;
+    unsigned bit = 0;
+    ((packed |= static_cast<u8>((bits ? 1u : 0u) << bit++)), ...);
+    field(packed);
   }
-  rec.checker = static_cast<core::CheckerId>(checker);
-  rec.fault_cycle = r.get_u64();
-  rec.masked_at = r.get_u64();
-  rec.detected_at = r.get_u64();
-  rec.peak_bits = r.get_u32();
-  rec.rerun_cycles = r.get_u32();
-  for (u32& fc : rec.first_corrupt) fc = r.get_u32();
-  const u32 n = r.get_u32();
-  // Each sample is 8 + 4*kNumUnits bytes; reject counts the payload cannot
-  // hold before allocating for them.
-  constexpr std::size_t kSampleBytes = 8 + 4 * netlist::kNumUnits;
-  if (n > payload.size() / kSampleBytes) {
-    throw StoreError("implausible sample count " + std::to_string(n) +
-                     " in propagation payload");
+  template <class Seq, class Each>
+  void seq(const Seq& s, std::size_t /*max*/, const char* /*what*/,
+           Each&& each) {
+    field(static_cast<u32>(s.size()));
+    for (const auto& e : s) each(e);
   }
-  rec.samples.resize(n);
-  for (inject::FootprintSample& s : rec.samples) {
-    s.offset = r.get_u32();
-    s.total_bits = r.get_u32();
-    for (u32& b : s.unit_bits) b = r.get_u32();
+  /// Bytes so far; a count cap computed from it is ignored when encoding.
+  [[nodiscard]] std::size_t size() const { return bytes.size(); }
+
+  std::vector<u8> bytes;
+
+ private:
+  template <class T>
+  void field(const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      field(static_cast<u32>(v.size()));
+      bytes.insert(bytes.end(), v.begin(), v.end());
+    } else if constexpr (std::is_same_v<T, double>) {
+      field(std::bit_cast<u64>(v));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      field(static_cast<u8>(v ? 1 : 0));
+    } else {
+      const u64 raw = static_cast<u64>(v);
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        bytes.push_back(static_cast<u8>(raw >> (8 * i)));
+      }
+    }
   }
-  if (!r.exhausted()) throw StoreError("trailing bytes in propagation payload");
-  return rec;
-}
+};
 
-std::vector<u8> encode_heartbeat(const HeartbeatFrame& hb) {
-  ByteWriter w;
-  w.put_u32(hb.worker);
-  w.put_u64(hb.seq);
-  w.put_u32(hb.index);
-  w.put_u64(hb.executed);
-  return w.bytes();
-}
+/// Reads a payload back in layout order; any byte the layout does not allow
+/// (short payload, trailing bytes, out-of-range enum, oversized count or
+/// string) throws StoreError naming the payload.
+class Decoder {
+ public:
+  static constexpr bool kDecoding = true;
 
-HeartbeatFrame decode_heartbeat(std::span<const u8> payload) {
-  ByteReader r(payload);
-  HeartbeatFrame hb;
-  hb.worker = r.get_u32();
-  hb.seq = r.get_u64();
-  hb.index = r.get_u32();
-  hb.executed = r.get_u64();
-  if (!r.exhausted()) throw StoreError("trailing bytes in heartbeat payload");
-  return hb;
-}
+  Decoder(std::span<const u8> data, const char* payload)
+      : data_(data), payload_(payload) {}
 
-std::vector<u8> encode_assignment(const AssignmentFrame& as) {
-  ByteWriter w;
-  w.put_u32(as.worker);
-  w.put_u64(as.shard);
-  w.put_u32(as.attempt);
-  w.put_u32(as.count);
-  return w.bytes();
-}
-
-AssignmentFrame decode_assignment(std::span<const u8> payload) {
-  ByteReader r(payload);
-  AssignmentFrame as;
-  as.worker = r.get_u32();
-  as.shard = r.get_u64();
-  as.attempt = r.get_u32();
-  as.count = r.get_u32();
-  if (!r.exhausted()) throw StoreError("trailing bytes in assignment payload");
-  return as;
-}
-
-namespace {
-
-// Length-prefixed UTF-8; metric names are short, so byte-at-a-time reads
-// are fine at snapshot rate (~1 Hz per worker).
-void put_str(ByteWriter& w, const std::string& s) {
-  w.put_u32(static_cast<u32>(s.size()));
-  for (const char c : s) w.put_u8(static_cast<u8>(c));
-}
-
-std::string get_str(ByteReader& r) {
-  const u32 n = r.get_u32();
-  if (n > 4096) throw StoreError("metric name too long in metrics payload");
-  std::string s;
-  s.reserve(n);
-  for (u32 i = 0; i < n; ++i) s.push_back(static_cast<char>(r.get_u8()));
-  return s;
-}
-
-void put_f64(ByteWriter& w, double v) { w.put_u64(std::bit_cast<u64>(v)); }
-
-double get_f64(ByteReader& r) { return std::bit_cast<double>(r.get_u64()); }
-
-u32 get_count(ByteReader& r, const char* what) {
-  const u32 n = r.get_u32();
-  if (n > 1u << 20) {
-    throw StoreError(std::string("implausible ") + what +
-                     " count in metrics payload");
+  template <class... T>
+  void operator()(T&... fields) {
+    (field(fields), ...);
   }
-  return n;
-}
+  template <class E>
+  void enumeration(E& v, unsigned limit, const char* what) {
+    u8 raw = 0;
+    field(raw);
+    if (raw >= limit) {
+      fail("out-of-range " + std::string(what) + " value " +
+           std::to_string(raw));
+    }
+    v = static_cast<E>(raw);
+  }
+  template <class... B>
+  void flags(B&... bits) {
+    u8 packed = 0;
+    field(packed);
+    unsigned bit = 0;
+    ((bits = ((packed >> bit++) & 1u) != 0), ...);
+  }
+  /// A u32 count, refused above `max` before anything is allocated for it.
+  template <class Seq, class Each>
+  void seq(Seq& s, std::size_t max, const char* what, Each&& each) {
+    u32 n = 0;
+    field(n);
+    if (n > max) {
+      fail("implausible " + std::string(what) + " count " + std::to_string(n));
+    }
+    s.resize(n);
+    for (auto& e : s) each(e);
+  }
+  /// Size of the whole payload.
+  [[nodiscard]] std::size_t size() const { return data_.size(); }
 
-}  // namespace
+  void finish() const {
+    if (pos_ != data_.size()) fail("trailing bytes");
+  }
+  [[noreturn]] void fail(const std::string& why) const {
+    throw StoreError(why + " in " + payload_ + " payload");
+  }
 
-std::vector<u8> encode_metrics(const MetricsFrame& mf) {
-  ByteWriter w;
-  w.put_u32(mf.worker);
-  w.put_u64(mf.seq);
-  const telemetry::MetricsSnapshot& s = mf.snapshot;
-  w.put_u32(static_cast<u32>(s.counters.size()));
-  for (const auto& [name, value] : s.counters) {
-    put_str(w, name);
-    w.put_u64(value);
+ private:
+  template <class T>
+  void field(T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      u32 n = 0;
+      field(n);
+      if (n > kMaxString) fail("string too long");
+      need(n);
+      v.assign(reinterpret_cast<const char*>(data_.data() + pos_), n);
+      pos_ += n;
+    } else if constexpr (std::is_same_v<T, double>) {
+      u64 raw = 0;
+      field(raw);
+      v = std::bit_cast<double>(raw);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      u8 raw = 0;
+      field(raw);
+      v = raw != 0;
+    } else {
+      need(sizeof(T));
+      u64 raw = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        raw |= static_cast<u64>(data_[pos_++]) << (8 * i);
+      }
+      v = static_cast<T>(raw);
+    }
   }
-  w.put_u32(static_cast<u32>(s.gauges.size()));
-  for (const auto& [name, value] : s.gauges) {
-    put_str(w, name);
-    put_f64(w, value);
+  void need(std::size_t n) const {
+    if (n > data_.size() - pos_) fail("payload shorter than its layout");
   }
-  w.put_u32(static_cast<u32>(s.histograms.size()));
-  for (const telemetry::MetricsSnapshot::Hist& h : s.histograms) {
-    put_str(w, h.name);
-    w.put_u32(static_cast<u32>(h.bounds.size()));
-    for (const double b : h.bounds) put_f64(w, b);
-    // buckets.size() is pinned to bounds.size() + 1 by construction.
-    for (const u64 c : h.buckets) w.put_u64(c);
-    w.put_u64(h.count);
-    put_f64(w, h.sum);
-  }
-  return w.bytes();
-}
 
-MetricsFrame decode_metrics(std::span<const u8> payload) {
-  ByteReader r(payload);
-  MetricsFrame mf;
-  mf.worker = r.get_u32();
-  mf.seq = r.get_u64();
-  telemetry::MetricsSnapshot& s = mf.snapshot;
-  const u32 n_counters = get_count(r, "counter");
-  s.counters.reserve(n_counters);
-  for (u32 i = 0; i < n_counters; ++i) {
-    std::string name = get_str(r);
-    const u64 value = r.get_u64();
-    s.counters.emplace_back(std::move(name), value);
-  }
-  const u32 n_gauges = get_count(r, "gauge");
-  s.gauges.reserve(n_gauges);
-  for (u32 i = 0; i < n_gauges; ++i) {
-    std::string name = get_str(r);
-    const double value = get_f64(r);
-    s.gauges.emplace_back(std::move(name), value);
-  }
-  const u32 n_hists = get_count(r, "histogram");
-  s.histograms.reserve(n_hists);
-  for (u32 i = 0; i < n_hists; ++i) {
-    telemetry::MetricsSnapshot::Hist h;
-    h.name = get_str(r);
-    const u32 n_bounds = get_count(r, "histogram bound");
-    h.bounds.reserve(n_bounds);
-    for (u32 b = 0; b < n_bounds; ++b) h.bounds.push_back(get_f64(r));
-    h.buckets.resize(n_bounds + 1);
-    for (u64& c : h.buckets) c = r.get_u64();
-    h.count = r.get_u64();
-    h.sum = get_f64(r);
-    s.histograms.push_back(std::move(h));
-  }
-  if (!r.exhausted()) throw StoreError("trailing bytes in metrics payload");
-  return mf;
-}
+  std::span<const u8> data_;
+  const char* payload_;
+  std::size_t pos_ = 0;
+};
 
-std::vector<u8> encode_span(const telemetry::SpanRecord& span) {
-  ByteWriter w;
-  w.put_u64(span.trace_id);
-  w.put_u64(span.span_id);
-  w.put_u64(span.parent_id);
-  w.put_u64(span.pid);
-  w.put_u32(span.tid);
-  w.put_u8(static_cast<u8>(span.ph));
-  w.put_u64(span.ts_us);
-  w.put_u64(span.dur_us);
-  put_str(w, span.process);
-  put_str(w, span.name);
-  put_str(w, span.cat);
-  put_str(w, span.args_json);
-  return w.bytes();
-}
+/// The frame kind, name and field list of one payload type. `fields` takes
+/// the payload const when encoding and mutable when decoding.
+template <class Payload>
+struct Layout;
 
-telemetry::SpanRecord decode_span(std::span<const u8> payload) {
-  ByteReader r(payload);
-  telemetry::SpanRecord s;
-  s.trace_id = r.get_u64();
-  s.span_id = r.get_u64();
-  s.parent_id = r.get_u64();
-  s.pid = r.get_u64();
-  s.tid = r.get_u32();
-  const u8 ph = r.get_u8();
-  if (ph != 'X' && ph != 'i') {
-    throw StoreError("unknown span phase " + std::to_string(ph) +
-                     " in span payload");
+template <>
+struct Layout<CampaignMeta> {
+  static constexpr u8 kKind = kHeaderFrame;
+  static constexpr const char* kName = "header";
+  template <class Io, class M>
+  static void fields(Io& io, M& m) {
+    io(m.format_version);
+    if constexpr (Io::kDecoding) {
+      if (m.format_version != kFormatVersion) {
+        io.fail("unsupported store format version " +
+                std::to_string(m.format_version) + " (expected " +
+                std::to_string(kFormatVersion) + ")");
+      }
+    }
+    io(m.seed, m.num_injections, m.config_fingerprint, m.workload_id,
+       m.population_size, m.workload_cycles, m.workload_instructions,
+       m.window_begin, m.window_end);
   }
-  s.ph = static_cast<char>(ph);
-  s.ts_us = r.get_u64();
-  s.dur_us = r.get_u64();
-  s.process = get_str(r);
-  s.name = get_str(r);
-  s.cat = get_str(r);
-  s.args_json = get_str(r);
-  if (!r.exhausted()) throw StoreError("trailing bytes in span payload");
-  return s;
-}
+};
 
-std::vector<u8> make_frame(u8 kind, std::span<const u8> payload) {
-  std::vector<u8> frame;
-  frame.reserve(kFrameOverhead + payload.size());
-  frame.push_back(kind);
-  const u32 len = static_cast<u32>(payload.size());
-  for (int i = 0; i < 4; ++i) frame.push_back(static_cast<u8>(len >> (8 * i)));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  const u32 crc = crc32(std::span<const u8>(frame.data(), frame.size()));
+template <>
+struct Layout<StoredRecord> {
+  static constexpr u8 kKind = kRecordFrame;
+  static constexpr const char* kName = "record";
+  template <class Io, class S>
+  static void fields(Io& io, S& sr) {
+    auto& rec = sr.rec;
+    auto& f = rec.fault;
+    io(sr.index);
+    io.enumeration(f.target, 2, "fault target");
+    io(f.index, f.array_bit, f.cycle);
+    io.enumeration(f.mode, 2, "fault mode");
+    io(f.sticky_duration, f.sticky_value, f.adjacent_bits);
+    io.enumeration(rec.outcome, inject::kNumOutcomes, "outcome");
+    io.enumeration(rec.unit, netlist::kNumUnits, "unit");
+    io.enumeration(rec.type, netlist::kNumLatchTypes, "latch type");
+    io(rec.end_cycle, rec.early_exited, rec.recoveries);
+  }
+};
+
+template <>
+struct Layout<inject::PropagationRecord> {
+  static constexpr u8 kKind = kPropagationFrame;
+  static constexpr const char* kName = "propagation";
+  /// Encoded size of one footprint sample.
+  static constexpr std::size_t kSampleBytes = 8 + 4 * netlist::kNumUnits;
+  template <class Io, class P>
+  static void fields(Io& io, P& rec) {
+    io(rec.index);
+    io.enumeration(rec.unit, netlist::kNumUnits, "unit");
+    io.enumeration(rec.type, netlist::kNumLatchTypes, "latch type");
+    io.enumeration(rec.outcome, inject::kNumOutcomes, "outcome");
+    io.flags(rec.masked, rec.detected, rec.reached_arch, rec.reached_memory,
+             rec.truncated, rec.checker_fired, rec.checker_fatal);
+    // The checker id is meaningful, and so range-checked, only if one fired.
+    io.enumeration(rec.checker, rec.checker_fired ? core::kNumCheckers : 256,
+                   "checker id");
+    io(rec.fault_cycle, rec.masked_at, rec.detected_at, rec.peak_bits,
+       rec.rerun_cycles);
+    for (auto& fc : rec.first_corrupt) io(fc);
+    // A sample count the payload could not hold is refused before
+    // allocating for it.
+    io.seq(rec.samples, io.size() / kSampleBytes, "sample", [&](auto& s) {
+      io(s.offset, s.total_bits);
+      for (auto& b : s.unit_bits) io(b);
+    });
+  }
+};
+
+template <>
+struct Layout<HeartbeatFrame> {
+  static constexpr u8 kKind = kHeartbeatFrame;
+  static constexpr const char* kName = "heartbeat";
+  template <class Io, class H>
+  static void fields(Io& io, H& hb) {
+    io(hb.worker, hb.seq, hb.index, hb.executed);
+  }
+};
+
+template <>
+struct Layout<AssignmentFrame> {
+  static constexpr u8 kKind = kAssignmentFrame;
+  static constexpr const char* kName = "assignment";
+  template <class Io, class A>
+  static void fields(Io& io, A& as) {
+    io(as.worker, as.shard, as.attempt, as.count);
+  }
+};
+
+template <>
+struct Layout<MetricsFrame> {
+  static constexpr u8 kKind = kMetricsFrame;
+  static constexpr const char* kName = "metrics";
+  template <class Io, class M>
+  static void fields(Io& io, M& mf) {
+    auto& s = mf.snapshot;
+    io(mf.worker, mf.seq);
+    io.seq(s.counters, kMaxCount, "counter",
+           [&](auto& c) { io(c.first, c.second); });
+    io.seq(s.gauges, kMaxCount, "gauge",
+           [&](auto& g) { io(g.first, g.second); });
+    io.seq(s.histograms, kMaxCount, "histogram", [&](auto& h) {
+      io(h.name);
+      io.seq(h.bounds, kMaxCount, "histogram bound", [&](auto& b) { io(b); });
+      // One bucket per bound plus the overflow bucket; the count is implied.
+      if constexpr (Io::kDecoding) h.buckets.resize(h.bounds.size() + 1);
+      for (auto& c : h.buckets) io(c);
+      io(h.count, h.sum);
+    });
+  }
+};
+
+template <>
+struct Layout<telemetry::SpanRecord> {
+  static constexpr u8 kKind = kSpanFrame;
+  static constexpr const char* kName = "span";
+  template <class Io, class S>
+  static void fields(Io& io, S& s) {
+    io(s.trace_id, s.span_id, s.parent_id, s.pid, s.tid, s.ph);
+    if constexpr (Io::kDecoding) {
+      if (s.ph != 'X' && s.ph != 'i') {
+        io.fail("unknown span phase " +
+                std::to_string(static_cast<u8>(s.ph)));
+      }
+    }
+    io(s.ts_us, s.dur_us, s.process, s.name, s.cat, s.args_json);
+  }
+};
+
+/// Complete `frame` (kind and length placeholders, then the payload) into a
+/// CRC-framed frame: kind | payload_len | payload | crc32.
+std::vector<u8> seal(u8 kind, std::vector<u8> frame) {
+  const u32 len = static_cast<u32>(frame.size() - 5);
+  frame[0] = kind;
+  for (int i = 0; i < 4; ++i) frame[1 + i] = static_cast<u8>(len >> (8 * i));
+  const u32 crc = crc32(frame);
   for (int i = 0; i < 4; ++i) frame.push_back(static_cast<u8>(crc >> (8 * i)));
   return frame;
+}
+
+template <class Payload>
+std::vector<u8> encode(const Payload& payload) {
+  Encoder e;
+  Layout<Payload>::fields(e, payload);
+  return std::move(e.bytes);
+}
+
+template <class Payload>
+Payload decode(std::span<const u8> payload) {
+  Decoder d(payload, Layout<Payload>::kName);
+  Payload out;
+  Layout<Payload>::fields(d, out);
+  d.finish();
+  return out;
+}
+
+}  // namespace
+
+template <class Payload>
+std::vector<u8> encode_frame(const Payload& payload) {
+  Encoder e;
+  e.bytes.resize(5);
+  Layout<Payload>::fields(e, payload);
+  return seal(Layout<Payload>::kKind, std::move(e.bytes));
+}
+
+template std::vector<u8> encode_frame(const CampaignMeta&);
+template std::vector<u8> encode_frame(const StoredRecord&);
+template std::vector<u8> encode_frame(const inject::PropagationRecord&);
+template std::vector<u8> encode_frame(const HeartbeatFrame&);
+template std::vector<u8> encode_frame(const AssignmentFrame&);
+template std::vector<u8> encode_frame(const MetricsFrame&);
+template std::vector<u8> encode_frame(const telemetry::SpanRecord&);
+
+std::vector<u8> make_frame(u8 kind, std::span<const u8> payload) {
+  std::vector<u8> frame(5);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return seal(kind, std::move(frame));
+}
+
+std::vector<u8> encode_meta(const CampaignMeta& m) { return encode(m); }
+CampaignMeta decode_meta(std::span<const u8> p) {
+  return decode<CampaignMeta>(p);
+}
+std::vector<u8> encode_record(const StoredRecord& sr) { return encode(sr); }
+StoredRecord decode_record(std::span<const u8> p) {
+  return decode<StoredRecord>(p);
+}
+std::vector<u8> encode_propagation(const inject::PropagationRecord& rec) {
+  return encode(rec);
+}
+inject::PropagationRecord decode_propagation(std::span<const u8> p) {
+  return decode<inject::PropagationRecord>(p);
+}
+std::vector<u8> encode_heartbeat(const HeartbeatFrame& hb) {
+  return encode(hb);
+}
+HeartbeatFrame decode_heartbeat(std::span<const u8> p) {
+  return decode<HeartbeatFrame>(p);
+}
+std::vector<u8> encode_assignment(const AssignmentFrame& as) {
+  return encode(as);
+}
+AssignmentFrame decode_assignment(std::span<const u8> p) {
+  return decode<AssignmentFrame>(p);
+}
+std::vector<u8> encode_metrics(const MetricsFrame& mf) { return encode(mf); }
+MetricsFrame decode_metrics(std::span<const u8> p) {
+  return decode<MetricsFrame>(p);
+}
+std::vector<u8> encode_span(const telemetry::SpanRecord& span) {
+  return encode(span);
+}
+telemetry::SpanRecord decode_span(std::span<const u8> p) {
+  return decode<telemetry::SpanRecord>(p);
 }
 
 }  // namespace sfi::store

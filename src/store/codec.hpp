@@ -1,7 +1,9 @@
-// Payload codecs for the two frame kinds, plus frame assembly/verification.
-// Encoding is canonical: a given (meta, records) set has exactly one byte
-// representation, which is what lets `merge` promise byte-identical output
-// for equal record sets (the resume-equivalence proof in tests/test_store).
+// Payload codecs for the seven payload frame kinds, plus frame assembly.
+// Each payload type has one field list (codec.cpp) that both encodes and
+// decodes it. Encoding is canonical: a given (meta, records) set has exactly
+// one byte representation, which is what lets `merge` promise byte-identical
+// output for equal record sets (the resume-equivalence proof in
+// tests/test_store).
 #pragma once
 
 #include <span>
@@ -80,7 +82,14 @@ struct MetricsFrame {
 [[nodiscard]] std::vector<u8> encode_span(const telemetry::SpanRecord& span);
 [[nodiscard]] telemetry::SpanRecord decode_span(std::span<const u8> payload);
 
-/// Wrap a payload into a CRC-framed byte sequence ready for appending.
+/// One CRC-framed frame carrying `payload`, ready for appending. The frame
+/// kind follows from the payload's type (CampaignMeta 'H', StoredRecord 'R',
+/// PropagationRecord 'P', HeartbeatFrame 'B', AssignmentFrame 'A',
+/// MetricsFrame 'M', SpanRecord 'S'); no other type is encodable.
+template <class Payload>
+[[nodiscard]] std::vector<u8> encode_frame(const Payload& payload);
+
+/// Wrap a raw payload into a CRC-framed byte sequence ready for appending.
 [[nodiscard]] std::vector<u8> make_frame(u8 kind, std::span<const u8> payload);
 
 }  // namespace sfi::store

@@ -5,21 +5,19 @@
 //   file  := magic[8] frame*
 //   frame := kind:u8 | payload_len:u32 | payload[payload_len] | crc32:u32
 //
-// The first frame is the campaign header (kind 'H'); every following frame
-// is one injection record (kind 'R'). All integers are little-endian and
-// fixed-width; the CRC-32 (IEEE, reflected 0xEDB88320) covers kind,
-// payload_len and payload, so torn writes and bit rot are both detectable
-// per frame. Records carry their campaign index explicitly, which is what
-// makes stores order-insensitive (shards append as they finish) and
-// resumable (a restarted campaign skips persisted indices).
+// The first frame is the campaign header (kind 'H'); the frames after it are
+// injection records (kind 'R') and the optional kinds below. All integers
+// are little-endian and fixed-width; the CRC-32 (IEEE, reflected 0xEDB88320)
+// covers kind, payload_len and payload, so torn writes and bit rot are both
+// detectable per frame. Records carry their campaign index explicitly,
+// which is what makes stores order-insensitive (shards append as they
+// finish) and resumable (a restarted campaign skips persisted indices).
 #pragma once
 
 #include <array>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -75,6 +73,10 @@ inline constexpr u8 kSpanFrame = 'S';
 /// Frame overhead: kind + payload_len + crc32.
 inline constexpr std::size_t kFrameOverhead = 1 + 4 + 4;
 
+/// Sanity cap on one frame payload. Real payloads are well under a kilobyte,
+/// so a larger length field is corruption, never a frame worth waiting for.
+inline constexpr u32 kMaxPayload = 1u << 20;
+
 namespace detail {
 constexpr std::array<u32, 256> make_crc32_table() {
   std::array<u32, 256> table{};
@@ -98,55 +100,6 @@ inline constexpr std::array<u32, 256> kCrc32Table = make_crc32_table();
   }
   return c ^ 0xFFFFFFFFu;
 }
-
-/// Little-endian append-only byte sink for payload encoding.
-class ByteWriter {
- public:
-  void put_u8(u8 v) { buf_.push_back(v); }
-  void put_u32(u32 v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<u8>(v >> (8 * i)));
-  }
-  void put_u64(u64 v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<u8>(v >> (8 * i)));
-  }
-  [[nodiscard]] const std::vector<u8>& bytes() const { return buf_; }
-
- private:
-  std::vector<u8> buf_;
-};
-
-/// Little-endian cursor over a payload; throws StoreError on underrun.
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const u8> data) : data_(data) {}
-
-  [[nodiscard]] u8 get_u8() {
-    need(1);
-    return data_[pos_++];
-  }
-  [[nodiscard]] u32 get_u32() {
-    need(4);
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<u32>(data_[pos_++]) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] u64 get_u64() {
-    need(8);
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<u64>(data_[pos_++]) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
-
- private:
-  void need(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
-      throw StoreError("store payload shorter than its declared layout");
-    }
-  }
-  std::span<const u8> data_;
-  std::size_t pos_ = 0;
-};
 
 /// Campaign identity and provenance, written once per store file. Two stores
 /// are shards of the same campaign iff every field below matches.

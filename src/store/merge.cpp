@@ -1,6 +1,5 @@
 #include "store/merge.hpp"
 
-#include <algorithm>
 #include <map>
 
 namespace sfi::store {
@@ -12,49 +11,45 @@ MergeSummary merge_stores(const std::vector<std::string>& inputs,
   MergeSummary summary;
   summary.inputs = inputs.size();
 
-  // index -> canonical payload bytes. Comparing encoded payloads (not
-  // structs) is what makes "shards agree" an exact, byte-level statement.
-  std::map<u32, std::vector<u8>> by_index;
+  std::map<u32, StoredRecord> by_index;
 
   bool have_meta = false;
   for (const std::string& path : inputs) {
-    // read_store (not a streaming pass) so that, under tolerant reading,
-    // records sitting in an uncommitted flush window of a killed worker's
-    // shard are dropped before they can enter the merge.
-    const StoreContents contents = read_store(path, opts);
+    // Every reader applies the commit rule, so under tolerant reading the
+    // records of a killed worker's unsealed flush window never arrive here.
+    StoreReader reader(path, opts);
     if (!have_meta) {
-      summary.meta = contents.meta;
+      summary.meta = reader.meta();
       have_meta = true;
-    } else if (!summary.meta.same_campaign(contents.meta)) {
+    } else if (!summary.meta.same_campaign(reader.meta())) {
       throw StoreError("store " + path +
                        " belongs to a different campaign than " + inputs[0] +
                        " (seed/config/workload mismatch)");
     }
-    for (const StoredRecord& sr : contents.records) {
+    StoredRecord sr;
+    while (reader.next(sr)) {
       ++summary.records_read;
       if (sr.index >= summary.meta.num_injections) {
         throw StoreError("record index " + std::to_string(sr.index) +
                          " out of campaign range in " + path);
       }
-      std::vector<u8> payload = encode_record(sr);
-      const auto [it, inserted] = by_index.emplace(sr.index, std::move(payload));
-      if (!inserted) {
-        if (it->second != encode_record(sr)) {
-          throw StoreError(
-              "shards disagree on injection " + std::to_string(sr.index) +
-              " — not re-executions of the same campaign (" + path + ")");
-        }
-        ++summary.duplicates;
+      const auto [it, inserted] = by_index.emplace(sr.index, sr);
+      if (inserted) continue;
+      // Comparing encoded payloads (not structs) is what makes "shards
+      // agree" an exact, byte-level statement.
+      if (encode_record(it->second) != encode_record(sr)) {
+        throw StoreError(
+            "shards disagree on injection " + std::to_string(sr.index) +
+            " — not re-executions of the same campaign (" + path + ")");
       }
+      ++summary.duplicates;
     }
   }
 
   summary.missing = summary.meta.num_injections - by_index.size();
 
   StoreWriter writer = StoreWriter::create(out_path, summary.meta);
-  for (const auto& [index, payload] : by_index) {
-    writer.append(decode_record(payload));
-  }
+  for (const auto& [index, sr] : by_index) writer.append(sr);
   writer.flush();
   summary.records_written = writer.records_written();
   return summary;

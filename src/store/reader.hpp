@@ -1,34 +1,37 @@
 // StoreReader: streaming consumer side of a `.sfr` campaign store.
 //
 // Frames are validated (magic, version, per-frame CRC) as they are read, so
-// a full pass never holds more than one record in memory — analysis over a
-// 100M-record store streams. Two reading disciplines:
+// a full pass holds at most one flush window in memory — analysis over a
+// 100M-record store streams. Every reader of a store file — StoreReader, the
+// helpers below that wrap it, and FrameTail (tail.hpp) over a file still
+// being written — runs on one envelope scanner and applies one commit rule,
+// so all of them deliver the same committed prefix:
 //
-//   Strict (default): any malformed byte throws StoreError. This is what
-//   `report`/`merge` use — a corrupt analysis input should never be
+//   Commit rule. In a store without commit markers, each frame is released
+//   as it validates. Once a store has shown a commit marker
+//   (store::WriteOptions::commit_markers), a frame is released only when
+//   the next marker seals its flush window. A flush is multi-frame (records
+//   plus their footprints), so a tear mid-flush could otherwise surface a
+//   valid-looking orphan 'R' whose companion 'P' was lost.
+//
+//   End of file, strict (default): the frames of an unsealed final window
+//   are still delivered, and any malformed byte throws StoreError. This is
+//   what `report`/`merge` use — a corrupt analysis input should never be
 //   silently partial.
 //
-//   Tolerate-torn-tail: a frame cut short *at the very end of the file* —
-//   the signature of a writer killed mid-append — terminates the stream
-//   cleanly instead of throwing, reporting the byte offset of the last
-//   valid frame. The resume scheduler truncates the file there and
-//   re-executes only the injections past the tear. Corruption that is NOT
-//   at the tail (a bad CRC with further frames behind it) still throws.
-//
-//   Stores written with commit markers (store::WriteOptions::commit_markers)
-//   tighten the tolerant discipline: a flush is multi-frame (a batch of 'R'
-//   frames plus their 'P' footprints), so a tear mid-flush can leave a
-//   valid-looking orphan — an 'R' whose companion 'P' was lost. Once a
-//   kCommitFrame has been seen, the safe truncation point is therefore the
-//   last commit marker, and anything after it (complete frames included)
-//   counts as torn. read_store() additionally drops the uncommitted-tail
-//   records from its materialised result; the streaming APIs deliver frames
-//   as they validate and leave the rollback visible via torn_tail() /
-//   valid_bytes() only.
+//   End of file, tolerate-torn-tail: an unsealed final window, or a frame
+//   cut short or failing its CRC at the very end of the file — the
+//   signature of a writer killed mid-append — ends the stream cleanly
+//   without delivering that window. torn_tail() reports it and
+//   valid_bytes() is the offset to truncate to; the resume scheduler
+//   truncates there and re-executes only the injections past the tear.
+//   Corruption that is NOT at the tail (a bad CRC with further bytes behind
+//   it) still throws.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,6 +44,9 @@ namespace sfi::store {
 struct ReadOptions {
   bool tolerate_torn_tail = false;
 };
+
+/// The envelope scanner and commit rule over one store file (reader.cpp).
+class FrameCursor;
 
 class StoreReader {
  public:
@@ -58,41 +64,29 @@ class StoreReader {
   /// stores with forensic frames unchanged.
   [[nodiscard]] bool next(StoredRecord& out);
 
-  /// Read the next frame of any kind (validated, payload returned raw).
-  /// Returns false at end of stream. Forensics consumers use this to pull
-  /// kPropagationFrame payloads out of a mixed store.
+  /// Read the next released frame of any kind, commit markers included, in
+  /// file order (validated, payload returned raw). Returns false at end of
+  /// stream. Forensics consumers use this to pull kPropagationFrame payloads
+  /// out of a mixed store.
   [[nodiscard]] bool next_frame(u8& kind, std::vector<u8>& payload);
 
-  /// True once the stream ended at a torn (incomplete/corrupt) final frame
-  /// under tolerate_torn_tail.
+  /// True once the stream ended at a torn tail under tolerate_torn_tail: an
+  /// incomplete or corrupt final frame, or an unsealed final window.
   [[nodiscard]] bool torn_tail() const { return torn_tail_; }
 
-  /// Byte offset of the safe truncation point for resume-after-crash: just
-  /// past the last frame that validated, or — once a commit marker has been
-  /// seen and the stream ended past one — just past the last commit marker.
-  [[nodiscard]] u64 valid_bytes() const { return valid_bytes_; }
-
-  /// Byte offset just past the most recently returned frame. Lets
-  /// materialising readers decide, post hoc, whether a frame fell inside the
-  /// committed prefix (offset <= valid_bytes() once the stream ends).
-  [[nodiscard]] u64 tell() const;
+  /// Byte offset just past the last released frame: once the stream has
+  /// ended, the safe truncation point for resume-after-crash.
+  [[nodiscard]] u64 valid_bytes() const;
 
  private:
-  /// Read one frame; returns false at clean end of stream or tolerated torn
-  /// tail. `tolerant` false forces strict behaviour regardless of options
-  /// (the header frame must always be intact).
-  bool read_frame_impl(u8& kind, std::vector<u8>& payload, bool tolerant);
-  bool read_frame(u8& kind, std::vector<u8>& payload);
-  bool read_frame_strict(u8& kind, std::vector<u8>& payload);
+  /// Next released frame as a view valid until the next call.
+  bool next_view(u8& kind, std::span<const u8>& payload);
 
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<FrameCursor> cursor_;
+  ReadOptions opts_;
   CampaignMeta meta_;
   bool torn_tail_ = false;
-  u64 valid_bytes_ = 0;
-  /// Offset just past the last kCommitFrame (or the header before any).
-  u64 last_commit_ = 0;
-  bool saw_commit_ = false;
+  bool ended_ = false;
 };
 
 /// A fully materialised store.

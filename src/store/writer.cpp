@@ -23,16 +23,11 @@ StoreWriter StoreWriter::create(const std::string& path,
                                 const CampaignMeta& meta, WriteOptions opts) {
   StoreWriter w(path, /*truncate=*/true, opts);
   w.write_bytes(std::span<const u8>(kMagic.data(), kMagic.size()));
-  const std::vector<u8> payload = encode_meta(meta);
-  const std::vector<u8> frame = make_frame(kHeaderFrame, payload);
-  w.write_bytes(frame);
-  if (opts.commit_markers) {
-    // A marker directly after the header does double duty: it commits the
-    // (possibly empty) store, and it lets tolerant readers tell a
-    // marker-discipline store apart from a legacy one (which must keep the
-    // old any-complete-frame-is-valid truncation semantics).
-    w.uncommitted_frames_ = 1;
-  }
+  // With commit markers on, the flush below seals the header with a marker.
+  // That marker commits the (possibly empty) store, and it tells tolerant
+  // readers a marker-discipline store apart from a legacy one, which keeps
+  // the any-complete-frame-is-valid truncation rule.
+  w.append(meta);
   w.flush();
   return w;
 }
@@ -40,49 +35,6 @@ StoreWriter StoreWriter::create(const std::string& path,
 StoreWriter StoreWriter::append_to(const std::string& path,
                                    WriteOptions opts) {
   return StoreWriter(path, /*truncate=*/false, opts);
-}
-
-void StoreWriter::append(const StoredRecord& record) {
-  const std::vector<u8> payload = encode_record(record);
-  const std::vector<u8> frame = make_frame(kRecordFrame, payload);
-  write_bytes(frame);
-  ++records_written_;
-  ++uncommitted_frames_;
-}
-
-void StoreWriter::append(std::span<const StoredRecord> records) {
-  for (const StoredRecord& r : records) append(r);
-}
-
-void StoreWriter::append_propagation(const inject::PropagationRecord& rec) {
-  const std::vector<u8> payload = encode_propagation(rec);
-  const std::vector<u8> frame = make_frame(kPropagationFrame, payload);
-  write_bytes(frame);
-  ++uncommitted_frames_;
-}
-
-void StoreWriter::append_heartbeat(const HeartbeatFrame& hb) {
-  const std::vector<u8> payload = encode_heartbeat(hb);
-  write_bytes(make_frame(kHeartbeatFrame, payload));
-  ++uncommitted_frames_;
-}
-
-void StoreWriter::append_assignment(const AssignmentFrame& as) {
-  const std::vector<u8> payload = encode_assignment(as);
-  write_bytes(make_frame(kAssignmentFrame, payload));
-  ++uncommitted_frames_;
-}
-
-void StoreWriter::append_metrics(const MetricsFrame& mf) {
-  const std::vector<u8> payload = encode_metrics(mf);
-  write_bytes(make_frame(kMetricsFrame, payload));
-  ++uncommitted_frames_;
-}
-
-void StoreWriter::append_span(const telemetry::SpanRecord& span) {
-  const std::vector<u8> payload = encode_span(span);
-  write_bytes(make_frame(kSpanFrame, payload));
-  ++uncommitted_frames_;
 }
 
 void StoreWriter::flush() {

@@ -4,11 +4,13 @@
 // CRC) or, on a crash, leaves a torn final frame the reader can detect and
 // the scheduler truncates away on resume. The writer buffers in the ofstream
 // and only promises durability at flush() — schedulers decide the flush
-// cadence (throughput vs. at-risk window).
+// cadence (throughput vs. at-risk window). flush() hands the bytes to the OS:
+// they survive a crash of this process, not of the machine (no fsync).
 #pragma once
 
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "store/codec.hpp"
 
@@ -37,26 +39,17 @@ class StoreWriter {
   static StoreWriter append_to(const std::string& path,
                                WriteOptions opts = {});
 
-  void append(const StoredRecord& record);
-  void append(std::span<const StoredRecord> records);
-
-  /// Append one propagation footprint ('P' frame). Footprints are
-  /// observability data: they never count toward records_written() and a
-  /// reader that ignores them sees the same record stream.
-  void append_propagation(const inject::PropagationRecord& rec);
-
-  /// Append one farm-worker heartbeat ('B') / assignment echo ('A') frame.
-  /// Liveness-only, like footprints: never counted in records_written().
-  void append_heartbeat(const HeartbeatFrame& hb);
-  void append_assignment(const AssignmentFrame& as);
-
-  /// Append one worker metrics snapshot ('M' frame). Observability-only:
-  /// never counted in records_written(), dropped by canonical merge.
-  void append_metrics(const MetricsFrame& mf);
-
-  /// Append one distributed-tracing span ('S' frame). Observability-only,
-  /// same contract as 'M': never counted, dropped by canonical merge.
-  void append_span(const telemetry::SpanRecord& span);
+  /// Append one frame; its kind follows from the payload's type (see
+  /// encode_frame in codec.hpp). Only injection records count toward
+  /// records_written(): footprints, heartbeats, assignment echoes, metrics
+  /// snapshots and spans are observability data, and canonical merge drops
+  /// all but the records.
+  template <class Payload>
+  void append(const Payload& payload) {
+    write_bytes(encode_frame(payload));
+    ++uncommitted_frames_;
+    if constexpr (std::is_same_v<Payload, StoredRecord>) ++records_written_;
+  }
 
   /// Push buffered frames to the OS. With commit markers enabled, seals the
   /// window first by appending a kCommitFrame (only if frames are pending —
@@ -80,8 +73,7 @@ class StoreWriter {
   std::shared_ptr<OfstreamHolder> out_;
   WriteOptions opts_;
   u64 records_written_ = 0;
-  /// Frames appended since the last commit marker (only tracked when
-  /// commit_markers is on).
+  /// Frames appended since the last commit marker.
   u64 uncommitted_frames_ = 0;
 };
 

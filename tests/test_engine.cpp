@@ -21,6 +21,7 @@
 #include "store/codec.hpp"
 #include "store/merge.hpp"
 #include "store/writer.hpp"
+#include "workload/spec_profiles.hpp"
 
 namespace sfi::inject {
 namespace {
@@ -40,6 +41,26 @@ CampaignConfig small_campaign(u32 n, EngineKind engine, u32 lanes = 64) {
   cfg.engine = engine;
   cfg.lanes = lanes;
   return cfg;
+}
+
+/// Every fault of `plan`, in index order, through one engine of `kind`.
+std::vector<InjectionRecord> run_plan(const avp::Testcase& tc,
+                                      CampaignConfig cfg,
+                                      const CampaignPlan& plan,
+                                      EngineKind kind) {
+  cfg.engine = kind;
+  const auto eng = make_engine(tc, cfg, plan);
+  std::vector<InjectionRecord> records(plan.faults.size());
+  u32 p = 0;
+  eng->run(
+      [&]() -> std::optional<u32> {
+        if (p >= plan.faults.size()) return std::nullopt;
+        return p++;
+      },
+      [&](u32 i, const InjectionRecord& rec,
+          std::optional<PropagationRecord>) { records[i] = rec; },
+      nullptr);
+  return records;
 }
 
 void expect_records_equal(const std::vector<InjectionRecord>& a,
@@ -102,25 +123,31 @@ TEST(EngineAB, RecordsIdenticalMultiBitUpsets) {
     plan.faults[i].adjacent_bits = static_cast<u8>(1 + i % 9);
   }
 
-  const auto run_all = [&](EngineKind kind) {
-    CampaignConfig c = cfg;
-    c.engine = kind;
-    const auto eng = make_engine(tc, c, plan);
-    std::vector<InjectionRecord> records(plan.faults.size());
-    u32 p = 0;
-    eng->run(
-        [&]() -> std::optional<u32> {
-          if (p >= plan.faults.size()) return std::nullopt;
-          return p++;
-        },
-        [&](u32 i, const InjectionRecord& rec,
-            std::optional<PropagationRecord>) { records[i] = rec; },
-        nullptr);
-    return records;
-  };
-  expect_records_equal(run_all(EngineKind::Scalar),
-                       run_all(EngineKind::Lanes));
+  expect_records_equal(run_plan(tc, cfg, plan, EngineKind::Scalar),
+                       run_plan(tc, cfg, plan, EngineKind::Lanes));
 }
+
+// The same contract over each of the 11 SPEC-like testcases
+// (workload/spec_profiles), whose instruction mixes and cache behaviour
+// differ from the small AVP's.
+class EngineABSpec : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EngineABSpec, ToggleRecordsIdentical) {
+  const avp::Testcase tc = workload::make_component_testcase(
+      workload::spec_components()[GetParam()], 5);
+  const CampaignConfig cfg = small_campaign(60, EngineKind::Scalar);
+  const CampaignPlan plan = plan_campaign(tc, cfg);
+  expect_records_equal(run_plan(tc, cfg, plan, EngineKind::Scalar),
+                       run_plan(tc, cfg, plan, EngineKind::Lanes));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spec, EngineABSpec,
+    ::testing::Range<std::size_t>(0, workload::spec_components().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      const std::string& name = workload::spec_components()[info.param].name;
+      return name.substr(0, name.find('.'));
+    });
 
 TEST(EngineAB, FootprintsIdentical) {
   const avp::Testcase tc = small_testcase();

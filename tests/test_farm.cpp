@@ -114,6 +114,27 @@ TEST(Farm, ParseHostsFile) {
 
   EXPECT_THROW((void)parse_hosts_file("/nonexistent/hosts.txt"),
                std::exception);
+
+  // A slot count is a whole positive decimal that fits a u32; anything else
+  // is refused with the file and line named.
+  for (const char* bad : {"localhost -1", "localhost abc",
+                          "localhost 99999999999", "localhost 2x",
+                          "localhost 0"}) {
+    SCOPED_TRACE(bad);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << "node-a 3\n" << bad << "\n";
+    }
+    try {
+      (void)parse_hosts_file(path);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path + " line 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Farm, MatchesSingleProcessByteIdentical) {

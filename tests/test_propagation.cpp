@@ -237,7 +237,7 @@ TEST(PropagationStore, FramesInterleaveWithoutDisturbingRecords) {
     store::StoreWriter w = store::StoreWriter::create(f.path(), sample_meta());
     for (u32 i = 0; i < 5; ++i) {
       w.append(sample_record(i));
-      if (i % 2 == 0) w.append_propagation(sample_prop(i));
+      if (i % 2 == 0) w.append(sample_prop(i));
     }
     w.flush();
     // Footprints are forensic sidecars, not records.

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "sfi/campaign.hpp"
 #include "store/merge.hpp"
 #include "store/reader.hpp"
+#include "store/tail.hpp"
 #include "store/writer.hpp"
 
 namespace sfi::store {
@@ -144,7 +147,7 @@ TEST(Store, MetricsFramesAreInvisibleToReadersAndMerge) {
       w.append(sample_record(i));
       mf.seq = i;
       mf.snapshot.counters.assign({{"injections", u64{i} + 1}});
-      w.append_metrics(mf);
+      w.append(mf);
     }
     w.flush();
   }
@@ -380,11 +383,11 @@ TEST(Store, TornFlushWindowMixedKinds) {
     w.append(sample_record(0));
     w.flush();
     // A farm-shaped flush window: heartbeat, record, its footprint.
-    w.append_heartbeat({1, 4, 1, 1});
+    w.append(HeartbeatFrame{1, 4, 1, 1});
     w.append(sample_record(1));
     inject::PropagationRecord fp;
     fp.index = 1;
-    w.append_propagation(fp);
+    w.append(fp);
     w.flush();
   }
   std::vector<u8> bytes = slurp(f.path());
@@ -416,6 +419,179 @@ TEST(Store, LegacyStoresKeepPerFrameTornSemantics) {
   const StoreContents c = read_store(f.path(), {.tolerate_torn_tail = true});
   EXPECT_TRUE(c.torn_tail);
   EXPECT_EQ(c.records.size(), 2u);  // per-frame, not whole-window
+}
+
+/// The record and footprint indices a reader delivered, in stream order, or
+/// that it refused the file.
+struct Delivered {
+  bool threw = false;
+  std::vector<u32> records;
+  std::vector<u32> footprints;
+};
+
+void note_frame(Delivered& d, u8 kind, std::span<const u8> payload) {
+  if (kind == kRecordFrame) d.records.push_back(decode_record(payload).index);
+  if (kind == kPropagationFrame) {
+    d.footprints.push_back(decode_propagation(payload).index);
+  }
+}
+
+void expect_delivered(const Delivered& got, const Delivered& want) {
+  EXPECT_EQ(got.threw, want.threw);
+  EXPECT_EQ(got.records, want.records);
+  EXPECT_EQ(got.footprints, want.footprints);
+}
+
+/// Runs every tolerant reader over `path`, expects them to agree with each
+/// other, and returns what they delivered.
+Delivered tolerant_readers(const std::string& path) {
+  const ReadOptions tolerant{.tolerate_torn_tail = true};
+  const auto attempt = [](const std::function<void(Delivered&)>& read) {
+    Delivered d;
+    try {
+      read(d);
+    } catch (const StoreError&) {
+      d = Delivered{};
+      d.threw = true;
+    }
+    return d;
+  };
+  const Delivered frames = attempt([&](Delivered& d) {
+    StoreReader r(path, tolerant);
+    u8 kind = 0;
+    std::vector<u8> payload;
+    while (r.next_frame(kind, payload)) note_frame(d, kind, payload);
+  });
+  const Delivered stored = attempt([&](Delivered& d) {
+    for (const StoredRecord& sr : read_store(path, tolerant).records) {
+      d.records.push_back(sr.index);
+    }
+  });
+  const Delivered streamed = attempt([&](Delivered& d) {
+    (void)for_each_record(
+        path, [&](const StoredRecord& sr) { d.records.push_back(sr.index); },
+        tolerant);
+    (void)for_each_propagation(
+        path,
+        [&](const inject::PropagationRecord& fp) {
+          d.footprints.push_back(fp.index);
+        },
+        tolerant);
+  });
+  const Delivered aggregated = attempt([&](Delivered& d) {
+    d.records.resize(aggregate_store(path, tolerant).second.total());
+  });
+  expect_delivered(streamed, frames);
+  EXPECT_EQ(stored.threw, frames.threw);
+  EXPECT_EQ(stored.records, frames.records);
+  EXPECT_EQ(aggregated.threw, frames.threw);
+  EXPECT_EQ(aggregated.records.size(), frames.records.size());
+  return frames;
+}
+
+TEST(Store, ReadersAgreeAtEveryTear) {
+  TempFile f("tears"), grow("tears_grow");
+  const CampaignMeta meta = sample_meta();
+  // A canonical (marker-free) prefix, as `sfi merge` writes it, resumed with
+  // commit markers: records and footprints over several flush windows.
+  write_sample_store(f.path(), 3, meta);
+  {
+    StoreWriter w =
+        StoreWriter::append_to(f.path(), {.commit_markers = true});
+    for (const std::vector<u32>& window :
+         {std::vector<u32>{3, 4}, {5}, {6, 7}}) {
+      for (const u32 i : window) {
+        w.append(sample_record(i));
+        if (i % 2 == 1) {
+          inject::PropagationRecord fp;
+          fp.index = i;
+          fp.samples.push_back({.offset = 1, .total_bits = 2});
+          w.append(fp);
+        }
+      }
+      w.flush();
+    }
+  }
+  const std::vector<u8> whole = slurp(f.path());
+
+  // The commit rule restated as an oracle: before the first marker every
+  // frame commits itself; after it, only a marker commits its window.
+  // `ends` holds each frame's end offset, `committed` what a reader may
+  // deliver from a file cut at each commit point.
+  std::vector<u64> ends = {kMagic.size() + kFrameOverhead +
+                           encode_meta(meta).size()};
+  std::vector<std::pair<u64, Delivered>> committed = {{ends[0], {}}};
+  {
+    StoreReader r(f.path());
+    Delivered so_far;
+    bool saw_marker = false;
+    u8 kind = 0;
+    std::vector<u8> payload;
+    while (r.next_frame(kind, payload)) {
+      ends.push_back(ends.back() + kFrameOverhead + payload.size());
+      note_frame(so_far, kind, payload);
+      saw_marker = saw_marker || kind == kCommitFrame;
+      if (!saw_marker || kind == kCommitFrame) {
+        committed.emplace_back(ends.back(), so_far);
+      }
+    }
+  }
+  ASSERT_EQ(ends.back(), whole.size());
+  ASSERT_EQ(committed.back().second.records.size(), 8u);
+  const auto committed_at = [&](u64 offset) {
+    Delivered d;
+    for (const auto& [end, prefix] : committed) {
+      if (end <= offset) d = prefix;
+    }
+    return d;
+  };
+
+  // Truncated at every byte offset: the file grows one byte at a time while
+  // a FrameTail polls it, and at each size every tolerant reader delivers
+  // exactly the committed prefix (or, before the header is whole, refuses).
+  FrameTail tail(grow.path());
+  Delivered tailed;
+  std::ofstream out(grow.path(), std::ios::binary);
+  for (std::size_t k = 0;; ++k) {
+    out.flush();
+    SCOPED_TRACE("file cut at byte " + std::to_string(k));
+    Delivered want = committed_at(k);
+    tail.poll([&](u8 kind, std::span<const u8> p) {
+      note_frame(tailed, kind, p);
+    });
+    EXPECT_FALSE(tail.corrupt());
+    expect_delivered(tailed, want);
+    want.threw = k < ends[0];
+    expect_delivered(tolerant_readers(grow.path()), want);
+    if (k == whole.size()) break;
+    out.put(static_cast<char>(whole[k]));
+  }
+
+  // One CRC byte flipped per frame. A bad frame with intact frames behind it
+  // is refused by strict and tolerant readers alike; at the very end it is
+  // a torn tail. A FrameTail flags it and has delivered what was committed
+  // before it.
+  for (std::size_t j = 0; j < ends.size(); ++j) {
+    SCOPED_TRACE("CRC flipped in frame " + std::to_string(j));
+    std::vector<u8> bad = whole;
+    bad[ends[j] - 1] ^= 0x5A;
+    spit(f.path(), bad);
+    const bool at_tail = ends[j] == whole.size();
+    Delivered want = j == 0 ? Delivered{} : committed_at(ends[j - 1]);
+    FrameTail flipped(f.path());
+    Delivered got;
+    flipped.poll([&](u8 kind, std::span<const u8> p) {
+      note_frame(got, kind, p);
+    });
+    EXPECT_TRUE(flipped.corrupt());
+    expect_delivered(got, want);
+    if (!at_tail) {
+      EXPECT_THROW((void)read_store(f.path()), StoreError);
+      want = Delivered{};
+      want.threw = true;
+    }
+    expect_delivered(tolerant_readers(f.path()), want);
+  }
 }
 
 TEST(Store, AggregateMatchesRecords) {

@@ -135,9 +135,9 @@ TEST(SpanFrames, InvisibleToReadersAndDroppedByMerge) {
   };
   {
     store::StoreWriter w = store::StoreWriter::create(with.path(), meta);
-    w.append_span(sample_span());
+    w.append(sample_span());
     write_records(w);
-    w.append_span(sample_span());
+    w.append(sample_span());
     w.flush();
   }
   {
@@ -281,7 +281,7 @@ TEST(TraceStitch, RelativeStorePathReadsEachFileOnce) {
   TempFile out("relative");
   for (const std::string& p : {out.path(), out.sidecar()}) {
     store::StoreWriter w = store::StoreWriter::create(p, tiny_meta());
-    w.append_span(sample_span());
+    w.append(sample_span());
     w.flush();
   }
   const store::StitchResult full = store::stitch_trace(out.path());
