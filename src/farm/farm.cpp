@@ -9,7 +9,6 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "core/core_model.hpp"
 #include "farm/process.hpp"
@@ -54,6 +53,12 @@ struct Slot {
   std::optional<u32> in_flight;  ///< last committed heartbeat's index
   double last_activity = 0.0;    ///< steady seconds of last committed frame
   double spawned_at = 0.0;
+  // Observability frames wait until their pass has dispatched, so decoding
+  // them never delays a worker's next assignment: the newest 'M' payload
+  // (a cumulative snapshot, so older ones are dropped undecoded) and every
+  // 'S' payload, in order.
+  std::vector<u8> newest_metrics;
+  std::vector<std::vector<u8>> span_frames;
 };
 
 std::string shard_file_path(const std::string& out_path, u32 slot,
@@ -305,15 +310,18 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       if (farm.sabotage.wedge_once) argv.push_back("--sabotage-wedge-once");
       s.proc = spawn_exec(argv);
     } else {
-      const WorkerOptions wo{s.id,          s.shard_path,
-                             /*control_fd=*/-1,
-                             farm.sabotage, /*ship_metrics=*/tel != nullptr,
-                             /*ship_spans=*/spans_on};
-      s.proc = spawn_call([&tc, &cfg, &plan, wo](int control_fd) {
-        WorkerOptions opts = wo;
-        opts.control_fd = control_fd;
-        return run_worker(tc, cfg, opts, &plan);
-      });
+      const WorkerOptions wo{.worker_id = s.id,
+                             .shard_path = s.shard_path,
+                             .sabotage = farm.sabotage,
+                             .ship_metrics = tel != nullptr,
+                             .ship_spans = spans_on};
+      s.proc = spawn_call(
+          [&tc, &cfg, &plan, wo](int control_fd, int bell_fd) {
+            WorkerOptions opts = wo;
+            opts.control_fd = control_fd;
+            opts.bell_fd = bell_fd;
+            return run_worker(tc, cfg, opts, &plan);
+          });
     }
     s.alive = true;
     s.started = false;
@@ -343,13 +351,41 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     }
   };
 
+  // Hand a slot's held observability frames to the telemetry: the newest
+  // snapshot into the fleet view, every span into the sidecar and the live
+  // /trace view. A frame another worker version encoded differently is an
+  // observability loss, never a campaign failure.
+  const auto observe = [&](Slot& s) {
+    if (!s.newest_metrics.empty()) {
+      try {
+        store::MetricsFrame mf = store::decode_metrics(s.newest_metrics);
+        tel->note_worker_snapshot(s.id, s.generation, std::move(mf.snapshot));
+      } catch (const store::StoreError&) {
+      }
+      s.newest_metrics.clear();
+    }
+    if (s.span_frames.empty()) return;
+    std::vector<telemetry::SpanRecord> spans;
+    for (const std::vector<u8>& payload : s.span_frames) {
+      try {
+        spans.push_back(store::decode_span(payload));
+      } catch (const store::StoreError&) {
+      }
+    }
+    s.span_frames.clear();
+    if (sidecar) {
+      for (const telemetry::SpanRecord& sp : spans) sidecar->append(sp);
+    }
+    tel->retain_spans(spans);
+  };
+
   // Strike bookkeeping for one failed worker: finger the culprit, requeue
   // the unfinished remainder with backoff, and free the slot.
   u64 failures_without_progress = 0;
   const auto handle_failure = [&](Slot& s) {
     ++failures_without_progress;
-    close_control(s.proc);
     s.alive = false;
+    observe(s);  // before a respawn moves the slot to its next generation
     if (s.in_flight && *s.in_flight < cfg.num_injections &&
         !done[*s.in_flight] && !struck.contains(*s.in_flight)) {
       const u32 culprit = *s.in_flight;
@@ -414,35 +450,27 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       case store::kPropagationFrame:
         keep_footprint(store::decode_propagation(payload));
         break;
-      case store::kMetricsFrame: {
-        if (tel == nullptr) break;
-        try {
-          store::MetricsFrame mf = store::decode_metrics(payload);
-          tel->note_worker_snapshot(s.id, s.generation,
-                                    std::move(mf.snapshot));
-        } catch (const store::StoreError&) {
-          // A snapshot a newer/older worker encoded differently is an
-          // observability loss, never a campaign failure.
+      case store::kMetricsFrame:
+        if (tel != nullptr) {
+          s.newest_metrics.assign(payload.begin(), payload.end());
         }
         break;
-      }
-      case store::kSpanFrame: {
-        if (!spans_on) break;
-        try {
-          const telemetry::SpanRecord sp = store::decode_span(payload);
-          if (sidecar) {
-            sidecar->append(sp);
-          }
-          tel->retain_spans({sp});
-        } catch (const store::StoreError&) {
-          // Same policy as 'M': a span another version encoded differently
-          // is an observability loss, never a campaign failure.
+      case store::kSpanFrame:
+        if (spans_on) {
+          s.span_frames.emplace_back(payload.begin(), payload.end());
         }
         break;
-      }
       default:
         break;  // 'A' echoes: liveness only
     }
+  };
+
+  const auto live_procs = [&slots] {
+    std::vector<ChildProcess*> procs;
+    for (Slot& s : slots) {
+      if (s.alive) procs.push_back(&s.proc);
+    }
+    return procs;
   };
 
   const u64 spawn_sanity_cap =
@@ -501,14 +529,12 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
         continue;
       }
 
-      // 2. unexpected exit (a live worker only exits after Quit)
+      // 2. unexpected exit (a live worker only exits after Quit). Its bell
+      // hung up before this pass, so step 1 already read its last frames.
       bool clean = false;
       int detail = 0;
-      if (try_reap(s.proc, clean, detail)) {
-        // Drain any frames committed between the last poll and death.
-        s.tail->poll([&](u8 kind, std::span<const u8> payload) {
-          deliver(s, kind, payload);
-        });
+      if (s.proc.hung_up) {
+        reap(s.proc, clean, detail);
         ++result.worker_crashes;
         if (tel != nullptr) {
           tel->farm_worker_exited(s.id, s.proc.pid, false, detail);
@@ -603,30 +629,21 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       ++result.assignments;
     }
 
+    // 5. what the workers' planes recorded, now that no worker waits on it
+    for (Slot& s : slots) observe(s);
     flush_own_spans();
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(std::max(0.001, farm.poll_seconds)));
+    // Sleep until a worker rings (a shard ended) or hangs up (it died); the
+    // tick bounds how late the watchdog, backoff gates and should_stop are
+    // looked at when nothing rings.
+    wait_for_bells(live_procs(), farm.poll_seconds);
   }
 
   // --- drain ---
-  if (result.stopped) {
-    // Interrupted: in-flight workers are killed; their committed records
-    // are already on disk and the campaign resumes from the merge below.
-    for (Slot& s : slots) {
-      if (!s.alive) continue;
-      kill_hard(s.proc);
-      bool clean = false;
-      int detail = 0;
-      reap(s.proc, clean, detail);
-      close_control(s.proc);
-      s.tail->poll(
-          [&](u8 kind, std::span<const u8> payload) { deliver(s, kind, payload); });
-      s.alive = false;
-      if (tel != nullptr) {
-        tel->farm_worker_exited(s.id, s.proc.pid, false, detail);
-      }
-    }
-  } else {
+  // Interrupted: in-flight workers are killed; their committed records are
+  // already on disk and the campaign resumes from the merge below. Done:
+  // workers get Quit, and each bell hangs up as its worker exits; a worker
+  // still there at the deadline is killed.
+  if (!result.stopped) {
     for (Slot& s : slots) {
       if (!s.alive) continue;
       send_line(s.proc, "Q");
@@ -634,28 +651,25 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     }
     const double drain_deadline =
         now_s() + std::max(5.0, farm.watchdog_seconds);
-    for (Slot& s : slots) {
-      if (!s.alive) continue;
-      bool clean = false;
-      int detail = 0;
-      bool reaped = false;
-      while (now_s() < drain_deadline) {
-        if (try_reap(s.proc, clean, detail)) {
-          reaped = true;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-      if (!reaped) {
-        kill_hard(s.proc);
-        reap(s.proc, clean, detail);
-      }
-      s.tail->poll(
-          [&](u8 kind, std::span<const u8> payload) { deliver(s, kind, payload); });
-      s.alive = false;
-      if (tel != nullptr) {
-        tel->farm_worker_exited(s.id, s.proc.pid, clean, detail);
-      }
+    const std::vector<ChildProcess*> procs = live_procs();
+    while (now_s() < drain_deadline &&
+           std::any_of(procs.begin(), procs.end(),
+                       [](const ChildProcess* p) { return !p->hung_up; })) {
+      wait_for_bells(procs, drain_deadline - now_s());
+    }
+  }
+  for (Slot& s : slots) {
+    if (!s.alive) continue;
+    if (!s.proc.hung_up) kill_hard(s.proc);
+    bool clean = false;
+    int detail = 0;
+    reap(s.proc, clean, detail);
+    s.tail->poll(
+        [&](u8 kind, std::span<const u8> payload) { deliver(s, kind, payload); });
+    observe(s);
+    s.alive = false;
+    if (tel != nullptr) {
+      tel->farm_worker_exited(s.id, s.proc.pid, clean, detail);
     }
   }
   report_progress();

@@ -12,6 +12,9 @@
 // echoes ('A'), records ('R'/'P'), each flush sealed by a commit marker
 // ('F') — so supervision state and durable results can never disagree: an
 // injection is "done" exactly when its record frame is committed on disk.
+// Between passes the coordinator sleeps in poll(2) on the workers' bells
+// (process.hpp): a worker rings when a shard's last record commits, and its
+// bell hangs up when it exits, so dispatch follows completion.
 //
 // Supervision policy:
 //   * crash (unexpected exit) or watchdog expiry (no committed frame for
@@ -73,6 +76,9 @@ struct FarmConfig {
   double startup_seconds = 300.0;
   double backoff_base_seconds = 0.25;
   double backoff_cap_seconds = 10.0;
+  /// Longest the coordinator sleeps when no worker rings its bell: the
+  /// watchdog, backoff gates and should_stop are looked at least this
+  /// often. A finished shard is dispatched on its ring, not on the tick.
   double poll_seconds = 0.02;
   /// Test hook forwarded to every worker (to exec workers as flags).
   SabotageConfig sabotage;

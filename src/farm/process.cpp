@@ -1,10 +1,14 @@
 #include "farm/process.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <stdexcept>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,36 +23,48 @@ namespace {
   _exit(127);
 }
 
-ChildProcess do_fork(int fds[2], const std::function<void(int)>& in_child) {
+/// Fork with a control pipe (into the child) and a bell (out of it), both
+/// close-on-exec. `in_child` gets the child's ends and never returns.
+ChildProcess do_fork(
+    const std::function<void(int control_fd, int bell_fd)>& in_child) {
+  int control[2];
+  int bell[2];
+  if (pipe2(control, O_CLOEXEC) != 0) {
+    throw std::runtime_error("farm: pipe failed");
+  }
+  if (pipe2(bell, O_CLOEXEC) != 0) {
+    close(control[0]);
+    close(control[1]);
+    throw std::runtime_error("farm: pipe failed");
+  }
   // Flush inherited stdio so buffered coordinator output is not emitted
   // twice (once by each process).
   std::fflush(stdout);
   std::fflush(stderr);
   const pid_t pid = fork();
   if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
+    for (const int fd : {control[0], control[1], bell[0], bell[1]}) close(fd);
     throw std::runtime_error("farm: fork failed");
   }
   if (pid == 0) {
-    close(fds[1]);
-    in_child(fds[0]);  // never returns
+    close(control[1]);
+    close(bell[0]);
+    in_child(control[0], bell[1]);  // never returns
     _exit(127);
   }
-  close(fds[0]);
-  return ChildProcess{static_cast<i64>(pid), fds[1]};
+  close(control[0]);
+  close(bell[1]);
+  return ChildProcess{static_cast<i64>(pid), control[1], bell[0]};
 }
 
 }  // namespace
 
 ChildProcess spawn_call(
-    const std::function<int(int control_fd)>& child_main) {
-  int fds[2];
-  if (pipe(fds) != 0) throw std::runtime_error("farm: pipe failed");
-  return do_fork(fds, [&](int read_fd) {
+    const std::function<int(int control_fd, int bell_fd)>& child_main) {
+  return do_fork([&](int control_fd, int bell_fd) {
     int rc = 127;
     try {
-      rc = child_main(read_fd);
+      rc = child_main(control_fd, bell_fd);
     } catch (...) {
       rc = 126;  // an escaped exception is a harness failure, not a crash
     }
@@ -58,11 +74,12 @@ ChildProcess spawn_call(
 
 ChildProcess spawn_exec(const std::vector<std::string>& argv) {
   if (argv.empty()) throw std::runtime_error("farm: empty exec argv");
-  int fds[2];
-  if (pipe(fds) != 0) throw std::runtime_error("farm: pipe failed");
-  return do_fork(fds, [&](int read_fd) {
-    if (dup2(read_fd, STDIN_FILENO) < 0) child_failed("farm dup2");
-    close(read_fd);
+  return do_fork([&](int control_fd, int bell_fd) {
+    // dup2 clears close-on-exec on the copies; the originals close at exec.
+    if (dup2(control_fd, STDIN_FILENO) < 0 ||
+        dup2(bell_fd, STDOUT_FILENO) < 0) {
+      child_failed("farm dup2");
+    }
     std::vector<char*> cargv;
     cargv.reserve(argv.size() + 1);
     for (const std::string& a : argv) {
@@ -98,43 +115,64 @@ void close_control(ChildProcess& child) {
   }
 }
 
+void wait_for_bells(std::span<ChildProcess* const> children,
+                    double timeout_seconds) {
+  std::vector<pollfd> fds;
+  std::vector<ChildProcess*> ringing;
+  for (ChildProcess* child : children) {
+    if (child->bell_fd < 0 || child->hung_up) continue;
+    fds.push_back({child->bell_fd, POLLIN, 0});
+    ringing.push_back(child);
+  }
+  // With no bell to watch this is a plain sleep (every worker is dead and
+  // the queue waits out a backoff).
+  const double ms = std::ceil(std::max(0.0, timeout_seconds) * 1000.0);
+  if (poll(fds.data(), fds.size(), static_cast<int>(std::min(ms, 1e9))) <= 0) {
+    return;  // timeout, or EINTR: the caller's pass runs either way
+  }
+  for (std::size_t k = 0; k < fds.size(); ++k) {
+    if (fds[k].revents == 0) continue;
+    // One read empties a bell: a worker rings once per assignment and waits
+    // for the next one. Zero bytes is EOF — every write end is closed.
+    char rung[64];
+    const ssize_t n = read(fds[k].fd, rung, sizeof rung);
+    if (n == 0 || (n < 0 && errno != EINTR)) {
+      ringing[k]->hung_up = true;
+    }
+  }
+}
+
 void kill_hard(const ChildProcess& child) {
   if (child.valid()) kill(static_cast<pid_t>(child.pid), SIGKILL);
 }
 
 namespace {
 
-bool decode_status(int status, bool& clean, int& detail) {
+void decode_status(int status, bool& clean, int& detail) {
   if (WIFEXITED(status)) {
     detail = WEXITSTATUS(status);
     clean = detail == 0;
-    return true;
-  }
-  if (WIFSIGNALED(status)) {
+  } else if (WIFSIGNALED(status)) {
     detail = -WTERMSIG(status);
     clean = false;
-    return true;
   }
-  return false;  // stopped/continued: not an exit
 }
 
 }  // namespace
 
-bool try_reap(const ChildProcess& child, bool& clean, int& detail) {
-  if (!child.valid()) return false;
-  int status = 0;
-  const pid_t got = waitpid(static_cast<pid_t>(child.pid), &status, WNOHANG);
-  if (got != static_cast<pid_t>(child.pid)) return false;
-  return decode_status(status, clean, detail);
-}
-
-void reap(const ChildProcess& child, bool& clean, int& detail) {
-  if (!child.valid()) return;
-  int status = 0;
-  while (waitpid(static_cast<pid_t>(child.pid), &status, 0) < 0 &&
-         errno == EINTR) {
+void reap(ChildProcess& child, bool& clean, int& detail) {
+  if (child.valid()) {
+    int status = 0;
+    while (waitpid(static_cast<pid_t>(child.pid), &status, 0) < 0 &&
+           errno == EINTR) {
+    }
+    decode_status(status, clean, detail);
   }
-  decode_status(status, clean, detail);
+  close_control(child);
+  if (child.bell_fd >= 0) {
+    close(child.bell_fd);
+    child.bell_fd = -1;
+  }
 }
 
 void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "farm/process.hpp"
 #include "sched/scheduler.hpp"
 #include "sfi/engine.hpp"
 #include "sfi/telemetry.hpp"
@@ -84,8 +85,14 @@ bool parse_assignment(const std::string& line, Assignment& out) {
   return true;
 }
 
-/// Executed injections between two 'M' frames (one fixed fleet cadence).
-constexpr u64 kMetricsCadence = 32;
+/// Tell the coordinator an assignment's records are all committed. Best
+/// effort: a ring that fails (the coordinator is gone) changes nothing the
+/// store does not already say.
+void ring(int bell_fd) {
+  const char nl = '\n';
+  while (write(bell_fd, &nl, 1) < 0 && errno == EINTR) {
+  }
+}
 
 void maybe_sabotage(const SabotageConfig& sabotage, u32 index, u32 attempt) {
   if (sabotage.crash_index && *sabotage.crash_index == index &&
@@ -114,6 +121,7 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
   inject::CampaignConfig wcfg = cfg;
   wcfg.telemetry = nullptr;
   wcfg.threads = 1;
+  ignore_sigpipe();  // a ring into a closed bell must not kill the worker
 
   std::optional<inject::CampaignTelemetry> tel;
   inject::WorkerTelemetry* wt = nullptr;
@@ -162,16 +170,6 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
   u64 hb_seq = 0;
   u64 executed = 0;
   u64 m_seq = 0;
-  u64 last_snapshot = 0;
-  // Cumulative snapshot: fold the shard, copy the registry, append. The
-  // coordinator keeps only the newest per (slot, generation), so cadence
-  // only trades freshness against bytes.
-  const auto emit_metrics = [&] {
-    wt->fold();
-    writer.append(store::MetricsFrame{opts.worker_id, m_seq++,
-                                      tel->metrics().snapshot()});
-    last_snapshot = executed;
-  };
   // First committed frame doubles as the startup signal: the (possibly
   // slow) plan build above is done and the watchdog clock may start.
   writer.append(store::HeartbeatFrame{opts.worker_id, hb_seq++,
@@ -181,10 +179,19 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
   LineReader lines(opts.control_fd);
   std::string line;
   Assignment a;
+  // When the last assignment finished (set by shipping workers only): the
+  // wait until the next one is read is farm.dispatch_wait_seconds.
+  std::optional<std::chrono::steady_clock::time_point> idle_since;
   while (lines.next(line)) {
     if (line.empty()) continue;
     if (line == "Q") break;
     if (!parse_assignment(line, a)) return 3;
+    if (idle_since) {
+      tel->farm_dispatch_wait(std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() -
+                                  *idle_since)
+                                  .count());
+    }
     if (book != nullptr && a.trace_id != 0) book->set_trace_id(a.trace_id);
     const u64 shard_t0 = book != nullptr ? book->now_us() : 0;
     writer.append(store::AssignmentFrame{opts.worker_id, a.shard, a.attempt,
@@ -221,10 +228,6 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
           writer.append(sr);
           if (fp) writer.append(*fp);
           ++executed;
-          if (opts.ship_metrics &&
-              executed - last_snapshot >= kMetricsCadence) {
-            emit_metrics();
-          }
           // Per-record flush+commit: the coordinator's done-count advances
           // one committed record at a time, and a crash can only lose the
           // injections in flight — exactly what the supervisor re-runs.
@@ -233,6 +236,10 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
         },
         wt);
     if (bad_index) return 3;
+    // Every record of the assignment is committed: ring first, so the
+    // coordinator dispatches the next shard while this worker ships what
+    // its planes recorded — neither waits on the other.
+    ring(opts.bell_fd);
     if (book != nullptr) {
       // The shard slice parents under the coordinator's dispatch span —
       // the cross-process edge the stitched trace hangs together by.
@@ -247,11 +254,17 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
                   "shard.exec", shard_t0, book->now_us() - shard_t0,
                   a.dispatch_span, args.str());
       drain_spans(writer);
-      writer.flush();
     }
+    if (opts.ship_metrics) {
+      // Cumulative snapshot: the coordinator keeps the newest per (slot,
+      // generation), so the fleet view is exact after every assignment.
+      wt->fold();
+      writer.append(store::MetricsFrame{opts.worker_id, m_seq++,
+                                        tel->metrics().snapshot()});
+    }
+    writer.flush();  // commits what the planes appended (nothing if off)
+    if (opts.ship_metrics) idle_since = std::chrono::steady_clock::now();
   }
-  // Parting snapshot so the fleet view ends exact, not one interval stale.
-  if (opts.ship_metrics && executed != last_snapshot) emit_metrics();
   drain_spans(writer);
   writer.flush();
   return 0;

@@ -11,8 +11,13 @@
 // echo when it accepts an assignment, a 'B' heartbeat flushed *before* each
 // injection runs (so a crash fingers the culprit index), then the 'R'
 // record (+ optional 'P' footprint) flushed — and commit-marked — per
-// injection. EOF on the control fd is equivalent to Q, so a dying
-// coordinator reaps its farm rather than orphaning it.
+// injection. After the flush that commits an assignment's last record it
+// writes one '\n' to its bell fd, so the coordinator wakes and dispatches
+// the next shard at once instead of on its next tick. The bell carries no
+// data — the coordinator learns what happened from the store alone — and a
+// ring that fails (coordinator gone) is ignored. EOF on the control fd is
+// equivalent to Q, so a dying coordinator reaps its farm rather than
+// orphaning it.
 //
 // Workers never decide campaign-level questions (retry, strikes, merge);
 // they only execute. Determinism does the heavy lifting: injection i is a
@@ -22,6 +27,8 @@
 
 #include <optional>
 #include <string>
+
+#include <unistd.h>
 
 #include "sfi/campaign.hpp"
 
@@ -49,16 +56,22 @@ struct SabotageConfig {
 struct WorkerOptions {
   u32 worker_id = 0;
   std::string shard_path;
-  /// Assignment stream (read side). Exec-mode workers pass STDIN_FILENO.
-  int control_fd = 0;
+  /// Assignment stream (read side); an exec'd `sfi worker` reads stdin.
+  int control_fd = STDIN_FILENO;
+  /// Doorbell (write side), rung once per finished assignment; an exec'd
+  /// `sfi worker` rings stdout, so one run by hand prints a blank line per
+  /// assignment.
+  int bell_fd = STDOUT_FILENO;
   SabotageConfig sabotage;
   // What to ship is the coordinator's call (it follows the campaign
   // telemetry the caller attached; farm.cpp). Both are observability-only:
   // canonical merge drops 'M' and 'S' frames, so the merged store is
   // byte-identical either way.
   /// Serialize a cumulative metrics snapshot ('M' frame) into the shard
-  /// store every 32 executed injections and at drain, for the
-  /// coordinator's fleet view (`sfi worker --ship-metrics`).
+  /// store after every assignment, once its bell has rung, for the
+  /// coordinator's fleet view (`sfi worker --ship-metrics`). Only a
+  /// shipping worker times its idle waits between assignments
+  /// (`farm.dispatch_wait_seconds`).
   bool ship_metrics = false;
   /// Record distributed trace spans ('S' frames) into the shard store:
   /// plan-build and per-assignment shard slices, plus tail-latency exemplar

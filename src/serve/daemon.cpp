@@ -859,7 +859,7 @@ void Daemon::pump_io() {
 
 void Daemon::accept_clients(int listen_fd, bool http) {
   while (true) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN or a transient error: try again next pump

@@ -326,7 +326,7 @@ int make_unix_socket(const Address& addr, sockaddr_un& sa) {
   if (addr.path.size() >= sizeof(sa.sun_path)) {
     throw WireError("wire: unix socket path too long: " + addr.path);
   }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw WireError("wire: socket(): " + std::string(strerror(errno)));
   std::memset(&sa, 0, sizeof(sa));
   sa.sun_family = AF_UNIX;
@@ -335,7 +335,7 @@ int make_unix_socket(const Address& addr, sockaddr_un& sa) {
 }
 
 int make_tcp_socket(const Address& addr, sockaddr_in& sa) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw WireError("wire: socket(): " + std::string(strerror(errno)));
   std::memset(&sa, 0, sizeof(sa));
   sa.sin_family = AF_INET;

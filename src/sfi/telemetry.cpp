@@ -329,6 +329,8 @@ CampaignTelemetry::CampaignTelemetry(TelemetryConfig cfg)
         secs);
   }
   h_injection_seconds_ = registry_.histogram("injection_seconds", secs);
+  h_farm_dispatch_wait_ =
+      registry_.histogram("farm.dispatch_wait_seconds", secs);
   const std::vector<double> cyc = pow2_buckets(17);  // 1 .. 128k cycles
   h_detect_latency_ = registry_.histogram("detect_latency_cycles", cyc);
   for (const auto u : netlist::kAllUnits) {
@@ -600,6 +602,10 @@ void CampaignTelemetry::farm_heartbeat_gap(u32 slot, double gap_seconds) {
         f.field("slot", u64{slot}).field("gap_seconds", gap_seconds);
       },
       kLogOnly);
+}
+
+void CampaignTelemetry::farm_dispatch_wait(double seconds) {
+  registry_.observe(h_farm_dispatch_wait_, seconds);
 }
 
 void CampaignTelemetry::prepare_workers(u32 n) {

@@ -206,6 +206,10 @@ class CampaignTelemetry {
   /// A live worker went `gap_seconds` without committing a frame (longer
   /// than the warning threshold but short of the watchdog deadline).
   void farm_heartbeat_gap(u32 slot, double gap_seconds);
+  /// Worker-process side: the worker sat `seconds` idle between finishing
+  /// one assignment and reading the next (`farm.dispatch_wait_seconds`;
+  /// reaches the coordinator in the worker's 'M' frames).
+  void farm_dispatch_wait(double seconds);
 
   /// Create the per-worker handles before the pool starts. Idempotent for
   /// the same `n`; references stay stable.
@@ -293,6 +297,7 @@ class CampaignTelemetry {
   telemetry::CounterId c_farm_retries_;
   telemetry::CounterId c_farm_strikeouts_;
   telemetry::CounterId c_farm_hb_gaps_;
+  telemetry::HistogramId h_farm_dispatch_wait_{};
   std::array<telemetry::CounterId, kNumOutcomes> c_outcome_{};
   std::array<telemetry::HistogramId, kNumRunPhases> h_phase_{};
   telemetry::HistogramId h_injection_seconds_{};

@@ -6,6 +6,7 @@
 // wedges and is shot by the watchdog — and a reproducible worker-killer
 // injection degrades to Outcome::HarnessFatal instead of sinking the
 // campaign.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 
 #include "avp/testgen.hpp"
 #include "farm/farm.hpp"
+#include "farm/process.hpp"
 #include "farm/worker.hpp"
 #include "sched/scheduler.hpp"
 #include "sfi/telemetry.hpp"
@@ -251,9 +253,9 @@ TEST(Farm, MetricsSnapshotsFeedFleetViewStoreUnchanged) {
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.executed, 40u);
 
-  // Every worker sent a parting snapshot, and the fleet totals cover the
-  // whole campaign (each injection is counted by exactly one worker —
-  // nothing crashed, so no supervised-retry double counts).
+  // Every worker sent a snapshot after each assignment, and the fleet
+  // totals cover the whole campaign (each injection is counted by exactly
+  // one worker — nothing crashed, so no supervised-retry double counts).
   EXPECT_GE(tel.fleet_workers(), 2u);
   const telemetry::MetricsSnapshot fleet = tel.fleet_snapshot();
   EXPECT_EQ(fleet.counter_value("injections"), 40u);
@@ -407,10 +409,16 @@ TEST(Farm, AttachedTelemetryDecidesWhatWorkersShip) {
     ASSERT_TRUE(r.complete);
     const auto shards = take_shard_frames(out.path());
     ASSERT_EQ(shards.size(), 2u);
+    u64 snapshots = 0;
     for (const auto& kinds : shards) {
       EXPECT_GT(kinds.count(store::kMetricsFrame), 0u);
       EXPECT_EQ(kinds.count(store::kSpanFrame), 0u);
+      if (const auto m = kinds.find(store::kMetricsFrame); m != kinds.end()) {
+        snapshots += m->second;
+      }
     }
+    // One cumulative snapshot per assignment, appended after its ring.
+    EXPECT_EQ(snapshots, r.assignments);
     EXPECT_EQ(tel.fleet_snapshot().counter_value("injections"), 40u);
   }
 
@@ -468,7 +476,13 @@ TEST(Farm, MetricsOutCountsTheFleet) {
   std::filesystem::remove(path);
   const std::string json(bytes.begin(), bytes.end());
   EXPECT_NE(json.find("\"injections\":40,"), std::string::npos) << json;
-  EXPECT_EQ(tel.fleet_snapshot().gauge_value("total_injections"), 40.0);
+  const telemetry::MetricsSnapshot fleet = tel.fleet_snapshot();
+  EXPECT_EQ(fleet.gauge_value("total_injections"), 40.0);
+  // Each worker times its idle wait before every assignment but its first.
+  const telemetry::MetricsSnapshot::Hist* wait =
+      fleet.histogram("farm.dispatch_wait_seconds");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count, r.assignments - 2);
 }
 
 /// Every 'P' payload of a store, ordered by injection index.
@@ -515,6 +529,36 @@ TEST(Farm, FootprintsSurviveTheMerge) {
   (void)store::merge_stores({out.path()}, canon_farm.path());
   (void)store::merge_stores({single.path()}, canon_single.path());
   EXPECT_EQ(slurp(canon_farm.path()), slurp(canon_single.path()));
+}
+
+TEST(Farm, DispatchFollowsCompletionNotTheTick) {
+  // The worker rings its bell as each shard's last record commits, so the
+  // coordinator dispatches the next one at once: six shards on one worker
+  // finish well inside a single 5 s tick. A coordinator that only looked
+  // once per tick would take at least one tick per shard.
+  const avp::Testcase tc = small_testcase();
+  const inject::CampaignConfig cfg = small_campaign(48);
+  FarmConfig fc = quick_farm(1);
+  fc.poll_seconds = 5.0;
+  TempFile out("bell");
+  const FarmResult r = run_farm_campaign(tc, cfg, out.path(), fc);
+  ASSERT_TRUE(r.complete);
+  EXPECT_EQ(r.assignments, 6u);
+  EXPECT_LT(r.wall_seconds, 5.0);
+  EXPECT_EQ(slurp(out.path()), canonical_single_process(tc, cfg, "bell"));
+
+  // Both pipes are close-on-exec, so no exec'd process (another campaign's
+  // worker under `sfi serve`) keeps a bell open after its worker exits.
+  ChildProcess child = spawn_call([](int, int) { return 0; });
+  for (const int fd : {child.control_fd, child.bell_fd}) {
+    ASSERT_GE(fd, 0);
+    EXPECT_NE(fcntl(fd, F_GETFD) & FD_CLOEXEC, 0) << "fd " << fd;
+  }
+  bool clean = false;
+  int detail = -1;
+  reap(child, clean, detail);
+  EXPECT_TRUE(clean);
+  EXPECT_EQ(child.bell_fd, -1);
 }
 
 TEST(Farm, LaneShardsFollowTheDriverRule) {

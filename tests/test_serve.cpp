@@ -9,6 +9,7 @@
 // SAME stop point — zero new injections — rather than re-inflating to the
 // fixed-N ceiling; admission is fair-share across tenants; a watcher that
 // disconnects never takes a campaign down with it.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -824,6 +825,39 @@ TEST(Daemon, WatcherDisconnectDoesNotKillCampaign) {
   const Json* finish = find_event(events, "finish");
   ASSERT_NE(finish, nullptr);
   EXPECT_EQ(finish->get_str("state", "done"), "done");
+}
+
+TEST(Daemon, SocketsAreCloseOnExec) {
+  // Every `sfi worker` a farm campaign execs would otherwise inherit the
+  // listeners and each client connection open at spawn time, and a client
+  // reading to EOF (`sfi watch`, `submit --wait`) would hang until that
+  // worker exits.
+  TempDir dir("cloexec");
+  DaemonHarness h(dir.path(), 2, "tcp:127.0.0.1:0");
+  const u64 id = h.submit(
+      R"("tenant":"t","seed":7,"testcase_seed":11,"instructions":80,)"
+      R"("n":1000000,"half_width":0.0001)");  // still running below
+  LineChannel ch(connect_to(h.addr()));
+  ASSERT_TRUE(
+      ch.send_line(R"({"op":"watch","id":)" + std::to_string(id) + "}"));
+  std::string line;
+  ASSERT_TRUE(ch.recv_line(line));  // the daemon has accepted the watcher
+  u32 sockets = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const fs::path target = fs::read_symlink(e.path(), ec);
+    if (ec || target.string().rfind("socket:", 0) != 0) continue;
+    const int fd = std::stoi(e.path().filename().string());
+    if (fd <= STDERR_FILENO) continue;  // whoever started the test owns these
+    const int flags = ::fcntl(fd, F_GETFD);
+    // The daemon thread closes finished connections meanwhile, and the
+    // number may already name a file the campaign runner opened.
+    if (flags < 0 || fs::read_symlink(e.path(), ec) != target) continue;
+    ++sockets;
+    EXPECT_NE(flags & FD_CLOEXEC, 0) << "fd " << fd << " " << target;
+  }
+  // Both listeners, the watcher's socket and the daemon's end of it.
+  EXPECT_GE(sockets, 4u) << "first watch line: " << line;
 }
 
 TEST(Daemon, LaneEngineCampaignMatchesScalarAndPersistsInManifest) {

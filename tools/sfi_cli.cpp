@@ -4,7 +4,8 @@
 //   sfi inventory                          latch/array population report
 //   sfi campaign [options]                 run a fault-injection campaign
 //   sfi worker   --shard-store FILE        farm worker (spawned by campaign
-//                                          --farm; reads stdin assignments)
+//                                          --farm; reads stdin assignments,
+//                                          rings stdout per finished one)
 //   sfi report   --from FILE               regenerate tables from a store
 //   sfi explain  --from FILE               fault-propagation forensics report
 //   sfi merge    --out FILE IN...          merge campaign store shards
@@ -305,7 +306,8 @@ commands:
                continues an interrupted one exactly; --workers N / --farm
                HOSTS.txt run it on supervised worker processes)
   worker      farm worker process (spawned by campaign --farm; reads
-              shard assignments on stdin, answers via --shard-store)
+              shard assignments on stdin, answers via --shard-store and
+              prints one blank line as each assignment finishes)
   report      regenerate campaign tables from a store (--from FILE.sfr),
               no re-simulation
   explain     fault-propagation forensics from a store's footprints
@@ -697,7 +699,6 @@ int cmd_worker(const Args& a) {
   farm::WorkerOptions wo;
   wo.worker_id = a.num_u32("worker-id", 0);
   wo.shard_path = *shard;
-  wo.control_fd = 0;  // assignments arrive on stdin
   wo.sabotage = sabotage_from_args(a);
   wo.ship_metrics = a.flag("ship-metrics");
   wo.ship_spans = a.flag("trace-spans");
