@@ -31,6 +31,25 @@ struct GoldenTrace {
   std::vector<u64> masked_words;
   u32 word_stride = 0;
 
+  /// One reference step's accesses to one state word: the bits the step
+  /// that produced the state at `cycle` read and wrote (AccessRecorder
+  /// sets; a read-modify-write is in both).
+  struct WordAccess {
+    u64 reads = 0;
+    u64 writes = 0;
+    Cycle cycle = 0;
+  };
+  /// Access timeline, recorded with the masked states: accesses[w] lists,
+  /// in cycle order, every reference step up to completion that touched
+  /// state word w. Empty when states are not recorded or past the memory
+  /// cap.
+  std::vector<std::vector<WordAccess>> accesses;
+  /// Latch bits the classifier peeks at (Model::ras_status and
+  /// Model::arch_state, one word mask each): data-independent field reads,
+  /// so one recorded probe gives them. Empty exactly when there is no
+  /// timeline.
+  std::vector<u64> peek_reads;
+
   /// Cycle at which the workload's STOP was first observed complete.
   Cycle completion_cycle = 0;
   bool completed = false;
@@ -47,14 +66,24 @@ struct GoldenTrace {
   [[nodiscard]] const u64* masked_state(Cycle c) const {
     return masked_words.data() + c * word_stride;
   }
+  /// Access timeline and peek set recorded?
+  [[nodiscard]] bool has_timeline() const { return !peek_reads.empty(); }
+  /// The first reference step after cycle `after` that touches any of
+  /// `bits` in state word `word` (nullptr: none up to completion). Requires
+  /// has_timeline().
+  [[nodiscard]] const WordAccess* first_access(u32 word, u64 bits,
+                                               Cycle after) const;
+  /// Resident bytes of the access timeline and peek set.
+  [[nodiscard]] u64 timeline_bytes() const;
 };
 
 /// Run the emulator's current workload fault-free from reset and record the
 /// trace. `margin` extra cycles are recorded past completion so that
 /// injections landing near the end still have reference fingerprints.
 /// The emulator is left in the completed state. With `record_states` the
-/// per-cycle masked state is kept alongside the hashes (up to an internal
-/// memory cap, after which recording silently degrades to hashes only).
+/// per-cycle masked state and the access timeline are kept alongside the
+/// hashes (each up to an internal memory cap, after which recording
+/// silently degrades to hashes only; no states means no timeline).
 [[nodiscard]] GoldenTrace record_golden_trace(Emulator& emu, Cycle max_cycles,
                                               Cycle margin = 64,
                                               bool record_states = false);

@@ -1232,6 +1232,7 @@ std::string Daemon::campaigns_json() {
                                    std::string(inject::to_string(o))));
       }
       w.end_object();
+      w.field("dead_on_arrival", snap.counter_value("dead_on_arrival"));
     }
     w.end_object();
   }

@@ -22,11 +22,15 @@ CampaignPlan plan_campaign(const avp::Testcase& tc,
   core::Pearl6Model ref_model(cfg.core);
   emu::Emulator ref_emu(ref_model);
   // Masked per-cycle states make the runner's convergence poll an exact
-  // early-out compare instead of a full-state hash — worth the memory for a
-  // many-injection campaign.
+  // early-out compare instead of a full-state hash, and the access timeline
+  // recorded with them retires dead-on-arrival faults unsimulated — worth
+  // the memory for a many-injection campaign.
   plan.trace = avp::run_reference(ref_model, ref_emu, tc,
                                   /*max_cycles=*/200000,
                                   /*record_states=*/true);
+  if (cfg.telemetry != nullptr) {
+    cfg.telemetry->access_timeline_recorded(plan.trace.timeline_bytes());
+  }
 
   // Population & sampler (identical across workers and across resumes).
   plan.population =

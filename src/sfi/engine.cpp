@@ -3,6 +3,10 @@
 // CampaignWorker is the scalar engine: one injection at a time, seek + flip
 // + simulate + classify, then retire() builds the record, reports it and
 // runs the footprint re-run. It is also the lane engine's private executor.
+// Both engines first ask the runner whether the fault is dead on arrival
+// (its flipped bits overwritten by the reference before anything reads
+// them); such a fault retires from the golden trace's access timeline with
+// no seek and no simulated cycle.
 //
 // LaneEngine is concurrent fault simulation by sparse diffs. Each in-flight
 // injection ("lane") is represented as the XOR difference D between its
@@ -92,13 +96,18 @@ CampaignWorker::CampaignWorker(const avp::Testcase& tc,
 InjectionRecord CampaignWorker::run(
     const FaultSpec& fault, WorkerTelemetry* telemetry, u32 index,
     std::optional<PropagationRecord>* footprint) {
+  RunPhaseTimes* phases =
+      telemetry != nullptr ? telemetry->phase_scratch() : nullptr;
+  if (const std::optional<RunResult> dead = runner_->dead_on_arrival(fault)) {
+    if (phases != nullptr) *phases = RunPhaseTimes{.dead_on_arrival = true};
+    return retire(index, fault, *dead, telemetry, footprint,
+                  /*prefault_ready=*/false);
+  }
   // The pre-fault snapshot only exists so the tracker's deferred re-run can
   // skip the seek; the primary run never reads it back.
   emu::Checkpoint* prefault =
       tracker_ != nullptr ? &tracker_->prefault() : nullptr;
-  const RunResult rr = runner_->run(
-      fault, telemetry != nullptr ? telemetry->phase_scratch() : nullptr,
-      prefault);
+  const RunResult rr = runner_->run(fault, phases, prefault);
   return retire(index, fault, rr, telemetry, footprint,
                 /*prefault_ready=*/prefault != nullptr);
 }
@@ -408,6 +417,14 @@ class LaneEngine final : public InjectionEngine {
     }
     if (!fast) {
       run_scalar(index, f);
+      return;
+    }
+    if (const std::optional<RunResult> dead =
+            exec_.runner().dead_on_arrival(f)) {
+      if (wt_ != nullptr) {
+        *wt_->phase_scratch() = RunPhaseTimes{.dead_on_arrival = true};
+      }
+      finalize(index, f, *dead);
       return;
     }
     const u32 slot = static_cast<u32>(lanes_.size());

@@ -69,8 +69,9 @@ class CampaignWorker final : public InjectionEngine {
   CampaignWorker(const CampaignWorker&) = delete;
   CampaignWorker& operator=(const CampaignWorker&) = delete;
 
-  /// Run one injection end to end and retire it. `index` is the
-  /// injection's campaign index (event/sampling identity).
+  /// Run one injection end to end and retire it; a fault that is dead on
+  /// arrival (InjectionRunner::dead_on_arrival) retires without a run.
+  /// `index` is the injection's campaign index (event/sampling identity).
   [[nodiscard]] InjectionRecord run(
       const FaultSpec& fault, WorkerTelemetry* telemetry = nullptr,
       u32 index = 0, std::optional<PropagationRecord>* footprint = nullptr);

@@ -1,5 +1,6 @@
 #include "sfi/runner.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/check.hpp"
@@ -184,6 +185,63 @@ void InjectionRunner::apply_fault(const FaultSpec& fault) {
       break;
     }
   }
+}
+
+std::optional<RunResult> InjectionRunner::dead_on_arrival(
+    const FaultSpec& fault) const {
+  const Cycle finish = trace_.completion_cycle;
+  if (fault.target != FaultTarget::Latch || fault.mode != FaultMode::Toggle ||
+      !trace_.has_timeline() || fault.cycle >= finish) {
+    return std::nullopt;
+  }
+  const netlist::LatchRegistry& reg = model_.registry();
+  const auto& masks = reg.hash_masks();
+  // The run equals the reference XOR the surviving flipped bits for as long
+  // as no step reads one (equal reads, equal writes — aux state included),
+  // and a bit the reference overwrites stops differing. The masked poll
+  // first fires on the cycle after the flip, and not before the last
+  // hashed flipped bit is overwritten; never, if one survives.
+  Cycle converged = fault.cycle + 1;
+  bool hashed_survivor = false;
+  const u32 width = std::max<u32>(1, fault.adjacent_bits);
+  for (u32 k = 0; k < width; ++k) {
+    const u32 ordinal = fault.index + k;
+    if (ordinal >= reg.num_latches()) break;
+    const BitIndex bit = reg.bit_of_ordinal(ordinal);
+    const u32 w = bit / 64;
+    const u64 m = u64{1} << (bit % 64);
+    if ((trace_.peek_reads[w] & m) != 0) return std::nullopt;
+    const bool hashed = (masks[w] & m) != 0;
+    const emu::GoldenTrace::WordAccess* a =
+        trace_.first_access(w, m, fault.cycle);
+    if (a == nullptr) {
+      hashed_survivor = hashed_survivor || hashed;
+    } else if ((a->reads & m) != 0) {
+      return std::nullopt;  // read before it is overwritten: live
+    } else if (hashed) {
+      converged = std::max(converged, a->cycle);
+    }
+  }
+
+  // continue_run's exits in its order on a shared cycle: test end, then
+  // the convergence poll, then the horizon (the hang deadline lies past
+  // test end). The RAS window stays the reference's: clean.
+  constexpr Cycle kNever = ~Cycle{0};
+  const Cycle poll =
+      cfg_.early_exit && !hashed_survivor ? converged : kNever;
+  const Cycle hard_stop = fault.cycle + std::max<Cycle>(1, cfg_.horizon);
+  RunResult r;
+  if (finish <= poll && finish <= hard_stop) {
+    r.end_cycle = finish;
+  } else if (poll <= hard_stop) {
+    r.end_cycle = poll;
+    r.early_exited = true;
+  } else {
+    r.outcome = Outcome::Hang;
+    r.end_cycle = hard_stop;
+    r.detected_cycle = hard_stop;  // classify_now's rule for a Hang
+  }
+  return r;
 }
 
 RunResult InjectionRunner::run(const FaultSpec& fault, RunPhaseTimes* tel,

@@ -111,6 +111,19 @@ class InjectionRunner {
                                            nullptr,
                                        bool* ejected = nullptr);
 
+  /// The record of `fault`'s run when its flipped bits are dead on arrival,
+  /// read off the golden trace's access timeline with no seek, no flip and
+  /// no simulated cycle; nullopt when the fault needs a run. It fires for a
+  /// latch toggle whose every flipped bit lies outside the classifier's
+  /// peek set and is overwritten by the reference before anything reads it
+  /// (or never touched again up to completion). Such a run is the
+  /// reference plus bits nobody reads (DESIGN §16, "Dead on arrival"), so
+  /// the record is whichever exit run() would reach first: test end, the
+  /// convergence poll once the last hashed flipped bit is overwritten, or
+  /// the horizon. run() and continue_run() never take this shortcut.
+  [[nodiscard]] std::optional<RunResult> dead_on_arrival(
+      const FaultSpec& fault) const;
+
   /// Bring the machine fault-free to `target` without telemetry: the
   /// deferred-replay entry for clients that drive the emulator themselves
   /// (tracer, infection tracker). Same warm-checkpoint path as run().

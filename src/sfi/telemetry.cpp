@@ -124,6 +124,7 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
   // --- metrics (lock-free: private shard) ---
   shard_.add(o.c_injections_);
   if (rec.early_exited) shard_.add(o.c_early_exits_);
+  if (ph.dead_on_arrival) shard_.add(o.c_dead_on_arrival_);
   shard_.add(o.c_recoveries_, rec.recoveries);
   shard_.add(o.c_polls_, ph.polls);
   shard_.add(o.c_ff_cycles_, ph.ff_cycles);
@@ -191,7 +192,9 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
   // Full phase slices for every injection would dominate the 5% budget, so
   // the policy keeps the ones worth looking at: anything over the moving
   // p99 is always recorded and tagged an exemplar with its record id
-  // (`"i"`, the index `sfi explain` keys on); the rest sample 1-in-N.
+  // (`"i"`, the index `sfi explain` keys on); the rest sample 1-in-N. A
+  // fault retired dead on arrival counts toward the policy's cadence and
+  // tail, but it ran no phase, so it has no slice to show.
   if (book_ != nullptr) {
     const u64 us_restore = micros(ph.seconds[0]);
     const u64 us_ff = micros(ph.seconds[1]);
@@ -200,7 +203,7 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
     const u64 us_classify = micros(ph.seconds[4]);
     const u64 total = us_restore + us_ff + us_sim + us_poll + us_classify;
     const auto d = exemplar_.note(total);
-    if (d.record) {
+    if (d.record && !ph.dead_on_arrival) {
       const u64 end = book_->now_us();
       const u64 start = end > total ? end - total : 0;
       telemetry::JsonWriter& args = scratch_;
@@ -306,6 +309,7 @@ CampaignTelemetry::CampaignTelemetry(TelemetryConfig cfg)
     : cfg_(cfg), epoch_(std::chrono::steady_clock::now()) {
   c_injections_ = registry_.counter("injections");
   c_early_exits_ = registry_.counter("early_exits");
+  c_dead_on_arrival_ = registry_.counter("dead_on_arrival");
   c_recoveries_ = registry_.counter("recoveries");
   c_polls_ = registry_.counter("convergence_polls");
   c_ff_cycles_ = registry_.counter("fast_forward_cycles");
@@ -360,6 +364,7 @@ CampaignTelemetry::CampaignTelemetry(TelemetryConfig cfg)
   g_ckpt_count_ = registry_.gauge("ckpt.count");
   g_ckpt_bytes_ = registry_.gauge("ckpt.resident_bytes");
   g_ckpt_interval_ = registry_.gauge("ckpt.interval_cycles");
+  g_timeline_bytes_ = registry_.gauge("golden.timeline_bytes");
 }
 
 CampaignTelemetry::~CampaignTelemetry() = default;
@@ -495,6 +500,10 @@ void CampaignTelemetry::checkpoint_store_built(
       log->emit(s.str());
     }
   }
+}
+
+void CampaignTelemetry::access_timeline_recorded(u64 bytes) {
+  registry_.set_gauge(g_timeline_bytes_, static_cast<double>(bytes));
 }
 
 void CampaignTelemetry::campaign_finish(const CampaignAggregate& agg,

@@ -66,6 +66,9 @@ struct RunPhaseTimes {
   bool warm_restore = false;  ///< restored from an interval checkpoint
   bool new_checkpoint = false;  ///< materialized a different checkpoint
   Cycle restore_cycle = 0;      ///< cycle of the restored snapshot
+  /// Retired at admission from the reference's access timeline
+  /// (InjectionRunner::dead_on_arrival): nothing was simulated.
+  bool dead_on_arrival = false;
 
   [[nodiscard]] double total_seconds() const {
     double t = 0.0;
@@ -188,6 +191,9 @@ class CampaignTelemetry {
   void checkpoint_store_built(std::size_t count, u64 resident_bytes,
                               Cycle interval, double build_seconds,
                               const std::vector<Cycle>& cycles);
+  /// The reference run recorded its access timeline (`bytes` resident; 0
+  /// past the memory cap). Gauge only.
+  void access_timeline_recorded(u64 bytes);
   void campaign_finish(const CampaignAggregate& agg, u64 executed,
                        double wall_seconds);
 
@@ -285,6 +291,7 @@ class CampaignTelemetry {
   // Well-known ids (registered once in the constructor).
   telemetry::CounterId c_injections_;
   telemetry::CounterId c_early_exits_;
+  telemetry::CounterId c_dead_on_arrival_;
   telemetry::CounterId c_recoveries_;
   telemetry::CounterId c_polls_;
   telemetry::CounterId c_ff_cycles_;
@@ -322,6 +329,7 @@ class CampaignTelemetry {
   telemetry::GaugeId g_ckpt_count_{};
   telemetry::GaugeId g_ckpt_bytes_{};
   telemetry::GaugeId g_ckpt_interval_{};
+  telemetry::GaugeId g_timeline_bytes_{};
 
   /// Live outcome tallies for the progress line (relaxed atomics; the
   /// authoritative numbers are the merged registry counters).

@@ -78,25 +78,45 @@ inline constexpr std::size_t kFrameOverhead = 1 + 4 + 4;
 inline constexpr u32 kMaxPayload = 1u << 20;
 
 namespace detail {
-constexpr std::array<u32, 256> make_crc32_table() {
-  std::array<u32, 256> table{};
+/// Slicing-by-8 tables: kCrc32Tables[0] is the classic byte table, and
+/// table k advances a byte's contribution past k further zero bytes, so
+/// eight bytes fold per step instead of one (metrics frames run to ~8 KB).
+constexpr std::array<std::array<u32, 256>, 8> make_crc32_tables() {
+  std::array<std::array<u32, 256>, 8> t{};
   for (u32 n = 0; n < 256; ++n) {
     u32 c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    t[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (u32 n = 0; n < 256; ++n) {
+      t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
+    }
+  }
+  return t;
 }
-inline constexpr std::array<u32, 256> kCrc32Table = make_crc32_table();
+inline constexpr std::array<std::array<u32, 256>, 8> kCrc32Tables =
+    make_crc32_tables();
 }  // namespace detail
 
 /// IEEE CRC-32 over `bytes`, chainable via `seed` (pass a previous result).
 [[nodiscard]] constexpr u32 crc32(std::span<const u8> bytes, u32 seed = 0) {
+  const auto& t = detail::kCrc32Tables;
   u32 c = seed ^ 0xFFFFFFFFu;
-  for (const u8 b : bytes) {
-    c = detail::kCrc32Table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    const u32 lo = c ^ (u32{bytes[i]} | u32{bytes[i + 1]} << 8 |
+                        u32{bytes[i + 2]} << 16 | u32{bytes[i + 3]} << 24);
+    const u32 hi = u32{bytes[i + 4]} | u32{bytes[i + 5]} << 8 |
+                   u32{bytes[i + 6]} << 16 | u32{bytes[i + 7]} << 24;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; i < bytes.size(); ++i) {
+    c = t[0][(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -18,6 +18,7 @@
 #include "sched/scheduler.hpp"
 #include "sfi/driver.hpp"
 #include "sfi/engine.hpp"
+#include "sfi/telemetry.hpp"
 #include "store/codec.hpp"
 #include "store/merge.hpp"
 #include "store/writer.hpp"
@@ -327,6 +328,27 @@ TEST(Pinned, CanonicalStoresAndFootprintsMatchRecordedHashes) {
           << c.name << " " << engine_name(engine) << std::hex
           << " footprint hash 0x" << h.footprints;
     }
+  }
+}
+
+TEST(Pinned, WorkCountersMatchRecordedValues) {
+  // The toggle case above, counted on one thread: how many faults retired
+  // dead on arrival and how many early-exited are as deterministic as the
+  // bytes. Both engines ask the same predictor at admission, so they retire
+  // the same faults that way.
+  const avp::Testcase tc = small_testcase();
+  for (const EngineKind engine : {EngineKind::Scalar, EngineKind::Lanes}) {
+    CampaignTelemetry tel;
+    CampaignConfig cfg = small_campaign(120, engine);
+    cfg.footprint.enabled = true;
+    cfg.footprint.vanished_sample = 8;
+    cfg.telemetry = &tel;
+    (void)run_campaign(tc, cfg);
+    const telemetry::MetricsRegistry& m = tel.metrics();
+    EXPECT_EQ(m.counter_value_by_name("dead_on_arrival"), 102u)
+        << engine_name(engine);
+    EXPECT_EQ(m.counter_value_by_name("early_exits"), 78u)
+        << engine_name(engine);
   }
 }
 

@@ -1528,6 +1528,7 @@ int cmd_top(const Args& a) {
             .field("target_half_width", c.get_num("target_half_width", 0.0))
             .field("early_stop", c.get_bool("early_stop", false))
             .field("workers", c.get_u64("workers", 0))
+            .field("dead_on_arrival", c.get_u64("dead_on_arrival", 0))
             .end_object();
       }
       w.end_array().end_object();
@@ -1538,7 +1539,7 @@ int cmd_top(const Args& a) {
                 << (r.get_bool("stopping", false) ? " (stopping)" : "")
                 << "\n";
       report::Table t({"id", "tenant", "state", "eng", "done", "rate/s",
-                       "eta", "hw/target", "wrk", "outcome mix"});
+                       "eta", "hw/target", "wrk", "dead", "outcome mix"});
       for (const Row& row : rows) {
         const serve::Json& c = *row.c;
         const std::string state = c.get_str("state", "?");
@@ -1575,7 +1576,8 @@ int cmd_top(const Args& a) {
                    c.get_str("engine", "?"),
                    std::to_string(row.done) + "/" + std::to_string(row.n),
                    report::Table::num(row.rate, 1), eta, hw,
-                   std::to_string(c.get_u64("workers", 0)), mix});
+                   std::to_string(c.get_u64("workers", 0)),
+                   std::to_string(c.get_u64("dead_on_arrival", 0)), mix});
       }
       std::cout << t.to_string() << std::flush;
     }
