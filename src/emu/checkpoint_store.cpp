@@ -50,7 +50,7 @@ void CheckpointStore::add(const Checkpoint& cp) {
 
   Rec r;
   r.cycle = cp.cycle;
-  r.full = recs_.empty() || (recs_.size() - last_full_) >= full_every_;
+  r.full = recs_.empty() || (recs_.size() - last_full_) >= kFullEvery;
   if (r.full) {
     r.base = recs_.size();
     r.runs = {0, static_cast<u32>(total_words_)};

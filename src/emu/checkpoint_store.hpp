@@ -10,7 +10,7 @@
 // remainder (expected K/2 cycles instead of W/2).
 //
 // Checkpoints are stored XOR-delta + zero-run encoded against their stored
-// predecessor, with a full snapshot every `full_every` records to bound the
+// predecessor, with a full snapshot every kFullEvery records to bound the
 // reconstruction chain. The reference execution is deterministic and a
 // snapshot captures *all* machine state (latches + aux: arrays, main store,
 // scrub cursor), so a restored state at cycle c is by construction equal to
@@ -42,17 +42,13 @@ struct CheckpointStoreConfig {
   /// Bound on resident encoded bytes: once reached, further snapshots are
   /// dropped (runs fall back to the nearest earlier checkpoint).
   u64 memory_budget_bytes = 64ull << 20;
-  /// A full (non-delta) snapshot every N records bounds reconstruction to
-  /// at most N-1 delta applications.
-  u32 full_every = 16;
 };
 
 class CheckpointStore {
  public:
   CheckpointStore() = default;
   explicit CheckpointStore(const CheckpointStoreConfig& cfg)
-      : budget_bytes_(cfg.memory_budget_bytes),
-        full_every_(cfg.full_every < 1 ? 1 : cfg.full_every) {}
+      : budget_bytes_(cfg.memory_budget_bytes) {}
 
   /// Append a snapshot. Cycles must be strictly increasing and every
   /// checkpoint must describe the same machine (same latch/aux sizes).
@@ -94,9 +90,12 @@ class CheckpointStore {
   void write_word(Checkpoint& out, std::size_t pos, u64 v,
                   bool xor_mode) const;
 
+  /// A full (non-delta) snapshot every kFullEvery records bounds
+  /// reconstruction to at most kFullEvery-1 delta applications.
+  static constexpr std::size_t kFullEvery = 16;
+
   std::vector<Rec> recs_;
   u64 budget_bytes_ = 64ull << 20;
-  u32 full_every_ = 16;
   Cycle interval_ = 0;
   u64 resident_bytes_ = 0;
   u64 dropped_ = 0;

@@ -95,9 +95,9 @@ class Emulator {
 
   // --- checkpointing ---
   [[nodiscard]] Checkpoint save_checkpoint();
-  /// Save in place into preallocated storage (the footprint tracker snapshots
-  /// the pre-fault state once per injection; this path must not allocate
-  /// after the first call).
+  /// Save in place into preallocated storage (the lane engine snapshots its
+  /// cursors into reused storage at every trip and sweep; this path must
+  /// not allocate after the first call).
   void save_checkpoint(Checkpoint& out);
   /// Restore in place into preallocated storage: no allocation on the
   /// injection hot path. The checkpoint must match the model's latch count.

@@ -6,6 +6,7 @@
 
 #include "common/hash.hpp"
 #include "sfi/driver.hpp"
+#include "store/trace_stitch.hpp"
 #include "store/writer.hpp"
 
 namespace sfi::sched {
@@ -214,6 +215,22 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
           .count();
   if (tel != nullptr) {
     tel->campaign_finish(result.agg, result.executed, result.wall_seconds);
+  }
+  if (tel != nullptr && tel->spans() != nullptr) {
+    // Durable trace sidecar, so `sfi trace <store>` stitches an in-process
+    // campaign as it does a farm one (whose coordinator streams its own).
+    // Best-effort: a trace that fails to serialize never fails a campaign.
+    try {
+      const std::vector<telemetry::SpanRecord> spans = tel->all_spans();
+      if (!spans.empty()) {
+        store::StoreWriter sw = store::StoreWriter::create(
+            store::store_sibling(store_path, store::kTraceSidecarSuffix),
+            meta);
+        for (const telemetry::SpanRecord& sp : spans) sw.append(sp);
+        sw.flush();
+      }
+    } catch (const std::exception&) {
+    }
   }
   return result;
 }

@@ -21,8 +21,6 @@
 #include "sched/scheduler.hpp"
 #include "sfi/telemetry.hpp"
 #include "store/reader.hpp"
-#include "store/trace_stitch.hpp"
-#include "store/writer.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/prometheus.hpp"
@@ -212,14 +210,14 @@ int Daemon::run() {
   // with it every tenant's campaign) down with a SIGPIPE.
   farm::ignore_sigpipe();
   fs::create_directories(cfg_.state_dir);
-  if (cfg_.flight_recorder_slots > 0) {
-    // Crash flight recorder: every telemetry line emitted from here on is
-    // teed into a fixed ring; a fatal signal dumps the last seconds of the
-    // daemon's life next to the state it was managing.
-    telemetry::FlightRecorder::global().enable(cfg_.flight_recorder_slots);
-    telemetry::FlightRecorder::arm_signals(
-        (fs::path(cfg_.state_dir) / "serve.postmortem.jsonl").string());
-  }
+  // Crash flight recorder: every telemetry line emitted from here on is
+  // teed into a fixed ring; a fatal signal dumps the last seconds of the
+  // daemon's life next to the state it was managing, and farm-mode
+  // supervision failures dump to <store>.postmortem.jsonl.
+  telemetry::FlightRecorder::global().enable(
+      telemetry::FlightRecorder::kSlots);
+  telemetry::FlightRecorder::arm_signals(
+      (fs::path(cfg_.state_dir) / "serve.postmortem.jsonl").string());
   log_.open((fs::path(cfg_.state_dir) / "serve.events.jsonl").string());
   adopt_state_dir();
   listen_fd_ = listen_on(addr_);
@@ -575,9 +573,7 @@ void Daemon::run_one(Campaign& c) {
       farm::FarmConfig fc;
       fc.hosts = {{"localhost", c.spec.workers}};
       fc.worker_command = worker_command(c.spec);
-      if (cfg_.flight_recorder_slots > 0) {
-        fc.postmortem_path = c.store_path + ".postmortem.jsonl";
-      }
+      fc.postmortem_path = c.store_path + ".postmortem.jsonl";
       // The campaign telemetry (span plane on, trace id = campaign id) is
       // what tells the coordinator to have workers ship metrics and spans;
       // the trace sidecar lands next to the store.
@@ -608,28 +604,9 @@ void Daemon::finalize(Campaign& c, bool failed, const std::string& error) {
   std::string why = error;
   if (!failed) {
     try {
-      auto [meta, a] =
-          store::aggregate_store(c.store_path, {.tolerate_torn_tail = true});
-      agg = a;
+      agg = store::aggregate_store(c.store_path, {.tolerate_torn_tail = true})
+                .second;
       records = agg.total();
-      // Durable trace sidecar: everything the live /trace view has (this
-      // process's book plus spans delivered from workers), rewritten whole
-      // so `sfi trace` works on the state dir after the daemon is gone.
-      // Best-effort — a trace that fails to serialize never fails a
-      // campaign.
-      if (c.tel != nullptr && c.tel->spans() != nullptr) {
-        try {
-          const std::vector<telemetry::SpanRecord> spans = c.tel->all_spans();
-          if (!spans.empty()) {
-            store::StoreWriter sw = store::StoreWriter::create(
-                store::store_sibling(c.store_path, store::kTraceSidecarSuffix),
-                meta);
-            for (const telemetry::SpanRecord& sp : spans) sw.append(sp);
-            sw.flush();
-          }
-        } catch (const std::exception&) {
-        }
-      }
     } catch (const std::exception& e) {
       failed = true;
       why = e.what();

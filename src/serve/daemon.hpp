@@ -85,12 +85,6 @@ struct ServeConfig {
   /// their fleet view whether or not the plane is on: every campaign has
   /// telemetry, so its workers always ship metrics snapshots.
   std::string http;
-  /// Flight-recorder ring size (recent telemetry lines kept in memory).
-  /// When > 0 a fatal signal in the daemon dumps the ring to
-  /// <state_dir>/serve.postmortem.jsonl, and farm-mode supervision
-  /// failures (crash / watchdog kill / strikeout) dump to
-  /// <store>.postmortem.jsonl. 0 disables the recorder.
-  u32 flight_recorder_slots = 2048;
 };
 
 class Daemon {

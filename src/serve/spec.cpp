@@ -7,6 +7,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "farm/process.hpp"
 #include "sfi/engine.hpp"
@@ -32,11 +33,11 @@ std::string real_text(double v) {
 /// member). With `zero_keeps_default`, 0 leaves the member as it is: for
 /// threads, 0 has always meant "the runner's default".
 template <class T>
-SpecOption count(std::string_view flag, std::string_view key, bool exec,
+SpecOption count(std::string_view flag, std::string_view key, u32 verbs,
                  T S::*m, T dflt, T min = 0,
                  T max = std::numeric_limits<T>::max(),
                  bool zero_keeps_default = false) {
-  return {flag, key, exec, SpecKind::Number, std::to_string(dflt),
+  return {flag, key, verbs, SpecKind::Number, std::to_string(dflt),
           [m](const S& s) { return std::to_string(s.*m); },
           [=](S& s, std::string_view what, const std::string& text) {
             const u64 v = parse_count(what, text);
@@ -51,9 +52,9 @@ SpecOption count(std::string_view flag, std::string_view key, bool exec,
 }
 
 /// A real strictly between `above` and `below`.
-SpecOption real(std::string_view flag, std::string_view key, double S::*m,
-                double dflt, double above, double below) {
-  return {flag, key, false, SpecKind::Number, real_text(dflt),
+SpecOption real(std::string_view flag, std::string_view key, u32 verbs,
+                double S::*m, double dflt, double above, double below) {
+  return {flag, key, verbs, SpecKind::Number, real_text(dflt),
           [m](const S& s) { return real_text(s.*m); },
           [=](S& s, std::string_view what, const std::string& text) {
             const double v = parse_real(what, text);
@@ -67,18 +68,18 @@ SpecOption real(std::string_view flag, std::string_view key, double S::*m,
 }
 
 /// A bare flag: off unless given.
-SpecOption flag_on(std::string_view flag, std::string_view key, bool exec,
+SpecOption flag_on(std::string_view flag, std::string_view key, u32 verbs,
                    bool S::*m) {
-  return {flag, key, exec, SpecKind::Switch, "",
+  return {flag, key, verbs, SpecKind::Switch, "",
           [m](const S& s) { return std::string(s.*m ? "true" : ""); },
           [m](S& s, std::string_view, const std::string&) { s.*m = true; }};
 }
 
 /// Text: the default or one of `names` (any text when there are none).
-SpecOption text(std::string_view flag, std::string_view key, bool exec,
+SpecOption text(std::string_view flag, std::string_view key, u32 verbs,
                 std::string S::*m, const std::string& dflt,
                 std::vector<std::string> names) {
-  return {flag, key, exec, SpecKind::Text, dflt,
+  return {flag, key, verbs, SpecKind::Text, dflt,
           [m](const S& s) { return s.*m; },
           [=](S& s, std::string_view what, const std::string& v) {
             if (!names.empty() && v != dflt &&
@@ -100,52 +101,81 @@ std::vector<std::string> names_of(const std::array<E, N>& all) {
 
 }  // namespace
 
+u32 verb_bit(std::string_view name) {
+  static constexpr std::pair<std::string_view, u32> kVerbs[] = {
+      {"inventory", verb::kInventory}, {"campaign", verb::kCampaign},
+      {"worker", verb::kWorker},       {"report", verb::kReport},
+      {"explain", verb::kExplain},     {"merge", verb::kMerge},
+      {"beam", verb::kBeam},           {"trace", verb::kTrace},
+      {"mix", verb::kMix},             {"derate", verb::kDerate},
+      {"serve", verb::kServe},         {"submit", verb::kSubmit},
+      {"status", verb::kStatus},       {"watch", verb::kWatch},
+      {"shutdown", verb::kShutdown},   {"top", verb::kTop}};
+  for (const auto& [verb_name, bit] : kVerbs) {
+    if (verb_name == name) return bit;
+  }
+  return 0;
+}
+
 const std::vector<SpecOption>& spec_options() {
   static const std::vector<SpecOption> rows = [] {
     const inject::CampaignConfig cc;
     const StopTarget st;
     const auto any = ~u32{0};
+    using namespace verb;
+    // Who reads a row besides `submit`: the plan rows define the injections
+    // (an exec worker rebuilds the plan from them); beam and derate run
+    // their own plans; trace and mix build only the workload.
+    constexpr u32 kPlan = kCampaign | kWorker | kSubmit;
+    constexpr u32 kRuns = kPlan | kBeam | kDerate;
+    constexpr u32 kWorkload = kRuns | kTrace | kMix;
+    constexpr u32 kDriver = kCampaign | kSubmit;
     return std::vector<SpecOption>{
-        text("tenant", "tenant", false, &S::tenant, "default", {}),
-        count("seed", "seed", true, &S::seed, cc.seed),
-        count<u64>("testcase-seed", "testcase_seed", true, &S::testcase_seed,
-                   2026),
-        count("instructions", "instructions", true, &S::instructions,
+        text("tenant", "tenant", kSubmit, &S::tenant, "default", {}),
+        count("seed", "seed", kRuns, &S::seed, cc.seed),
+        count<u64>("testcase-seed", "testcase_seed", kWorkload,
+                   &S::testcase_seed, 2026),
+        count("instructions", "instructions", kWorkload, &S::instructions,
               avp::TestcaseConfig{}.num_instructions, 1u),
-        count<u32>("n", "n", true, &S::n, 1000, 1),
+        count<u32>("n", "n", kRuns, &S::n, 1000, 1),
         // The daemon's stop granularity: one scheduler thread claims the
         // cycle-sorted order as an exact prefix, so a campaign stopped at k
         // records is byte-identical (after canonical merge) to `sfi
         // campaign --threads 1 --max-new k --shard-size 16 --flush 8`.
-        count<u32>("threads", "threads", false, &S::threads, 1, 1, any, true),
-        count<u32>("workers", "workers", false, &S::workers, 0),
-        count<u32>("shard-size", "shard_size", false, &S::shard_size, 16, 1),
-        count<u32>("flush", "flush_records", false, &S::flush_records, 8, 1),
-        real("confidence", "confidence", &S::confidence, st.confidence, 0.0,
-             1.0),
-        real("half-width", "half_width", &S::half_width, st.half_width, 0.0,
-             std::numeric_limits<double>::infinity()),
-        flag_on("stratify-unit", "by_unit", false, &S::by_unit),
-        text("engine", "inj_engine", true, &S::engine,
+        count<u32>("threads", "threads", kDriver | kBeam | kDerate,
+                   &S::threads, 1, 1, any, true),
+        count<u32>("workers", "workers", kDriver, &S::workers, 0),
+        count<u32>("shard-size", "shard_size", kDriver, &S::shard_size, 16,
+                   1),
+        count<u32>("flush", "flush_records", kDriver, &S::flush_records, 8,
+                   1),
+        real("confidence", "confidence", kDriver | kBeam | kReport,
+             &S::confidence, st.confidence, 0.0, 1.0),
+        real("half-width", "half_width", kSubmit, &S::half_width,
+             st.half_width, 0.0, std::numeric_limits<double>::infinity()),
+        flag_on("stratify-unit", "by_unit", kSubmit, &S::by_unit),
+        text("engine", "inj_engine", kPlan | kDerate, &S::engine,
              inject::engine_name(cc.engine),
              {inject::engine_name(inject::EngineKind::Scalar),
               inject::engine_name(inject::EngineKind::Lanes)}),
-        count("lanes", "lanes", true, &S::lanes, cc.lanes, 1u),
-        flag_on("raw", "raw", true, &S::raw),
-        text("unit", "unit", true, &S::unit, "", names_of(netlist::kAllUnits)),
-        text("type", "type", true, &S::type, "",
+        count("lanes", "lanes", kPlan | kDerate, &S::lanes, cc.lanes, 1u),
+        flag_on("raw", "raw", kRuns | kTrace, &S::raw),
+        text("unit", "unit", kPlan | kDerate, &S::unit, "",
+             names_of(netlist::kAllUnits)),
+        text("type", "type", kPlan | kDerate, &S::type, "",
              names_of(netlist::kAllLatchTypes)),
-        count<u64>("sticky", "sticky", true, &S::sticky, 0),
-        count("ckpt-interval", "ckpt_interval", true, &S::ckpt_interval,
+        count<u64>("sticky", "sticky", kPlan | kDerate | kTrace, &S::sticky,
+                   0),
+        count("ckpt-interval", "ckpt_interval", kRuns, &S::ckpt_interval,
               cc.ckpt_interval),
-        count("ckpt-mem", "ckpt_mem", true, &S::ckpt_mem,
+        count("ckpt-mem", "ckpt_mem", kRuns, &S::ckpt_mem,
               cc.ckpt_memory_budget >> 20, u64{0}, ~u64{0} >> 20),
-        flag_on("footprint", "footprint", true, &S::footprint),
-        count("footprint-sample", "footprint_sample", true,
+        flag_on("footprint", "footprint", kPlan, &S::footprint),
+        count("footprint-sample", "footprint_sample", kPlan,
               &S::footprint_sample, cc.footprint.vanished_sample),
-        count("footprint-window", "footprint_window", true,
+        count("footprint-window", "footprint_window", kPlan,
               &S::footprint_window, cc.footprint.max_trace_cycles),
-        flag_on("footprint-every-cycle", "footprint_every_cycle", true,
+        flag_on("footprint-every-cycle", "footprint_every_cycle", kPlan,
                 &S::footprint_every_cycle),
     };
   }();
@@ -238,7 +268,7 @@ std::vector<std::string> worker_command(const CampaignSpec& spec) {
   std::vector<std::string> cmd = {farm::self_exe(), "worker"};
   for (const SpecOption& row : spec_options()) {
     const std::string v = row.get(spec);
-    if (!row.exec || v == row.dflt) continue;
+    if (!row.exec() || v == row.dflt) continue;
     cmd.push_back("--" + std::string(row.flag));
     if (!row.bare()) cmd.push_back(v);
   }

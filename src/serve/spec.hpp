@@ -81,6 +81,22 @@ struct CampaignSpec {
   }
 };
 
+/// The `sfi` verbs, one bit each. An option names the set of verbs that
+/// read it (SpecOption::verbs, and the command line's own options); the
+/// command line refuses it on any other verb.
+namespace verb {
+inline constexpr u32 kInventory = 1u << 0, kCampaign = 1u << 1,
+                     kWorker = 1u << 2, kReport = 1u << 3,
+                     kExplain = 1u << 4, kMerge = 1u << 5, kBeam = 1u << 6,
+                     kTrace = 1u << 7, kMix = 1u << 8, kDerate = 1u << 9,
+                     kServe = 1u << 10, kSubmit = 1u << 11,
+                     kStatus = 1u << 12, kWatch = 1u << 13,
+                     kShutdown = 1u << 14, kTop = 1u << 15;
+}  // namespace verb
+
+/// The bit of the verb spelled `name` on the command line; 0 for none.
+[[nodiscard]] u32 verb_bit(std::string_view name);
+
 /// How a value is spelled in JSON: a number (its literal), a string, or a
 /// bool for a bare flag.
 enum class SpecKind : u8 { Number, Text, Switch };
@@ -89,7 +105,9 @@ enum class SpecKind : u8 { Number, Text, Switch };
 struct SpecOption {
   std::string_view flag;  ///< command-line flag, without the leading "--"
   std::string_view key;   ///< JSON key in submit requests and manifests
-  bool exec;              ///< exec farm workers get it on their argv
+  /// The verbs that read it: `submit` reads every row, and `worker` the
+  /// rows an exec farm worker gets on its argv.
+  u32 verbs;
   SpecKind kind;          ///< a Switch is a bare flag; the rest take a value
   std::string dflt;       ///< the default, spelled as `get` spells it
   /// The member as a flag value ("true" or "" for a switch).
@@ -101,6 +119,8 @@ struct SpecOption {
       set;
 
   [[nodiscard]] bool bare() const { return kind == SpecKind::Switch; }
+  /// Exec farm workers get it on their argv.
+  [[nodiscard]] bool exec() const { return (verbs & verb::kWorker) != 0; }
 };
 
 [[nodiscard]] const std::vector<SpecOption>& spec_options();

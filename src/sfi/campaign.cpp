@@ -38,9 +38,7 @@ CampaignPlan plan_campaign(const avp::Testcase& tc,
                  : LatchPopulation::all(ref_model.registry());
   FaultSampler sampler;
   sampler.population = &plan.population;
-  sampler.window_begin = cfg.window_begin;
-  sampler.window_end =
-      cfg.window_end != 0 ? cfg.window_end : plan.trace.completion_cycle;
+  sampler.window_end = plan.trace.completion_cycle;
   require(sampler.window_end > sampler.window_begin,
           "injection window is empty (workload too short?)");
   sampler.mode = cfg.mode;

@@ -44,10 +44,6 @@ struct CampaignConfig {
   Cycle sticky_duration = 0;
   /// Restrict the latch population (empty: whole design).
   std::function<bool(const netlist::LatchMeta&)> filter;
-  /// Injection window [begin, end) in cycles; end == 0 uses the workload's
-  /// completion cycle.
-  Cycle window_begin = 1;
-  Cycle window_end = 0;
   /// Interval checkpointing of the reference run: snapshot every
   /// `ckpt_interval` cycles so injections warm-start from the nearest
   /// checkpoint instead of replaying from cycle 0. emu::kCkptAuto picks the
@@ -86,8 +82,10 @@ struct CampaignPlan {
   emu::GoldenTrace trace;
   LatchPopulation population;
   std::vector<FaultSpec> faults;
+  /// Injection window [begin, end): cycle 1 up to the workload's
+  /// completion cycle.
   Cycle window_begin = 0;
-  Cycle window_end = 0;  ///< resolved (never 0)
+  Cycle window_end = 0;
   /// Interval checkpoints of the reference run (empty when disabled);
   /// built once here and shared read-only across all workers.
   emu::CheckpointStore ckpts;

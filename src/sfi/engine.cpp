@@ -42,7 +42,7 @@
 // whole engine's speedup is capped near 1/f regardless of lane count. Most
 // trips, though, diverge for exactly one cycle (a flipped bit feeds a
 // bypass or a compare and the difference dies or moves on): the executor
-// runs the divergent cycle, and an eject hook then re-admits the lane as a
+// steps the divergent cycle, and try_readmit then re-admits the lane as a
 // fresh diff D' against the lead if three checks certify the lane is still
 // carryable:
 //
@@ -54,12 +54,13 @@
 //   (c) the latch re-diff D' = exec ⊕ lead is within the diff carrier
 //       (≤ kMaxDiffWords words, disjoint from the RAS bit-set).
 //
-// A re-admitted lane skips the rest of the scalar tail entirely; any check
-// the hook preempted (test_finished, convergence poll, deadlines) runs
+// A re-admitted lane skips the rest of the scalar tail entirely; the
+// divergent cycle's checks (test_finished, convergence poll, deadlines) run
 // this same cycle in step_reference under the scalar ordering. If any
-// certificate fails the hook declines and the tail runs unmodified — so
-// probation, like every other fast path here, can only ever reproduce the
-// scalar result or fall back to computing it.
+// certificate fails, the executor enters the scalar post-fault loop at that
+// cycle's checks (continue_run with the first step taken) and the tail runs
+// unmodified — so probation, like every other fast path here, can only ever
+// reproduce the scalar result or fall back to computing it.
 
 #include "sfi/engine.hpp"
 
@@ -100,16 +101,10 @@ InjectionRecord CampaignWorker::run(
       telemetry != nullptr ? telemetry->phase_scratch() : nullptr;
   if (const std::optional<RunResult> dead = runner_->dead_on_arrival(fault)) {
     if (phases != nullptr) *phases = RunPhaseTimes{.dead_on_arrival = true};
-    return retire(index, fault, *dead, telemetry, footprint,
-                  /*prefault_ready=*/false);
+    return retire(index, fault, *dead, telemetry, footprint);
   }
-  // The pre-fault snapshot only exists so the tracker's deferred re-run can
-  // skip the seek; the primary run never reads it back.
-  emu::Checkpoint* prefault =
-      tracker_ != nullptr ? &tracker_->prefault() : nullptr;
-  const RunResult rr = runner_->run(fault, phases, prefault);
-  return retire(index, fault, rr, telemetry, footprint,
-                /*prefault_ready=*/prefault != nullptr);
+  return retire(index, fault, runner_->run(fault, phases), telemetry,
+                footprint);
 }
 
 void CampaignWorker::run(const Next& next, const Emit& emit,
@@ -123,8 +118,8 @@ void CampaignWorker::run(const Next& next, const Emit& emit,
 
 InjectionRecord CampaignWorker::retire(
     u32 index, const FaultSpec& fault, const RunResult& rr,
-    WorkerTelemetry* telemetry, std::optional<PropagationRecord>* footprint,
-    bool prefault_ready) {
+    WorkerTelemetry* telemetry,
+    std::optional<PropagationRecord>* footprint) {
   InjectionRecord rec = make_record(*model_, fault, rr);
   if (telemetry != nullptr) {
     std::optional<Cycle> latency;
@@ -132,12 +127,6 @@ InjectionRecord CampaignWorker::retire(
     telemetry->record_injection(index, rec, latency);
   }
   if (tracker_ != nullptr && tracker_->should_trace(index, rr.outcome)) {
-    if (!prefault_ready) {
-      // The pre-fault machine is fault-free by definition, so the reference
-      // rebuilds the exact bytes the runner would have snapshotted.
-      runner_->seek_for_replay(fault.cycle);
-      emu_->save_checkpoint(tracker_->prefault());
-    }
     const auto t0 = std::chrono::steady_clock::now();
     PropagationRecord prec = tracker_->trace(index, fault, rr);
     if (telemetry != nullptr) {
@@ -459,9 +448,9 @@ class LaneEngine final : public InjectionEngine {
     lead_sig_.acc = 0;
     lead_.emu->step();
     const Cycle now = lead_.emu->cycle();
-    // RAS before the scans: the probation hook compares against it. The
-    // peeks add the RAS bit-set to this cycle's R, which is harmless — no
-    // lane's diff overlaps those bits (admission and re-admission both
+    // RAS before the scans: the probation certificate compares against it.
+    // The peeks add the RAS bit-set to this cycle's R, which is harmless —
+    // no lane's diff overlaps those bits (admission and re-admission both
     // reject overlapping diffs), so they can never trip anyone.
     lead_ras_ = lead_.model->ras_status(lead_.emu->state());
 
@@ -557,11 +546,11 @@ class LaneEngine final : public InjectionEngine {
   }
 
   /// The lane's cycle may diverge from the reference's: rebuild its full
-  /// state (trail snapshot ⊕ D, one cycle behind the lead) and run the
-  /// divergent cycle on the executor with the scalar post-fault loop.
-  /// Usually the probation hook then re-admits the lane with a fresh diff
-  /// (returns false: the lane stays live); otherwise the executor finishes
-  /// the run and the lane retires (returns true).
+  /// state (trail snapshot ⊕ D, one cycle behind the lead) and step the
+  /// divergent cycle on the executor. Usually probation then re-admits the
+  /// lane with a fresh diff (returns false: the lane stays live); otherwise
+  /// the executor finishes the run with the scalar post-fault loop and the
+  /// lane retires (returns true).
   bool trip_lane(u32 slot) {
     Lane& ln = lanes_[slot];
     emu::Emulator& exec_emu = exec_.emulator();
@@ -581,28 +570,24 @@ class LaneEngine final : public InjectionEngine {
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
     }
     exec_mirror_ = kNoSlot;
-    RunPhaseTimes* ph = wt_ != nullptr ? wt_->phase_scratch() : nullptr;
-    if (ph != nullptr) *ph = RunPhaseTimes{};
     exec_sig_.acc = 0;
-    bool ejected = false;
-    const std::function<bool()> hook = [this, slot] {
-      return try_readmit(slot);
-    };
-    const RunResult rr =
-        exec_.runner().continue_run(*ln.fault, ph, &hook, &ejected);
-    if (ejected) {
+    exec_emu.step();
+    if (try_readmit(slot)) {
       exec_mirror_ = slot;
       return false;
     }
+    const RunResult rr = exec_.runner().continue_run(
+        *ln.fault, wt_ != nullptr ? wt_->phase_scratch() : nullptr,
+        /*stepped=*/true);
     ln.live = false;
     --live_;
     finalize(ln.index, *ln.fault, rr);
     return true;
   }
 
-  /// Probation certificate, polled by continue_run after the divergent
-  /// cycle's step (exec is at the lead's cycle). True re-admits the lane
-  /// with D' = exec ⊕ lead and ejects the executor.
+  /// Probation certificate, checked after the divergent cycle's step (exec
+  /// is at the lead's cycle). True re-admits the lane with
+  /// D' = exec ⊕ lead.
   bool try_readmit(u32 slot) {
     // (a) Equal aux-mutation signatures: array/memory state stayed equal
     // through the cycle (given equal before it, which holds inductively).
@@ -669,7 +654,6 @@ class LaneEngine final : public InjectionEngine {
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
       exec_.emulator().restore_checkpoint(finish_cp_);
       for (u32 i = 0; i < ln.nd; ++i) words[ln.d[i].word] ^= ln.d[i].bits;
-      if (wt_ != nullptr) *wt_->phase_scratch() = RunPhaseTimes{};
       const RunResult rr = exec_.runner().classify_now(
           /*finished=*/true, /*early_exited=*/false);
       ensure(rr.end_cycle == now, "lane finish cycle mismatch");
@@ -687,17 +671,14 @@ class LaneEngine final : public InjectionEngine {
       const u32 slot = poll_candidates_[k];
       Lane& ln = lanes_[slot];
       if (ln.live && ln.masked_empty(masks_)) {
-        RunResult rr;
-        rr.outcome = Outcome::Vanished;
-        rr.end_cycle = now;
-        rr.early_exited = true;
         // Clean RAS window by the admission invariant: the reference's
         // counters are zero and the lane's RAS state equals the
         // reference's, exactly the scalar early-exit classification.
         ln.live = false;
         --live_;
-        if (wt_ != nullptr) *wt_->phase_scratch() = RunPhaseTimes{};
-        finalize(ln.index, *ln.fault, rr);
+        finalize(ln.index, *ln.fault,
+                 InjectionRunner::clean_exit(
+                     InjectionRunner::CleanExit::Converged, now));
       }
       ln.polled = false;
       poll_candidates_[k] = poll_candidates_.back();
@@ -707,21 +688,18 @@ class LaneEngine final : public InjectionEngine {
 
   /// Deadline / horizon expiry: the scalar loop classifies these Hang with
   /// no further state reads (clean RAS, finished=false), so the record is
-  /// built directly.
+  /// the runner's clean exit.
   void hang_overdue(Cycle now) {
     Cycle nxt = kFar;
     for (u32 slot = 0; slot < lanes_.size(); ++slot) {
       Lane& ln = lanes_[slot];
       if (!ln.live) continue;
       if (now >= deadline_ || now >= ln.hard_stop) {
-        RunResult rr;
-        rr.outcome = Outcome::Hang;
-        rr.end_cycle = now;
-        rr.detected_cycle = now;  // classify_now's rule for an undetected Hang
         ln.live = false;
         --live_;
-        if (wt_ != nullptr) *wt_->phase_scratch() = RunPhaseTimes{};
-        finalize(ln.index, *ln.fault, rr);
+        finalize(ln.index, *ln.fault,
+                 InjectionRunner::clean_exit(
+                     InjectionRunner::CleanExit::Overdue, now));
       } else {
         nxt = std::min(nxt, ln.hard_stop);
       }
@@ -737,13 +715,11 @@ class LaneEngine final : public InjectionEngine {
     (*emit_)(index, rec, std::move(fp));
   }
 
-  /// Retire a lane through the executor's record tail. Fast-path lanes
-  /// never snapshotted a pre-fault state, so a footprint re-run rebuilds
-  /// it and repositions the executor, which then mirrors no lane.
+  /// Retire a lane through the executor's record tail. A footprint re-run
+  /// repositions the executor, which then mirrors no lane.
   void finalize(u32 index, const FaultSpec& fault, const RunResult& rr) {
     std::optional<PropagationRecord> fp;
-    const InjectionRecord rec =
-        exec_.retire(index, fault, rr, wt_, &fp, /*prefault_ready=*/false);
+    const InjectionRecord rec = exec_.retire(index, fault, rr, wt_, &fp);
     if (fp) exec_mirror_ = kNoSlot;
     (*emit_)(index, rec, std::move(fp));
   }
@@ -765,7 +741,7 @@ class LaneEngine final : public InjectionEngine {
   AuxSig lead_sig_;                  ///< lead's aux mutations, this cycle
   AuxSig exec_sig_;                  ///< exec's aux mutations, probation
   emu::RasStatus lead_ras_{};        ///< lead RAS after this cycle's step
-  /// Lane whose exact state the executor still holds after an ejection
+  /// Lane whose exact state the executor still holds after a re-admission
   /// (kNoSlot when the executor has been repurposed since): lets a lane
   /// that trips on consecutive cycles skip the checkpoint restore.
   u32 exec_mirror_ = kNoSlot;

@@ -82,13 +82,12 @@ class CampaignWorker final : public InjectionEngine {
   /// Turn a finished run into its record: report it to `telemetry`, and run
   /// the deferred footprint re-run when the campaign's FootprintConfig
   /// selects the injection (returned through `footprint`; the re-run
-  /// repositions this worker's machine). `prefault_ready`: the runner has
-  /// already snapshotted the pre-fault state into the tracker; otherwise the
-  /// re-run rebuilds it from the fault-free reference.
+  /// starts from InjectionRunner::begin and repositions this worker's
+  /// machine).
   [[nodiscard]] InjectionRecord retire(
       u32 index, const FaultSpec& fault, const RunResult& rr,
-      WorkerTelemetry* telemetry, std::optional<PropagationRecord>* footprint,
-      bool prefault_ready);
+      WorkerTelemetry* telemetry,
+      std::optional<PropagationRecord>* footprint);
 
   /// The worker's machine, for an engine that materializes states into it
   /// and finishes them with the runner's post-fault loop.

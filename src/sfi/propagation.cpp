@@ -49,8 +49,6 @@ InfectionTracker::InfectionTracker(core::Pearl6Model& model,
 PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
                                           const RunResult& primary) {
   require(usable_, "InfectionTracker::trace while not usable");
-  require(prefault_.cycle == fault.cycle,
-          "pre-fault snapshot does not match the fault cycle");
 
   PropagationRecord rec;
   rec.index = index;
@@ -65,10 +63,8 @@ PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
   rec.detected = primary.detected_cycle.has_value();
   if (rec.detected) rec.detected_at = *primary.detected_cycle - fault.cycle;
 
-  // Deterministic replay: restore the fault-free pre-injection snapshot the
-  // primary run captured (no re-seek) and re-apply the identical fault.
-  emu_.restore_checkpoint(prefault_);
-  runner_.apply_fault(fault);
+  // Deterministic replay: the primary run's own entry, seek and flip.
+  runner_.begin(fault);
 
   bool saw_checker = false;
   model_.set_cycle_observer(
@@ -91,7 +87,7 @@ PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
                       primary.outcome == Outcome::Checkstop ||
                       primary.outcome == Outcome::BadArchState;
   const Cycle window =
-      escape ? cfg_.escape_trace_cycles : cfg_.max_trace_cycles;
+      escape ? kEscapeTraceCycles : cfg_.max_trace_cycles;
 
   const auto take_sample = [&](u32 offset, const u64* ref) {
     const u32 total = emu_.state().masked_diff_groups(

@@ -11,11 +11,11 @@
 // whether corruption reached architected (REGFILE) state or memory, and
 // which checker fired first.
 //
-// Cost model: the tracker never re-seeks — the primary run snapshots the
-// fault-free pre-injection state (InjectionRunner::run's `prefault`
-// out-param) and the re-run restores it in place. Per re-run cycle the only
-// extra work over a normal run is a word-compare (time-to-mask detection);
-// the per-unit group diff runs only at sample points (~log2(window) times).
+// Cost model: the re-run enters through InjectionRunner::begin, as every
+// run does — one restore of the nearest reference checkpoint and the
+// fast-forward from it to the fault cycle. Per re-run cycle the only extra
+// work over a normal run is a word-compare (time-to-mask detection); the
+// per-unit group diff runs only at sample points (~log2(window) times).
 // Non-Vanished outcomes are always traced; Vanished ones are sampled.
 #pragma once
 
@@ -51,13 +51,14 @@ struct FootprintConfig {
   /// overhead budget prices: at 512 cycles ~4% of Corrected traces truncate
   /// (p90 time-to-recovery is ~340 cycles on the standard workload).
   Cycle max_trace_cycles = 512;
-  /// Trace-window cap for the escape classes (Hang, Checkstop,
-  /// BadArchState). They are rare (<1% of injections) but carry the most
-  /// forensic value, so they get a window long enough to watch the infection
-  /// all the way to the hang limit or end of test for almost nothing.
-  Cycle escape_trace_cycles = 4096;
   FootprintSampling sampling = FootprintSampling::Exponential;
 };
+
+/// Trace-window cap for the escape classes (Hang, Checkstop, BadArchState).
+/// They are rare (<1% of injections) but carry the most forensic value, so
+/// they get a window long enough to watch the infection all the way to the
+/// hang limit or end of test for almost nothing.
+inline constexpr Cycle kEscapeTraceCycles = 4096;
 
 /// One timed slice of the infection: how many latch bits differ from the
 /// fault-free reference, per unit, `offset` cycles after the flip.
@@ -135,14 +136,12 @@ class InfectionTracker {
     return usable_ && footprint_should_trace(cfg_, index, outcome);
   }
 
-  /// Pre-fault snapshot storage for InjectionRunner::run(&..., &prefault()).
-  [[nodiscard]] emu::Checkpoint& prefault() { return prefault_; }
-
   /// Deferred re-run of `fault` (the injection at campaign index `index`,
-  /// whose primary run produced `primary`): restores the pre-fault snapshot,
-  /// re-applies the fault, and samples the infection footprint. The machine
-  /// is left at the end of the traced window; the next primary run's seek
-  /// restores it, so records stay byte-identical with tracing on.
+  /// whose primary run produced `primary`): enters through the runner's
+  /// begin() (seek, then the identical flip) and samples the infection
+  /// footprint. The machine is left at the end of the traced window; the
+  /// next primary run's seek restores it, so records stay byte-identical
+  /// with tracing on.
   [[nodiscard]] PropagationRecord trace(u32 index, const FaultSpec& fault,
                                         const RunResult& primary);
 
@@ -154,7 +153,6 @@ class InfectionTracker {
   const avp::GoldenResult& golden_;
   FootprintConfig cfg_;
   bool usable_ = false;
-  emu::Checkpoint prefault_;
   /// Group masks for one masked_diff_groups pass: 7 units then 4 latch
   /// types, flattened group-major over the state words.
   std::vector<u64> group_masks_;

@@ -41,6 +41,7 @@ InjectionRunner::InjectionRunner(core::Pearl6Model& model, emu::Emulator& emu,
 
 void InjectionRunner::seek_to(Cycle target, RunPhaseTimes* tel) {
   const Tick t0 = tick(tel);
+  const emu::Checkpoint* from = &reset_cp_;
   if (ckpts_ != nullptr) {
     if (const auto idx = ckpts_->index_at_or_before(target)) {
       if (*idx != warm_idx_) {
@@ -48,46 +49,36 @@ void InjectionRunner::seek_to(Cycle target, RunPhaseTimes* tel) {
         warm_idx_ = *idx;
         if (tel != nullptr) tel->new_checkpoint = true;
       }
-      emu_.restore_checkpoint(warm_cp_);
-#ifndef NDEBUG
-      // Warm-start safety: the restored state must equal the replayed state
-      // at the same cycle (the reference execution is deterministic).
-      if (warm_cp_.cycle >= 1 && trace_.has_cycle(warm_cp_.cycle - 1)) {
-        ensure(emu_.state().masked_hash(model_.registry().hash_masks()) ==
-                   trace_.hashes[warm_cp_.cycle - 1],
-               "restored checkpoint diverges from the golden trace");
-      }
-#endif
-      if (tel != nullptr) {
-        const Tick t1 = tick(tel);
-        tel->seconds[static_cast<std::size_t>(RunPhase::Restore)] =
-            seconds_between(t0, t1);
-        tel->warm_restore = true;
-        tel->restore_cycle = warm_cp_.cycle;
-        tel->ff_cycles = target - warm_cp_.cycle;
-        emu_.run(target - warm_cp_.cycle);
-        tel->seconds[static_cast<std::size_t>(RunPhase::FastForward)] =
-            seconds_between(t1, tick(tel));
-      } else {
-        emu_.run(target - warm_cp_.cycle);
-      }
-      return;
+      from = &warm_cp_;
     }
   }
-  emu_.restore_checkpoint(reset_cp_);
-  ensure(emu_.cycle() == 0, "reset checkpoint must be at cycle 0");
-  if (tel != nullptr) {
-    const Tick t1 = tick(tel);
-    tel->seconds[static_cast<std::size_t>(RunPhase::Restore)] =
-        seconds_between(t0, t1);
-    tel->restore_cycle = 0;
-    tel->ff_cycles = target;
-    emu_.run(target);
-    tel->seconds[static_cast<std::size_t>(RunPhase::FastForward)] =
-        seconds_between(t1, tick(tel));
-  } else {
-    emu_.run(target);
+  emu_.restore_checkpoint(*from);
+  const Cycle base = emu_.cycle();
+  if (from == &reset_cp_) {
+    ensure(base == 0, "reset checkpoint must be at cycle 0");
   }
+#ifndef NDEBUG
+  // Warm-start safety: the restored state must equal the replayed state at
+  // the same cycle (the reference execution is deterministic).
+  if (base >= 1 && trace_.has_cycle(base - 1)) {
+    ensure(emu_.state().masked_hash(model_.registry().hash_masks()) ==
+               trace_.hashes[base - 1],
+           "restored checkpoint diverges from the golden trace");
+  }
+#endif
+  if (tel == nullptr) {
+    emu_.run(target - base);
+    return;
+  }
+  const Tick t1 = tick(tel);
+  tel->seconds[static_cast<std::size_t>(RunPhase::Restore)] =
+      seconds_between(t0, t1);
+  tel->warm_restore = from == &warm_cp_;
+  tel->restore_cycle = base;
+  tel->ff_cycles = target - base;
+  emu_.run(target - base);
+  tel->seconds[static_cast<std::size_t>(RunPhase::FastForward)] =
+      seconds_between(t1, tick(tel));
 }
 
 RunResult InjectionRunner::classify_now(bool finished, bool early_exited,
@@ -230,39 +221,37 @@ std::optional<RunResult> InjectionRunner::dead_on_arrival(
   const Cycle poll =
       cfg_.early_exit && !hashed_survivor ? converged : kNever;
   const Cycle hard_stop = fault.cycle + std::max<Cycle>(1, cfg_.horizon);
-  RunResult r;
   if (finish <= poll && finish <= hard_stop) {
-    r.end_cycle = finish;
-  } else if (poll <= hard_stop) {
-    r.end_cycle = poll;
-    r.early_exited = true;
-  } else {
+    return clean_exit(CleanExit::TestEnd, finish);
+  }
+  if (poll <= hard_stop) return clean_exit(CleanExit::Converged, poll);
+  return clean_exit(CleanExit::Overdue, hard_stop);
+}
+
+RunResult InjectionRunner::clean_exit(CleanExit how, Cycle at) {
+  RunResult r;  // Vanished, no recovery, no correction
+  r.end_cycle = at;
+  r.early_exited = how == CleanExit::Converged;
+  if (how == CleanExit::Overdue) {
     r.outcome = Outcome::Hang;
-    r.end_cycle = hard_stop;
-    r.detected_cycle = hard_stop;  // classify_now's rule for a Hang
+    r.detected_cycle = at;  // classify_now's rule for an undetected Hang
   }
   return r;
 }
 
-RunResult InjectionRunner::run(const FaultSpec& fault, RunPhaseTimes* tel,
-                               emu::Checkpoint* prefault) {
-  if (tel != nullptr) *tel = RunPhaseTimes{};
-
-  // Bring the machine fault-free to the injection point (warm-started from
-  // the checkpoint store when one is attached).
+void InjectionRunner::begin(const FaultSpec& fault, RunPhaseTimes* tel) {
   seek_to(fault.cycle, tel);
-
-  if (prefault != nullptr) emu_.save_checkpoint(*prefault);
-
   apply_fault(fault);
+}
 
+RunResult InjectionRunner::run(const FaultSpec& fault, RunPhaseTimes* tel) {
+  if (tel != nullptr) *tel = RunPhaseTimes{};
+  begin(fault, tel);
   return continue_run(fault, tel);
 }
 
 RunResult InjectionRunner::continue_run(const FaultSpec& fault,
-                                        RunPhaseTimes* tel,
-                                        const std::function<bool()>* eject,
-                                        bool* ejected) {
+                                        RunPhaseTimes* tel, bool stepped) {
   const auto& masks = model_.registry().hash_masks();
   const Cycle deadline = trace_.completion_cycle + cfg_.hang_margin;
   const Cycle hard_stop = fault.cycle + cfg_.horizon;
@@ -307,21 +296,9 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
     return r;
   };
 
+  if (!stepped) emu_.step();
   while (true) {
-    emu_.step();
     const Cycle now = emu_.cycle();
-
-    // Probation poll: one chance, right after the first step, before this
-    // cycle's checks run. See the declaration for the contract.
-    if (eject != nullptr) [[unlikely]] {
-      const bool out = (*eject)();
-      eject = nullptr;
-      if (out) {
-        *ejected = true;
-        return {};
-      }
-    }
-
     const emu::RasStatus ras = model_.ras_status(emu_.state());
     if (!detect && (ras.checkstop || ras.hang_detected ||
                     ras.recovery_active || ras.recovery_count > 0 ||
@@ -362,6 +339,7 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
     if (now >= deadline || now >= hard_stop) {
       return finish(/*finished=*/false, /*early=*/false);
     }
+    emu_.step();
   }
 }
 

@@ -11,7 +11,6 @@
 // with a clean RAS window — is classified Vanished immediately.
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "avp/runner.hpp"
@@ -64,18 +63,22 @@ class InjectionRunner {
                   const avp::GoldenResult& golden, RunConfig cfg = {},
                   const emu::CheckpointStore* checkpoints = nullptr);
 
-  /// Run one injection experiment and classify its outcome. With a non-null
-  /// `phases` the runner additionally reports per-phase wall times into it
-  /// (telemetry out-param only — never read back, so results are identical
-  /// with or without it; nullptr costs one predicted branch per phase).
-  /// With a non-null `prefault` the fault-free machine state at the
-  /// injection cycle is snapshotted into it (in place, allocation-free after
-  /// the first call) just before the flip — the infection tracker's deferred
-  /// re-run restores it instead of re-seeking, so forensics never pay the
-  /// fast-forward twice.
+  /// Run one injection experiment and classify its outcome: begin(), then
+  /// continue_run(). With a non-null `phases` the runner additionally
+  /// reports per-phase wall times into it (telemetry out-param only — never
+  /// read back, so results are identical with or without it; nullptr costs
+  /// one predicted branch per phase).
   [[nodiscard]] RunResult run(const FaultSpec& fault,
-                              RunPhaseTimes* phases = nullptr,
-                              emu::Checkpoint* prefault = nullptr);
+                              RunPhaseTimes* phases = nullptr);
+
+  /// The one entry every run takes: bring the machine fault-free to the
+  /// fault cycle (warm-started from the nearest reference checkpoint at or
+  /// before it, else the reset snapshot) and apply the fault there (flip or
+  /// force latches, or flip array cells; adjacent_bits > 1 models a
+  /// multi-bit upset). run() and the infection tracker's re-run both start
+  /// here, so both perturb the machine identically. Reports restore and
+  /// fast-forward timings into `phases` when non-null.
+  void begin(const FaultSpec& fault, RunPhaseTimes* phases = nullptr);
 
   /// Classify the machine's current terminal state (used by run(), exposed
   /// for callers that drive the emulator themselves). `detected` is the
@@ -91,25 +94,29 @@ class InjectionRunner {
   /// exact per-cycle tail of run() (RAS watch, convergence poll, deadlines,
   /// classification), entered mid-flight. The caller must have brought the
   /// machine to some cycle >= fault.cycle with the fault's effects applied
-  /// (run() does seek + apply_fault and then calls this). The lane engine
-  /// materializes a lane's state into the emulator and resumes here, so a
-  /// lane that leaves the fast path is finished by the same code path —
-  /// and therefore produces byte-identical records. `phases` accumulates
-  /// post-fault phase timings only (no reset; run() owns that).
-  ///
-  /// A non-null `eject` is polled exactly once, after the first step but
-  /// before any RAS/convergence check of that cycle. Returning true aborts
-  /// the run with an empty result and sets `*ejected`: the caller has
-  /// decided (by its own evidence) that the machine's future is provably
-  /// identical to a cheaper execution it already owns, so classification
-  /// here would only duplicate work. The runner itself never consults
-  /// machine state for this — an eject can't change what any completed run
-  /// would have returned.
+  /// (run() calls begin() and then this). The lane engine materializes a
+  /// lane's state into the emulator and resumes here, so a lane that
+  /// leaves the fast path is finished by the same code path — and
+  /// therefore produces byte-identical records. `stepped`: the caller has
+  /// already clocked the loop's first cycle (the lane engine steps a
+  /// tripped lane's divergent cycle itself) and the loop starts with that
+  /// cycle's checks. `phases` accumulates post-fault phase timings only.
   [[nodiscard]] RunResult continue_run(const FaultSpec& fault,
                                        RunPhaseTimes* phases = nullptr,
-                                       const std::function<bool()>* eject =
-                                           nullptr,
-                                       bool* ejected = nullptr);
+                                       bool stepped = false);
+
+  /// How a run that stays on the reference's terms ends: at test end, at
+  /// the convergence poll, or at a deadline or the horizon.
+  enum class CleanExit : u8 { TestEnd, Converged, Overdue };
+
+  /// The one exit rule for a run whose RAS window stayed clean and whose
+  /// architected state at test end is the reference's — the record
+  /// continue_run() would classify, without reading the machine: test end
+  /// is Vanished, the convergence poll Vanished and early-exited, and a
+  /// deadline or the horizon a Hang detected at `at` (classify_now's rule
+  /// for an undetected Hang). dead_on_arrival() and the lane engine's
+  /// retirements build their records here.
+  [[nodiscard]] static RunResult clean_exit(CleanExit how, Cycle at);
 
   /// The record of `fault`'s run when its flipped bits are dead on arrival,
   /// read off the golden trace's access timeline with no seek, no flip and
@@ -118,21 +125,11 @@ class InjectionRunner {
   /// peek set and is overwritten by the reference before anything reads it
   /// (or never touched again up to completion). Such a run is the
   /// reference plus bits nobody reads (DESIGN §16, "Dead on arrival"), so
-  /// the record is whichever exit run() would reach first: test end, the
-  /// convergence poll once the last hashed flipped bit is overwritten, or
-  /// the horizon. run() and continue_run() never take this shortcut.
+  /// the record is whichever clean exit run() would reach first: test end,
+  /// the convergence poll once the last hashed flipped bit is overwritten,
+  /// or the horizon. run() and continue_run() never take this shortcut.
   [[nodiscard]] std::optional<RunResult> dead_on_arrival(
       const FaultSpec& fault) const;
-
-  /// Bring the machine fault-free to `target` without telemetry: the
-  /// deferred-replay entry for clients that drive the emulator themselves
-  /// (tracer, infection tracker). Same warm-checkpoint path as run().
-  void seek_for_replay(Cycle target) { seek_to(target, nullptr); }
-
-  /// Apply `fault` to the machine at its current cycle (flip/force latches
-  /// or array cells; adjacent_bits > 1 models a multi-bit upset). Shared by
-  /// run() and forensic replays so both perturb the machine identically.
-  void apply_fault(const FaultSpec& fault);
 
   [[nodiscard]] const RunConfig& config() const { return cfg_; }
 
@@ -142,6 +139,9 @@ class InjectionRunner {
   /// reset snapshot, then clock the remainder. Reports restore/fast-forward
   /// timings into `phases` when non-null.
   void seek_to(Cycle target, RunPhaseTimes* phases);
+
+  /// Apply `fault` to the machine at its current cycle (begin()'s flip).
+  void apply_fault(const FaultSpec& fault);
 
   /// classify_now without the detection rule.
   [[nodiscard]] RunResult classify_outcome(bool finished,

@@ -228,6 +228,9 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
       book_->slice("classify", "phase", at, us_classify, parent, {}, tid_);
     }
   }
+  // The retirement consumed this injection's phases: the next run starts
+  // from zero, whichever path fills it.
+  phases_ = RunPhaseTimes{};
 }
 
 void WorkerTelemetry::record_footprint(u32 index,

@@ -101,6 +101,7 @@ class WorkerTelemetry {
 
   /// Observe one completed injection: phase histograms, outcome tallies,
   /// detection latency, sampled event record and exemplar phase slices.
+  /// Zeroes the phase scratch after reading it.
   /// `index` is the injection's campaign index; `detect_latency` is cycles
   /// from fault to first RAS reaction (nullopt: never detected).
   void record_injection(u32 index, const InjectionRecord& rec,

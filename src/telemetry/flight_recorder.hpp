@@ -42,6 +42,8 @@ class FlightRecorder {
  public:
   /// Longest line a slot holds; longer lines are truncated, not dropped.
   static constexpr std::size_t kLineBytes = 480;
+  /// Ring size the daemon and `sfi campaign --postmortem` enable.
+  static constexpr std::size_t kSlots = 2048;
 
   FlightRecorder() = default;
   /// Frees the ring. The global() recorder is never destroyed (signal

@@ -1,0 +1,79 @@
+# The command line's verb-option table (serve::spec_options() rows and the
+# CLI's own options each name the verbs that read them), driven through the
+# built binary: a verb given an option it does not read exits 2 and names
+# both, and `sfi trace --raw` traces the fault with every checker masked.
+#
+#   cmake -DSFI=<build>/tools/sfi -P tests/cli_verb_options.cmake
+if(NOT EXISTS "${SFI}")
+  message(FATAL_ERROR "no sfi binary at SFI='${SFI}'")
+endif()
+
+# Each refusal: the verb, the option it does not read, and a value when
+# the option takes one on the verbs that read it.
+set(refusals
+  "mix --n 5"
+  "inventory --seed 3"
+  "report --raw"
+  "explain --raw"
+  "merge --engine lanes"
+  "beam --sticky 3"
+  "beam --engine scalar"
+  "campaign --half-width 0.001"
+  "campaign --tenant bob"
+  "worker --threads 2")
+foreach(refusal IN LISTS refusals)
+  separate_arguments(args UNIX_COMMAND "${refusal}")
+  list(GET args 0 verb)
+  list(GET args 1 option)
+  execute_process(COMMAND "${SFI}" ${args}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "`sfi ${refusal}` exited ${rc}, want 2:\n${out}${err}")
+  endif()
+  string(FIND "${err}" "sfi ${verb} does not take ${option}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "`sfi ${refusal}` did not name the verb and ${option}:"
+                        "\n${err}")
+  endif()
+endforeach()
+
+# Accepted: each parses and then fails at run time (exit 1) on a store or
+# daemon that is not there. `explain --json` names a file; submit takes
+# every campaign option.
+set(missing "${CMAKE_CURRENT_BINARY_DIR}/cli_verb_options_missing")
+set(accepted
+  "explain --from ${missing}.sfr --json ${missing}.json"
+  "report --from ${missing}.sfr --confidence 0.9"
+  "submit --connect unix:${missing}.sock --tenant t --half-width 0.1 --stratify-unit --sticky 3 --wait")
+foreach(accept IN LISTS accepted)
+  separate_arguments(args UNIX_COMMAND "${accept}")
+  execute_process(COMMAND "${SFI}" ${args}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "`sfi ${accept}` exited ${rc}, want 1:\n${out}${err}")
+  endif()
+endforeach()
+
+# --raw masks the checkers the traced fault would otherwise trip.
+set(trace_args trace --latch fxu.gpr1:3 --cycle 100)
+execute_process(COMMAND "${SFI}" ${trace_args}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE checked)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "`sfi trace` exited ${rc}")
+endif()
+execute_process(COMMAND "${SFI}" ${trace_args} --raw
+                RESULT_VARIABLE rc OUTPUT_VARIABLE raw)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "`sfi trace --raw` exited ${rc}")
+endif()
+if(checked STREQUAL raw)
+  message(FATAL_ERROR "`sfi trace --raw` printed what `sfi trace` does:\n${raw}")
+endif()
+string(FIND "${checked}" "checker [FXU]" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "`sfi trace` shows no FXU checker:\n${checked}")
+endif()
+string(FIND "${raw}" "checker [" at)
+if(NOT at EQUAL -1)
+  message(FATAL_ERROR "`sfi trace --raw` still shows a checker:\n${raw}")
+endif()

@@ -186,7 +186,7 @@ TEST(Spec, EveryRowRoundTripsThroughFlagsJsonAndWorkerArgv) {
   for (const auto& option : given) {
     words.insert(words.end(), option.begin(), option.end());
     const bool exec = coordinator_only.count(option[0]) == 0;
-    EXPECT_EQ(row_for(option[0].substr(2)).exec, exec) << option[0];
+    EXPECT_EQ(row_for(option[0].substr(2)).exec(), exec) << option[0];
     if (exec) exec_words.insert(exec_words.end(), option.begin(), option.end());
   }
 

@@ -13,7 +13,8 @@
 //   * TailExemplarPolicy always records injections beyond the moving p99
 //     and samples the rest 1-in-N;
 //   * a farm campaign with the plane on leaves a stitchable sidecar with
-//     one process row per OS process and the dispatch→shard parent link.
+//     one process row per OS process and the dispatch→shard parent link,
+//     and an in-process store campaign leaves one too.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,6 +26,7 @@
 
 #include "avp/testgen.hpp"
 #include "farm/farm.hpp"
+#include "sched/scheduler.hpp"
 #include "sfi/telemetry.hpp"
 #include "store/codec.hpp"
 #include "store/merge.hpp"
@@ -375,6 +377,41 @@ TEST(FarmTracePlane, SidecarStitchesAndStoreBytesIdentical) {
       << "worker shard slices must parent under coordinator dispatch spans";
 
   std::filesystem::remove(sidecar);
+}
+
+TEST(SchedTracePlane, InProcessStoreCampaignLeavesAStitchableSidecar) {
+  avp::TestcaseConfig tcfg;
+  tcfg.seed = 11;
+  tcfg.num_instructions = 60;
+  const avp::Testcase tc = avp::generate_testcase(tcfg);
+  TempFile out("sched");
+  inject::CampaignTelemetry tel;
+  tel.enable_span_plane("sfi", /*trace_id=*/0);
+  inject::CampaignConfig cfg;
+  cfg.seed = 7;
+  cfg.num_injections = 24;
+  cfg.threads = 2;
+  cfg.telemetry = &tel;
+  sched::SchedulerConfig sc;
+  sc.shard_size = 8;
+  const sched::ScheduledResult r =
+      sched::run_campaign_to_store(tc, cfg, out.path(), sc);
+  ASSERT_TRUE(r.complete);
+
+  // The sidecar holds every span the campaign's book recorded (campaign
+  // root, shard spans), and `sfi trace <store>` stitches them.
+  const std::vector<telemetry::SpanRecord> spans =
+      store::read_spans(out.sidecar());
+  EXPECT_EQ(spans.size(), tel.all_spans().size());
+  bool saw_shard = false;
+  for (const telemetry::SpanRecord& sp : spans) {
+    if (sp.cat == "shard") saw_shard = true;
+  }
+  EXPECT_TRUE(saw_shard);
+  const store::StitchResult st = store::stitch_trace(out.path());
+  EXPECT_EQ(st.spans, spans.size());
+  EXPECT_EQ(st.files, 1u) << "the sidecar (the store holds no spans)";
+  EXPECT_EQ(st.processes, 1u);
 }
 
 }  // namespace

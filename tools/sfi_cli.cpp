@@ -24,16 +24,17 @@
 //
 // Every campaign option below (the seed, workload, sample size, population,
 // fault mode, checkers, engine, scheduler windows, footprints and the
-// early-stop target) is one row of serve::spec_options(): `sfi campaign`,
-// `worker`, `beam`, `derate` and `submit` read the same flags, and the
-// daemon runs the same options from a submit request. Any option name
-// neither that table nor this tool knows exits 2.
+// early-stop target) is one row of serve::spec_options(), and the daemon
+// runs the same options from a submit request. Each row, and each of this
+// tool's own options, names the verbs that read it: a verb given an option
+// it does not read exits 2 naming both, as does a name no table knows.
 //
 // Common options:
 //   --seed N              experiment seed               (default 42)
 //   --testcase-seed N     AVP workload seed             (default 2026)
 //   --instructions N      AVP testcase length           (default 160)
-// Campaign/beam options:
+// Campaign options (`sfi derate` reads all of these; `sfi beam` reads
+// --n, --threads, --raw and the two --ckpt options):
 //   --n N                 injections / beam events      (default 1000)
 //   --threads N           worker threads                (default: hw)
 //   --unit U              restrict to one unit (IFU..RUT, Core)
@@ -48,10 +49,11 @@
 //   --engine E            injection engine: scalar (one in-flight injection
 //                         per worker) or lanes (N in-flight injections as
 //                         XOR-diff lanes over one shared reference replay;
-//                         several times faster on checker-on campaigns —
-//                         see bench/ablation_lane_engine). Records are
-//                         byte-identical across engines (CI-gated), so
-//                         stores resume/merge across engine choices freely
+//                         0.8-1.2x the scalar engine's speed on the default
+//                         workload — see bench/ablation_lane_engine).
+//                         Records are byte-identical across engines
+//                         (CI-gated), so stores resume/merge across engine
+//                         choices freely
 //   --lanes N             max in-flight injections per lane-engine sweep
 //                         (default 64; more lanes amortize the reference
 //                         replay further, diminishing past ~256)
@@ -82,20 +84,20 @@
 //   --sabotage-wedge I    test hook: worker spins forever at index I
 //   --sabotage-wedge-once wedge only on attempt 0 (watchdog drill)
 //   --trace-spans         turn the span plane on (as --chrome-trace does)
-//                         without writing a trace file: in farm mode every
-//                         process records spans ('S' frames) — dispatch,
-//                         retries, per-shard execution, tail-latency
-//                         exemplar injections — teed into a <out>.trace.sfr
-//                         sidecar that `sfi trace <out>.sfr` stitches into
-//                         one Perfetto timeline
+//                         without writing a trace file: every process
+//                         records spans ('S' frames) — dispatch, retries,
+//                         per-shard execution, tail-latency exemplar
+//                         injections — into a <out>.trace.sfr sidecar that
+//                         `sfi trace <out>.sfr` stitches into one Perfetto
+//                         timeline (farm workers stream theirs to it)
 //   --postmortem FILE     crash flight recorder: keep recent telemetry
 //                         lines in a fixed in-memory ring and dump them to
 //                         FILE on a fatal signal; in farm mode also dumped
 //                         after every supervision failure (worker crash,
 //                         watchdog kill, strikeout)
 //   What workers ship follows the telemetry options: with any of them,
-//   workers send cumulative metrics snapshots ('M' frames, every 32
-//   injections) to the coordinator's fleet metrics; with the span plane on,
+//   workers send cumulative metrics snapshots ('M' frames, one per
+//   assignment) to the coordinator's fleet metrics; with the span plane on,
 //   spans too. Merge drops 'M' and 'S' frames, so the canonical store is
 //   byte-identical either way
 // Worker options (`sfi worker`; campaign flags from serve::worker_command):
@@ -107,9 +109,10 @@
 // Propagation forensics (campaign; records/store R frames stay byte-identical
 // with these on — footprints are extra 'P' frames older readers skip):
 //   --footprint           trace infection footprints: every non-Vanished
-//                         injection is re-run from a pre-fault snapshot and
-//                         its state diffed against the reference trace at
-//                         exponentially spaced cycles after the flip
+//                         injection is re-run from the nearest reference
+//                         checkpoint and its state diffed against the
+//                         reference trace at exponentially spaced cycles
+//                         after the flip
 //   --footprint-sample N  also trace every Nth Vanished injection
 //                         (default 32; 0 = never trace Vanished)
 //   --footprint-window N  cap traced cycles after the flip for the bulk
@@ -221,7 +224,6 @@
 #include "store/reader.hpp"
 #include "store/trace_stitch.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "workload/spec_profiles.hpp"
 
 namespace {
 
@@ -235,31 +237,50 @@ struct CliError : std::runtime_error {
 };
 
 /// The options that are not campaign-spec rows (serve::spec_options() has
-/// those): together with the rows, every name the parser accepts. A bare
-/// option takes no value.
+/// those): together with the rows, every name the parser accepts, each with
+/// the verbs that read it (serve::verb bits). A bare option takes no value;
+/// a name may take a value on one verb and be bare on another.
 struct CliOption {
   std::string_view name;
   bool bare;
+  u32 verbs;
 };
+namespace verb = serve::verb;
 constexpr CliOption kCliOptions[] = {
     // durable campaigns and the farm
-    {"out", false}, {"resume", true}, {"max-new", false}, {"farm", false},
-    {"watchdog", false}, {"strikes", false}, {"keep-shards", true},
-    {"sabotage-crash", false}, {"sabotage-wedge", false},
-    {"sabotage-wedge-once", true},
+    {"out", false, verb::kCampaign | verb::kMerge | verb::kTrace},
+    {"resume", true, verb::kCampaign}, {"max-new", false, verb::kCampaign},
+    {"farm", false, verb::kCampaign}, {"watchdog", false, verb::kCampaign},
+    {"strikes", false, verb::kCampaign},
+    {"keep-shards", true, verb::kCampaign},
+    {"sabotage-crash", false, verb::kCampaign | verb::kWorker},
+    {"sabotage-wedge", false, verb::kCampaign | verb::kWorker},
+    {"sabotage-wedge-once", true, verb::kCampaign | verb::kWorker},
     // farm workers
-    {"shard-store", false}, {"worker-id", false}, {"ship-metrics", true},
+    {"shard-store", false, verb::kWorker}, {"worker-id", false, verb::kWorker},
+    {"ship-metrics", true, verb::kWorker},
     // telemetry
-    {"metrics-out", false}, {"events-out", false}, {"chrome-trace", false},
-    {"telemetry-sample", false}, {"progress", true}, {"trace-spans", true},
-    {"postmortem", false},
-    // report, explain, trace
-    {"from", false}, {"json", true}, {"csv", false}, {"latch", false},
-    {"cycle", false},
+    {"metrics-out", false, verb::kCampaign | verb::kBeam},
+    {"events-out", false, verb::kCampaign | verb::kBeam},
+    {"chrome-trace", false, verb::kCampaign | verb::kBeam},
+    {"telemetry-sample", false, verb::kCampaign | verb::kBeam},
+    {"progress", true, verb::kCampaign | verb::kBeam},
+    {"trace-spans", true, verb::kCampaign | verb::kWorker},
+    {"postmortem", false, verb::kCampaign},
+    // report, explain, trace; --json names a file for explain, and is a
+    // bare flag for status and top (machine-readable output)
+    {"from", false, verb::kReport | verb::kExplain},
+    {"json", false, verb::kExplain}, {"json", true, verb::kStatus | verb::kTop},
+    {"csv", false, verb::kExplain}, {"latch", false, verb::kTrace},
+    {"cycle", false, verb::kTrace},
     // serve and its clients
-    {"state-dir", false}, {"listen", false}, {"max-active", false},
-    {"http", false}, {"connect", false}, {"wait", true}, {"id", false},
-    {"interval", false}, {"once", true},
+    {"state-dir", false, verb::kServe}, {"listen", false, verb::kServe},
+    {"max-active", false, verb::kServe},
+    {"http", false, verb::kServe | verb::kTop},
+    {"connect", false,
+     verb::kSubmit | verb::kStatus | verb::kWatch | verb::kShutdown},
+    {"wait", true, verb::kSubmit}, {"id", false, verb::kWatch},
+    {"interval", false, verb::kTop}, {"once", true, verb::kTop},
 };
 
 struct Args {
@@ -346,6 +367,8 @@ Args parse(int argc, char** argv) {
   Args a;
   if (argc < 2) return a;
   a.command = argv[1];
+  const u32 this_verb = serve::verb_bit(a.command);
+  if (this_verb == 0) return a;  // not a verb: main() prints the usage
   for (int i = 2; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) {
@@ -353,21 +376,20 @@ Args parse(int argc, char** argv) {
       continue;
     }
     key = key.substr(2);
-    bool bare = false;
-    const auto& rows = serve::spec_options();
-    if (const auto row = std::ranges::find(rows, key, &serve::SpecOption::flag);
-        row != rows.end()) {
-      bare = row->bare();
-    } else if (const auto* o = std::ranges::find(kCliOptions, key,
-                                                  &CliOption::name);
-               o != std::end(kCliOptions)) {
-      // `explain --json FILE` names an output file; elsewhere --json is a
-      // bare flag (machine-readable status / top).
-      bare = o->bare && !(a.command == "explain" && key == "json");
-    } else {
-      throw CliError("unknown option --" + key);
+    // Whether the option takes no value, once one this verb reads is found.
+    std::optional<bool> bare;
+    bool known = false;
+    const auto match = [&](std::string_view name, u32 verbs, bool is_bare) {
+      known = known || name == key;
+      if (name == key && (verbs & this_verb) != 0) bare = is_bare;
+    };
+    for (const serve::SpecOption& row : serve::spec_options()) {
+      match(row.flag, row.verbs, row.bare());
     }
-    if (bare) {
+    for (const CliOption& o : kCliOptions) match(o.name, o.verbs, o.bare);
+    if (!known) throw CliError("unknown option --" + key);
+    if (!bare) throw CliError("sfi " + a.command + " does not take --" + key);
+    if (*bare) {
       a.flags.insert(key);
     } else if (i + 1 < argc) {
       a.opts[key] = argv[++i];
@@ -596,7 +618,8 @@ void print_resume_hint(const std::string& out) {
 std::string postmortem_from_args(const Args& a) {
   const auto path = a.str("postmortem");
   if (!path) return "";
-  telemetry::FlightRecorder::global().enable(2048);
+  telemetry::FlightRecorder::global().enable(
+      telemetry::FlightRecorder::kSlots);
   telemetry::FlightRecorder::arm_signals(*path);
   return *path;
 }
@@ -1115,18 +1138,7 @@ int cmd_merge(const Args& a) {
 }
 
 int cmd_beam(const Args& a) {
-  // Beam accepts --engine for CLI symmetry but only the scalar engine is
-  // valid: the lane engine's fast path *is* an internal-state observation
-  // (diff-vs-reference convergence), which beam disables by design to model
-  // physical irradiation, and array strikes diverge in aux state the latch
-  // diff carrier can't see. See DESIGN.md §16 and beam.cpp.
   const serve::CampaignSpec spec = campaign_spec(a, campaign_defaults());
-  if (spec.engine != inject::engine_name(inject::EngineKind::Scalar)) {
-    throw CliError(
-        "beam supports --engine scalar only: beam classification is "
-        "RAS/end-of-test observable-only (no internal-state convergence "
-        "proof), which is the lane engine's entire fast path");
-  }
   const serve::CampaignRun run = serve::campaign_run(spec);
   const avp::Testcase tc = avp::generate_testcase(run.testcase);
   const inject::CampaignConfig& c = run.config;
@@ -1173,8 +1185,8 @@ int cmd_trace_stitch(const Args& a) {
             << " file(s), " << r.processes << " process row(s) -> " << out
             << " (load in Perfetto / chrome://tracing)\n";
   if (r.spans == 0) {
-    std::cout << "hint: record spans with `sfi campaign --workers N "
-                 "--trace-spans` or a daemon farm campaign\n";
+    std::cout << "hint: record spans with `sfi campaign --out FILE.sfr "
+                 "--trace-spans` or a daemon campaign\n";
   }
   return 0;
 }
@@ -1198,10 +1210,10 @@ int cmd_trace(const Args& a) {
   }
 
   const serve::CampaignSpec spec = campaign_spec(a);
-  const avp::Testcase tc =
-      avp::generate_testcase(serve::campaign_run(spec).testcase);
+  const serve::CampaignRun run = serve::campaign_run(spec);
+  const avp::Testcase tc = avp::generate_testcase(run.testcase);
   const avp::GoldenResult golden = avp::run_golden(tc);
-  core::Pearl6Model model;
+  core::Pearl6Model model(run.config.core);
   emu::Emulator emu(model);
   const emu::GoldenTrace trace = avp::run_reference(model, emu, tc);
   emu.reset();
