@@ -169,7 +169,21 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
   const inject::CampaignPlan plan = inject::plan_campaign(tc, cfg);
   const store::CampaignMeta meta = sched::make_campaign_meta(tc, cfg, plan);
 
-  // --- span plane: campaign trace id + durable sidecar ---
+  FarmResult result;
+  result.meta = meta;
+
+  // done[i]: a committed record for i exists (inherited from the prior
+  // output store, read only as merge input, or from a worker this run).
+  // struck: indices declared HarnessFatal.
+  sched::PriorRecords prior =
+      sched::inherit_records(out_path, meta, resume, tel, farm.on_record);
+  std::vector<bool>& done = prior.done;
+  std::set<u32> struck;
+  std::map<u32, u32> strikes;
+  u64 done_count = prior.count;
+  result.resumed = prior.count;
+
+  // --- span plane: campaign trace id + the sidecar, opened as the store is
   u64 trace_id = 0;
   std::optional<store::StoreWriter> sidecar;
   if (spans_on) {
@@ -185,34 +199,8 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       if (trace_id == 0) trace_id = 1;
       book->set_trace_id(trace_id);
     }
-    sidecar.emplace(store::StoreWriter::create(
-        store::store_sibling(out_path, store::kTraceSidecarSuffix), meta));
+    sidecar.emplace(store::open_trace_sidecar(out_path, meta, prior.exists));
   }
-  // Drain the coordinator's own book into the sidecar, keeping a copy for
-  // the live /trace view. Called opportunistically from the supervision
-  // loop and once at the very end (after campaign_finish's root slice).
-  const auto flush_own_spans = [&] {
-    if (!sidecar) return;
-    const std::vector<telemetry::SpanRecord> drained = book->drain();
-    if (drained.empty()) return;
-    for (const telemetry::SpanRecord& sp : drained) sidecar->append(sp);
-    sidecar->flush();
-    tel->retain_spans(drained);
-  };
-
-  FarmResult result;
-  result.meta = meta;
-
-  // done[i]: a committed record for i exists (inherited from the prior
-  // output store, read only as merge input, or from a worker this run).
-  // struck: indices declared HarnessFatal.
-  sched::PriorRecords prior =
-      sched::inherit_records(out_path, meta, resume, tel, farm.on_record);
-  std::vector<bool>& done = prior.done;
-  std::set<u32> struck;
-  std::map<u32, u32> strikes;
-  u64 done_count = prior.count;
-  result.resumed = prior.count;
 
   std::vector<std::string> merge_inputs;
   if (prior.exists) merge_inputs.push_back(out_path);
@@ -351,10 +339,10 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     }
   };
 
-  // Hand a slot's held observability frames to the telemetry: the newest
-  // snapshot into the fleet view, every span into the sidecar and the live
-  // /trace view. A frame another worker version encoded differently is an
-  // observability loss, never a campaign failure.
+  // Hand a slot's held observability frames on: the newest snapshot into
+  // the telemetry's fleet view, every span into the sidecar. A frame
+  // another worker version encoded differently is an observability loss,
+  // never a campaign failure.
   const auto observe = [&](Slot& s) {
     if (!s.newest_metrics.empty()) {
       try {
@@ -364,19 +352,13 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       }
       s.newest_metrics.clear();
     }
-    if (s.span_frames.empty()) return;
-    std::vector<telemetry::SpanRecord> spans;
     for (const std::vector<u8>& payload : s.span_frames) {
       try {
-        spans.push_back(store::decode_span(payload));
+        sidecar->append(store::decode_span(payload));
       } catch (const store::StoreError&) {
       }
     }
     s.span_frames.clear();
-    if (sidecar) {
-      for (const telemetry::SpanRecord& sp : spans) sidecar->append(sp);
-    }
-    tel->retain_spans(spans);
   };
 
   // Strike bookkeeping for one failed worker: finger the culprit, requeue
@@ -629,9 +611,9 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       ++result.assignments;
     }
 
-    // 5. what the workers' planes recorded, now that no worker waits on it
+    // 5. what the planes recorded, now that no worker waits on it
     for (Slot& s : slots) observe(s);
-    flush_own_spans();
+    if (sidecar) store::drain_spans(*book, *sidecar);
     // Sleep until a worker rings (a shard ended) or hangs up (it died); the
     // tick bounds how late the watchdog, backoff gates and should_stop are
     // looked at when nothing rings.
@@ -742,7 +724,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     tel->campaign_finish(result.agg, result.executed, result.wall_seconds);
   }
   // Final drain after the campaign root slice so the sidecar is complete.
-  flush_own_spans();
+  if (sidecar) store::drain_spans(*book, *sidecar);
   return result;
 }
 

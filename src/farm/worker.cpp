@@ -10,6 +10,7 @@
 #include "sched/scheduler.hpp"
 #include "sfi/engine.hpp"
 #include "sfi/telemetry.hpp"
+#include "store/trace_stitch.hpp"
 #include "store/writer.hpp"
 #include "telemetry/json.hpp"
 
@@ -138,13 +139,9 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
     tel->prepare_workers(1);
     wt = &tel->worker(0);
   }
+  // Recorded spans go into the shard store as 'S' frames, committed by the
+  // next flush and delivered by the coordinator's FrameTail.
   telemetry::SpanBook* book = tel ? tel->spans() : nullptr;
-  // Drain recorded spans into the shard store as 'S' frames; committed by
-  // the caller's next flush, delivered by the coordinator's FrameTail.
-  const auto drain_spans = [&](store::StoreWriter& w) {
-    if (book == nullptr || book->size() == 0) return;
-    for (const telemetry::SpanRecord& sp : book->drain()) w.append(sp);
-  };
 
   std::optional<inject::CampaignPlan> own_plan;
   if (plan_in == nullptr) {
@@ -231,7 +228,7 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
           // Per-record flush+commit: the coordinator's done-count advances
           // one committed record at a time, and a crash can only lose the
           // injections in flight — exactly what the supervisor re-runs.
-          drain_spans(writer);
+          if (book != nullptr) store::drain_spans(*book, writer);
           writer.flush();
         },
         wt);
@@ -253,7 +250,6 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
                       std::to_string(a.attempt),
                   "shard.exec", shard_t0, book->now_us() - shard_t0,
                   a.dispatch_span, args.str());
-      drain_spans(writer);
     }
     if (opts.ship_metrics) {
       // Cumulative snapshot: the coordinator keeps the newest per (slot,
@@ -262,10 +258,11 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
       writer.append(store::MetricsFrame{opts.worker_id, m_seq++,
                                         tel->metrics().snapshot()});
     }
+    if (book != nullptr) store::drain_spans(*book, writer);
     writer.flush();  // commits what the planes appended (nothing if off)
     if (opts.ship_metrics) idle_since = std::chrono::steady_clock::now();
   }
-  drain_spans(writer);
+  if (book != nullptr) store::drain_spans(*book, writer);
   writer.flush();
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 
 #include "common/hash.hpp"
 #include "sfi/driver.hpp"
@@ -147,6 +148,12 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
   store::StoreWriter writer =
       prior.exists ? store::StoreWriter::append_to(store_path, wopts)
                    : store::StoreWriter::create(store_path, meta, wopts);
+  // Spans go to the trace sidecar in every flush window: a crash keeps
+  // those of each committed window, and a resume appends to the sidecar.
+  std::optional<store::StoreWriter> sidecar;
+  if (tel != nullptr && tel->spans() != nullptr) {
+    sidecar.emplace(store::open_trace_sidecar(store_path, meta, prior.exists));
+  }
 
   // Workers warm-start from the plan's checkpoint store; handing out
   // injections in fault-cycle order keeps each worker's materialized
@@ -185,6 +192,7 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
             writer.append(fp);
           }
           writer.flush();
+          if (sidecar) store::drain_spans(*tel->spans(), *sidecar);
           result.executed += w.records.size();
           result.footprints += w.footprints.size();
           if (sched.on_progress) {
@@ -216,22 +224,8 @@ ScheduledResult run_campaign_to_store(const avp::Testcase& tc,
   if (tel != nullptr) {
     tel->campaign_finish(result.agg, result.executed, result.wall_seconds);
   }
-  if (tel != nullptr && tel->spans() != nullptr) {
-    // Durable trace sidecar, so `sfi trace <store>` stitches an in-process
-    // campaign as it does a farm one (whose coordinator streams its own).
-    // Best-effort: a trace that fails to serialize never fails a campaign.
-    try {
-      const std::vector<telemetry::SpanRecord> spans = tel->all_spans();
-      if (!spans.empty()) {
-        store::StoreWriter sw = store::StoreWriter::create(
-            store::store_sibling(store_path, store::kTraceSidecarSuffix),
-            meta);
-        for (const telemetry::SpanRecord& sp : spans) sw.append(sp);
-        sw.flush();
-      }
-    } catch (const std::exception&) {
-    }
-  }
+  // The campaign root slice, recorded after the last window.
+  if (sidecar) store::drain_spans(*tel->spans(), *sidecar);
   return result;
 }
 

@@ -21,6 +21,7 @@
 #include "sched/scheduler.hpp"
 #include "sfi/telemetry.hpp"
 #include "store/reader.hpp"
+#include "store/trace_stitch.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/prometheus.hpp"
@@ -1056,8 +1057,8 @@ void Daemon::handle_http(Conn& conn) {
   } else if (path == "/campaigns") {
     respond("200 OK", "application/json", campaigns_json() + "\n");
   } else if (path == "/trace") {
-    // /trace?campaign=N → the campaign's live span set as a Trace Event
-    // JSON document (load it straight into Perfetto / chrome://tracing).
+    // /trace?campaign=N → `sfi trace` of the campaign's store: what its
+    // sidecar (and any live shard) holds, recorded by this daemon or not.
     u64 id = 0;
     const std::size_t q = target.find('?');
     if (q != std::string::npos) {
@@ -1067,21 +1068,22 @@ void Daemon::handle_http(Conn& conn) {
         id = std::strtoull(query.c_str() + key + 9, nullptr, 10);
       }
     }
-    std::shared_ptr<inject::CampaignTelemetry> tel;
+    std::string store_path;
     {
       std::lock_guard lk(mu_);
       const auto it = campaigns_.find(id);
-      if (it != campaigns_.end()) tel = it->second->tel;
+      if (it != campaigns_.end()) store_path = it->second->store_path;
     }
     if (id == 0) {
       respond("400 Bad Request", "text/plain",
               "usage: /trace?campaign=ID\n");
-    } else if (tel == nullptr) {
+    } else if (store_path.empty()) {
       respond("404 Not Found", "text/plain",
               "no campaign with id " + std::to_string(id) + "\n");
     } else {
-      // Rendered outside mu_: stitching copies every span.
-      respond("200 OK", "application/json", tel->trace_chrome_json() + "\n");
+      // Stitched outside mu_: it reads every input file.
+      respond("200 OK", "application/json",
+              store::stitch_trace(store_path).json + "\n");
     }
   } else {
     respond("404 Not Found", "text/plain", "not found\n");

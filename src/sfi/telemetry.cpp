@@ -397,30 +397,6 @@ void CampaignTelemetry::enable_span_plane(std::string process_name,
   if (trace_id != 0) span_book_->set_trace_id(trace_id);
 }
 
-void CampaignTelemetry::retain_spans(
-    const std::vector<telemetry::SpanRecord>& spans) {
-  // Cap: keep the oldest — campaign lifecycle and dispatch spans land
-  // early; a runaway tail of per-injection slices is the droppable part.
-  constexpr std::size_t kMaxRetained = 200'000;
-  const std::lock_guard<std::mutex> lock(span_mu_);
-  for (const telemetry::SpanRecord& s : spans) {
-    if (retained_spans_.size() >= kMaxRetained) break;
-    retained_spans_.push_back(s);
-  }
-}
-
-std::vector<telemetry::SpanRecord> CampaignTelemetry::all_spans() const {
-  std::vector<telemetry::SpanRecord> out;
-  if (span_book_) out = span_book_->snapshot();
-  const std::lock_guard<std::mutex> lock(span_mu_);
-  out.insert(out.end(), retained_spans_.begin(), retained_spans_.end());
-  return out;
-}
-
-std::string CampaignTelemetry::trace_chrome_json() const {
-  return telemetry::spans_to_chrome_json(all_spans());
-}
-
 void CampaignTelemetry::flight_recorder_tail_to_spans(
     std::string_view reason) {
   if (!span_book_) return;
@@ -736,15 +712,6 @@ void CampaignTelemetry::write_metrics(const std::string& path) {
   const std::string json = fleet_snapshot().to_json();
   out.write(json.data(), static_cast<std::streamsize>(json.size()));
   out.put('\n');
-}
-
-void CampaignTelemetry::write_chrome_trace(const std::string& path) const {
-  if (!span_book_) {
-    throw std::runtime_error("span plane was not enabled for this campaign");
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open chrome trace output " + path);
-  out << trace_chrome_json() << '\n';
 }
 
 }  // namespace sfi::inject

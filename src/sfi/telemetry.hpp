@@ -7,8 +7,9 @@
 //     dispatch/complete, sampled per-injection records, checkpoint
 //     save/restore), and
 //   * the span plane (one track per worker: shard spans with tail-latency
-//     exemplar phase slices; rendered as Chrome-trace JSON, and stitched
-//     across processes in farm mode).
+//     exemplar phase slices; a store campaign's scheduler or farm
+//     coordinator drains them into the store's trace sidecar, which
+//     `sfi trace` stitches across processes).
 //
 // Telemetry is strictly read-only with respect to results: it observes
 // records after they are built and never feeds anything back into fault
@@ -153,16 +154,6 @@ class CampaignTelemetry {
   void enable_span_plane(std::string process_name, u64 trace_id);
   [[nodiscard]] telemetry::SpanBook* spans() { return span_book_.get(); }
 
-  /// Keep spans another process reported (delivered 'S' frames) for the
-  /// live /trace view. Thread-safe; capped (oldest kept — the lifecycle
-  /// spans live early) so a runaway worker cannot balloon the daemon.
-  void retain_spans(const std::vector<telemetry::SpanRecord>& spans);
-  /// Everything the live /trace view renders: this process's book plus
-  /// every retained foreign span. Thread-safe.
-  [[nodiscard]] std::vector<telemetry::SpanRecord> all_spans() const;
-  /// all_spans() rendered as a Trace Event JSON document.
-  [[nodiscard]] std::string trace_chrome_json() const;
-
   /// Convert the crash flight recorder's current ring tail into span
   /// instants on this process's row (no-op when either plane is off).
   /// Called on supervision failures: the stitched trace then shows what
@@ -267,8 +258,6 @@ class CampaignTelemetry {
   // --- outputs ---
   /// Merge outstanding shards and write fleet_snapshot() as JSON.
   void write_metrics(const std::string& path);
-  /// Write trace_chrome_json() to `path` (the span plane must be on).
-  void write_chrome_trace(const std::string& path) const;
 
   /// Microseconds since this telemetry object was created (event stamps).
   [[nodiscard]] u64 now_us() const;
@@ -282,12 +271,9 @@ class CampaignTelemetry {
   telemetry::EventLog events_;
   std::vector<std::unique_ptr<WorkerTelemetry>> workers_;
 
-  /// Span plane (enable_span_plane): the process-wide book plus spans
-  /// retained from other processes ('S' frames the coordinator delivered).
+  /// Span plane (enable_span_plane): the process-wide book.
   std::unique_ptr<telemetry::SpanBook> span_book_;
   u64 span_campaign_start_us_ = 0;  ///< campaign root slice start
-  mutable std::mutex span_mu_;      ///< guards retained_spans_
-  std::vector<telemetry::SpanRecord> retained_spans_;
 
   // Well-known ids (registered once in the constructor).
   telemetry::CounterId c_injections_;

@@ -19,6 +19,28 @@ std::string store_sibling(const std::string& store_path,
   return base.append(suffix);
 }
 
+StoreWriter open_trace_sidecar(const std::string& store_path,
+                               const CampaignMeta& meta, bool append) {
+  const std::string path = store_sibling(store_path, kTraceSidecarSuffix);
+  if (append) {
+    try {
+      const StoreContents prior =
+          read_store(path, {.tolerate_torn_tail = true});
+      if (prior.meta.same_campaign(meta)) {
+        fs::resize_file(path, prior.valid_bytes);
+        return StoreWriter::append_to(path);
+      }
+    } catch (const StoreError&) {
+    }
+  }
+  return StoreWriter::create(path, meta);
+}
+
+void drain_spans(telemetry::SpanBook& book, StoreWriter& w) {
+  for (const telemetry::SpanRecord& sp : book.drain()) w.append(sp);
+  w.flush();
+}
+
 std::vector<telemetry::SpanRecord> read_spans(const std::string& path) {
   std::vector<telemetry::SpanRecord> out;
   if (!fs::exists(path)) return out;
@@ -86,15 +108,32 @@ StitchResult stitch_trace(const std::string& store_path) {
   StitchResult result;
   std::vector<telemetry::SpanRecord> spans;
   std::vector<std::string> postmortems;
-  for (const std::string& input : discover_trace_inputs(store_path)) {
-    if (input.ends_with(".postmortem.jsonl")) {
-      postmortems.push_back(input);
-      continue;
-    }
-    std::vector<telemetry::SpanRecord> got = read_spans(input);
+  const auto take = [&](std::vector<telemetry::SpanRecord> got) {
     if (!got.empty()) ++result.files;
     spans.insert(spans.end(), std::make_move_iterator(got.begin()),
                  std::make_move_iterator(got.end()));
+  };
+  // The store and its sidecar come first and count whole.
+  const std::vector<std::string> inputs = discover_trace_inputs(store_path);
+  take(read_spans(inputs[0]));
+  take(read_spans(inputs[1]));
+  std::sort(spans.begin(), spans.end());
+  const auto home = static_cast<std::ptrdiff_t>(spans.size());
+  for (auto input = inputs.begin() + 2; input != inputs.end(); ++input) {
+    if (input->ends_with(".postmortem.jsonl")) {
+      postmortems.push_back(*input);
+      continue;
+    }
+    // A shard store, live or kept by --keep-shards, holds copies of the
+    // spans its coordinator teed into the sidecar and adds only the rest.
+    // A copy equals its span field for field; span ids alone do not
+    // identify a span, since two books in one process number theirs from
+    // the same pid.
+    std::vector<telemetry::SpanRecord> got = read_spans(*input);
+    std::erase_if(got, [&](const telemetry::SpanRecord& s) {
+      return std::binary_search(spans.begin(), spans.begin() + home, s);
+    });
+    take(std::move(got));
   }
 
   // Postmortem lines are stamped on the dead process's telemetry steady

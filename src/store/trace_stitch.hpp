@@ -1,16 +1,16 @@
 // Trace stitcher: reassemble one fleet timeline from the 'S' span frames
 // scattered across a campaign's store files.
 //
-// A farm campaign leaves spans in several places: each worker's shard store
-// (`<out>.w<slot>g<gen>.sfr`, when --keep-shards preserved them), the
-// coordinator's trace sidecar (`<out minus .sfr>.trace.sfr` — the
-// coordinator tees every span it records *or receives* there, so the
-// stitched view survives the default shard cleanup), and the canonical
-// output itself for single-process runs. Because every span is
-// self-describing (process label, OS pid, wall-anchored timestamps —
-// telemetry/span.hpp), stitching is a concatenation: read every input
-// tolerantly, sort by timestamp, render one Trace Event JSON with one
-// process row per pid.
+// A store campaign's spans live in its trace sidecar (`<out minus
+// .sfr>.trace.sfr`), streamed there by the scheduler and the farm
+// coordinator and appended to on resume; farm shard stores
+// (`<out>.w<slot>g<gen>.sfr`, live or kept) hold copies of their workers'
+// spans. Every span is self-describing (process label, OS pid,
+// wall-anchored timestamps — telemetry/span.hpp), so stitching is a
+// concatenation: read every input tolerantly, drop the shard copies, sort
+// by timestamp, render one Trace Event JSON with one process row per pid.
+// `sfi trace`, `--chrome-trace` on a store campaign and the daemon's
+// /trace all return this document.
 //
 // Postmortem dumps (`*.postmortem.jsonl`, the crash flight recorder's
 // output) ride along as instants on their own process row: the ring's tail
@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "store/writer.hpp"
 #include "telemetry/span.hpp"
 
 namespace sfi::store {
@@ -36,6 +37,17 @@ inline constexpr std::string_view kTraceSidecarSuffix = ".trace.sfr";
 /// all derive from it.
 [[nodiscard]] std::string store_sibling(const std::string& store_path,
                                         std::string_view suffix);
+
+/// The trace sidecar of the store at `store_path`, opened as the store is:
+/// fresh, or with `append` (a resumed store) appended to after dropping a
+/// torn tail — unless it is missing, unreadable or of another campaign.
+[[nodiscard]] StoreWriter open_trace_sidecar(const std::string& store_path,
+                                             const CampaignMeta& meta,
+                                             bool append);
+
+/// Move every span `book` recorded into `w` as 'S' frames and flush: the
+/// one path from a span book to a store.
+void drain_spans(telemetry::SpanBook& book, StoreWriter& w);
 
 /// All decodable 'S' frames of one store, tolerant of torn tails and
 /// unknown frames. Missing file => empty (shards may be cleaned up).
@@ -55,7 +67,9 @@ struct StitchResult {
   std::size_t processes = 0;  ///< distinct OS process rows
 };
 
-/// Stitch every discovered input for `store_path` into one trace document.
+/// Stitch every discovered input for `store_path` into one trace document,
+/// each span once: a shard store adds only spans the store and its sidecar
+/// lack.
 [[nodiscard]] StitchResult stitch_trace(const std::string& store_path);
 
 }  // namespace sfi::store

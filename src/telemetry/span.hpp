@@ -21,6 +21,7 @@
 
 #include <array>
 #include <chrono>
+#include <compare>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -46,6 +47,8 @@ struct SpanRecord {
   std::string name;
   std::string cat;
   std::string args_json;  ///< pre-rendered JSON object ("{...}") or empty
+
+  friend auto operator<=>(const SpanRecord&, const SpanRecord&) = default;
 };
 
 /// Per-process span recorder. Thread-safe (one mutex; spans are emitted at
@@ -78,7 +81,7 @@ class SpanBook {
 
   /// Move the recorded spans out (the store-flush drain path).
   [[nodiscard]] std::vector<SpanRecord> drain();
-  /// Copy without draining (the /trace live view).
+  /// Copy without draining (a run with no store renders its book).
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;
   [[nodiscard]] std::size_t size() const;
 

@@ -1,7 +1,8 @@
 # The command line's verb-option table (serve::spec_options() rows and the
 # CLI's own options each name the verbs that read them), driven through the
 # built binary: a verb given an option it does not read exits 2 and names
-# both, and `sfi trace --raw` traces the fault with every checker masked.
+# both, `sfi campaign --trace-spans` without a store is refused, and
+# `sfi trace --raw` traces the fault with every checker masked.
 #
 #   cmake -DSFI=<build>/tools/sfi -P tests/cli_verb_options.cmake
 if(NOT EXISTS "${SFI}")
@@ -34,6 +35,24 @@ foreach(refusal IN LISTS refusals)
   if(at EQUAL -1)
     message(FATAL_ERROR "`sfi ${refusal}` did not name the verb and ${option}:"
                         "\n${err}")
+  endif()
+endforeach()
+
+# A campaign with no store has nowhere to keep its spans: --trace-spans
+# without --out exits 2, naming --out and pointing at --chrome-trace.
+execute_process(COMMAND "${SFI}" campaign --n 100 --trace-spans
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+          "`sfi campaign --n 100 --trace-spans` exited ${rc}, want 2:\n"
+          "${out}${err}")
+endif()
+foreach(named IN ITEMS "--out" "--chrome-trace")
+  string(FIND "${err}" "${named}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR
+            "`sfi campaign --trace-spans` without --out did not name "
+            "${named}:\n${err}")
   endif()
 endforeach()
 

@@ -335,7 +335,8 @@ TEST(Pinned, WorkCountersMatchRecordedValues) {
   // The toggle case above, counted on one thread: how many faults retired
   // dead on arrival and how many early-exited are as deterministic as the
   // bytes. Both engines ask the same predictor at admission, so they retire
-  // the same faults that way.
+  // the same faults that way. The footprint re-runs and the cycles they
+  // simulate are the forensics cost (DESIGN §11), counted free of noise.
   const avp::Testcase tc = small_testcase();
   for (const EngineKind engine : {EngineKind::Scalar, EngineKind::Lanes}) {
     CampaignTelemetry tel;
@@ -348,6 +349,10 @@ TEST(Pinned, WorkCountersMatchRecordedValues) {
     EXPECT_EQ(m.counter_value_by_name("dead_on_arrival"), 102u)
         << engine_name(engine);
     EXPECT_EQ(m.counter_value_by_name("early_exits"), 78u)
+        << engine_name(engine);
+    EXPECT_EQ(m.counter_value_by_name("footprint.traced"), 27u)
+        << engine_name(engine);
+    EXPECT_EQ(m.counter_value_by_name("footprint.rerun_cycles"), 2121u)
         << engine_name(engine);
   }
 }

@@ -36,6 +36,7 @@
 #include "serve/wire.hpp"
 #include "store/merge.hpp"
 #include "store/reader.hpp"
+#include "store/trace_stitch.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
@@ -1043,6 +1044,29 @@ TEST(DaemonHttp, ScrapeDuringRunIsReadOnlyByteIdentical) {
   (void)store::merge_stores({dir.file("campaign-1.sfr")}, canon_daemon);
   (void)store::merge_stores({direct}, canon_direct);
   EXPECT_EQ(slurp(canon_daemon), slurp(canon_direct));
+}
+
+TEST(DaemonHttp, TraceAfterRestartServesTheStitchedSidecar) {
+  // /trace?campaign=N is `sfi trace` on the campaign's store: a daemon
+  // restarted on the same state dir serves what the first one recorded.
+  TempDir dir("http_trace_restart");
+  {
+    DaemonHarness h(dir.path(), 2, "tcp:127.0.0.1:0");
+    const u64 id = h.submit(kSmallSpec);
+    ASSERT_NE(find_event(h.watch(id), "finish"), nullptr);
+  }
+  const store::StitchResult stitched =
+      store::stitch_trace(dir.file("campaign-1.sfr"));
+  ASSERT_GT(stitched.spans, 0u);
+
+  DaemonHarness h(dir.path(), 2, "tcp:127.0.0.1:0");
+  const Json doc = Json::parse(h.http_get("/trace?campaign=1"));
+  ASSERT_NE(doc.find("traceEvents"), nullptr);
+  u64 spans = 0;
+  for (const Json& e : doc.find("traceEvents")->items()) {
+    if (e.get_str("ph", "") != "M") ++spans;  // process rows are metadata
+  }
+  EXPECT_EQ(spans, stitched.spans);
 }
 
 TEST(DaemonHttp, DisabledPlaneLeavesNoListener) {

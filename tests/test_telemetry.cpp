@@ -21,6 +21,7 @@
 #include "sfi/telemetry.hpp"
 #include "store/merge.hpp"
 #include "store/reader.hpp"
+#include "store/trace_stitch.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
@@ -334,11 +335,12 @@ TEST(EventLog, EmitsOneLinePerEvent) {
 
 // --- campaign integration -------------------------------------------------
 
-/// The events of the `--chrome-trace` document (the span plane rendered as
-/// Trace Event JSON), parsed back: the document must be valid JSON.
-std::vector<serve::Json> chrome_trace_events(
-    const inject::CampaignTelemetry& tel) {
-  const serve::Json doc = serve::Json::parse(tel.trace_chrome_json());
+/// The events of the `--chrome-trace` document of a store campaign (its
+/// trace sidecar, stitched as `sfi trace` does), parsed back: the document
+/// must be valid JSON.
+std::vector<serve::Json> chrome_trace_events(const std::string& store_path) {
+  const serve::Json doc =
+      serve::Json::parse(store::stitch_trace(store_path).json);
   const serve::Json* events = doc.find("traceEvents");
   if (events == nullptr) {
     ADD_FAILURE() << "no traceEvents array";
@@ -592,7 +594,7 @@ TEST(ScheduledTelemetry, CanonicalMergeIdenticalAcrossThreadCounts) {
   u64 process_rows = 0;
   std::set<u64> shard_tids;
   std::set<std::string> slices;
-  for (const serve::Json& e : chrome_trace_events(tel)) {
+  for (const serve::Json& e : chrome_trace_events(traced_store.path())) {
     const std::string name = e.get_str("name", "");
     if (name == "process_name") ++process_rows;
     if (e.get_str("ph", "") == "X") slices.insert(name);
@@ -618,7 +620,7 @@ TEST(ScheduledTelemetry, ChromeTraceHasOneSlicePerFootprint) {
   ASSERT_GT(r.footprints, 0u);
 
   u64 footprint_slices = 0;
-  for (const serve::Json& e : chrome_trace_events(tel)) {
+  for (const serve::Json& e : chrome_trace_events(store.path())) {
     if (e.get_str("cat", "") == "footprint" && e.get_str("ph", "") == "X") {
       ++footprint_slices;
     }

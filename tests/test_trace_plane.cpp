@@ -14,14 +14,21 @@
 //     and samples the rest 1-in-N;
 //   * a farm campaign with the plane on leaves a stitchable sidecar with
 //     one process row per OS process and the dispatch→shard parent link,
-//     and an in-process store campaign leaves one too.
+//     and an in-process store campaign leaves one too;
+//   * the sidecar is the one home of a store campaign's spans: it grows
+//     with every flush window, a resumed campaign appends to it, and the
+//     stitcher counts a kept shard store's copies of its spans once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "avp/testgen.hpp"
@@ -299,6 +306,83 @@ TEST(TraceStitch, RelativeStorePathReadsEachFileOnce) {
   EXPECT_EQ(rel.spans, full.spans);
 }
 
+avp::Testcase tiny_testcase() {
+  avp::TestcaseConfig tcfg;
+  tcfg.seed = 11;
+  tcfg.num_instructions = 60;
+  return avp::generate_testcase(tcfg);
+}
+
+/// Spans whose name starts with `name_prefix` and that carry `trace_id`.
+std::size_t count_spans(const std::vector<telemetry::SpanRecord>& spans,
+                        std::string_view name_prefix, u64 trace_id) {
+  return static_cast<std::size_t>(std::count_if(
+      spans.begin(), spans.end(), [&](const telemetry::SpanRecord& sp) {
+        return sp.trace_id == trace_id && sp.name.starts_with(name_prefix);
+      }));
+}
+
+TEST(TraceStitch, KeptShardsCountEachSpanOnce) {
+  // The coordinator tees every worker span into the sidecar while a kept
+  // shard store still holds it: the stitch counts it once.
+  TempFile out("kept_shards");
+  inject::CampaignTelemetry tel;
+  tel.enable_span_plane("sfi", /*trace_id=*/0);
+  inject::CampaignConfig cfg;
+  cfg.seed = 7;
+  cfg.num_injections = 40;
+  cfg.telemetry = &tel;
+  farm::FarmConfig fc;
+  fc.workers = 2;
+  fc.shard_size = 8;
+  fc.watchdog_seconds = 20.0;
+  fc.poll_seconds = 0.005;
+  fc.keep_shards = true;
+  const farm::FarmResult r =
+      farm::run_farm_campaign(tiny_testcase(), cfg, out.path(), fc);
+  ASSERT_TRUE(r.complete);
+
+  const std::string shard_prefix = store::store_sibling(out.path(), ".w");
+  std::vector<std::string> shards;
+  for (const auto& e : std::filesystem::directory_iterator(
+           std::filesystem::path(out.path()).parent_path())) {
+    const std::string path = e.path().string();
+    if (path.starts_with(shard_prefix) && path.ends_with(".sfr")) {
+      shards.push_back(path);
+    }
+  }
+  std::size_t shard_spans = 0;
+  for (const std::string& path : shards) {
+    shard_spans += store::read_spans(path).size();
+  }
+  const std::size_t sidecar_spans = store::read_spans(out.sidecar()).size();
+  const store::StitchResult st = store::stitch_trace(out.path());
+  for (const std::string& path : shards) std::filesystem::remove(path);
+  EXPECT_EQ(shards.size(), 2u);
+  EXPECT_GT(shard_spans, 0u);
+  EXPECT_EQ(st.spans, sidecar_spans) << shard_spans << " shard spans";
+
+  // Only a field-for-field copy goes: two books in one process number
+  // their spans from the same pid, so a span that shares its id with a
+  // sidecar span but differs in any field stays.
+  TempFile alone("one_process");
+  const std::string shard = store::store_sibling(alone.path(), ".w0g1.sfr");
+  telemetry::SpanRecord twin = sample_span();
+  twin.name = "another book's span";
+  const std::vector<std::pair<std::string, std::vector<telemetry::SpanRecord>>>
+      files = {{alone.sidecar(), {sample_span()}},
+               {shard, {sample_span(), twin}}};
+  for (const auto& [path, spans] : files) {
+    store::StoreWriter w = store::StoreWriter::create(path, tiny_meta());
+    for (const telemetry::SpanRecord& sp : spans) w.append(sp);
+    w.flush();
+  }
+  const store::StitchResult both = store::stitch_trace(alone.path());
+  std::filesystem::remove(shard);
+  EXPECT_EQ(both.spans, 2u);
+  EXPECT_NE(both.json.find("another book's span"), std::string::npos);
+}
+
 TEST(FarmTracePlane, SidecarStitchesAndStoreBytesIdentical) {
   avp::TestcaseConfig tcfg;
   tcfg.seed = 11;
@@ -399,10 +483,11 @@ TEST(SchedTracePlane, InProcessStoreCampaignLeavesAStitchableSidecar) {
   ASSERT_TRUE(r.complete);
 
   // The sidecar holds every span the campaign's book recorded (campaign
-  // root, shard spans), and `sfi trace <store>` stitches them.
+  // root, shard spans) — the book is drained into it — and `sfi trace
+  // <store>` stitches them.
   const std::vector<telemetry::SpanRecord> spans =
       store::read_spans(out.sidecar());
-  EXPECT_EQ(spans.size(), tel.all_spans().size());
+  EXPECT_EQ(tel.spans()->size(), 0u);
   bool saw_shard = false;
   for (const telemetry::SpanRecord& sp : spans) {
     if (sp.cat == "shard") saw_shard = true;
@@ -412,6 +497,108 @@ TEST(SchedTracePlane, InProcessStoreCampaignLeavesAStitchableSidecar) {
   EXPECT_EQ(st.spans, spans.size());
   EXPECT_EQ(st.files, 1u) << "the sidecar (the store holds no spans)";
   EXPECT_EQ(st.processes, 1u);
+}
+
+TEST(SchedTracePlane, SidecarGrowsWithEachFlush) {
+  // Spans reach the sidecar in every flush window, so a crash keeps the
+  // spans of every committed window: mid-run, finished shards are there.
+  TempFile out("sched_grows");
+  inject::CampaignTelemetry tel;
+  tel.enable_span_plane("sfi", /*trace_id=*/0);
+  inject::CampaignConfig cfg;
+  cfg.seed = 7;
+  cfg.num_injections = 32;
+  cfg.threads = 1;
+  cfg.telemetry = &tel;
+  sched::SchedulerConfig sc;
+  sc.shard_size = 8;
+  sc.flush_records = 4;
+  std::optional<std::size_t> mid_run_shards;
+  sc.on_progress = [&](const sched::Progress& p) {
+    if (mid_run_shards || p.executed < 16) return;
+    mid_run_shards = count_spans(store::read_spans(out.sidecar()), "shard ",
+                                 /*trace_id=*/0);
+  };
+  const sched::ScheduledResult r =
+      sched::run_campaign_to_store(tiny_testcase(), cfg, out.path(), sc);
+  ASSERT_TRUE(r.complete);
+  ASSERT_TRUE(mid_run_shards.has_value());
+  EXPECT_GT(*mid_run_shards, 0u) << "no shard span on disk after 2 shards";
+  EXPECT_EQ(count_spans(store::read_spans(out.sidecar()), "shard ", 0), 4u);
+}
+
+TEST(SchedTracePlane, ResumeKeepsEveryRunsSpans) {
+  // An interrupted campaign resumed later: the sidecar is appended to like
+  // the store, so it holds both runs' spans (told apart by trace id).
+  TempFile out("sched_resume");
+  const avp::Testcase tc = tiny_testcase();
+  const auto run = [&](u64 trace_id, u64 max_new, bool resume) {
+    inject::CampaignTelemetry tel;
+    tel.enable_span_plane("sfi", trace_id);
+    inject::CampaignConfig cfg;
+    cfg.seed = 7;
+    cfg.num_injections = 48;
+    cfg.threads = 1;
+    cfg.telemetry = &tel;
+    sched::SchedulerConfig sc;
+    sc.shard_size = 8;
+    sc.max_new_injections = max_new;
+    return sched::run_campaign_to_store(tc, cfg, out.path(), sc, resume);
+  };
+  ASSERT_FALSE(run(/*trace_id=*/1, /*max_new=*/20, /*resume=*/false).complete);
+  ASSERT_TRUE(run(/*trace_id=*/2, /*max_new=*/0, /*resume=*/true).complete);
+
+  const std::vector<telemetry::SpanRecord> spans =
+      store::read_spans(out.sidecar());
+  for (const u64 trace_id : {1u, 2u}) {
+    EXPECT_EQ(count_spans(spans, "campaign start", trace_id), 1u)
+        << "run " << trace_id;
+    EXPECT_GT(count_spans(spans, "shard ", trace_id), 0u)
+        << "run " << trace_id;
+  }
+  EXPECT_EQ(store::stitch_trace(out.path()).spans, spans.size());
+}
+
+TEST(FarmTracePlane, ResumeKeepsEveryRunsSpans) {
+  // The farm twin, interrupted through FarmConfig::should_stop.
+  TempFile out("farm_resume");
+  const avp::Testcase tc = tiny_testcase();
+  const auto run = [&](u64 trace_id, u64 stop_after, bool resume) {
+    inject::CampaignTelemetry tel;
+    tel.enable_span_plane("sfi", trace_id);
+    inject::CampaignConfig cfg;
+    cfg.seed = 7;
+    cfg.num_injections = 64;
+    cfg.telemetry = &tel;
+    farm::FarmConfig fc;
+    fc.workers = 2;
+    fc.shard_size = 8;
+    fc.watchdog_seconds = 20.0;
+    fc.poll_seconds = 0.005;
+    // Past 24 records some worker is on its second shard, so its first
+    // shard's slice is committed.
+    u64 committed = 0;
+    fc.on_record = [&](const store::StoredRecord&) { ++committed; };
+    if (stop_after != 0) {
+      fc.should_stop = [&] { return committed >= stop_after; };
+    }
+    return farm::run_farm_campaign(tc, cfg, out.path(), fc, resume);
+  };
+  const farm::FarmResult first =
+      run(/*trace_id=*/1, /*stop_after=*/24, /*resume=*/false);
+  ASSERT_TRUE(first.stopped);
+  ASSERT_FALSE(first.complete);
+  ASSERT_TRUE(run(/*trace_id=*/2, /*stop_after=*/0, /*resume=*/true).complete);
+
+  const std::vector<telemetry::SpanRecord> spans =
+      store::read_spans(out.sidecar());
+  for (const u64 trace_id : {1u, 2u}) {
+    EXPECT_EQ(count_spans(spans, "campaign start", trace_id), 1u)
+        << "run " << trace_id;
+    EXPECT_GT(count_spans(spans, "shard ", trace_id), 0u)
+        << "run " << trace_id;
+  }
+  EXPECT_EQ(store::stitch_trace(out.path()).spans, spans.size());
 }
 
 }  // namespace

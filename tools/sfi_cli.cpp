@@ -87,9 +87,9 @@
 //                         without writing a trace file: every process
 //                         records spans ('S' frames) — dispatch, retries,
 //                         per-shard execution, tail-latency exemplar
-//                         injections — into a <out>.trace.sfr sidecar that
-//                         `sfi trace <out>.sfr` stitches into one Perfetto
-//                         timeline (farm workers stream theirs to it)
+//                         injections — into the <out>.trace.sfr sidecar
+//                         (streamed, appended to on --resume; needs --out)
+//                         that `sfi trace <out>.sfr` stitches
 //   --postmortem FILE     crash flight recorder: keep recent telemetry
 //                         lines in a fixed in-memory ring and dump them to
 //                         FILE on a fatal signal; in farm mode also dumped
@@ -132,10 +132,11 @@
 //   --events-out FILE     stream a structured JSONL event log (campaign
 //                         lifecycle, shard dispatch, checkpoint saves,
 //                         sampled per-injection records)
-//   --chrome-trace FILE   write a Chrome-trace/Perfetto timeline rendered
-//                         from the span plane (one track per worker, shard
-//                         spans, tail-latency exemplar phase slices; farm
-//                         worker rows too); load it in chrome://tracing
+//   --chrome-trace FILE   write a Chrome-trace/Perfetto timeline of the
+//                         span plane (one track per worker, shard spans,
+//                         tail-latency exemplar phase slices; farm worker
+//                         rows too): with --out, what `sfi trace` stitches
+//                         from the store; load it in chrome://tracing
 //   --telemetry-sample N  keep every Nth per-injection event-log record
 //                         (default 1 = all; lifecycle events are never
 //                         sampled away, and trace slices follow the span
@@ -530,14 +531,22 @@ struct TelemetrySinks {
 
   [[nodiscard]] inject::CampaignTelemetry* get() const { return tel.get(); }
 
-  void write_outputs() const {
+  /// With a `store`, --chrome-trace writes what `sfi trace` stitches from
+  /// it; a run with no store renders its span book.
+  void write_outputs(const std::string& store = {}) const {
     if (!tel) return;
     if (metrics_out) {
       tel->write_metrics(*metrics_out);
       std::cout << "metrics: " << *metrics_out << "\n";
     }
     if (trace_out) {
-      tel->write_chrome_trace(*trace_out);
+      std::ofstream f(*trace_out, std::ios::trunc | std::ios::binary);
+      if (!f) throw std::runtime_error("cannot open --chrome-trace file " +
+                                       *trace_out);
+      f << (store.empty() ? telemetry::spans_to_chrome_json(
+                                tel->spans()->snapshot())
+                          : store::stitch_trace(store).json)
+        << "\n";
       std::cout << "chrome trace: " << *trace_out
                 << " (load in chrome://tracing)\n";
     }
@@ -702,7 +711,7 @@ int cmd_campaign_farm(const Args& a, const serve::CampaignSpec& spec,
             << " latches; "
             << report::Table::num(r.injections_per_second(), 0)
             << " injections/s\n";
-  sinks.write_outputs();
+  sinks.write_outputs(out);
   std::cout << "\n";
   print_campaign_tables(r.agg, spec.confidence);
   if (r.stopped) {
@@ -780,7 +789,7 @@ int cmd_campaign_to_store(const Args& a, const serve::CampaignSpec& spec,
   print_throughput(r.wall_seconds, r.cycles_evaluated,
                    r.cycles_fast_forwarded, r.checkpoint_ops, r.checkpoints,
                    r.checkpoint_bytes);
-  sinks.write_outputs();
+  sinks.write_outputs(out);
   std::cout << "\n";
   print_campaign_tables(r.agg, spec.confidence);
   if (r.stopped) {
@@ -808,6 +817,11 @@ int cmd_campaign(const Args& a) {
   }
   if (a.flag("resume")) {
     throw CliError("--resume requires --out FILE (a store to resume into)");
+  }
+  if (a.flag("trace-spans")) {
+    throw CliError(
+        "--trace-spans requires --out FILE.sfr (its trace sidecar holds the "
+        "spans); for a run with no store, use --chrome-trace FILE");
   }
 
   const inject::CampaignResult r = inject::run_campaign(tc, run.config);
