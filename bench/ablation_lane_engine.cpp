@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "sfi/telemetry.hpp"
 
 int main(int argc, char** argv) {
   using namespace sfi;
@@ -65,23 +66,27 @@ int main(int argc, char** argv) {
   }
   std::cout << t.to_string();
 
-  // Amdahl decomposition from the scalar records: recovery tails re-execute
-  // from a checkpoint carrying RAS state the fault-free reference never
-  // holds, so most of their exec span (injection -> settle) is divergent
-  // simulation no amount of lane sharing can absorb. Everything else can in
-  // principle amortize onto the shared reference replay, so total/divergent
-  // approximates the cycle-reduction ceiling at infinite lanes. The span
-  // includes some sharable pre-recovery cycles, so this slightly overcounts
-  // divergence — measured speedups can edge past the printed figure — but
-  // it lands within ~20% of the observed plateau and explains why the
-  // curve flattens near 3x instead of scaling with the lane count.
-  u64 divergent_cycles = 0;
-  u64 divergent_records = 0;
-  for (const auto& rec : scalar.records) {
-    if (rec.recoveries == 0) continue;
-    ++divergent_records;
-    divergent_cycles += rec.end_cycle - rec.fault.cycle;
-  }
+  // Amdahl decomposition from the scalar run's work counters: a recovered
+  // run re-executes from a checkpoint carrying RAS state the fault-free
+  // reference never holds, so the cycles the scalar runner simulates for it
+  // — up to the recovery's end, and after it until the recovery-tail
+  // certificate retires the rest — are divergent simulation no amount of
+  // lane sharing can absorb. Everything else can in principle amortize onto
+  // the shared reference replay, so total/divergent approximates the
+  // cycle-reduction ceiling at infinite lanes. Tails the certificate
+  // retires are never simulated by either engine, so they count on neither
+  // side. The counts come from a second, untimed scalar run with telemetry
+  // attached (same records, same work).
+  inject::CampaignTelemetry tel;
+  inject::CampaignConfig counted = base;
+  counted.telemetry = &tel;
+  (void)inject::run_campaign(tc, counted);
+  const telemetry::MetricsRegistry& m = tel.metrics();
+  const u64 divergent_cycles =
+      m.counter_value_by_name("post_fault_cycles.corrected_to_recovery_end") +
+      m.counter_value_by_name("post_fault_cycles.corrected_after_recovery");
+  const u64 divergent_records =
+      m.counter_value_by_name("outcome.Corrected");
   const double ceiling =
       static_cast<double>(scalar.cycles_evaluated) /
       static_cast<double>(std::max<u64>(1, divergent_cycles));
@@ -91,10 +96,15 @@ int main(int argc, char** argv) {
             << "best: " << report::Table::num(best, 1) << "x at " << best_lanes
             << " lanes\n"
             << "amdahl: " << report::Table::count(divergent_records)
-            << " recovery tails pin " << report::Table::count(divergent_cycles)
+            << " corrected runs pin " << report::Table::count(divergent_cycles)
             << " of " << report::Table::count(scalar.cycles_evaluated)
-            << " scalar cycles as divergent simulation -> cycle-reduction"
-            << " ceiling ~" << report::Table::num(ceiling, 1)
-            << "x at infinite lanes\n";
+            << " scalar cycles as divergent simulation ("
+            << report::Table::count(
+                   m.counter_value_by_name("tails_certified"))
+            << " tails, "
+            << report::Table::count(
+                   m.counter_value_by_name("tail_cycles_skipped"))
+            << " cycles retired unsimulated) -> cycle-reduction ceiling ~"
+            << report::Table::num(ceiling, 1) << "x at infinite lanes\n";
   return identical ? 0 : 1;
 }

@@ -3,7 +3,9 @@
 
 Runs `sfi campaign --n 10000 --threads 1 --metrics-out m.json --out o.sfr`
 (seed 42, the default AVP-160 workload) in a temporary directory and compares
-its work counters with `work_counters_10k_campaign.change` in the newest
+its work counters (admission and early exits, polls, checkpoint work, the
+recovery tails the certificate retires, and post-fault cycles by exit kind)
+with `work_counters_10k_campaign.change` in the newest
 BENCH_<pr>.json at the repository root. Any difference exits 1: a change
 that moves the work on purpose records the new values in its BENCH file.
 Wall time is printed, never gated (it is noise on a shared host; these
@@ -30,7 +32,14 @@ METRICS = {
     "fast_forward_cycles_counter": "fast_forward_cycles",
     "warm_restores": "warm_restores",
     "ckpt_materializations": "ckpt_materializations",
+    "tails_certified": "tails_certified",
+    "tail_cycles_skipped": "tail_cycles_skipped",
 }
+# Post-fault cycles by exit kind (Corrected split at its last recovery).
+for row in ("vanished_early_exit", "vanished_test_end",
+            "corrected_to_recovery_end", "corrected_after_recovery", "hang",
+            "checkstop", "bad_arch_state"):
+    METRICS["post_fault_cycles." + row] = "post_fault_cycles." + row
 # The other two come from the campaign's throughput line.
 THROUGHPUT = re.compile(
     r"; (\d+) cycles evaluated .*; (\d+) checkpoint ops\)")
@@ -84,7 +93,7 @@ def main():
         expected = want.get(key)
         ok = expected == got[key]
         failed = failed or not ok
-        print("  %-28s %12s %12s  %s" % (key, expected, got[key],
+        print("  %-44s %12s %12s  %s" % (key, expected, got[key],
                                          "ok" if ok else "DIFFERS"))
     print("wall time %.2f s (not gated)" % wall)
     if failed:

@@ -244,6 +244,11 @@ void Pearl6Model::save_aux(std::vector<u8>& out) const {
   rut_.checkpoint_array().save(out);
 }
 
+emu::AuxSpan Pearl6Model::aux_phase() const {
+  const auto [offset, size] = mem_.patrol_in_save();
+  return {offset, size};
+}
+
 void Pearl6Model::restore_aux(std::span<const u8> in) {
   mem_.load_snapshot(in);
   ifu_.icache().data_array().load(in);

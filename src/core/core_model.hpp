@@ -54,6 +54,8 @@ class Pearl6Model final : public emu::Model {
       const netlist::StateVector& sv) const override;
   void save_aux(std::vector<u8>& out) const override;
   void restore_aux(std::span<const u8> in) override;
+  /// The main-store patrol scrubber's cursor (first in the aux stream).
+  [[nodiscard]] emu::AuxSpan aux_phase() const override;
 
   /// Observer for cause→effect tracing: invoked once per evaluated cycle in
   /// which anything RAS-relevant happened (checker events, recovery start /

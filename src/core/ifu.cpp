@@ -22,20 +22,26 @@ Ifu::Ifu(netlist::LatchRegistry& reg)
       reg.add("ifu.fetch_pc.p", Unit::IFU, LatchType::Func, kRing, 1));
   halt_ =
       netlist::Flag(reg.add("ifu.halt", Unit::IFU, LatchType::Func, kRing, 1));
+  netlist::LatchRing ring;
   for (u32 i = 0; i < kEntries; ++i) {
     const std::string n = "ifu.fbuf" + std::to_string(i);
-    v_.emplace_back(reg.add(n + ".v", Unit::IFU, LatchType::Func, kRing, 1));
-    instr_.emplace_back(
-        reg.add(n + ".instr", Unit::IFU, LatchType::Func, kRing, 32));
-    pc_.emplace_back(reg.add(n + ".pc", Unit::IFU, LatchType::Func, kRing, 16));
-    par_.emplace_back(reg.add(n + ".p", Unit::IFU, LatchType::Func, kRing, 1));
+    const auto& slot = ring.slots.emplace_back(std::vector<netlist::FieldRef>{
+        reg.add(n + ".v", Unit::IFU, LatchType::Func, kRing, 1),
+        reg.add(n + ".instr", Unit::IFU, LatchType::Func, kRing, 32),
+        reg.add(n + ".pc", Unit::IFU, LatchType::Func, kRing, 16),
+        reg.add(n + ".p", Unit::IFU, LatchType::Func, kRing, 1)});
+    v_.emplace_back(slot[0]);
+    instr_.emplace_back(slot[1]);
+    pc_.emplace_back(slot[2]);
+    par_.emplace_back(slot[3]);
   }
-  head_ =
-      netlist::Field(reg.add("ifu.fbuf.head", Unit::IFU, LatchType::Func, kRing, 2));
-  tail_ =
-      netlist::Field(reg.add("ifu.fbuf.tail", Unit::IFU, LatchType::Func, kRing, 2));
+  ring.head = reg.add("ifu.fbuf.head", Unit::IFU, LatchType::Func, kRing, 2);
+  ring.tail = reg.add("ifu.fbuf.tail", Unit::IFU, LatchType::Func, kRing, 2);
+  head_ = netlist::Field(ring.head);
+  tail_ = netlist::Field(ring.tail);
   count_ =
       netlist::Field(reg.add("ifu.fbuf.count", Unit::IFU, LatchType::Func, kRing, 3));
+  reg.add_ring(std::move(ring));
 }
 
 Ifu::Plan Ifu::detect(const netlist::CycleFrame& f, Signals& sig,

@@ -52,18 +52,29 @@ Lsu::Lsu(netlist::LatchRegistry& reg)
   ex2_dk_ = netlist::Field(reg.add("lsu.ex2.dk", Unit::LSU, LatchType::Func, kRing, 2));
 
   stq_.resize(kStq);
+  netlist::LatchRing ring;
   for (u32 i = 0; i < kStq; ++i) {
     const std::string n = "lsu.stq" + std::to_string(i);
-    stq_[i].v = netlist::Flag(reg.add(n + ".v", Unit::LSU, LatchType::Func, kRing, 1));
-    stq_[i].addr = netlist::Field(reg.add(n + ".addr", Unit::LSU, LatchType::Func, kRing, 16));
-    stq_[i].apar = netlist::Flag(reg.add(n + ".addr.p", Unit::LSU, LatchType::Func, kRing, 1));
-    stq_[i].data = netlist::Field(reg.add(n + ".data", Unit::LSU, LatchType::Func, kRing, 64));
-    stq_[i].dpar = netlist::Flag(reg.add(n + ".data.p", Unit::LSU, LatchType::Func, kRing, 1));
-    stq_[i].size = netlist::Field(reg.add(n + ".size", Unit::LSU, LatchType::Func, kRing, 2));
+    const auto& slot = ring.slots.emplace_back(std::vector<netlist::FieldRef>{
+        reg.add(n + ".v", Unit::LSU, LatchType::Func, kRing, 1),
+        reg.add(n + ".addr", Unit::LSU, LatchType::Func, kRing, 16),
+        reg.add(n + ".addr.p", Unit::LSU, LatchType::Func, kRing, 1),
+        reg.add(n + ".data", Unit::LSU, LatchType::Func, kRing, 64),
+        reg.add(n + ".data.p", Unit::LSU, LatchType::Func, kRing, 1),
+        reg.add(n + ".size", Unit::LSU, LatchType::Func, kRing, 2)});
+    stq_[i].v = netlist::Flag(slot[0]);
+    stq_[i].addr = netlist::Field(slot[1]);
+    stq_[i].apar = netlist::Flag(slot[2]);
+    stq_[i].data = netlist::Field(slot[3]);
+    stq_[i].dpar = netlist::Flag(slot[4]);
+    stq_[i].size = netlist::Field(slot[5]);
   }
-  stq_head_ = netlist::Field(reg.add("lsu.stq.head", Unit::LSU, LatchType::Func, kRing, 3));
-  stq_tail_ = netlist::Field(reg.add("lsu.stq.tail", Unit::LSU, LatchType::Func, kRing, 3));
+  ring.head = reg.add("lsu.stq.head", Unit::LSU, LatchType::Func, kRing, 3);
+  ring.tail = reg.add("lsu.stq.tail", Unit::LSU, LatchType::Func, kRing, 3);
+  stq_head_ = netlist::Field(ring.head);
+  stq_tail_ = netlist::Field(ring.tail);
   stq_count_ = netlist::Field(reg.add("lsu.stq.count", Unit::LSU, LatchType::Func, kRing, 4));
+  reg.add_ring(std::move(ring));
 
   erat_.resize(kErat);
   for (u32 i = 0; i < kErat; ++i) {

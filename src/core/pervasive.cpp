@@ -28,8 +28,10 @@ Pervasive::Pervasive(netlist::LatchRegistry& reg)
   wd_counter_ = netlist::Field(reg.add("core.wd.counter", Unit::Core, LatchType::Func, kRing, 12));
   rec_cycles_ = netlist::Field(reg.add("core.rec.cycles", Unit::Core, LatchType::Func, kRing, 8));
   rec_since_completion_ = netlist::Field(reg.add("core.rec.since_cmpl", Unit::Core, LatchType::Func, kRing, 3));
-  recovery_count_ = netlist::Field(reg.add("core.rec.count", Unit::Core, LatchType::Func, kRing, 8));
-  corrected_count_ = netlist::Field(reg.add("core.corrected.count", Unit::Core, LatchType::Func, kRing, 8));
+  recovery_count_ = netlist::Field(reg.add("core.rec.count", Unit::Core, LatchType::Func, kRing, 8,
+                                           true, netlist::LatchRole::Tally));
+  corrected_count_ = netlist::Field(reg.add("core.corrected.count", Unit::Core, LatchType::Func, kRing, 8,
+                                            true, netlist::LatchRole::Tally));
   rec_active_flag_ = netlist::Flag(reg.add("core.rec.active", Unit::Core, LatchType::Func, kRing, 1));
 
   timebase_ = netlist::Field(reg.add("core.timebase", Unit::Core, LatchType::Func, kRing, 24,

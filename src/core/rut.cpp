@@ -35,8 +35,12 @@ Rut::Rut(netlist::LatchRegistry& reg)
     port_[i].data = netlist::Field(reg.add(n + ".data", Unit::RUT, LatchType::Func, kRing, 64));
     port_[i].par = netlist::Flag(reg.add(n + ".p", Unit::RUT, LatchType::Func, kRing, 1));
   }
-  scrub_idx_ = netlist::Field(reg.add("rut.scrub.idx", Unit::RUT, LatchType::Func, kRing, 6));
-  scrub_timer_ = netlist::Field(reg.add("rut.scrub.timer", Unit::RUT, LatchType::Func, kRing, 6));
+  // The scrubber pauses during a restore, so a recovered run is out of
+  // phase with the reference for good: declared as phase, not state.
+  scrub_idx_ = netlist::Field(reg.add("rut.scrub.idx", Unit::RUT, LatchType::Func, kRing, 6,
+                                      true, netlist::LatchRole::Phase));
+  scrub_timer_ = netlist::Field(reg.add("rut.scrub.timer", Unit::RUT, LatchType::Func, kRing, 6,
+                                        true, netlist::LatchRole::Phase));
 }
 
 bool Rut::active(const netlist::CycleFrame& f) const {

@@ -103,19 +103,30 @@ Cycle CheckpointStore::cycle_at(std::size_t idx) const {
   return recs_[idx].cycle;
 }
 
-void CheckpointStore::write_word(Checkpoint& out, std::size_t pos, u64 v,
-                                 bool xor_mode) const {
-  if (pos < latch_words_) {
-    u64& w = out.latches.words_mut()[pos];
-    w = xor_mode ? (w ^ v) : v;
+void CheckpointStore::write_words(Checkpoint& out, std::size_t pos,
+                                  const u64* src, std::size_t count,
+                                  bool xor_mode) const {
+  // Latch words first, then aux bytes in 8-byte words (the last possibly
+  // short): a run of literals is copied or XOR-ed in bulk.
+  const auto latches = out.latches.words_mut();
+  for (; count > 0 && pos < latch_words_; --count, ++pos, ++src) {
+    latches[pos] = xor_mode ? latches[pos] ^ *src : *src;
+  }
+  if (count == 0) return;
+  u8* aux = out.aux.data() + (pos - latch_words_) * 8;
+  const std::size_t bytes = std::min<std::size_t>(
+      count * 8, aux_bytes_ - (pos - latch_words_) * 8);
+  if (!xor_mode) {
+    std::memcpy(aux, src, bytes);
     return;
   }
-  const std::size_t off = (pos - latch_words_) * 8;
-  const std::size_t n = std::min<std::size_t>(8, aux_bytes_ - off);
-  u64 cur = 0;
-  std::memcpy(&cur, out.aux.data() + off, n);
-  cur = xor_mode ? (cur ^ v) : v;
-  std::memcpy(out.aux.data() + off, &cur, n);
+  for (std::size_t off = 0; off < bytes; off += 8, ++src) {
+    const std::size_t n = std::min<std::size_t>(8, bytes - off);
+    u64 cur = 0;
+    std::memcpy(&cur, aux + off, n);
+    cur ^= *src;
+    std::memcpy(aux + off, &cur, n);
+  }
 }
 
 void CheckpointStore::apply(const Rec& r, Checkpoint& out,
@@ -125,9 +136,9 @@ void CheckpointStore::apply(const Rec& r, Checkpoint& out,
   for (std::size_t i = 0; i + 1 < r.runs.size(); i += 2) {
     pos += r.runs[i];
     const u32 count = r.runs[i + 1];
-    for (u32 k = 0; k < count; ++k) {
-      write_word(out, pos++, r.words[lit++], xor_mode);
-    }
+    write_words(out, pos, r.words.data() + lit, count, xor_mode);
+    pos += count;
+    lit += count;
   }
   ensure(lit == r.words.size(), "CheckpointStore: corrupt run encoding");
 }

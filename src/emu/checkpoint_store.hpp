@@ -87,8 +87,8 @@ class CheckpointStore {
 
   void flatten(const Checkpoint& cp, std::vector<u64>& out) const;
   void apply(const Rec& r, Checkpoint& out, bool xor_mode) const;
-  void write_word(Checkpoint& out, std::size_t pos, u64 v,
-                  bool xor_mode) const;
+  void write_words(Checkpoint& out, std::size_t pos, const u64* src,
+                   std::size_t count, bool xor_mode) const;
 
   /// A full (non-delta) snapshot every kFullEvery records bounds
   /// reconstruction to at most kFullEvery-1 delta applications.

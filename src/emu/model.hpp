@@ -32,6 +32,12 @@ struct RasStatus {
   bool test_finished = false;    ///< workload executed STOP
 };
 
+/// A byte range of Model::save_aux()'s stream.
+struct AuxSpan {
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
 class Model {
  public:
   virtual ~Model() = default;
@@ -65,6 +71,11 @@ class Model {
   /// Snapshot / restore of all non-latch state (arrays, memory).
   virtual void save_aux(std::vector<u8>& out) const = 0;
   virtual void restore_aux(std::span<const u8> in) = 0;
+
+  /// The bytes of save_aux()'s stream that hold only a free-running
+  /// scrubber's phase — LatchRole::Phase's counterpart off the latch state
+  /// (size 0: none). DESIGN §16, "Recovery tails".
+  [[nodiscard]] virtual AuxSpan aux_phase() const = 0;
 };
 
 }  // namespace sfi::emu

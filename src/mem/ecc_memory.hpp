@@ -16,6 +16,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/aux_sig.hpp"
@@ -74,6 +75,13 @@ class EccMemory {
 
   void save(std::vector<u8>& out) const;
   void load_snapshot(std::span<const u8>& in);
+
+  /// Where save() puts the patrol scrubber's cursor (word and timer) in the
+  /// bytes it appends: {offset, size}. A scrub of a clean word changes
+  /// nothing, so the cursor is phase, not state (DESIGN §16).
+  [[nodiscard]] std::pair<std::size_t, std::size_t> patrol_in_save() const {
+    return {data_.size() + check_.size() + 2 * sizeof(u32), 2 * sizeof(u32)};
+  }
 
   /// Attach a mutation signature (common/aux_sig.hpp). Stores, correcting
   /// write-backs, fatal-word detections and storage flips fold into it;

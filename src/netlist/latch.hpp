@@ -61,6 +61,19 @@ inline constexpr std::array<Unit, kNumUnits> kAllUnits = {
 inline constexpr std::array<LatchType, kNumLatchTypes> kAllLatchTypes = {
     LatchType::Func, LatchType::RegFile, LatchType::Mode, LatchType::Gptr};
 
+/// What a field is to the recovery-tail certificate (DESIGN §16, "Recovery
+/// tails"), declared next to `hashable`. A recovered run re-executes the
+/// reference late; these are the latches it may legitimately still differ in.
+enum class LatchRole : u8 {
+  Plain,
+  /// A free-running scrubber's phase: a scrub of ECC-clean storage changes
+  /// nothing but the phase itself, so two machines out of phase behave alike.
+  Phase,
+  /// A RAS event counter the classifier copies into the record (recoveries,
+  /// corrections): a run's own count, never compared with the reference's.
+  Tally,
+};
+
 /// Static description of one registered latch field (a named group of
 /// adjacent bits sharing unit/type/ring).
 struct LatchMeta {
@@ -72,6 +85,7 @@ struct LatchMeta {
   u32 width = 0;         ///< number of bits
   u32 ordinal_start = 0; ///< first injectable-latch ordinal of this field
   bool hashable = true;  ///< participates in the golden-trace state hash
+  LatchRole role = LatchRole::Plain;
 };
 
 }  // namespace sfi::netlist

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,25 @@ struct FieldRef {
   u32 width = 0;
 };
 
+/// A circular buffer a unit declares over its fields: equal-layout slots
+/// addressed by a head and a tail pointer (mod the slot count). Rotating it
+/// by d moves slot i's fields to slot (i + d) mod N and adds d to both
+/// pointers; an entry count, being rotation-free, is not part of it. A
+/// pipeline flush resets such pointers to slot 0, so a recovered run holds
+/// the reference's entries rotated (DESIGN §16, "Recovery tails").
+struct LatchRing {
+  /// Bound on slots x fields per slot (rotation holds them on the stack).
+  static constexpr std::size_t kMaxFields = 64;
+  std::vector<std::vector<FieldRef>> slots;  ///< slot-major, same widths
+  FieldRef head;
+  FieldRef tail;
+};
+
+/// The ring's head pointer in a state image, mod its slot count.
+[[nodiscard]] u32 ring_head(std::span<const u64> words, const LatchRing& ring);
+/// Rotate `ring` by `delta` slots in a state image.
+void rotate_ring(std::span<u64> words, const LatchRing& ring, u32 delta);
+
 class LatchRegistry {
  public:
   LatchRegistry() = default;
@@ -34,8 +54,15 @@ class LatchRegistry {
   /// pass false ONLY for state a flip provably cannot feed back into
   /// execution (free-running counters, engineering spares, benign scan-only
   /// configuration) — the golden-trace early exit's soundness rests on it.
+  /// `role` marks the latches a recovered run may differ in and still be
+  /// the reference running late (LatchRole).
   FieldRef add(std::string name, Unit unit, LatchType type, u8 scan_ring,
-               u32 width, bool hashable = true);
+               u32 width, bool hashable = true,
+               LatchRole role = LatchRole::Plain);
+
+  /// Declare a ring over registered fields (before finalize()).
+  void add_ring(LatchRing ring);
+  [[nodiscard]] const std::vector<LatchRing>& rings() const { return rings_; }
 
   /// Freeze the registry: computes per-word hash masks and ordinal lookup
   /// structures. No further add() calls are allowed.
@@ -81,6 +108,11 @@ class LatchRegistry {
   /// whether corruption reached architected (REGFILE) state.
   [[nodiscard]] const std::vector<u64>& type_masks() const;
 
+  /// Per-word masks of the fields declared LatchRole::Phase / ::Tally (same
+  /// size as hash_masks()). Valid after finalize().
+  [[nodiscard]] const std::vector<u64>& phase_masks() const;
+  [[nodiscard]] const std::vector<u64>& tally_masks() const;
+
  private:
   [[nodiscard]] std::size_t field_index_of_ordinal(u32 ordinal) const;
 
@@ -88,6 +120,9 @@ class LatchRegistry {
   std::vector<u64> hash_masks_;
   std::vector<u64> unit_masks_;
   std::vector<u64> type_masks_;
+  std::vector<u64> phase_masks_;
+  std::vector<u64> tally_masks_;
+  std::vector<LatchRing> rings_;
   u32 next_bit_ = 0;
   u32 next_ordinal_ = 0;
   bool finalized_ = false;

@@ -1,6 +1,7 @@
 #include "serve/daemon.hpp"
 
 #include <fcntl.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -155,6 +156,17 @@ constexpr std::size_t kMaxWatcherBacklog = 8u << 20;
 
 Daemon::Daemon(ServeConfig cfg) : cfg_(std::move(cfg)) {
   require(!cfg_.state_dir.empty(), "serve: state_dir is required");
+#ifdef __GLIBC__
+  // Campaign after campaign, each plan allocates multi-megabyte buffers
+  // (reference states, access timeline, checkpoints) and frees them at the
+  // end. glibc answers such frees by raising its mmap threshold to their
+  // size and its trim threshold to twice that, so later plans land in
+  // per-thread heap arenas that are not trimmed back: the daemon's
+  // resident memory ratchets with the campaigns it has run. Fixed
+  // thresholds hand each plan's big buffers back when they are freed.
+  mallopt(M_MMAP_THRESHOLD, 1 << 20);
+  mallopt(M_TRIM_THRESHOLD, 2 << 20);
+#endif
   require(cfg_.max_active >= 1, "serve: max_active >= 1");
   const std::string listen =
       cfg_.listen.empty()

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "common/check.hpp"
 #include "sfi/telemetry.hpp"
@@ -35,8 +36,37 @@ InjectionRunner::InjectionRunner(core::Pearl6Model& model, emu::Emulator& emu,
       golden_(golden),
       cfg_(cfg),
       ckpts_(checkpoints != nullptr && !checkpoints->empty() ? checkpoints
-                                                             : nullptr) {
+                                                             : nullptr),
+      tails_(ckpts_ != nullptr && trace.has_timeline()) {
   require(trace.completed, "InjectionRunner needs a completed golden trace");
+  if (!tails_) return;
+  // The recovery-tail certificate's lookups. Entry c of ref_completed_ is
+  // the reference state at cycle c: the reset state, then the masked state
+  // at the end of each recorded cycle (the count is hashed).
+  netlist::StateVector sv = reset_checkpoint.latches;
+  ref_completed_.push_back(model.ras_status(sv).instructions_completed);
+  const auto words = sv.words_mut();
+  for (Cycle c = 0; c < trace.hashes.size(); ++c) {
+    std::copy_n(trace.masked_state(c), words.size(), words.begin());
+    ref_completed_.push_back(model.ras_status(sv).instructions_completed);
+  }
+  // A wrapped counter admits no candidate search.
+  tails_ = std::is_sorted(ref_completed_.begin(), ref_completed_.end());
+  // The scratch is sized once, with the rest of the worker's machine, so a
+  // certificate mid-campaign allocates nothing.
+  tail_cp_ = reset_checkpoint;
+  aux_now_.reserve(reset_checkpoint.aux.size());
+  rotated_.reserve(words.size());
+  ring_word_.assign(words.size(), false);
+  for (const netlist::LatchRing& ring : model.registry().rings()) {
+    for (const auto& slot : ring.slots) {
+      for (const netlist::FieldRef f : slot) {
+        ring_word_[f.bit_offset / 64] = true;
+      }
+    }
+    ring_word_[ring.head.bit_offset / 64] = true;
+    ring_word_[ring.tail.bit_offset / 64] = true;
+  }
 }
 
 void InjectionRunner::seek_to(Cycle target, RunPhaseTimes* tel) {
@@ -228,15 +258,135 @@ std::optional<RunResult> InjectionRunner::dead_on_arrival(
   return clean_exit(CleanExit::Overdue, hard_stop);
 }
 
-RunResult InjectionRunner::clean_exit(CleanExit how, Cycle at) {
-  RunResult r;  // Vanished, no recovery, no correction
+RunResult InjectionRunner::clean_exit(CleanExit how, Cycle at,
+                                      const Carried& carried) {
+  RunResult r;
   r.end_cycle = at;
   r.early_exited = how == CleanExit::Converged;
+  r.recoveries = carried.recoveries;
+  r.corrected = carried.corrected;
+  r.detected_cycle = carried.detected;
   if (how == CleanExit::Overdue) {
     r.outcome = Outcome::Hang;
-    r.detected_cycle = at;  // classify_now's rule for an undetected Hang
+  } else if (r.recoveries > 0 || r.corrected > 0) {
+    r.outcome = Outcome::Corrected;
+  } else {
+    return r;  // Vanished, never detected
   }
+  if (!r.detected_cycle) r.detected_cycle = at;  // classify_now's rule
   return r;
+}
+
+std::optional<bool> InjectionRunner::latches_match(Cycle c) {
+  const netlist::LatchRegistry& reg = model_.registry();
+  const auto& masks = reg.hash_masks();
+  const auto& phase = reg.phase_masks();
+  const auto& tally = reg.tally_masks();
+  const std::span<const u64> ref(trace_.masked_state(c - 1),
+                                 trace_.word_stride);
+  bool permanent = false;
+  const auto harmless = [&](u32 w, u64 mine) {
+    const u64 d = ((mine & masks[w]) ^ ref[w]) & ~phase[w];
+    if (d == 0) return true;
+    // The classifier reads nothing that differs but the run's own tallies.
+    if ((d & trace_.peek_reads[w] & ~tally[w]) != 0) return false;
+    // Every difference is overwritten before anything reads it, or never
+    // touched again — which a tally must be, for its count to stand.
+    u64 left = d;
+    Cycle after = c;
+    while (left != 0) {
+      const emu::GoldenTrace::WordAccess* a =
+          trace_.first_access(w, left, after);
+      if (a == nullptr) break;
+      if ((a->reads & left) != 0 || (a->writes & left & tally[w]) != 0) {
+        return false;
+      }
+      left &= ~a->writes;
+      after = a->cycle;
+    }
+    permanent = permanent || (d & tally[w]) != 0;
+    return true;
+  };
+  // Words outside the rings first, as they stand (most candidates fail
+  // there), then the ring words rotated to the reference's heads.
+  const auto cur = emu_.state().words();
+  for (u32 w = 0; w < ref.size(); ++w) {
+    if (!ring_word_[w] && !harmless(w, cur[w])) return std::nullopt;
+  }
+  rotated_.assign(cur.begin(), cur.end());
+  for (const netlist::LatchRing& ring : reg.rings()) {
+    const auto n = static_cast<u32>(ring.slots.size());
+    netlist::rotate_ring(rotated_, ring,
+                         n + netlist::ring_head(ref, ring) -
+                             netlist::ring_head(rotated_, ring));
+  }
+  for (u32 w = 0; w < ref.size(); ++w) {
+    if (ring_word_[w] && !harmless(w, rotated_[w])) return std::nullopt;
+  }
+  return permanent;
+}
+
+bool InjectionRunner::aux_matches(std::size_t idx) {
+  if (tail_idx_ != idx) {
+    ckpts_->materialize(idx, tail_cp_);
+    tail_idx_ = idx;
+  }
+  aux_now_.clear();
+  model_.save_aux(aux_now_);
+  const std::vector<u8>& ref = tail_cp_.aux;
+  const emu::AuxSpan ph = model_.aux_phase();
+  const auto phase_begin = static_cast<std::ptrdiff_t>(ph.offset);
+  const auto phase_end = phase_begin + static_cast<std::ptrdiff_t>(ph.size);
+  return aux_now_.size() == ref.size() &&
+         std::equal(ref.begin(), ref.begin() + phase_begin,
+                    aux_now_.begin()) &&
+         std::equal(ref.begin() + phase_end, ref.end(),
+                    aux_now_.begin() + phase_end);
+}
+
+std::optional<RunResult> InjectionRunner::certify_tail(
+    const FaultSpec& fault, const emu::RasStatus& ras,
+    std::optional<Cycle> detect) {
+  const std::vector<u64>& done = ref_completed_;
+  const Cycle now = emu_.cycle();
+  const Cycle finish = trace_.completion_cycle;
+  // Candidates: reference cycles in [1, min(finish, now) - 1] at the
+  // machine's completed count, with a snapshot for the aux compare.
+  const auto begin = done.begin() + 1;
+  const auto end = done.begin() + static_cast<std::ptrdiff_t>(
+                                      std::min(finish, now));
+  const auto lo = std::lower_bound(begin, end, ras.instructions_completed);
+  if (lo == end || *lo != ras.instructions_completed) return std::nullopt;
+  const auto hi = std::upper_bound(lo, end, ras.instructions_completed);
+  const Cycle first = static_cast<Cycle>(lo - done.begin());
+  const Cycle last = static_cast<Cycle>(hi - done.begin()) - 1;
+
+  const Cycle deadline = finish + cfg_.hang_margin;
+  const Cycle hard_stop = fault.cycle + cfg_.horizon;
+  const Cycle overdue = std::min(deadline, hard_stop);
+  for (std::optional<std::size_t> idx = ckpts_->index_at_or_before(last);
+       idx && ckpts_->cycle_at(*idx) >= first;
+       idx = *idx == 0 ? std::nullopt : std::optional(*idx - 1)) {
+    const Cycle c = ckpts_->cycle_at(*idx);
+    const std::optional<bool> permanent = latches_match(c);
+    if (!permanent || !aux_matches(*idx)) continue;
+    // The convergence poll compares the run with the reference at the same
+    // cycle. A differing hashed tally (the run's recovery count) is never
+    // touched again by either, so the poll cannot fire on the way to the
+    // exit; without one, decline.
+    if (cfg_.early_exit && fault.target == FaultTarget::Latch && !*permanent) {
+      continue;
+    }
+    // From here the run is the reference k cycles late: its test ends at
+    // finish + k unless a deadline or the horizon comes first.
+    const Cycle k = now - c;
+    const bool test_end = finish + k <= overdue;
+    const Cycle exit = test_end ? finish + k : overdue;
+    const Carried carried{ras.recovery_count, ras.corrected_count, detect};
+    return clean_exit(test_end ? CleanExit::TestEnd : CleanExit::Overdue,
+                      exit, carried);
+  }
+  return std::nullopt;
 }
 
 void InjectionRunner::begin(const FaultSpec& fault, RunPhaseTimes* tel) {
@@ -273,12 +423,15 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
   double sampled_poll_seconds = 0.0;
   u64 sampled_polls = 0;
   u64 polls = 0;
+  // Work accounting: the cycle this loop's simulation starts from, and the
+  // cycle the last recovery ended at (the tail the certificate can cut).
+  const Cycle entered = emu_.cycle() - (stepped ? 1 : 0);
+  u32 recoveries_seen = 0;
+  Cycle recovered_at = entered;
 
   // Terminal path shared by every exit: classification is its own timed
   // phase; the loop's wall time minus the poll aggregate is post-fault sim.
-  const auto finish = [&](bool finished, bool early) {
-    const Tick t_cl = tick(tel);
-    RunResult r = classify_now(finished, early, detect);
+  const auto report = [&](const RunResult& r, Tick t_cl, bool certified) {
     if (tel != nullptr) {
       const double poll_seconds =
           sampled_polls == 0
@@ -292,8 +445,17 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
       tel->seconds[static_cast<std::size_t>(RunPhase::Classify)] =
           seconds_between(t_cl, tick(tel));
       tel->polls = polls;
+      const Cycle now = emu_.cycle();
+      tel->post_fault_cycles = now - entered;
+      tel->tail_cycles = recoveries_seen > 0 ? now - recovered_at : 0;
+      tel->tail_certified = certified;
+      tel->tail_cycles_skipped = certified ? r.end_cycle - now : 0;
     }
     return r;
+  };
+  const auto finish = [&](bool finished, bool early) {
+    const Tick t_cl = tick(tel);
+    return report(classify_now(finished, early, detect), t_cl, false);
   };
 
   if (!stepped) emu_.step();
@@ -304,6 +466,10 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
                     ras.recovery_active || ras.recovery_count > 0 ||
                     ras.corrected_count > 0)) {
       detect = now;
+    }
+    if (ras.recovery_count != recoveries_seen) {
+      recoveries_seen = ras.recovery_count;
+      recovered_at = now;
     }
     if (ras.checkstop || ras.hang_detected) {
       return finish(/*finished=*/false, /*early=*/false);
@@ -338,6 +504,16 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
 
     if (now >= deadline || now >= hard_stop) {
       return finish(/*finished=*/false, /*early=*/false);
+    }
+
+    // A finished recovery re-executes the reference late: once that is
+    // proven, the tail's exit follows without simulating it.
+    if (tails_ && ras.recovery_count > 0 && !ras.recovery_active &&
+        !(sticky && now <= fault.cycle + fault.sticky_duration)) {
+      const Tick t_cert = tick(tel);
+      if (std::optional<RunResult> r = certify_tail(fault, ras, detect)) {
+        return report(*r, t_cert, true);
+      }
     }
     emu_.step();
   }

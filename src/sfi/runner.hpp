@@ -2,13 +2,15 @@
 //
 // Per injection (paper Figure 1): reload the checkpoint, clock to the
 // injection cycle, flip the chosen bit, clock onward while watching the
-// RAS status, and classify. Three accelerations make software campaigns
+// RAS status, and classify. Four accelerations make software campaigns
 // practical: (1) the post-reset machine state is snapshotted once and
 // reloaded per injection, (2) with an interval-checkpoint store the runner
 // warm-starts from the nearest reference snapshot at or before the fault
 // cycle instead of replaying from cycle 0, (3) an injected run whose
 // functional-state hash re-matches the fault-free trace at the same cycle —
-// with a clean RAS window — is classified Vanished immediately.
+// with a clean RAS window — is classified Vanished immediately, and (4) a
+// run whose recovery has ended and that is proven to be the reference k
+// cycles late is recorded at test end + k (DESIGN §16, "Recovery tails").
 #pragma once
 
 #include <optional>
@@ -48,6 +50,15 @@ struct RunResult {
   /// cause→effect detection latency is `*detected_cycle - fault.cycle`.
   /// nullopt: the fault was never detected (vanished or silent corruption).
   std::optional<Cycle> detected_cycle;
+};
+
+/// What a run carries into a clean exit (InjectionRunner::clean_exit): its
+/// RAS counters and first detection as they stand (all empty for a run that
+/// never left the reference).
+struct Carried {
+  u32 recoveries = 0;
+  u32 corrected = 0;
+  std::optional<Cycle> detected;
 };
 
 class InjectionRunner {
@@ -109,14 +120,17 @@ class InjectionRunner {
   /// the convergence poll, or at a deadline or the horizon.
   enum class CleanExit : u8 { TestEnd, Converged, Overdue };
 
-  /// The one exit rule for a run whose RAS window stayed clean and whose
-  /// architected state at test end is the reference's — the record
-  /// continue_run() would classify, without reading the machine: test end
-  /// is Vanished, the convergence poll Vanished and early-exited, and a
-  /// deadline or the horizon a Hang detected at `at` (classify_now's rule
-  /// for an undetected Hang). dead_on_arrival() and the lane engine's
-  /// retirements build their records here.
-  [[nodiscard]] static RunResult clean_exit(CleanExit how, Cycle at);
+  /// The one exit rule for a run that from some cycle on is the reference
+  /// (possibly late), with its architected state at test end the
+  /// reference's — the record continue_run() would classify, without
+  /// reading the machine. Test end and the convergence poll (early-exited)
+  /// are Corrected when the run carries a recovery or a correction, else
+  /// Vanished; a deadline or the horizon is a Hang. Detection follows
+  /// classify_now(): the carried cycle, else `at` for a detected outcome.
+  /// dead_on_arrival(), the recovery-tail certificate and the lane
+  /// engine's retirements build their records here.
+  [[nodiscard]] static RunResult clean_exit(CleanExit how, Cycle at,
+                                            const Carried& carried = {});
 
   /// The record of `fault`'s run when its flipped bits are dead on arrival,
   /// read off the golden trace's access timeline with no seek, no flip and
@@ -147,6 +161,27 @@ class InjectionRunner {
   [[nodiscard]] RunResult classify_outcome(bool finished,
                                            bool early_exited) const;
 
+  /// The recovery-tail certificate (DESIGN §16, "Recovery tails"), asked
+  /// at a cycle after a recovery has ended: the record of a run that is
+  /// provably the reference k cycles late, modulo ring rotation, scrubber
+  /// phase and dead bits — the exit its full tail would reach, at
+  /// min(test end + k, deadline, horizon). nullopt when no candidate
+  /// reference cycle proves it.
+  [[nodiscard]] std::optional<RunResult> certify_tail(
+      const FaultSpec& fault, const emu::RasStatus& ras,
+      std::optional<Cycle> detect);
+  /// Does the machine's latch state, its rings rotated to the reference's
+  /// heads at cycle c, differ from the reference's at c only in scrubber
+  /// phase, in bits the reference overwrites before reading (or never
+  /// touches) and that the classifier does not peek at, and in its own
+  /// tallies, which the reference never touches again? nullopt if not;
+  /// else whether a hashed tally differs (which keeps the convergence poll
+  /// from firing).
+  [[nodiscard]] std::optional<bool> latches_match(Cycle c);
+  /// The machine's aux bytes equal snapshot `idx`'s, outside the model's
+  /// aux phase.
+  [[nodiscard]] bool aux_matches(std::size_t idx);
+
   core::Pearl6Model& model_;
   emu::Emulator& emu_;
   const emu::Checkpoint& reset_cp_;
@@ -160,6 +195,17 @@ class InjectionRunner {
   emu::Checkpoint warm_cp_;
   std::size_t warm_idx_ = kNoWarmCkpt;
   static constexpr std::size_t kNoWarmCkpt = ~std::size_t{0};
+
+  // Recovery-tail certificate scratch (never touches warm_cp_, whose cache
+  // the seek path relies on).
+  bool tails_ = false;  ///< snapshots, states and timeline all recorded
+  /// Instructions completed in the reference state at every recorded cycle.
+  std::vector<u64> ref_completed_;
+  std::vector<bool> ring_word_;  ///< state words a declared ring touches
+  std::vector<u64> rotated_;
+  std::vector<u8> aux_now_;
+  emu::Checkpoint tail_cp_;
+  std::size_t tail_idx_ = kNoWarmCkpt;
 };
 
 }  // namespace sfi::inject

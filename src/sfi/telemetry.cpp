@@ -125,6 +125,36 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
   shard_.add(o.c_injections_);
   if (rec.early_exited) shard_.add(o.c_early_exits_);
   if (ph.dead_on_arrival) shard_.add(o.c_dead_on_arrival_);
+  if (ph.tail_certified) {
+    shard_.add(o.c_tails_certified_);
+    shard_.add(o.c_tail_cycles_skipped_, ph.tail_cycles_skipped);
+  }
+  const auto add_cycles = [&](PostFaultRow row, u64 cycles) {
+    shard_.add(o.c_post_fault_[static_cast<std::size_t>(row)], cycles);
+  };
+  switch (rec.outcome) {
+    case Outcome::Vanished:
+      add_cycles(rec.early_exited ? PostFaultRow::VanishedEarlyExit
+                                  : PostFaultRow::VanishedTestEnd,
+                 ph.post_fault_cycles);
+      break;
+    case Outcome::Corrected:
+      add_cycles(PostFaultRow::CorrectedToRecoveryEnd,
+                 ph.post_fault_cycles - ph.tail_cycles);
+      add_cycles(PostFaultRow::CorrectedAfterRecovery, ph.tail_cycles);
+      break;
+    case Outcome::Hang:
+      add_cycles(PostFaultRow::Hang, ph.post_fault_cycles);
+      break;
+    case Outcome::Checkstop:
+      add_cycles(PostFaultRow::Checkstop, ph.post_fault_cycles);
+      break;
+    case Outcome::BadArchState:
+      add_cycles(PostFaultRow::BadArchState, ph.post_fault_cycles);
+      break;
+    case Outcome::HarnessFatal:
+      break;  // assigned by the farm supervisor, never run here
+  }
   shard_.add(o.c_recoveries_, rec.recoveries);
   shard_.add(o.c_polls_, ph.polls);
   shard_.add(o.c_ff_cycles_, ph.ff_cycles);
@@ -313,6 +343,13 @@ CampaignTelemetry::CampaignTelemetry(TelemetryConfig cfg)
   c_injections_ = registry_.counter("injections");
   c_early_exits_ = registry_.counter("early_exits");
   c_dead_on_arrival_ = registry_.counter("dead_on_arrival");
+  c_tails_certified_ = registry_.counter("tails_certified");
+  c_tail_cycles_skipped_ = registry_.counter("tail_cycles_skipped");
+  for (std::size_t r = 0; r < kNumPostFaultRows; ++r) {
+    c_post_fault_[r] = registry_.counter(
+        "post_fault_cycles." +
+        std::string(to_string(static_cast<PostFaultRow>(r))));
+  }
   c_recoveries_ = registry_.counter("recoveries");
   c_polls_ = registry_.counter("convergence_polls");
   c_ff_cycles_ = registry_.counter("fast_forward_cycles");

@@ -70,6 +70,14 @@ struct RunPhaseTimes {
   /// Retired at admission from the reference's access timeline
   /// (InjectionRunner::dead_on_arrival): nothing was simulated.
   bool dead_on_arrival = false;
+  /// Cycles the runner's post-fault loop simulated, and how many of them
+  /// came after the last recovery ended.
+  u64 post_fault_cycles = 0;
+  u64 tail_cycles = 0;
+  /// Retired on the recovery-tail certificate, and the exit cycle minus
+  /// the cycle it fired at (the tail it did not simulate).
+  bool tail_certified = false;
+  u64 tail_cycles_skipped = 0;
 
   [[nodiscard]] double total_seconds() const {
     double t = 0.0;
@@ -77,6 +85,29 @@ struct RunPhaseTimes {
     return t;
   }
 };
+
+/// The exit kinds post-fault cycles are counted by: the outcomes, with
+/// Vanished split at the convergence poll and Corrected at the end of its
+/// last recovery (the tail the recovery-tail certificate cuts).
+enum class PostFaultRow : u8 {
+  VanishedEarlyExit,
+  VanishedTestEnd,
+  CorrectedToRecoveryEnd,
+  CorrectedAfterRecovery,
+  Hang,
+  Checkstop,
+  BadArchState,
+};
+inline constexpr std::size_t kNumPostFaultRows = 7;
+
+[[nodiscard]] constexpr std::string_view to_string(PostFaultRow r) {
+  constexpr std::array<std::string_view, kNumPostFaultRows> names = {
+      "vanished_early_exit",      "vanished_test_end",
+      "corrected_to_recovery_end", "corrected_after_recovery",
+      "hang",                      "checkstop",
+      "bad_arch_state"};
+  return names[static_cast<std::size_t>(r)];
+}
 
 struct TelemetryConfig {
   /// Emit every Nth per-injection event-log record (1 = all, 0 = none).
@@ -279,6 +310,10 @@ class CampaignTelemetry {
   telemetry::CounterId c_injections_;
   telemetry::CounterId c_early_exits_;
   telemetry::CounterId c_dead_on_arrival_;
+  telemetry::CounterId c_tails_certified_;
+  telemetry::CounterId c_tail_cycles_skipped_;
+  /// Post-fault cycles by exit kind (PostFaultRow).
+  std::array<telemetry::CounterId, kNumPostFaultRows> c_post_fault_{};
   telemetry::CounterId c_recoveries_;
   telemetry::CounterId c_polls_;
   telemetry::CounterId c_ff_cycles_;

@@ -28,27 +28,55 @@ void FlightRecorder::note(std::string_view line) {
   if (ring == nullptr) return;
   const u64 seq = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = ring[seq % capacity_];
-  const u32 n =
-      static_cast<u32>(std::min(line.size(), kLineBytes));
-  // Length is parked at 0 while the text is in flux so a concurrent dump
-  // skips this slot instead of reading a mix of old and new bytes.
-  slot.len.store(0, std::memory_order_relaxed);
-  std::memcpy(slot.text, line.data(), n);
-  slot.len.store(n, std::memory_order_release);
+  const u64 mine = 2 * (seq + 1);
+  u64 seen = slot.stamp.load(std::memory_order_relaxed);
+  do {
+    // A writer mid-copy, or a newer line already here: this line lost the
+    // slot to its neighbour one capacity away and is dropped.
+    if ((seen & 1) != 0 || seen >= mine) return;
+  } while (!slot.stamp.compare_exchange_weak(seen, mine + 1,
+                                             std::memory_order_relaxed));
+  // Orders the claim before the text: a reader that sees any of these
+  // stores sees the claim when it re-checks the stamp.
+  std::atomic_thread_fence(std::memory_order_release);
+  const auto n = static_cast<u32>(std::min(line.size(), kLineBytes));
+  for (std::size_t w = 0; w * sizeof(u64) < n; ++w) {
+    u64 word = 0;
+    std::memcpy(&word, line.data() + w * sizeof(u64),
+                std::min(sizeof(u64), n - w * sizeof(u64)));
+    slot.text[w].store(word, std::memory_order_relaxed);
+  }
+  slot.len.store(n, std::memory_order_relaxed);
+  slot.stamp.store(mine, std::memory_order_release);
+}
+
+u32 FlightRecorder::read_line(u64 seq, char* out) const {
+  const Slot& slot = slots_.load(std::memory_order_acquire)[seq % capacity_];
+  const u64 want = 2 * (seq + 1);
+  if (slot.stamp.load(std::memory_order_acquire) != want) return 0;
+  const u32 n = slot.len.load(std::memory_order_relaxed);
+  if (n == 0 || n > kLineBytes) return 0;
+  for (std::size_t w = 0; w * sizeof(u64) < n; ++w) {
+    const u64 word = slot.text[w].load(std::memory_order_relaxed);
+    std::memcpy(out + w * sizeof(u64), &word, sizeof(u64));
+  }
+  // Orders the copy before the re-check: a copy that saw a later writer's
+  // store sees that writer's claim here.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return slot.stamp.load(std::memory_order_relaxed) == want ? n : 0;
 }
 
 void FlightRecorder::dump_fd(int fd) const {
-  const Slot* ring = slots_.load(std::memory_order_acquire);
-  if (ring == nullptr) return;
+  if (slots_.load(std::memory_order_acquire) == nullptr) return;
   const u64 head = head_.load(std::memory_order_relaxed);
   const u64 begin = head > capacity_ ? head - capacity_ : 0;
+  char text[kLineBytes];
   for (u64 seq = begin; seq < head; ++seq) {
-    const Slot& slot = ring[seq % capacity_];
-    const u32 n = slot.len.load(std::memory_order_acquire);
-    if (n == 0 || n > kLineBytes) continue;  // empty or mid-overwrite
+    const u32 n = read_line(seq, text);
+    if (n == 0) continue;  // not (or no longer) this line
     ssize_t off = 0;
     while (off < static_cast<ssize_t>(n)) {
-      const ssize_t w = ::write(fd, slot.text + off, n - off);
+      const ssize_t w = ::write(fd, text + off, n - off);
       if (w <= 0) return;
       off += w;
     }
@@ -58,16 +86,14 @@ void FlightRecorder::dump_fd(int fd) const {
 
 std::vector<std::string> FlightRecorder::snapshot() const {
   std::vector<std::string> out;
-  const Slot* ring = slots_.load(std::memory_order_acquire);
-  if (ring == nullptr) return out;
+  if (slots_.load(std::memory_order_acquire) == nullptr) return out;
   const u64 head = head_.load(std::memory_order_relaxed);
   const u64 begin = head > capacity_ ? head - capacity_ : 0;
   out.reserve(static_cast<std::size_t>(head - begin));
+  char text[kLineBytes];
   for (u64 seq = begin; seq < head; ++seq) {
-    const Slot& slot = ring[seq % capacity_];
-    const u32 n = slot.len.load(std::memory_order_acquire);
-    if (n == 0 || n > kLineBytes) continue;  // empty or mid-overwrite
-    out.emplace_back(slot.text, n);
+    const u32 n = read_line(seq, text);
+    if (n != 0) out.emplace_back(text, n);
   }
   return out;
 }

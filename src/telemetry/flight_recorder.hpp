@@ -7,8 +7,9 @@
 // the last seconds. The recorder keeps the tail of the event stream in
 // preallocated memory:
 //
-//   * note() claims a slot with one relaxed fetch_add and memcpy's the line
-//     — no allocation, no locks, bounded work — so it can sit on the event
+//   * note() claims a sequence number with one relaxed fetch_add, then its
+//     slot with one compare-and-swap, and copies the line in — no
+//     allocation, no locks, bounded work — so it can sit on the event
 //     emission path permanently;
 //   * the ring overwrites oldest-first; capacity bounds memory, not
 //     runtime;
@@ -22,10 +23,16 @@
 // of lines that were (or would have been) emitted anyway, so enabling it
 // cannot change records or stores.
 //
-// Concurrency: note() is safe from any thread. A dump that races a wrapping
-// writer can catch a slot mid-overwrite; slots publish their length last
-// (release) and dump() revalidates it (acquire), so a torn slot is skipped
-// rather than emitted garbled — acceptable for a postmortem artifact.
+// Concurrency: note() is safe from any thread, and a slot's text and length
+// are one publication. Each slot carries a stamp naming the line it holds
+// (and whether a writer is mid-copy); a writer claims the slot by
+// compare-and-swap and publishes by stamping its line, and a reader
+// (snapshot, dump) copies the text and keeps it only if the stamp still
+// names the line it expected — a seqlock. The text is held as relaxed
+// atomic words, so the copy races nothing. Two writers one ring capacity
+// apart cannot share a slot: the later one drops its line if the earlier
+// is still copying. A slot caught mid-overwrite is skipped, never emitted
+// torn.
 #pragma once
 
 #include <atomic>
@@ -90,10 +97,19 @@ class FlightRecorder {
   static void arm_signals(const std::string& path);
 
  private:
+  static constexpr std::size_t kWords = kLineBytes / sizeof(u64);
+  static_assert(kLineBytes % sizeof(u64) == 0);
   struct Slot {
-    std::atomic<u32> len{0};  ///< 0 = empty / being written
-    char text[kLineBytes];
+    /// 2 * (seq + 1) once line `seq` is published here, plus 1 while a
+    /// writer copies it in; 0 = never written.
+    std::atomic<u64> stamp{0};
+    std::atomic<u32> len{0};
+    std::atomic<u64> text[kWords]{};
   };
+  /// Copy line `seq` out of its slot into `out` (kLineBytes); its length,
+  /// or 0 when the slot holds another line or a writer overwrote it
+  /// meanwhile. Async-signal-safe.
+  [[nodiscard]] u32 read_line(u64 seq, char* out) const;
 
   std::atomic<Slot*> slots_{nullptr};
   std::size_t capacity_ = 0;

@@ -11,6 +11,12 @@
 //     that step's outcome by exactly the flips it does not overwrite, with
 //     equal auxiliary-state mutations (DESIGN §16's D∩R=∅ rule, checked
 //     one step at a time), and the classifier's peeks read a fixed bit-set.
+//
+// Recovery tails (the runner's certificate that a recovered run is the
+// reference k cycles late) get the same two halves: every record run()
+// returns equals a full simulation of the tail, and the two model facts the
+// proof rests on — a step commutes with ring rotation, and a clean scrub
+// changes nothing but its own phase — are checked one step at a time.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,9 +27,12 @@
 #include "avp/runner.hpp"
 #include "avp/testgen.hpp"
 #include "common/aux_sig.hpp"
+#include "common/bits.hpp"
 #include "core/core_model.hpp"
+#include "emu/checkpoint_store.hpp"
 #include "emu/emulator.hpp"
 #include "sfi/runner.hpp"
+#include "sfi/telemetry.hpp"
 #include "stats/rng.hpp"
 #include "workload/spec_profiles.hpp"
 
@@ -297,6 +306,340 @@ TEST_P(RecorderSoundness, PeeksReadOneBitSetWhateverTheState) {
 INSTANTIATE_TEST_SUITE_P(
     Workloads, RecorderSoundness,
     ::testing::Range<std::size_t>(0, kNumTestcases),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return testcase_name(info.param);
+    });
+
+// --- recovery tails --------------------------------------------------------
+
+/// run()'s post-fault loop as it stood before the recovery-tail certificate:
+/// continue_run's exits in its order, each cycle simulated, entered through
+/// begin() like every run.
+RunResult full_tail(Machine& b, InjectionRunner& runner, const RunConfig& rc,
+                    const FaultSpec& f) {
+  runner.begin(f);
+  emu::Emulator& emu = *b.emu;
+  const auto& masks = b.model.registry().hash_masks();
+  const Cycle deadline = b.trace.completion_cycle + rc.hang_margin;
+  const Cycle hard_stop = f.cycle + rc.horizon;
+  const bool sticky = f.mode == FaultMode::Sticky;
+  const bool early_exit = rc.early_exit && f.target == FaultTarget::Latch;
+  std::optional<Cycle> detect;
+  while (true) {
+    emu.step();
+    const Cycle now = emu.cycle();
+    const emu::RasStatus ras = b.model.ras_status(emu.state());
+    if (!detect && (ras.checkstop || ras.hang_detected ||
+                    ras.recovery_active || ras.recovery_count > 0 ||
+                    ras.corrected_count > 0)) {
+      detect = now;
+    }
+    if (ras.checkstop || ras.hang_detected) {
+      return runner.classify_now(false, false, detect);
+    }
+    if (ras.test_finished) return runner.classify_now(true, false, detect);
+    if (early_exit && !ras.recovery_active && b.trace.has_cycle(now - 1) &&
+        !(sticky && now <= f.cycle + f.sticky_duration) &&
+        emu.state().masked_equals(masks, b.trace.masked_state(now - 1))) {
+      return runner.classify_now(true, true, detect);
+    }
+    if (now >= deadline || now >= hard_stop) {
+      return runner.classify_now(false, false, detect);
+    }
+  }
+}
+
+class RecoveryTail : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RecoveryTail, RecordsEqualTheFullRun) {
+  const avp::Testcase tc = testcase(GetParam());
+  Machine b(tc, RunConfig{});
+  ASSERT_TRUE(b.trace.has_timeline());
+  const Cycle finish = b.trace.completion_cycle;
+  // The campaign's snapshots: the certificate's aux compare needs them.
+  const emu::CheckpointStore ckpts =
+      emu::build_checkpoint_store(*b.emu, finish - 1, {}, &b.trace);
+  struct Variant {
+    bool early_exit;
+    Cycle hang_margin;
+    bool short_horizon;
+  };
+  // A hang margin or a horizon shorter than the recovery's delay sends a
+  // certified tail to the Hang exit.
+  const Variant variants[] = {{true, 2000, false}, {false, 2000, false},
+                              {true, 16, false},   {false, 16, false},
+                              {true, 2000, true},  {false, 2000, true}};
+  const netlist::LatchRegistry& reg = b.model.registry();
+  u32 recovered = 0;
+  u32 certified = 0;
+  u32 by_exit[2] = {};  // test end, Hang
+  for (std::size_t vi = 0; vi < std::size(variants); ++vi) {
+    const Variant& v = variants[vi];
+    RunConfig rc;
+    rc.early_exit = v.early_exit;
+    rc.hang_margin = v.hang_margin;
+    if (v.short_horizon) rc.horizon = finish / 2;
+    InjectionRunner runner(b.model, *b.emu, b.reset_cp, b.trace, b.golden,
+                           rc, &ckpts);
+    stats::Xoshiro256 rng(GetParam() * 131 + vi);
+    u32 taken = 0;
+    for (int i = 0; i < 600 && taken < 16; ++i) {
+      // Toggles of width 1-9 and sticky forces, at random latches.
+      FaultSpec f;
+      f.index = static_cast<u32>(rng.below(reg.num_latches()));
+      f.cycle = rng.below(finish);
+      f.adjacent_bits = static_cast<u8>(1 + i % 9);
+      if (i % 3 == 2) {
+        f.mode = FaultMode::Sticky;
+        f.sticky_value = (i & 4) != 0;
+        f.sticky_duration = 1 + i % 7;
+      }
+      if (runner.dead_on_arrival(f)) continue;
+      RunPhaseTimes ph;
+      const RunResult got = runner.run(f, &ph);
+      if (got.recoveries == 0) continue;
+      ++taken;
+      const RunResult want = full_tail(b, runner, rc, f);
+      const std::string what =
+          reg.name_of_ordinal(f.index) + " x" +
+          std::to_string(f.adjacent_bits) +
+          (f.mode == FaultMode::Sticky ? " sticky" : " toggle") + " @" +
+          std::to_string(f.cycle) + (v.early_exit ? " early-exit" : "") +
+          " margin " + std::to_string(rc.hang_margin) + " horizon " +
+          std::to_string(rc.horizon);
+      expect_same_result(got, want, what);
+      // The certificate skips exactly the cycles the full run simulates
+      // past it, and simulates none of its own.
+      EXPECT_EQ(ph.post_fault_cycles + ph.tail_cycles_skipped,
+                want.end_cycle - f.cycle)
+          << what;
+      ++recovered;
+      if (ph.tail_certified) {
+        ++certified;
+        ++by_exit[got.outcome == Outcome::Hang ? 1 : 0];
+      }
+    }
+  }
+  // The certificate retires most recovered runs, through both its exits.
+  EXPECT_GT(recovered, 0u);
+  EXPECT_GE(certified * 2, recovered) << certified << " of " << recovered;
+  EXPECT_GT(by_exit[0], 0u);
+  EXPECT_GT(by_exit[1], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, RecoveryTail, ::testing::Range<std::size_t>(0, kNumTestcases),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return testcase_name(info.param);
+    });
+
+/// A field's name for a failure message: the first registered field with a
+/// set bit in `bits` of state word `w`.
+std::string field_in(const netlist::LatchRegistry& reg, std::size_t w,
+                     u64 bits) {
+  for (const netlist::LatchMeta& m : reg.fields()) {
+    if (m.bit_offset / 64 != w) continue;
+    if (((bits >> (m.bit_offset % 64)) & mask_low(m.width)) != 0) {
+      return m.name;
+    }
+  }
+  return "?";
+}
+
+class RingRotation : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RingRotation, StepPreservesEqualityModuloRotation) {
+  const avp::Testcase tc = testcase(GetParam());
+  core::Pearl6Model model;
+  emu::Emulator emu(model);
+  const emu::GoldenTrace trace = avp::run_reference(
+      model, emu, tc, /*max_cycles=*/200000, /*record_states=*/true);
+  ASSERT_TRUE(trace.has_timeline());
+  const netlist::LatchRegistry& reg = model.registry();
+  ASSERT_FALSE(reg.rings().empty());
+  const std::size_t words = emu.state().words().size();
+  // Every ring's slot bits: the only place a flush can leave a rotated
+  // run's stale entries.
+  std::vector<u64> slot_bits(words, 0);
+  for (const netlist::LatchRing& ring : reg.rings()) {
+    for (const auto& slot : ring.slots) {
+      for (const netlist::FieldRef f : slot) {
+        slot_bits[f.bit_offset / 64] |= mask_low(f.width)
+                                        << (f.bit_offset % 64);
+      }
+    }
+  }
+
+  AuxSig sig;
+  arm_aux_sig(model, &sig);
+  emu::Checkpoint at;
+  emu::Checkpoint next;
+  u32 moved = 0;  // rotations that moved a non-zero entry
+  constexpr int kSamples = 24;
+  for (int s = 0; s < kSamples; ++s) {
+    const Cycle c = 1 + (trace.completion_cycle - 3) * s / kSamples;
+    emu.reset();
+    emu.run(c);
+    emu.save_checkpoint(at);
+    sig.acc = 0;
+    emu.step();
+    const u64 ref_sig = sig.acc;
+    emu.save_checkpoint(next);
+    const auto want = next.latches.words();
+
+    for (const netlist::LatchRing& ring : reg.rings()) {
+      const auto n = static_cast<u32>(ring.slots.size());
+      for (u32 delta = 1; delta < n; ++delta) {
+        emu::Checkpoint rotated = at;
+        netlist::rotate_ring(rotated.latches.words_mut(), ring, delta);
+        for (std::size_t w = 0; w < words; ++w) {
+          if (((rotated.latches.words()[w] ^ at.latches.words()[w]) &
+               slot_bits[w]) != 0) {
+            ++moved;
+            break;
+          }
+        }
+        emu.restore_checkpoint(rotated);
+        sig.acc = 0;
+        emu.step();
+        EXPECT_EQ(sig.acc, ref_sig) << "cycle " << c << " delta " << delta;
+        // Rotate the result back to the reference's heads: it must be the
+        // reference's next state, but for stale slot entries the reference
+        // overwrites before reading (a flush resets the pointers to slot 0
+        // and leaves the entries where they were).
+        std::vector<u64> got(emu.state().words().begin(),
+                             emu.state().words().end());
+        for (const netlist::LatchRing& r : reg.rings()) {
+          const auto m = static_cast<u32>(r.slots.size());
+          netlist::rotate_ring(got, r,
+                               m + netlist::ring_head(want, r) -
+                                   netlist::ring_head(got, r));
+        }
+        for (std::size_t w = 0; w < words; ++w) {
+          const u64 d = got[w] ^ want[w];
+          if (d == 0) continue;
+          EXPECT_EQ(d & ~slot_bits[w], 0u)
+              << "cycle " << c << " delta " << delta << ": "
+              << field_in(reg, w, d & ~slot_bits[w]);
+          u64 left = d & slot_bits[w];
+          Cycle after = c + 1;
+          while (left != 0) {
+            const emu::GoldenTrace::WordAccess* a =
+                trace.first_access(static_cast<u32>(w), left, after);
+            if (a == nullptr) break;
+            EXPECT_EQ(a->reads & left, 0u)
+                << "cycle " << c << " delta " << delta << ": stale "
+                << field_in(reg, w, a->reads & left) << " read at "
+                << a->cycle;
+            left &= ~(a->writes | a->reads);
+            after = a->cycle;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(moved, 0u);
+  arm_aux_sig(model, nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, RingRotation, ::testing::Range<std::size_t>(0, kNumTestcases),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return testcase_name(info.param);
+    });
+
+class ScrubPhase : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ScrubPhase, CleanScrubChangesOnlyItsPhase) {
+  const avp::Testcase tc = testcase(GetParam());
+  core::Pearl6Model model;
+  emu::Emulator emu(model);
+  const emu::GoldenTrace trace = avp::run_reference(model, emu, tc);
+  const netlist::LatchRegistry& reg = model.registry();
+  std::vector<netlist::FieldRef> phases;
+  for (const netlist::LatchMeta& m : reg.fields()) {
+    if (m.role == netlist::LatchRole::Phase) {
+      phases.push_back({m.bit_offset, m.width});
+    }
+  }
+  ASSERT_FALSE(phases.empty());
+  const std::vector<u64>& phase_bits = reg.phase_masks();
+  const emu::AuxSpan aux_phase = model.aux_phase();
+  ASSERT_GT(aux_phase.size, 0u);
+  const auto in_aux_phase = [&](std::size_t i) {
+    return i >= aux_phase.offset && i < aux_phase.offset + aux_phase.size;
+  };
+
+  AuxSig sig;
+  arm_aux_sig(model, &sig);
+  stats::Xoshiro256 rng(GetParam() + 7);
+  emu::Checkpoint at;
+  emu::Checkpoint next;
+  emu::Checkpoint later;
+  std::vector<u8> aux;
+  // The patrol cursor takes its phases from the reference 1..16 cycles
+  // on (its timer's whole period, so one of them scrubs this very cycle);
+  // the latch phases are random, or zero (a scrub this cycle) on even
+  // trials.
+  constexpr Cycle kPatrolPeriod = 16;
+  constexpr int kSamples = 12;
+  for (int s = 0; s < kSamples; ++s) {
+    const Cycle c = 1 + (trace.completion_cycle - kPatrolPeriod - 2) * s /
+                            kSamples;
+    emu.reset();
+    emu.run(c);
+    emu.save_checkpoint(at);
+    sig.acc = 0;
+    emu.step();
+    const u64 ref_sig = sig.acc;
+    emu.save_checkpoint(next);
+    const emu::RasStatus ref_ras = model.ras_status(next.latches);
+    std::vector<std::vector<u8>> patrol;
+    for (Cycle d = 1; d <= kPatrolPeriod; ++d) {
+      emu.save_checkpoint(later);
+      patrol.emplace_back(later.aux.begin() + aux_phase.offset,
+                          later.aux.begin() + aux_phase.offset +
+                              aux_phase.size);
+      emu.step();
+    }
+
+    for (std::size_t trial = 0; trial < patrol.size(); ++trial) {
+      emu::Checkpoint moved = at;
+      for (const netlist::FieldRef f : phases) {
+        moved.latches.write(f.bit_offset, f.width,
+                            trial % 2 == 0 ? 0 : rng.below(u64{1} << f.width));
+      }
+      std::copy(patrol[trial].begin(), patrol[trial].end(),
+                moved.aux.begin() + aux_phase.offset);
+      emu.restore_checkpoint(moved);
+      sig.acc = 0;
+      emu.step();
+      EXPECT_EQ(sig.acc, ref_sig) << "cycle " << c << " trial " << trial;
+      const emu::RasStatus ras = model.ras_status(emu.state());
+      EXPECT_EQ(ras.corrected_count, ref_ras.corrected_count);
+      EXPECT_FALSE(ras.checkstop);
+      const auto got = emu.state().words();
+      const auto want = next.latches.words();
+      for (std::size_t w = 0; w < got.size(); ++w) {
+        const u64 d = (got[w] ^ want[w]) & ~phase_bits[w];
+        EXPECT_EQ(d, 0u) << "cycle " << c << " trial " << trial << ": "
+                         << field_in(reg, w, d);
+      }
+      aux.clear();
+      model.save_aux(aux);
+      ASSERT_EQ(aux.size(), next.aux.size());
+      for (std::size_t i = 0; i < aux.size(); ++i) {
+        if (in_aux_phase(i)) continue;
+        ASSERT_EQ(aux[i], next.aux[i])
+            << "cycle " << c << " trial " << trial << " aux byte " << i;
+      }
+    }
+  }
+  arm_aux_sig(model, nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, ScrubPhase, ::testing::Range<std::size_t>(0, kNumTestcases),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return testcase_name(info.param);
     });

@@ -337,8 +337,20 @@ TEST(Pinned, WorkCountersMatchRecordedValues) {
   // bytes. Both engines ask the same predictor at admission, so they retire
   // the same faults that way. The footprint re-runs and the cycles they
   // simulate are the forensics cost (DESIGN §11), counted free of noise.
+  // So are the post-fault cycles by exit kind and the recovery tails the
+  // certificate retires: the same tails on both engines, while the lane
+  // engine's runner simulates only what leaves its fast path.
+  struct PostFault {
+    EngineKind engine;
+    u64 vanished_early_exit;
+    u64 corrected_to_recovery_end;
+    u64 corrected_after_recovery;
+  };
+  const PostFault pinned[] = {{EngineKind::Scalar, 193, 1753, 236},
+                              {EngineKind::Lanes, 0, 709, 236}};
   const avp::Testcase tc = small_testcase();
-  for (const EngineKind engine : {EngineKind::Scalar, EngineKind::Lanes}) {
+  for (const PostFault& p : pinned) {
+    const EngineKind engine = p.engine;
     CampaignTelemetry tel;
     CampaignConfig cfg = small_campaign(120, engine);
     cfg.footprint.enabled = true;
@@ -354,6 +366,24 @@ TEST(Pinned, WorkCountersMatchRecordedValues) {
         << engine_name(engine);
     EXPECT_EQ(m.counter_value_by_name("footprint.rerun_cycles"), 2121u)
         << engine_name(engine);
+    EXPECT_EQ(m.counter_value_by_name("tails_certified"), 12u)
+        << engine_name(engine);
+    EXPECT_EQ(m.counter_value_by_name("tail_cycles_skipped"), 1166u)
+        << engine_name(engine);
+    const auto row = [&](std::string_view name) {
+      return m.counter_value_by_name("post_fault_cycles." +
+                                     std::string(name));
+    };
+    EXPECT_EQ(row("vanished_early_exit"), p.vanished_early_exit)
+        << engine_name(engine);
+    EXPECT_EQ(row("vanished_test_end"), 0u) << engine_name(engine);
+    EXPECT_EQ(row("corrected_to_recovery_end"), p.corrected_to_recovery_end)
+        << engine_name(engine);
+    EXPECT_EQ(row("corrected_after_recovery"), p.corrected_after_recovery)
+        << engine_name(engine);
+    EXPECT_EQ(row("hang"), 0u) << engine_name(engine);
+    EXPECT_EQ(row("checkstop"), 0u) << engine_name(engine);
+    EXPECT_EQ(row("bad_arch_state"), 0u) << engine_name(engine);
   }
 }
 

@@ -3,6 +3,7 @@
 // sink enabled produces byte-identical records to one with telemetry off.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -30,22 +31,27 @@
 namespace sfi {
 namespace {
 
-/// Per-test scratch file, removed on destruction.
+/// Per-test scratch file, removed before and after use together with the
+/// trace sidecar a store campaign writes beside it.
 class TempFile {
  public:
   explicit TempFile(const std::string& name)
       : path_((std::filesystem::temp_directory_path() /
                ("sfi_telemetry_" + name))
                   .string()) {
-    std::filesystem::remove(path_);
+    remove();
   }
-  ~TempFile() {
-    std::error_code ec;
-    std::filesystem::remove(path_, ec);
-  }
+  ~TempFile() { remove(); }
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  void remove() const {
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+    std::filesystem::remove(
+        store::store_sibling(path_, store::kTraceSidecarSuffix), ec);
+  }
+
   std::string path_;
 };
 
@@ -300,6 +306,48 @@ TEST(FlightRecorder, OverlongLinesAreTruncatedNotDropped) {
   EXPECT_EQ(out.size(), telemetry::FlightRecorder::kLineBytes + 1);  // + \n
   EXPECT_EQ(out.back(), '\n');
   EXPECT_EQ(out.find_first_not_of("x\n"), std::string::npos);
+}
+
+TEST(FlightRecorder, ConcurrentWritersNeverTearALine) {
+  // Writers one ring capacity apart land in the same slot, and a reader
+  // copies slots while they are overwritten: every line it returns must
+  // still be one writer's line, whole.
+  telemetry::FlightRecorder fr;
+  fr.enable(4);
+  constexpr int kWriters = 3;
+  constexpr int kNotes = 20000;
+  std::atomic<int> writing{kWriters};
+  std::vector<std::string> torn;
+  std::size_t lines = 0;
+  std::thread reader([&] {
+    while (writing.load() > 0) {
+      for (const std::string& line : fr.snapshot()) {
+        ++lines;
+        if (line.size() != 100 ||
+            line.find_first_not_of(line.front()) != std::string::npos) {
+          torn.push_back(line);
+        }
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      const std::string line(100, static_cast<char>('a' + t));
+      for (int i = 0; i < kNotes; ++i) fr.note(line);
+      writing.fetch_sub(1);
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  reader.join();
+  EXPECT_EQ(fr.noted(), u64{kWriters} * kNotes);
+  for (const std::string& line : fr.snapshot()) {
+    ++lines;
+    EXPECT_EQ(line.find_first_not_of(line.front()), std::string::npos);
+  }
+  EXPECT_GT(lines, 0u);
+  EXPECT_TRUE(torn.empty()) << torn.size() << " torn lines, e.g. "
+                            << torn.front();
 }
 
 TEST(FlightRecorder, EventLogTeesIntoGlobalRecorder) {
