@@ -3,13 +3,16 @@
 
 Runs `sfi campaign --n 10000 --threads 1 --metrics-out m.json --out o.sfr`
 (seed 42, the default AVP-160 workload) in a temporary directory and compares
-its work counters (admission and early exits, polls, checkpoint work, the
-recovery tails the certificate retires, and post-fault cycles by exit kind)
-with `work_counters_10k_campaign.change` in the newest
-BENCH_<pr>.json at the repository root. Any difference exits 1: a change
-that moves the work on purpose records the new values in its BENCH file.
-Wall time is printed, never gated (it is noise on a shared host; these
-counts are not).
+its work counters (admission and early exits, the late flips and the
+pre-read cycles they skip, polls, checkpoint work, the recovery tails the
+certificate retires, and post-fault cycles by exit kind) with
+`work_counters_10k_campaign.change` in the newest BENCH_<pr>.json at the
+repository root. Any difference exits 1: a change that moves the work on
+purpose records the new values in its BENCH file. It also checks that the
+counters account for every evaluated cycle: the post-fault cycles by exit
+kind add up to the cycles evaluated minus the fast-forward cycles. Wall time
+is printed, never gated (it is noise on a shared host; these counts are
+not).
 
     python3 bench/work_counter_gate.py build/tools/sfi
 """
@@ -28,6 +31,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = {
     "early_exits": "early_exits",
     "dead_on_arrival": "dead_on_arrival",
+    "late_flips": "late_flips",
+    "pre_read_cycles_skipped": "pre_read_cycles_skipped",
     "convergence_polls": "convergence_polls",
     "fast_forward_cycles_counter": "fast_forward_cycles",
     "warm_restores": "warm_restores",
@@ -36,10 +41,11 @@ METRICS = {
     "tail_cycles_skipped": "tail_cycles_skipped",
 }
 # Post-fault cycles by exit kind (Corrected split at its last recovery).
-for row in ("vanished_early_exit", "vanished_test_end",
-            "corrected_to_recovery_end", "corrected_after_recovery", "hang",
-            "checkstop", "bad_arch_state"):
-    METRICS["post_fault_cycles." + row] = "post_fault_cycles." + row
+POST_FAULT = ["post_fault_cycles." + row for row in (
+    "vanished_early_exit", "vanished_test_end", "corrected_to_recovery_end",
+    "corrected_after_recovery", "hang", "checkstop", "bad_arch_state")]
+for key in POST_FAULT:
+    METRICS[key] = key
 # The other two come from the campaign's throughput line.
 THROUGHPUT = re.compile(
     r"; (\d+) cycles evaluated .*; (\d+) checkpoint ops\)")
@@ -95,6 +101,14 @@ def main():
         failed = failed or not ok
         print("  %-44s %12s %12s  %s" % (key, expected, got[key],
                                          "ok" if ok else "DIFFERS"))
+    # Every evaluated cycle is a fast-forward cycle or a post-fault one.
+    post_fault = sum(got[key] for key in POST_FAULT)
+    simulated = got["cycles_evaluated"] - got["fast_forward_cycles_counter"]
+    accounted = post_fault == simulated
+    failed = failed or not accounted
+    print("  %-44s %12s %12s  %s" % (
+        "sum(post_fault_cycles.*) vs evaluated - ff", simulated, post_fault,
+        "ok" if accounted else "DIFFERS"))
     print("wall time %.2f s (not gated)" % wall)
     if failed:
         print("work-counter gate FAILED: the campaign's work changed; a "

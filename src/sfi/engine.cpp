@@ -3,10 +3,13 @@
 // CampaignWorker is the scalar engine: one injection at a time, seek + flip
 // + simulate + classify, then retire() builds the record, reports it and
 // runs the footprint re-run. It is also the lane engine's private executor.
-// Both engines first ask the runner whether the fault is dead on arrival
-// (its flipped bits overwritten by the reference before anything reads
-// them); such a fault retires from the golden trace's access timeline with
-// no seek and no simulated cycle.
+// Both engines first admit the fault against the golden trace's access
+// timeline (InjectionRunner::admit): a fault whose run ends before any
+// reference step reads a flipped bit — dead on arrival, or an exit before
+// the first read — retires from the timeline with no seek and no simulated
+// cycle. The scalar engine enters every other toggle's run at the first
+// step that reads a flipped bit; the lane engine rides it from its own
+// cycle.
 //
 // LaneEngine is concurrent fault simulation by sparse diffs. Each in-flight
 // injection ("lane") is represented as the XOR difference D between its
@@ -99,10 +102,6 @@ InjectionRecord CampaignWorker::run(
     std::optional<PropagationRecord>* footprint) {
   RunPhaseTimes* phases =
       telemetry != nullptr ? telemetry->phase_scratch() : nullptr;
-  if (const std::optional<RunResult> dead = runner_->dead_on_arrival(fault)) {
-    if (phases != nullptr) *phases = RunPhaseTimes{.dead_on_arrival = true};
-    return retire(index, fault, *dead, telemetry, footprint);
-  }
   return retire(index, fault, runner_->run(fault, phases), telemetry,
                 footprint);
 }
@@ -408,12 +407,16 @@ class LaneEngine final : public InjectionEngine {
       run_scalar(index, f);
       return;
     }
-    if (const std::optional<RunResult> dead =
-            exec_.runner().dead_on_arrival(f)) {
+    // The admission's records retire here. Every other fault rides from
+    // its own cycle: the lanes carry the cycles before its first read for
+    // free, so a late entry would buy nothing.
+    if (const Admission adm = exec_.runner().admit(f); adm.record) {
       if (wt_ != nullptr) {
-        *wt_->phase_scratch() = RunPhaseTimes{.dead_on_arrival = true};
+        *wt_->phase_scratch() =
+            RunPhaseTimes{.dead_on_arrival = adm.dead,
+                          .pre_read_cycles_skipped = adm.pre_read_skipped};
       }
-      finalize(index, f, *dead);
+      finalize(index, f, *adm.record);
       return;
     }
     const u32 slot = static_cast<u32>(lanes_.size());

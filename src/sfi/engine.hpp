@@ -69,8 +69,8 @@ class CampaignWorker final : public InjectionEngine {
   CampaignWorker(const CampaignWorker&) = delete;
   CampaignWorker& operator=(const CampaignWorker&) = delete;
 
-  /// Run one injection end to end and retire it; a fault that is dead on
-  /// arrival (InjectionRunner::dead_on_arrival) retires without a run.
+  /// Run one injection end to end (InjectionRunner::run: a fault whose
+  /// admission carries its record retires without a run) and retire it.
   /// `index` is the injection's campaign index (event/sampling identity).
   [[nodiscard]] InjectionRecord run(
       const FaultSpec& fault, WorkerTelemetry* telemetry = nullptr,

@@ -63,8 +63,9 @@ PropagationRecord InfectionTracker::trace(u32 index, const FaultSpec& fault,
   rec.detected = primary.detected_cycle.has_value();
   if (rec.detected) rec.detected_at = *primary.detected_cycle - fault.cycle;
 
-  // Deterministic replay: the primary run's own entry, seek and flip.
-  runner_.begin(fault);
+  // Deterministic replay from the fault's own cycle and bits (the primary
+  // run may have entered later, but on the same trajectory).
+  runner_.begin(fault, RunEntry::at_fault(fault));
 
   bool saw_checker = false;
   model_.set_cycle_observer(

@@ -12,8 +12,10 @@
 // which checker fired first.
 //
 // Cost model: the re-run enters through InjectionRunner::begin, as every
-// run does — one restore of the nearest reference checkpoint and the
-// fast-forward from it to the fault cycle. Per re-run cycle the only extra
+// run does, at the fault's own cycle and bits — one restore of the nearest
+// reference checkpoint and the fast-forward from it to the fault cycle (a
+// primary run admitted late entered the same trajectory further on, so the
+// footprint does not depend on the entry). Per re-run cycle the only extra
 // work over a normal run is a word-compare (time-to-mask detection); the
 // per-unit group diff runs only at sample points (~log2(window) times).
 // Non-Vanished outcomes are always traced; Vanished ones are sampled.

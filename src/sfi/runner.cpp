@@ -1,6 +1,7 @@
 #include "sfi/runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <span>
 
@@ -178,7 +179,17 @@ RunResult InjectionRunner::classify_outcome(bool finished,
   return r;
 }
 
-void InjectionRunner::apply_fault(const FaultSpec& fault) {
+RunEntry RunEntry::at_fault(const FaultSpec& fault) {
+  RunEntry e;
+  e.cycle = fault.cycle;
+  for (u32 k = 0; k < std::max<u32>(1, fault.adjacent_bits); ++k) {
+    e.bits.set(k);
+  }
+  return e;
+}
+
+void InjectionRunner::apply_fault(const FaultSpec& fault,
+                                  const std::bitset<kMaxUpsetBits>& bits) {
   // Inject (adjacent_bits > 1 models a multi-bit upset from one strike).
   const u32 width = std::max<u32>(1, fault.adjacent_bits);
   switch (fault.target) {
@@ -186,6 +197,7 @@ void InjectionRunner::apply_fault(const FaultSpec& fault) {
       for (u32 k = 0; k < width; ++k) {
         const u32 ordinal = fault.index + k;
         if (ordinal >= model_.registry().num_latches()) break;
+        if (!bits[k]) continue;
         const BitIndex bit = model_.registry().bit_of_ordinal(ordinal);
         if (fault.mode == FaultMode::Toggle) {
           emu_.flip_latch(bit);
@@ -200,6 +212,7 @@ void InjectionRunner::apply_fault(const FaultSpec& fault) {
       for (u32 k = 0; k < width; ++k) {
         const u64 gbit = fault.array_bit + k;
         if (gbit >= model_.arrays().total_storage_bits()) break;
+        if (!bits[k]) continue;
         const auto target = model_.arrays().locate(gbit);
         target.array->flip_storage_bit(target.local_bit);
       }
@@ -208,54 +221,77 @@ void InjectionRunner::apply_fault(const FaultSpec& fault) {
   }
 }
 
-std::optional<RunResult> InjectionRunner::dead_on_arrival(
-    const FaultSpec& fault) const {
+Admission InjectionRunner::admit(const FaultSpec& fault) const {
+  Admission adm;
+  adm.entry = RunEntry::at_fault(fault);
   const Cycle finish = trace_.completion_cycle;
   if (fault.target != FaultTarget::Latch || fault.mode != FaultMode::Toggle ||
       !trace_.has_timeline() || fault.cycle >= finish) {
-    return std::nullopt;
+    return adm;
   }
   const netlist::LatchRegistry& reg = model_.registry();
   const auto& masks = reg.hash_masks();
-  // The run equals the reference XOR the surviving flipped bits for as long
-  // as no step reads one (equal reads, equal writes — aux state included),
-  // and a bit the reference overwrites stops differing. The masked poll
-  // first fires on the cycle after the flip, and not before the last
-  // hashed flipped bit is overwritten; never, if one survives.
-  Cycle converged = fault.cycle + 1;
-  bool hashed_survivor = false;
-  const u32 width = std::max<u32>(1, fault.adjacent_bits);
-  for (u32 k = 0; k < width; ++k) {
-    const u32 ordinal = fault.index + k;
+  // Each flipped bit's first access after the flip (nullptr: none up to
+  // completion), and `live`, the first step that reads one of them.
+  constexpr Cycle kNever = ~Cycle{0};
+  std::array<const emu::GoldenTrace::WordAccess*, kMaxUpsetBits> first{};
+  Cycle live = kNever;
+  u32 width = 0;
+  for (; width < std::max<u32>(1, fault.adjacent_bits); ++width) {
+    const u32 ordinal = fault.index + width;
     if (ordinal >= reg.num_latches()) break;
     const BitIndex bit = reg.bit_of_ordinal(ordinal);
     const u32 w = bit / 64;
     const u64 m = u64{1} << (bit % 64);
-    if ((trace_.peek_reads[w] & m) != 0) return std::nullopt;
-    const bool hashed = (masks[w] & m) != 0;
-    const emu::GoldenTrace::WordAccess* a =
-        trace_.first_access(w, m, fault.cycle);
-    if (a == nullptr) {
+    if ((trace_.peek_reads[w] & m) != 0) return adm;
+    first[width] = trace_.first_access(w, m, fault.cycle);
+    if (first[width] != nullptr && (first[width]->reads & m) != 0) {
+      live = std::min(live, first[width]->cycle);
+    }
+  }
+  // Until the state at live - 1 the run equals the reference XOR the
+  // flipped bits not yet overwritten (equal reads, equal writes — aux state
+  // included): a bit the reference overwrites before `live` stops
+  // differing, the others survive to the entry. The masked poll first
+  // fires on the cycle after the flip, and not before the last hashed bit
+  // that drops out is overwritten; never before `live`, if a hashed bit
+  // survives.
+  Cycle converged = fault.cycle + 1;
+  bool hashed_survivor = false;
+  for (u32 k = 0; k < width; ++k) {
+    const BitIndex bit = reg.bit_of_ordinal(fault.index + k);
+    const bool hashed = ((masks[bit / 64] >> (bit % 64)) & 1) != 0;
+    if (first[k] != nullptr && first[k]->cycle < live) {
+      adm.entry.bits.reset(k);  // a pure overwrite before the read
+      if (hashed) converged = std::max(converged, first[k]->cycle);
+    } else {
       hashed_survivor = hashed_survivor || hashed;
-    } else if ((a->reads & m) != 0) {
-      return std::nullopt;  // read before it is overwritten: live
-    } else if (hashed) {
-      converged = std::max(converged, a->cycle);
     }
   }
 
-  // continue_run's exits in its order on a shared cycle: test end, then
-  // the convergence poll, then the horizon (the hang deadline lies past
-  // test end). The RAS window stays the reference's: clean.
-  constexpr Cycle kNever = ~Cycle{0};
+  // continue_run's exits before the read, in its order on a shared cycle:
+  // test end (only when no bit is ever read, as `live` comes no later than
+  // completion), then the convergence poll, then the horizon (the hang
+  // deadline lies past test end). The RAS window stays the reference's:
+  // clean.
+  adm.dead = live == kNever;
+  const Cycle last = live - 1;
   const Cycle poll =
       cfg_.early_exit && !hashed_survivor ? converged : kNever;
   const Cycle hard_stop = fault.cycle + std::max<Cycle>(1, cfg_.horizon);
-  if (finish <= poll && finish <= hard_stop) {
-    return clean_exit(CleanExit::TestEnd, finish);
+  if (finish <= std::min({poll, hard_stop, last})) {
+    adm.record = clean_exit(CleanExit::TestEnd, finish);
+  } else if (poll <= std::min(hard_stop, last)) {
+    adm.record = clean_exit(CleanExit::Converged, poll);
+  } else if (hard_stop <= last) {
+    adm.record = clean_exit(CleanExit::Overdue, hard_stop);
+  } else {
+    adm.entry.cycle = last;  // the step into `live` is the run's first
+    adm.pre_read_skipped = last - fault.cycle;
+    return adm;
   }
-  if (poll <= hard_stop) return clean_exit(CleanExit::Converged, poll);
-  return clean_exit(CleanExit::Overdue, hard_stop);
+  if (!adm.dead) adm.pre_read_skipped = adm.record->end_cycle - fault.cycle;
+  return adm;
 }
 
 RunResult InjectionRunner::clean_exit(CleanExit how, Cycle at,
@@ -389,14 +425,20 @@ std::optional<RunResult> InjectionRunner::certify_tail(
   return std::nullopt;
 }
 
-void InjectionRunner::begin(const FaultSpec& fault, RunPhaseTimes* tel) {
-  seek_to(fault.cycle, tel);
-  apply_fault(fault);
+void InjectionRunner::begin(const FaultSpec& fault, const RunEntry& entry,
+                            RunPhaseTimes* tel) {
+  seek_to(entry.cycle, tel);
+  apply_fault(fault, entry.bits);
 }
 
 RunResult InjectionRunner::run(const FaultSpec& fault, RunPhaseTimes* tel) {
-  if (tel != nullptr) *tel = RunPhaseTimes{};
-  begin(fault, tel);
+  Admission adm = admit(fault);
+  if (tel != nullptr) {
+    *tel = RunPhaseTimes{.dead_on_arrival = adm.dead,
+                         .pre_read_cycles_skipped = adm.pre_read_skipped};
+  }
+  if (adm.record) return std::move(*adm.record);
+  begin(fault, adm.entry, tel);
   return continue_run(fault, tel);
 }
 

@@ -2,17 +2,22 @@
 //
 // Per injection (paper Figure 1): reload the checkpoint, clock to the
 // injection cycle, flip the chosen bit, clock onward while watching the
-// RAS status, and classify. Four accelerations make software campaigns
+// RAS status, and classify. Five accelerations make software campaigns
 // practical: (1) the post-reset machine state is snapshotted once and
 // reloaded per injection, (2) with an interval-checkpoint store the runner
-// warm-starts from the nearest reference snapshot at or before the fault
-// cycle instead of replaying from cycle 0, (3) an injected run whose
-// functional-state hash re-matches the fault-free trace at the same cycle —
-// with a clean RAS window — is classified Vanished immediately, and (4) a
-// run whose recovery has ended and that is proven to be the reference k
-// cycles late is recorded at test end + k (DESIGN §16, "Recovery tails").
+// warm-starts from the nearest reference snapshot at or before the run's
+// entry instead of replaying from cycle 0, (3) a latch toggle is admitted
+// against the reference's access timeline: it retires unsimulated when no
+// step reads a flipped bit before an exit ("Dead on arrival"), and
+// otherwise enters its run at the first step that reads one ("Late
+// flips"), (4) an injected run whose functional-state hash re-matches the
+// fault-free trace at the same cycle — with a clean RAS window — is
+// classified Vanished immediately, and (5) a run whose recovery has ended
+// and that is proven to be the reference k cycles late is recorded at test
+// end + k ("Recovery tails"; all three in DESIGN §16).
 #pragma once
 
+#include <bitset>
 #include <optional>
 
 #include "avp/runner.hpp"
@@ -61,6 +66,34 @@ struct Carried {
   std::optional<Cycle> detected;
 };
 
+/// The most bits one strike upsets (FaultSpec::adjacent_bits is a u8).
+inline constexpr u32 kMaxUpsetBits = 256;
+
+/// Where a run enters (InjectionRunner::begin): the cycle the machine is
+/// brought to fault-free, and which of the fault's upset bits are applied
+/// there, by offset from its first.
+struct RunEntry {
+  Cycle cycle = 0;
+  std::bitset<kMaxUpsetBits> bits;
+
+  /// The fault's own entry: its cycle, every bit it upsets.
+  [[nodiscard]] static RunEntry at_fault(const FaultSpec& fault);
+};
+
+/// What admission (InjectionRunner::admit) decides for a fault: the record
+/// of a run that ends before any reference step reads a flipped bit, or
+/// where its run enters.
+struct Admission {
+  std::optional<RunResult> record;
+  RunEntry entry;  ///< where the run enters, when there is no record
+  /// No flipped bit is ever read: the record is dead on arrival.
+  bool dead = false;
+  /// A late flip's cycles after the fault that are not simulated before
+  /// the first read: up to its entry, or to its exit before the read. 0
+  /// when dead on arrival or entered at the fault's own cycle.
+  Cycle pre_read_skipped = 0;
+};
+
 class InjectionRunner {
  public:
   /// All references (and `checkpoints`, when given) must outlive the
@@ -74,22 +107,25 @@ class InjectionRunner {
                   const avp::GoldenResult& golden, RunConfig cfg = {},
                   const emu::CheckpointStore* checkpoints = nullptr);
 
-  /// Run one injection experiment and classify its outcome: begin(), then
-  /// continue_run(). With a non-null `phases` the runner additionally
-  /// reports per-phase wall times into it (telemetry out-param only — never
-  /// read back, so results are identical with or without it; nullptr costs
-  /// one predicted branch per phase).
+  /// Run one injection experiment and classify its outcome: admit(), then
+  /// the admission's record, or begin() at its entry and continue_run().
+  /// With a non-null `phases` the runner additionally reports the
+  /// admission and per-phase wall times into it (telemetry out-param only —
+  /// never read back, so results are identical with or without it; nullptr
+  /// costs one predicted branch per phase).
   [[nodiscard]] RunResult run(const FaultSpec& fault,
                               RunPhaseTimes* phases = nullptr);
 
   /// The one entry every run takes: bring the machine fault-free to the
-  /// fault cycle (warm-started from the nearest reference checkpoint at or
-  /// before it, else the reset snapshot) and apply the fault there (flip or
-  /// force latches, or flip array cells; adjacent_bits > 1 models a
-  /// multi-bit upset). run() and the infection tracker's re-run both start
-  /// here, so both perturb the machine identically. Reports restore and
-  /// fast-forward timings into `phases` when non-null.
-  void begin(const FaultSpec& fault, RunPhaseTimes* phases = nullptr);
+  /// entry cycle (warm-started from the nearest reference checkpoint at or
+  /// before it, else the reset snapshot) and apply the entry's bits of the
+  /// fault there (flip or force latches, or flip array cells;
+  /// adjacent_bits > 1 models a multi-bit upset). run() enters at its
+  /// admission's entry; the infection tracker's re-run and a full run enter
+  /// at RunEntry::at_fault. Reports restore and fast-forward timings into
+  /// `phases` when non-null.
+  void begin(const FaultSpec& fault, const RunEntry& entry,
+             RunPhaseTimes* phases = nullptr);
 
   /// Classify the machine's current terminal state (used by run(), exposed
   /// for callers that drive the emulator themselves). `detected` is the
@@ -127,23 +163,23 @@ class InjectionRunner {
   /// are Corrected when the run carries a recovery or a correction, else
   /// Vanished; a deadline or the horizon is a Hang. Detection follows
   /// classify_now(): the carried cycle, else `at` for a detected outcome.
-  /// dead_on_arrival(), the recovery-tail certificate and the lane
-  /// engine's retirements build their records here.
+  /// admit(), the recovery-tail certificate and the lane engine's
+  /// retirements build their records here.
   [[nodiscard]] static RunResult clean_exit(CleanExit how, Cycle at,
                                             const Carried& carried = {});
 
-  /// The record of `fault`'s run when its flipped bits are dead on arrival,
-  /// read off the golden trace's access timeline with no seek, no flip and
-  /// no simulated cycle; nullopt when the fault needs a run. It fires for a
-  /// latch toggle whose every flipped bit lies outside the classifier's
-  /// peek set and is overwritten by the reference before anything reads it
-  /// (or never touched again up to completion). Such a run is the
-  /// reference plus bits nobody reads (DESIGN §16, "Dead on arrival"), so
-  /// the record is whichever clean exit run() would reach first: test end,
-  /// the convergence poll once the last hashed flipped bit is overwritten,
-  /// or the horizon. run() and continue_run() never take this shortcut.
-  [[nodiscard]] std::optional<RunResult> dead_on_arrival(
-      const FaultSpec& fault) const;
+  /// Admit `fault` against the golden trace's access timeline, with no
+  /// seek, no flip and no simulated cycle (DESIGN §16, "Dead on arrival"
+  /// and "Late flips"). A latch toggle before completion whose flipped
+  /// bits lie outside the classifier's peek set is, until a reference step
+  /// first reads one of them, the reference plus flipped bits nobody reads.
+  /// If continue_run() would exit before that step (test end, when no bit
+  /// is ever read; the convergence poll, once the last hashed flipped bit
+  /// is overwritten; the horizon), the admission carries that record.
+  /// Otherwise it enters the run on the cycle before the read, with the
+  /// flipped bits not yet overwritten. Every other fault is declined: its
+  /// entry is its own (RunEntry::at_fault).
+  [[nodiscard]] Admission admit(const FaultSpec& fault) const;
 
   [[nodiscard]] const RunConfig& config() const { return cfg_; }
 
@@ -154,8 +190,10 @@ class InjectionRunner {
   /// timings into `phases` when non-null.
   void seek_to(Cycle target, RunPhaseTimes* phases);
 
-  /// Apply `fault` to the machine at its current cycle (begin()'s flip).
-  void apply_fault(const FaultSpec& fault);
+  /// Apply the `bits` of `fault` to the machine at its current cycle
+  /// (begin()'s flip).
+  void apply_fault(const FaultSpec& fault,
+                   const std::bitset<kMaxUpsetBits>& bits);
 
   /// classify_now without the detection rule.
   [[nodiscard]] RunResult classify_outcome(bool finished,

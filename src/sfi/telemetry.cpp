@@ -125,6 +125,10 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
   shard_.add(o.c_injections_);
   if (rec.early_exited) shard_.add(o.c_early_exits_);
   if (ph.dead_on_arrival) shard_.add(o.c_dead_on_arrival_);
+  if (ph.pre_read_cycles_skipped > 0) {
+    shard_.add(o.c_late_flips_);
+    shard_.add(o.c_pre_read_cycles_skipped_, ph.pre_read_cycles_skipped);
+  }
   if (ph.tail_certified) {
     shard_.add(o.c_tails_certified_);
     shard_.add(o.c_tail_cycles_skipped_, ph.tail_cycles_skipped);
@@ -343,6 +347,8 @@ CampaignTelemetry::CampaignTelemetry(TelemetryConfig cfg)
   c_injections_ = registry_.counter("injections");
   c_early_exits_ = registry_.counter("early_exits");
   c_dead_on_arrival_ = registry_.counter("dead_on_arrival");
+  c_late_flips_ = registry_.counter("late_flips");
+  c_pre_read_cycles_skipped_ = registry_.counter("pre_read_cycles_skipped");
   c_tails_certified_ = registry_.counter("tails_certified");
   c_tail_cycles_skipped_ = registry_.counter("tail_cycles_skipped");
   for (std::size_t r = 0; r < kNumPostFaultRows; ++r) {

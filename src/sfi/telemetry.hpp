@@ -68,8 +68,13 @@ struct RunPhaseTimes {
   bool new_checkpoint = false;  ///< materialized a different checkpoint
   Cycle restore_cycle = 0;      ///< cycle of the restored snapshot
   /// Retired at admission from the reference's access timeline
-  /// (InjectionRunner::dead_on_arrival): nothing was simulated.
+  /// (InjectionRunner::admit) with no flipped bit ever read: nothing was
+  /// simulated.
   bool dead_on_arrival = false;
+  /// A late flip's cycles after the fault that were not simulated before
+  /// the first read of a flipped bit (Admission::pre_read_skipped); nonzero
+  /// exactly for a late entry or an exit before the read.
+  u64 pre_read_cycles_skipped = 0;
   /// Cycles the runner's post-fault loop simulated, and how many of them
   /// came after the last recovery ended.
   u64 post_fault_cycles = 0;
@@ -310,6 +315,8 @@ class CampaignTelemetry {
   telemetry::CounterId c_injections_;
   telemetry::CounterId c_early_exits_;
   telemetry::CounterId c_dead_on_arrival_;
+  telemetry::CounterId c_late_flips_;
+  telemetry::CounterId c_pre_read_cycles_skipped_;
   telemetry::CounterId c_tails_certified_;
   telemetry::CounterId c_tail_cycles_skipped_;
   /// Post-fault cycles by exit kind (PostFaultRow).

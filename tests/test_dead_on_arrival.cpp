@@ -1,12 +1,17 @@
-// Dead on arrival (InjectionRunner::dead_on_arrival): a latch toggle whose
-// flipped bits the fault-free reference overwrites before reading retires
-// from the golden trace's access timeline, with no simulated cycle. The
-// exit rests on one invariant — the AccessRecorder misses no read — so this
-// file checks both halves over the AVP and every SPEC-like testcase:
+// Admission (InjectionRunner::admit): a latch toggle whose flipped bits the
+// fault-free reference overwrites before reading retires from the golden
+// trace's access timeline, with no simulated cycle ("dead on arrival"); one
+// whose flipped bits are read enters its run at the first step that reads
+// one, or retires on an exit before that step ("late flips"). Both rest on
+// one invariant — the AccessRecorder misses no read — so this file checks
+// both halves over the AVP and every SPEC-like testcase:
 //
-//   - every record the predictor returns equals InjectionRunner::run's,
-//     field for field, under each of its exits (test end, convergence poll,
-//     horizon), and it declines what it cannot prove;
+//   - every record admission returns, and every record of a run it enters
+//     late, equals a run entered at the fault's own cycle
+//     (InjectionRunner::begin at RunEntry::at_fault, then continue_run),
+//     field for field, under each of its exits (test end, convergence
+//     poll, horizon), the late-entered machine equals that run's at the
+//     entry, and admission declines what it cannot prove;
 //   - flipping bits outside a reference step's recorded read set changes
 //     that step's outcome by exactly the flips it does not overwrite, with
 //     equal auxiliary-state mutations (DESIGN §16's D∩R=∅ rule, checked
@@ -82,6 +87,21 @@ struct Machine {
   }
 };
 
+/// A run entered at the fault's own cycle and bits, every cycle from there
+/// simulated by continue_run (no admission).
+RunResult full_run(InjectionRunner& runner, const FaultSpec& f,
+                   RunPhaseTimes* ph = nullptr) {
+  runner.begin(f, RunEntry::at_fault(f), ph);
+  return runner.continue_run(f, ph);
+}
+
+/// Admission declined `f`: no record, and the fault's own entry.
+bool declined(const Admission& adm, const FaultSpec& f) {
+  return !adm.record && !adm.dead && adm.pre_read_skipped == 0 &&
+         adm.entry.cycle == f.cycle &&
+         adm.entry.bits == RunEntry::at_fault(f).bits;
+}
+
 void expect_same_result(const RunResult& dead, const RunResult& full,
                         const std::string& what) {
   EXPECT_EQ(dead.outcome, full.outcome) << what;
@@ -123,13 +143,16 @@ TEST_P(DeadOnArrival, RecordsEqualTheFullRun) {
       f.cycle = rng.below(b.trace.completion_cycle);
       f.adjacent_bits = static_cast<u8>(1 + i % 9);
       ++sampled;
-      const std::optional<RunResult> dead = b.runner->dead_on_arrival(f);
-      if (!dead) continue;
+      const Admission adm = b.runner->admit(f);
+      if (!adm.dead) continue;
+      ASSERT_TRUE(adm.record);
+      EXPECT_EQ(adm.pre_read_skipped, 0u);
+      const RunResult& dead = *adm.record;
       ++fired;
-      by_exit[dead->outcome == Outcome::Hang ? 2
-              : dead->early_exited          ? 1
-                                            : 0]++;
-      expect_same_result(*dead, b.runner->run(f),
+      by_exit[dead.outcome == Outcome::Hang ? 2
+              : dead.early_exited          ? 1
+                                           : 0]++;
+      expect_same_result(dead, full_run(*b.runner, f),
                          b.model.registry().name_of_ordinal(f.index) + " x" +
                              std::to_string(f.adjacent_bits) + " @" +
                              std::to_string(f.cycle) +
@@ -159,23 +182,24 @@ TEST(DeadOnArrival, DeclinesWhatItCannotProve) {
   for (int i = 0; i < 1000; ++i) {
     dead.index = static_cast<u32>(rng.below(reg.num_latches()));
     dead.cycle = rng.below(b.trace.completion_cycle);
-    if (b.runner->dead_on_arrival(dead)) break;
+    if (b.runner->admit(dead).dead) break;
   }
-  ASSERT_TRUE(b.runner->dead_on_arrival(dead));
-  // ...declined as a sticky force of the same bit,
+  ASSERT_TRUE(b.runner->admit(dead).dead);
+  // ...declined (no record, entered at its own cycle) as a sticky force of
+  // the same bit,
   FaultSpec sticky = dead;
   sticky.mode = FaultMode::Sticky;
   sticky.sticky_duration = 4;
-  EXPECT_FALSE(b.runner->dead_on_arrival(sticky));
+  EXPECT_TRUE(declined(b.runner->admit(sticky), sticky));
   // an array-cell strike,
   FaultSpec cell = dead;
   cell.target = FaultTarget::ArrayCell;
   cell.array_bit = 17;
-  EXPECT_FALSE(b.runner->dead_on_arrival(cell));
+  EXPECT_TRUE(declined(b.runner->admit(cell), cell));
   // at or past test end,
   FaultSpec late = dead;
   late.cycle = b.trace.completion_cycle;
-  EXPECT_FALSE(b.runner->dead_on_arrival(late));
+  EXPECT_TRUE(declined(b.runner->admit(late), late));
   // and for any flip of a bit the classifier peeks at.
   u32 peeked = 0;
   for (u32 o = 0; o < reg.num_latches(); ++o) {
@@ -186,7 +210,7 @@ TEST(DeadOnArrival, DeclinesWhatItCannotProve) {
     ++peeked;
     FaultSpec f = dead;
     f.index = o;
-    EXPECT_FALSE(b.runner->dead_on_arrival(f)) << reg.name_of_ordinal(o);
+    EXPECT_TRUE(declined(b.runner->admit(f), f)) << reg.name_of_ordinal(o);
   }
   EXPECT_GT(peeked, 0u);
 
@@ -196,7 +220,7 @@ TEST(DeadOnArrival, DeclinesWhatItCannotProve) {
   const emu::GoldenTrace plain = avp::run_reference(model, emu, b.tc);
   EXPECT_FALSE(plain.has_timeline());
   InjectionRunner runner(model, emu, b.reset_cp, plain, b.golden);
-  EXPECT_FALSE(runner.dead_on_arrival(dead));
+  EXPECT_TRUE(declined(runner.admit(dead), dead));
 }
 
 // --- the recorder misses no read -------------------------------------------
@@ -314,10 +338,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// run()'s post-fault loop as it stood before the recovery-tail certificate:
 /// continue_run's exits in its order, each cycle simulated, entered through
-/// begin() like every run.
+/// begin() at the fault's own cycle and bits.
 RunResult full_tail(Machine& b, InjectionRunner& runner, const RunConfig& rc,
                     const FaultSpec& f) {
-  runner.begin(f);
+  runner.begin(f, RunEntry::at_fault(f));
   emu::Emulator& emu = *b.emu;
   const auto& masks = b.model.registry().hash_masks();
   const Cycle deadline = b.trace.completion_cycle + rc.hang_margin;
@@ -394,7 +418,6 @@ TEST_P(RecoveryTail, RecordsEqualTheFullRun) {
         f.sticky_value = (i & 4) != 0;
         f.sticky_duration = 1 + i % 7;
       }
-      if (runner.dead_on_arrival(f)) continue;
       RunPhaseTimes ph;
       const RunResult got = runner.run(f, &ph);
       if (got.recoveries == 0) continue;
@@ -408,9 +431,11 @@ TEST_P(RecoveryTail, RecordsEqualTheFullRun) {
           " margin " + std::to_string(rc.hang_margin) + " horizon " +
           std::to_string(rc.horizon);
       expect_same_result(got, want, what);
-      // The certificate skips exactly the cycles the full run simulates
-      // past it, and simulates none of its own.
-      EXPECT_EQ(ph.post_fault_cycles + ph.tail_cycles_skipped,
+      // A late entry skips exactly the cycles the full run simulates before
+      // it, the certificate exactly those past it, and neither simulates
+      // any of its own.
+      EXPECT_EQ(ph.pre_read_cycles_skipped + ph.post_fault_cycles +
+                    ph.tail_cycles_skipped,
                 want.end_cycle - f.cycle)
           << what;
       ++recovered;
@@ -640,6 +665,134 @@ TEST_P(ScrubPhase, CleanScrubChangesOnlyItsPhase) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, ScrubPhase, ::testing::Range<std::size_t>(0, kNumTestcases),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return testcase_name(info.param);
+    });
+
+// --- late flips ------------------------------------------------------------
+
+/// A latch toggle of width 1 + i % 9 at a random latch and cycle before
+/// completion.
+FaultSpec random_toggle(stats::Xoshiro256& rng, const Machine& b, int i) {
+  FaultSpec f;
+  f.index = static_cast<u32>(rng.below(b.model.registry().num_latches()));
+  f.cycle = rng.below(b.trace.completion_cycle);
+  f.adjacent_bits = static_cast<u8>(1 + i % 9);
+  return f;
+}
+
+std::string describe(const Machine& b, const FaultSpec& f,
+                     const RunConfig& rc) {
+  return b.model.registry().name_of_ordinal(f.index) + " x" +
+         std::to_string(f.adjacent_bits) + " @" + std::to_string(f.cycle) +
+         (rc.early_exit ? " early-exit" : " no-exit") + " horizon " +
+         std::to_string(rc.horizon);
+}
+
+class LateFlip : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LateFlip, StateAtEntryEqualsTheFullRun) {
+  Machine b(testcase(GetParam()), RunConfig{});
+  ASSERT_TRUE(b.trace.has_timeline());
+  const netlist::LatchRegistry& reg = b.model.registry();
+  stats::Xoshiro256 rng(GetParam() * 389 + 5);
+  std::vector<u8> late_aux;
+  std::vector<u8> full_aux;
+  u32 entered = 0;
+  for (int i = 0; i < 4000 && entered < 24; ++i) {
+    const FaultSpec f = random_toggle(rng, b, i);
+    const Admission adm = b.runner->admit(f);
+    if (adm.record || adm.entry.cycle == f.cycle) continue;
+    ++entered;
+    const std::string what = describe(b, f, b.runner->config()) +
+                             " entered @" + std::to_string(adm.entry.cycle);
+    EXPECT_EQ(adm.pre_read_skipped, adm.entry.cycle - f.cycle) << what;
+    EXPECT_TRUE((adm.entry.bits & ~RunEntry::at_fault(f).bits).none())
+        << what;
+
+    b.runner->begin(f, adm.entry);
+    ASSERT_EQ(b.emu->cycle(), adm.entry.cycle);
+    const std::vector<u64> late(b.emu->state().words().begin(),
+                                b.emu->state().words().end());
+    late_aux.clear();
+    b.model.save_aux(late_aux);
+
+    // The same fault entered at its own cycle, stepped to the entry.
+    b.runner->begin(f, RunEntry::at_fault(f));
+    while (b.emu->cycle() < adm.entry.cycle) b.emu->step();
+    const auto full = b.emu->state().words();
+    ASSERT_EQ(late.size(), full.size());
+    for (std::size_t w = 0; w < full.size(); ++w) {
+      EXPECT_EQ(late[w], full[w])
+          << what << ": " << field_in(reg, w, late[w] ^ full[w]);
+    }
+    full_aux.clear();
+    b.model.save_aux(full_aux);
+    EXPECT_EQ(late_aux, full_aux) << what;
+  }
+  EXPECT_EQ(entered, 24u);
+}
+
+TEST_P(LateFlip, RecordsEqualTheFullRun) {
+  Machine b(testcase(GetParam()), RunConfig{});
+  ASSERT_TRUE(b.trace.has_timeline());
+  const Cycle finish = b.trace.completion_cycle;
+  // The campaign's snapshots: an entry warm-starts from the one at or
+  // before it, and recovered runs take the certificate.
+  const emu::CheckpointStore ckpts =
+      emu::build_checkpoint_store(*b.emu, finish - 1, {}, &b.trace);
+  struct Variant {
+    bool early_exit;
+    bool short_horizon;  ///< horizon ends before completion
+  };
+  const Variant variants[] = {
+      {true, false}, {false, false}, {true, true}, {false, true}};
+  u32 by_path[3] = {};  // late entry, Converged before the read, Overdue
+  for (std::size_t vi = 0; vi < std::size(variants); ++vi) {
+    const Variant& v = variants[vi];
+    RunConfig rc;
+    rc.early_exit = v.early_exit;
+    if (v.short_horizon) rc.horizon = finish / 8;
+    InjectionRunner runner(b.model, *b.emu, b.reset_cp, b.trace, b.golden,
+                           rc, &ckpts);
+    stats::Xoshiro256 rng(GetParam() * 613 + vi);
+    u32 taken = 0;
+    for (int i = 0; i < 8000 && taken < 96; ++i) {
+      const FaultSpec f = random_toggle(rng, b, i);
+      const Admission adm = runner.admit(f);
+      if (adm.pre_read_skipped == 0) continue;  // not a late flip
+      ++taken;
+      const std::string what = describe(b, f, rc);
+      RunPhaseTimes ph;
+      const RunResult got = runner.run(f, &ph);
+      RunPhaseTimes full_ph;
+      const RunResult want = full_run(runner, f, &full_ph);
+      expect_same_result(got, want, what);
+      EXPECT_EQ(ph.pre_read_cycles_skipped, adm.pre_read_skipped) << what;
+      if (adm.record) {
+        // An exit before the read: the poll or the horizon, unsimulated.
+        EXPECT_TRUE(got.early_exited || got.outcome == Outcome::Hang)
+            << what;
+        EXPECT_EQ(adm.pre_read_skipped, want.end_cycle - f.cycle) << what;
+        EXPECT_EQ(ph.post_fault_cycles, 0u) << what;
+        ++by_path[got.outcome == Outcome::Hang ? 2 : 1];
+      } else {
+        // The entry simulates exactly the cycles the full run simulates
+        // from it.
+        EXPECT_EQ(ph.pre_read_cycles_skipped + ph.post_fault_cycles,
+                  full_ph.post_fault_cycles)
+            << what;
+        ++by_path[0];
+      }
+    }
+  }
+  EXPECT_GT(by_path[0], 0u);
+  EXPECT_GT(by_path[1], 0u);
+  EXPECT_GT(by_path[2], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, LateFlip, ::testing::Range<std::size_t>(0, kNumTestcases),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return testcase_name(info.param);
     });

@@ -334,20 +334,25 @@ TEST(Pinned, CanonicalStoresAndFootprintsMatchRecordedHashes) {
 TEST(Pinned, WorkCountersMatchRecordedValues) {
   // The toggle case above, counted on one thread: how many faults retired
   // dead on arrival and how many early-exited are as deterministic as the
-  // bytes. Both engines ask the same predictor at admission, so they retire
-  // the same faults that way. The footprint re-runs and the cycles they
+  // bytes. Both engines admit each fault through the same
+  // InjectionRunner::admit, so they retire the same faults that way. The footprint re-runs and the cycles they
   // simulate are the forensics cost (DESIGN §11), counted free of noise.
   // So are the post-fault cycles by exit kind and the recovery tails the
   // certificate retires: the same tails on both engines, while the lane
-  // engine's runner simulates only what leaves its fast path.
+  // engine's runner simulates only what leaves its fast path. Late flips
+  // (entries at the first read, and exits before it) skip the pre-read
+  // cycles on the scalar engine; the lane engine rides them, and takes
+  // only the admission's exits.
   struct PostFault {
     EngineKind engine;
     u64 vanished_early_exit;
     u64 corrected_to_recovery_end;
     u64 corrected_after_recovery;
+    u64 late_flips;
+    u64 pre_read_cycles_skipped;
   };
-  const PostFault pinned[] = {{EngineKind::Scalar, 193, 1753, 236},
-                              {EngineKind::Lanes, 0, 709, 236}};
+  const PostFault pinned[] = {{EngineKind::Scalar, 193, 709, 236, 11, 1044},
+                              {EngineKind::Lanes, 0, 709, 236, 0, 0}};
   const avp::Testcase tc = small_testcase();
   for (const PostFault& p : pinned) {
     const EngineKind engine = p.engine;
@@ -369,6 +374,11 @@ TEST(Pinned, WorkCountersMatchRecordedValues) {
     EXPECT_EQ(m.counter_value_by_name("tails_certified"), 12u)
         << engine_name(engine);
     EXPECT_EQ(m.counter_value_by_name("tail_cycles_skipped"), 1166u)
+        << engine_name(engine);
+    EXPECT_EQ(m.counter_value_by_name("late_flips"), p.late_flips)
+        << engine_name(engine);
+    EXPECT_EQ(m.counter_value_by_name("pre_read_cycles_skipped"),
+              p.pre_read_cycles_skipped)
         << engine_name(engine);
     const auto row = [&](std::string_view name) {
       return m.counter_value_by_name("post_fault_cycles." +

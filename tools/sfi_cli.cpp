@@ -49,8 +49,9 @@
 //   --engine E            injection engine: scalar (one in-flight injection
 //                         per worker) or lanes (N in-flight injections as
 //                         XOR-diff lanes over one shared reference replay;
-//                         0.8-1.2x the scalar engine's speed on the default
-//                         workload — see bench/ablation_lane_engine).
+//                         0.6-0.9x the scalar engine's speed on the default
+//                         workload's 10k campaign, from 64 to 1024 lanes —
+//                         see bench/ablation_lane_engine).
 //                         Records are byte-identical across engines
 //                         (CI-gated), so stores resume/merge across engine
 //                         choices freely
