@@ -1,8 +1,9 @@
 // Engine implementations.
 //
 // CampaignWorker is the scalar engine: one injection at a time, seek + flip
-// + simulate + classify, then retire() builds the record, reports it and
-// runs the footprint re-run. It is also the lane engine's private executor.
+// + simulate + classify (with the footprint tracker observing the run when
+// forensics are on), then retire() builds the record, reports it and keeps
+// the footprint. It is also the lane engine's private executor.
 // Both engines first admit the fault against the golden trace's access
 // timeline (InjectionRunner::admit): a fault whose run ends before any
 // reference step reads a flipped bit — dead on arrival, or an exit before
@@ -69,7 +70,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 
 #include "common/aux_sig.hpp"
 #include "common/bits.hpp"
@@ -92,7 +92,7 @@ CampaignWorker::CampaignWorker(const avp::Testcase& tc,
       plan.ckpts.empty() ? nullptr : &plan.ckpts);
   if (cfg.footprint.enabled) {
     tracker_ = std::make_unique<InfectionTracker>(
-        *model_, *emu_, *runner_, plan.trace, plan.golden, cfg.footprint);
+        *model_, *emu_, plan.trace, plan.golden, cfg.footprint);
     if (!tracker_->usable()) tracker_.reset();
   }
 }
@@ -102,8 +102,8 @@ InjectionRecord CampaignWorker::run(
     std::optional<PropagationRecord>* footprint) {
   RunPhaseTimes* phases =
       telemetry != nullptr ? telemetry->phase_scratch() : nullptr;
-  return retire(index, fault, runner_->run(fault, phases), telemetry,
-                footprint);
+  return retire(index, fault, runner_->run(fault, phases, tracker_.get()),
+                telemetry, footprint, /*observed=*/true);
 }
 
 void CampaignWorker::run(const Next& next, const Emit& emit,
@@ -117,8 +117,8 @@ void CampaignWorker::run(const Next& next, const Emit& emit,
 
 InjectionRecord CampaignWorker::retire(
     u32 index, const FaultSpec& fault, const RunResult& rr,
-    WorkerTelemetry* telemetry,
-    std::optional<PropagationRecord>* footprint) {
+    WorkerTelemetry* telemetry, std::optional<PropagationRecord>* footprint,
+    bool observed) {
   InjectionRecord rec = make_record(*model_, fault, rr);
   if (telemetry != nullptr) {
     std::optional<Cycle> latency;
@@ -126,14 +126,15 @@ InjectionRecord CampaignWorker::retire(
     telemetry->record_injection(index, rec, latency);
   }
   if (tracker_ != nullptr && tracker_->should_trace(index, rr.outcome)) {
-    const auto t0 = std::chrono::steady_clock::now();
-    PropagationRecord prec = tracker_->trace(index, fault, rr);
-    if (telemetry != nullptr) {
-      telemetry->record_footprint(
-          index, prec,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
+    if (!observed) {
+      // A run the tracker did not see (the lane engine's own retirements):
+      // the same run once more, observed.
+      const RunResult again = runner_->run(fault, nullptr, tracker_.get());
+      ensure(again.outcome == rr.outcome && again.end_cycle == rr.end_cycle,
+             "observed re-run diverges from the record it explains");
     }
+    PropagationRecord prec = tracker_->footprint(index, rr);
+    if (telemetry != nullptr) telemetry->record_footprint(index, prec);
     if (footprint != nullptr) *footprint = std::move(prec);
   }
   return rec;
@@ -718,8 +719,9 @@ class LaneEngine final : public InjectionEngine {
     (*emit_)(index, rec, std::move(fp));
   }
 
-  /// Retire a lane through the executor's record tail. A footprint re-run
-  /// repositions the executor, which then mirrors no lane.
+  /// Retire a lane through the executor's record tail. A kept footprint
+  /// runs the fault once more on the executor (the tracker did not see the
+  /// lane), which then mirrors no lane.
   void finalize(u32 index, const FaultSpec& fault, const RunResult& rr) {
     std::optional<PropagationRecord> fp;
     const InjectionRecord rec = exec_.retire(index, fault, rr, wt_, &fp);

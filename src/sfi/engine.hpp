@@ -79,15 +79,17 @@ class CampaignWorker final : public InjectionEngine {
   void run(const Next& next, const Emit& emit,
            WorkerTelemetry* telemetry) override;
 
-  /// Turn a finished run into its record: report it to `telemetry`, and run
-  /// the deferred footprint re-run when the campaign's FootprintConfig
-  /// selects the injection (returned through `footprint`; the re-run
-  /// starts from InjectionRunner::begin and repositions this worker's
-  /// machine).
+  /// Turn a finished run into its record: report it to `telemetry`, and
+  /// keep its footprint when the campaign's FootprintConfig selects the
+  /// injection (returned through `footprint`). `observed`: run() made the
+  /// run with this worker's tracker watching it. Otherwise (a run the lane
+  /// engine finished itself) a selected fault goes once more through
+  /// InjectionRunner::run with the tracker armed, which repositions this
+  /// worker's machine.
   [[nodiscard]] InjectionRecord retire(
       u32 index, const FaultSpec& fault, const RunResult& rr,
       WorkerTelemetry* telemetry,
-      std::optional<PropagationRecord>* footprint);
+      std::optional<PropagationRecord>* footprint, bool observed = false);
 
   /// The worker's machine, for an engine that materializes states into it
   /// and finishes them with the runner's post-fault loop.

@@ -6,6 +6,7 @@
 #include <span>
 
 #include "common/check.hpp"
+#include "sfi/propagation.hpp"
 #include "sfi/telemetry.hpp"
 
 namespace sfi::inject {
@@ -113,8 +114,9 @@ void InjectionRunner::seek_to(Cycle target, RunPhaseTimes* tel) {
 }
 
 RunResult InjectionRunner::classify_now(bool finished, bool early_exited,
-                                        std::optional<Cycle> detected) const {
-  RunResult r = classify_outcome(finished, early_exited);
+                                        std::optional<Cycle> detected,
+                                        InfectionTracker* observer) const {
+  RunResult r = classify_outcome(finished, early_exited, observer);
   r.detected_cycle = detected;
   if (!r.detected_cycle &&
       (r.outcome == Outcome::Checkstop || r.outcome == Outcome::Hang ||
@@ -124,8 +126,8 @@ RunResult InjectionRunner::classify_now(bool finished, bool early_exited,
   return r;
 }
 
-RunResult InjectionRunner::classify_outcome(bool finished,
-                                            bool early_exited) const {
+RunResult InjectionRunner::classify_outcome(bool finished, bool early_exited,
+                                            InfectionTracker* observer) const {
   const emu::RasStatus ras = model_.ras_status(emu_.state());
   RunResult r;
   r.end_cycle = emu_.cycle();
@@ -151,6 +153,7 @@ RunResult InjectionRunner::classify_outcome(bool finished,
   }
   const avp::Verdict v =
       avp::check_against_golden(model_, emu_.state(), golden_);
+  if (observer != nullptr) observer->read_out(v);
   // The end-of-test readout goes through the memory controller: latent
   // main-store upsets surface here. A correctable one is a (late) corrected
   // event; an uncorrectable one stops the machine the moment software
@@ -431,19 +434,25 @@ void InjectionRunner::begin(const FaultSpec& fault, const RunEntry& entry,
   apply_fault(fault, entry.bits);
 }
 
-RunResult InjectionRunner::run(const FaultSpec& fault, RunPhaseTimes* tel) {
+RunResult InjectionRunner::run(const FaultSpec& fault, RunPhaseTimes* tel,
+                               InfectionTracker* observer) {
   Admission adm = admit(fault);
   if (tel != nullptr) {
     *tel = RunPhaseTimes{.dead_on_arrival = adm.dead,
                          .pre_read_cycles_skipped = adm.pre_read_skipped};
   }
-  if (adm.record) return std::move(*adm.record);
+  if (adm.record) {
+    if (observer != nullptr) observer->start(fault, adm);
+    return std::move(*adm.record);
+  }
   begin(fault, adm.entry, tel);
-  return continue_run(fault, tel);
+  if (observer != nullptr) observer->start(fault, adm);
+  return continue_run(fault, tel, /*stepped=*/false, observer);
 }
 
 RunResult InjectionRunner::continue_run(const FaultSpec& fault,
-                                        RunPhaseTimes* tel, bool stepped) {
+                                        RunPhaseTimes* tel, bool stepped,
+                                        InfectionTracker* observer) {
   const auto& masks = model_.registry().hash_masks();
   const Cycle deadline = trace_.completion_cycle + cfg_.hang_margin;
   const Cycle hard_stop = fault.cycle + cfg_.horizon;
@@ -497,7 +506,8 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
   };
   const auto finish = [&](bool finished, bool early) {
     const Tick t_cl = tick(tel);
-    return report(classify_now(finished, early, detect), t_cl, false);
+    return report(classify_now(finished, early, detect, observer), t_cl,
+                  false);
   };
 
   if (!stepped) emu_.step();
@@ -513,23 +523,21 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
       recoveries_seen = ras.recovery_count;
       recovered_at = now;
     }
-    if (ras.checkstop || ras.hang_detected) {
-      return finish(/*finished=*/false, /*early=*/false);
-    }
-    if (ras.test_finished) {
-      return finish(/*finished=*/true, /*early=*/false);
-    }
+    const bool terminal =
+        ras.checkstop || ras.hang_detected || ras.test_finished;
 
     // Golden convergence check (invalid while a sticky force remains armed
     // or a recovery is rebuilding state). With recorded reference states
     // this is an exact early-out word compare; otherwise a hash compare.
-    if (early_exit && !ras.recovery_active && trace_.has_cycle(now - 1) &&
+    std::optional<bool> converged;
+    if (!terminal && early_exit && !ras.recovery_active &&
+        trace_.has_cycle(now - 1) &&
         !(sticky && now <= fault.cycle + fault.sticky_duration)) {
       const bool time_this_poll =
           tel != nullptr && (polls & kPollSampleMask) == 0;
       const Tick t_poll =
           time_this_poll ? std::chrono::steady_clock::now() : Tick{};
-      const bool converged =
+      converged =
           trace_.has_states()
               ? emu_.state().masked_equals(masks, trace_.masked_state(now - 1))
               : emu_.state().masked_hash(masks) == trace_.hashes[now - 1];
@@ -539,9 +547,18 @@ RunResult InjectionRunner::continue_run(const FaultSpec& fault,
         ++sampled_polls;
       }
       if (tel != nullptr) ++polls;
-      if (converged) {
-        return finish(/*finished=*/true, /*early=*/true);
-      }
+    }
+    // The footprint sees the cycle ahead of the exits.
+    if (observer != nullptr) observer->observe(now, ras, converged);
+
+    if (ras.checkstop || ras.hang_detected) {
+      return finish(/*finished=*/false, /*early=*/false);
+    }
+    if (ras.test_finished) {
+      return finish(/*finished=*/true, /*early=*/false);
+    }
+    if (converged == true) {
+      return finish(/*finished=*/true, /*early=*/true);
     }
 
     if (now >= deadline || now >= hard_stop) {

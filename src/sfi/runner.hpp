@@ -30,7 +30,8 @@
 
 namespace sfi::inject {
 
-struct RunPhaseTimes;  // sfi/telemetry.hpp
+struct RunPhaseTimes;     // sfi/telemetry.hpp
+class InfectionTracker;  // sfi/propagation.hpp
 
 struct RunConfig {
   /// Extra cycles allowed past the fault-free completion cycle before the
@@ -112,18 +113,20 @@ class InjectionRunner {
   /// With a non-null `phases` the runner additionally reports the
   /// admission and per-phase wall times into it (telemetry out-param only —
   /// never read back, so results are identical with or without it; nullptr
-  /// costs one predicted branch per phase).
+  /// costs one predicted branch per phase). A non-null `observer` is handed
+  /// the admission, every simulated cycle and the end-of-test readout (the
+  /// footprint of this run; it never touches the machine).
   [[nodiscard]] RunResult run(const FaultSpec& fault,
-                              RunPhaseTimes* phases = nullptr);
+                              RunPhaseTimes* phases = nullptr,
+                              InfectionTracker* observer = nullptr);
 
   /// The one entry every run takes: bring the machine fault-free to the
   /// entry cycle (warm-started from the nearest reference checkpoint at or
   /// before it, else the reset snapshot) and apply the entry's bits of the
   /// fault there (flip or force latches, or flip array cells;
   /// adjacent_bits > 1 models a multi-bit upset). run() enters at its
-  /// admission's entry; the infection tracker's re-run and a full run enter
-  /// at RunEntry::at_fault. Reports restore and fast-forward timings into
-  /// `phases` when non-null.
+  /// admission's entry; a full run enters at RunEntry::at_fault. Reports
+  /// restore and fast-forward timings into `phases` when non-null.
   void begin(const FaultSpec& fault, const RunEntry& entry,
              RunPhaseTimes* phases = nullptr);
 
@@ -132,10 +135,12 @@ class InjectionRunner {
   /// first cycle the RAS visibly reacted; when it never did but the outcome
   /// is itself a detection (checkstop, hang, recovery or correction — only
   /// the end-of-test readout surfaced the fault), detection happened at
-  /// classification time. This is the one place that rule lives.
+  /// classification time. This is the one place that rule lives. An
+  /// end-of-test readout is handed to `observer` when non-null.
   [[nodiscard]] RunResult classify_now(
       bool finished, bool early_exited,
-      std::optional<Cycle> detected = std::nullopt) const;
+      std::optional<Cycle> detected = std::nullopt,
+      InfectionTracker* observer = nullptr) const;
 
   /// Continue `fault`'s experiment from the machine's *current* state: the
   /// exact per-cycle tail of run() (RAS watch, convergence poll, deadlines,
@@ -148,9 +153,12 @@ class InjectionRunner {
   /// already clocked the loop's first cycle (the lane engine steps a
   /// tripped lane's divergent cycle itself) and the loop starts with that
   /// cycle's checks. `phases` accumulates post-fault phase timings only.
+  /// A non-null `observer` sees every cycle ahead of the loop's exits, and
+  /// the end-of-test readout (run() passes its own).
   [[nodiscard]] RunResult continue_run(const FaultSpec& fault,
                                        RunPhaseTimes* phases = nullptr,
-                                       bool stepped = false);
+                                       bool stepped = false,
+                                       InfectionTracker* observer = nullptr);
 
   /// How a run that stays on the reference's terms ends: at test end, at
   /// the convergence poll, or at a deadline or the horizon.
@@ -196,8 +204,8 @@ class InjectionRunner {
                    const std::bitset<kMaxUpsetBits>& bits);
 
   /// classify_now without the detection rule.
-  [[nodiscard]] RunResult classify_outcome(bool finished,
-                                           bool early_exited) const;
+  [[nodiscard]] RunResult classify_outcome(bool finished, bool early_exited,
+                                           InfectionTracker* observer) const;
 
   /// The recovery-tail certificate (DESIGN §16, "Recovery tails"), asked
   /// at a cycle after a recovery has ended: the record of a run that is

@@ -268,8 +268,7 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
 }
 
 void WorkerTelemetry::record_footprint(u32 index,
-                                       const PropagationRecord& rec,
-                                       double seconds) {
+                                       const PropagationRecord& rec) {
   CampaignTelemetry& o = owner_;
 
   // --- metrics (lock-free: private shard) ---
@@ -288,7 +287,6 @@ void WorkerTelemetry::record_footprint(u32 index,
     if (rec.first_corrupt[u] != kNeverCorrupted) shard_.add(o.c_fp_crossed_[u]);
   }
   shard_.observe(o.h_fp_peak_bits_, static_cast<double>(rec.peak_bits));
-  shard_.observe(o.h_fp_seconds_, seconds);
 
   // --- event log (same sampling policy as per-injection records) ---
   auto* log = o.events();
@@ -324,11 +322,10 @@ void WorkerTelemetry::record_footprint(u32 index,
     log->emit(w.str());
   }
 
-  // --- span plane (one slice per re-run; the samples themselves are
-  // durable in the 'P' frame and shown by `sfi explain`) ---
+  // --- span plane (one zero-length slice per footprint, when it is kept:
+  // it is observed on its run and costs no time of its own; the samples
+  // themselves are durable in the 'P' frame and shown by `sfi explain`) ---
   if (book_ != nullptr) {
-    const u64 dur = micros(seconds);
-    const u64 end = book_->now_us();
     telemetry::JsonWriter& args = scratch_;
     args.clear();
     args.begin_object()
@@ -337,8 +334,7 @@ void WorkerTelemetry::record_footprint(u32 index,
         .field("outcome", to_string(rec.outcome))
         .end_object();
     book_->slice("footprint " + std::string(netlist::to_string(rec.unit)),
-                 "footprint", end > dur ? end - dur : 0, dur, 0, args.str(),
-                 tid_);
+                 "footprint", book_->now_us(), 0, 0, args.str(), tid_);
   }
 }
 
@@ -402,7 +398,6 @@ CampaignTelemetry::CampaignTelemetry(TelemetryConfig cfg)
                                         pow2_buckets(12));  // 1 .. 4k bits
   h_fp_mask_latency_ = registry_.histogram("footprint.mask_latency_cycles",
                                            cyc);
-  h_fp_seconds_ = registry_.histogram("footprint.rerun_seconds", secs);
   g_wall_seconds_ = registry_.gauge("wall_seconds");
   g_executed_ = registry_.gauge("executed");
   g_resumed_ = registry_.gauge("resumed");

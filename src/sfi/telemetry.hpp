@@ -144,12 +144,10 @@ class WorkerTelemetry {
   void record_injection(u32 index, const InjectionRecord& rec,
                         std::optional<Cycle> detect_latency);
 
-  /// Observe one completed footprint re-run: spread counters, peak/mask
-  /// histograms, sampled "propagation" event record and one trace slice
-  /// (its samples are durable in the 'P' frame `sfi explain` reads).
-  /// `seconds` is the re-run's wall time.
-  void record_footprint(u32 index, const PropagationRecord& rec,
-                        double seconds);
+  /// Observe one kept footprint: spread counters, peak/mask histograms,
+  /// sampled "propagation" event record and one trace slice (its samples
+  /// are durable in the 'P' frame `sfi explain` reads).
+  void record_footprint(u32 index, const PropagationRecord& rec);
 
   /// Fold this worker's shard into the owning registry now. Called by the
   /// worker thread itself (the only thread allowed to touch the shard) at
@@ -350,7 +348,6 @@ class CampaignTelemetry {
   std::array<telemetry::CounterId, netlist::kNumUnits> c_fp_crossed_{};
   telemetry::HistogramId h_fp_peak_bits_{};
   telemetry::HistogramId h_fp_mask_latency_{};
-  telemetry::HistogramId h_fp_seconds_{};
   telemetry::GaugeId g_wall_seconds_{};
   telemetry::GaugeId g_executed_{};
   telemetry::GaugeId g_resumed_{};

@@ -1,9 +1,13 @@
 // Propagation forensics: trace-selection policy, 'P'-frame codec round-trip,
 // store interleaving, and the subsystem's headline invariants — injection
-// records and store bytes are identical with forensics on, and surviving
-// faults produce non-trivial infection footprints.
+// records and store bytes are identical with forensics on, surviving faults
+// produce non-trivial infection footprints, and every footprint observed on
+// its run (or read off the access timeline) equals the one a re-run of the
+// injection from its own cycle measures, on the AVP and every SPEC-like
+// testcase.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -12,10 +16,14 @@
 #include "avp/testgen.hpp"
 #include "sched/scheduler.hpp"
 #include "sfi/campaign.hpp"
+#include "sfi/engine.hpp"
 #include "sfi/propagation.hpp"
+#include "stats/rng.hpp"
+#include "store/codec.hpp"
 #include "store/merge.hpp"
 #include "store/reader.hpp"
 #include "store/writer.hpp"
+#include "workload/spec_profiles.hpp"
 
 namespace sfi {
 namespace {
@@ -426,6 +434,327 @@ TEST(PropagationScheduler, CanonicalStoreBytesIdenticalWithForensicsOn) {
   (void)store::merge_stores({fb.path()}, mb.path());
   EXPECT_EQ(slurp(ma.path()), slurp(mb.path()));
 }
+
+
+// --- observed footprints equal the re-run ----------------------------------
+
+/// Testcase 0 is the AVP; 1..11 are workload::spec_components().
+constexpr std::size_t kNumTestcases = 12;
+
+avp::Testcase workload_testcase(std::size_t i) {
+  if (i == 0) return small_testcase();
+  return workload::make_component_testcase(workload::spec_components()[i - 1],
+                                           5);
+}
+
+std::string workload_name(std::size_t i) {
+  if (i == 0) return "avp";
+  const std::string& name = workload::spec_components()[i - 1].name;
+  return name.substr(0, name.find('.'));
+}
+
+/// The deferred footprint re-run the tracker's observation replaced, kept
+/// as the reference: the injection simulated once more from its own cycle
+/// and bits (InjectionRunner::begin at RunEntry::at_fault) and diffed
+/// against the reference trace by the tracker's rules. `primary` is the
+/// injection's own run.
+PropagationRecord replay(inject::CampaignWorker& w,
+                         const inject::CampaignPlan& plan,
+                         const FootprintConfig& cfg, u32 index,
+                         const inject::FaultSpec& fault,
+                         const inject::RunResult& primary) {
+  core::Pearl6Model& model = w.model();
+  emu::Emulator& emu = w.emulator();
+  const emu::GoldenTrace& trace = plan.trace;
+
+  PropagationRecord rec;
+  rec.index = index;
+  rec.outcome = primary.outcome;
+  rec.fault_cycle = fault.cycle;
+  rec.first_corrupt.fill(inject::kNeverCorrupted);
+  const inject::InjectionRecord primary_rec =
+      inject::make_record(model, fault, primary);
+  rec.unit = primary_rec.unit;
+  rec.type = primary_rec.type;
+  rec.detected = primary.detected_cycle.has_value();
+  if (rec.detected) rec.detected_at = *primary.detected_cycle - fault.cycle;
+
+  w.runner().begin(fault, inject::RunEntry::at_fault(fault));
+
+  bool saw_checker = false;
+  model.set_cycle_observer(
+      [&](const core::Signals& sig, const core::Controls&) {
+        if (saw_checker || sig.events.empty()) return;
+        const core::CheckerEvent& e = sig.events.front();
+        saw_checker = true;
+        rec.checker_fired = true;
+        rec.checker = e.id;
+        rec.checker_fatal = e.fatal;
+      });
+
+  const auto& masks = model.registry().hash_masks();
+  std::vector<u64> group_masks = model.registry().unit_masks();
+  const auto& tm = model.registry().type_masks();
+  group_masks.insert(group_masks.end(), tm.begin(), tm.end());
+  constexpr std::size_t kNumGroups =
+      netlist::kNumUnits + netlist::kNumLatchTypes;
+  constexpr std::size_t kRegFileGroup =
+      netlist::kNumUnits + static_cast<std::size_t>(netlist::LatchType::RegFile);
+  std::array<u32, kNumGroups> group_bits{};
+  const bool sticky = fault.mode == inject::FaultMode::Sticky;
+  const bool escape = primary.outcome == Outcome::Hang ||
+                      primary.outcome == Outcome::Checkstop ||
+                      primary.outcome == Outcome::BadArchState;
+  const Cycle window =
+      escape ? inject::kEscapeTraceCycles : cfg.max_trace_cycles;
+
+  const auto take_sample = [&](u32 offset, const u64* ref) {
+    const u32 total = emu.state().masked_diff_groups(
+        masks, ref, group_masks, kNumGroups, group_bits);
+    FootprintSample s;
+    s.offset = offset;
+    s.total_bits = total;
+    for (std::size_t u = 0; u < netlist::kNumUnits; ++u) {
+      s.unit_bits[u] = group_bits[u];
+      if (group_bits[u] > 0 &&
+          rec.first_corrupt[u] == inject::kNeverCorrupted) {
+        rec.first_corrupt[u] = offset;
+      }
+    }
+    if (group_bits[kRegFileGroup] > 0) rec.reached_arch = true;
+    rec.peak_bits = std::max(rec.peak_bits, total);
+    rec.samples.push_back(s);
+  };
+  const auto mask = [&](u32 offset) {
+    rec.masked = true;
+    rec.masked_at = offset;
+    FootprintSample zero;
+    zero.offset = offset;
+    rec.samples.push_back(zero);
+  };
+
+  if (fault.cycle >= 1 && trace.has_cycle(fault.cycle - 1)) {
+    take_sample(0, trace.masked_state(fault.cycle - 1));
+  }
+  Cycle next_sample = 1;
+  bool finished_run = false;
+  while (true) {
+    emu.step();
+    ++rec.rerun_cycles;
+    const Cycle now = emu.cycle();
+    const auto offset = static_cast<u32>(now - fault.cycle);
+    const emu::RasStatus ras = model.ras_status(emu.state());
+    if (ras.checkstop || ras.hang_detected || ras.test_finished) {
+      if (trace.has_cycle(now - 1)) {
+        take_sample(offset, trace.masked_state(now - 1));
+      }
+      finished_run = ras.test_finished;
+      break;
+    }
+    if (!trace.has_cycle(now - 1)) {
+      rec.truncated = true;
+      break;
+    }
+    if (ras.recovery_active || ras.recovery_count > 0) {
+      mask(offset);
+      break;
+    }
+    const u64* ref = trace.masked_state(now - 1);
+    if (!(sticky && now <= fault.cycle + fault.sticky_duration) &&
+        emu.state().masked_equals(masks, ref)) {
+      mask(offset);
+      break;
+    }
+    if (cfg.sampling == inject::FootprintSampling::EveryCycle ||
+        offset >= next_sample) {
+      take_sample(offset, ref);
+      while (next_sample <= offset) next_sample *= 2;
+    }
+    if (offset >= window) {
+      rec.truncated = true;
+      break;
+    }
+  }
+  model.clear_cycle_observer();
+  if (finished_run) {
+    const avp::Verdict v =
+        avp::check_against_golden(model, emu.state(), plan.golden);
+    if (!v.state_matches) rec.reached_arch = true;
+    if (!v.memory_matches) rec.reached_memory = true;
+  }
+  return rec;
+}
+
+void expect_same_footprint(const PropagationRecord& got,
+                           const PropagationRecord& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.index, want.index) << what;
+  EXPECT_EQ(got.unit, want.unit) << what;
+  EXPECT_EQ(got.type, want.type) << what;
+  EXPECT_EQ(got.outcome, want.outcome) << what;
+  EXPECT_EQ(got.fault_cycle, want.fault_cycle) << what;
+  EXPECT_EQ(got.masked, want.masked) << what;
+  EXPECT_EQ(got.detected, want.detected) << what;
+  EXPECT_EQ(got.reached_arch, want.reached_arch) << what;
+  EXPECT_EQ(got.reached_memory, want.reached_memory) << what;
+  EXPECT_EQ(got.truncated, want.truncated) << what;
+  EXPECT_EQ(got.checker_fired, want.checker_fired) << what;
+  EXPECT_EQ(got.checker_fatal, want.checker_fatal) << what;
+  EXPECT_EQ(got.checker, want.checker) << what;
+  EXPECT_EQ(got.masked_at, want.masked_at) << what;
+  EXPECT_EQ(got.detected_at, want.detected_at) << what;
+  EXPECT_EQ(got.peak_bits, want.peak_bits) << what;
+  EXPECT_EQ(got.rerun_cycles, want.rerun_cycles) << what;
+  EXPECT_EQ(got.first_corrupt, want.first_corrupt) << what;
+  ASSERT_EQ(got.samples.size(), want.samples.size()) << what;
+  for (std::size_t s = 0; s < want.samples.size(); ++s) {
+    EXPECT_EQ(got.samples[s].offset, want.samples[s].offset) << what;
+    EXPECT_EQ(got.samples[s].total_bits, want.samples[s].total_bits) << what;
+    EXPECT_EQ(got.samples[s].unit_bits, want.samples[s].unit_bits) << what;
+  }
+  EXPECT_EQ(store::encode_propagation(got), store::encode_propagation(want))
+      << what;
+}
+
+/// How a fault's run starts (InjectionRunner::admit).
+enum Path : std::size_t {
+  kDeadOnArrival,   ///< record: no flipped bit is ever read
+  kExitBeforeRead,  ///< record: the run ends before the first read
+  kLateEntry,       ///< entered after the fault's cycle
+  kOwnCycle,        ///< entered at the fault's cycle
+  kNumPaths
+};
+
+Path path_of(const inject::Admission& adm, const inject::FaultSpec& f) {
+  if (adm.record) return adm.dead ? kDeadOnArrival : kExitBeforeRead;
+  return adm.entry.cycle > f.cycle ? kLateEntry : kOwnCycle;
+}
+
+class FootprintObserved : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FootprintObserved, EqualsTheReRun) {
+  const avp::Testcase tc = workload_testcase(GetParam());
+  struct Variant {
+    bool early_exit;
+    bool dense;  ///< a 64-cycle bulk window, sampled every cycle
+  };
+  const Variant variants[] = {
+      {true, false}, {false, false}, {true, true}, {false, true}};
+  std::array<u32, kNumPaths> by_path{};
+  u32 sticky = 0;
+  u32 cells = 0;
+  for (std::size_t vi = 0; vi < std::size(variants); ++vi) {
+    const Variant& v = variants[vi];
+    inject::CampaignConfig cfg;
+    cfg.seed = 3;
+    cfg.num_injections = 1;
+    cfg.threads = 1;
+    cfg.run.early_exit = v.early_exit;
+    cfg.footprint.enabled = true;
+    cfg.footprint.vanished_sample = 1;  // keep every footprint
+    if (v.dense) {
+      cfg.footprint.max_trace_cycles = 64;
+      cfg.footprint.sampling = inject::FootprintSampling::EveryCycle;
+    }
+    inject::CampaignPlan plan = inject::plan_campaign(tc, cfg);
+    ASSERT_TRUE(plan.trace.has_timeline());
+    inject::CampaignConfig plain = cfg;
+    plain.footprint.enabled = false;
+    inject::CampaignWorker ref(tc, plain, plan);
+    const u32 latches = ref.model().registry().num_latches();
+    const u64 cell_bits = ref.model().arrays().total_storage_bits();
+    const Cycle finish = plan.trace.completion_cycle;
+
+    // Toggles of width 1-9 drawn until every admission path has its quota,
+    // then sticky forces and array-cell strikes (both entered at their own
+    // cycle).
+    std::array<u32, kNumPaths> quota = {4, 2, 6, 6};
+    if (!v.early_exit) quota[kExitBeforeRead] = 0;  // only the poll exits
+    stats::Xoshiro256 rng(GetParam() * 1009 + vi);
+    const auto short_of_quota = [&] {
+      return std::ranges::any_of(quota, [](u32 q) { return q > 0; });
+    };
+    plan.faults.clear();
+    for (u32 i = 0; i < 40000 && short_of_quota(); ++i) {
+      inject::FaultSpec f;
+      f.index = static_cast<u32>(rng.below(latches));
+      f.cycle = 1 + rng.below(finish - 1);
+      f.adjacent_bits = static_cast<u8>(1 + i % 9);
+      const Path p = path_of(ref.runner().admit(f), f);
+      if (quota[p] == 0) continue;
+      --quota[p];
+      plan.faults.push_back(f);
+    }
+    for (u32 i = 0; i < 4; ++i) {
+      inject::FaultSpec f;
+      f.index = static_cast<u32>(rng.below(latches));
+      f.cycle = 1 + rng.below(finish - 1);
+      f.mode = inject::FaultMode::Sticky;
+      f.sticky_value = (i & 1) != 0;
+      f.sticky_duration = 1 + i % 7;
+      f.adjacent_bits = static_cast<u8>(1 + i % 3);
+      plan.faults.push_back(f);
+      inject::FaultSpec c;
+      c.target = inject::FaultTarget::ArrayCell;
+      c.array_bit = rng.below(cell_bits);
+      c.cycle = 1 + rng.below(finish - 1);
+      plan.faults.push_back(c);
+    }
+
+    for (const inject::EngineKind engine :
+         {inject::EngineKind::Scalar, inject::EngineKind::Lanes}) {
+      cfg.engine = engine;
+      const auto eng = inject::make_engine(tc, cfg, plan);
+      std::vector<PropagationRecord> fps;
+      u32 next = 0;
+      eng->run(
+          [&]() -> std::optional<u32> {
+            if (next >= plan.faults.size()) return std::nullopt;
+            return next++;
+          },
+          [&](u32, const inject::InjectionRecord&,
+              std::optional<PropagationRecord> fp) {
+            if (fp) fps.push_back(std::move(*fp));
+          },
+          nullptr);
+      // vanished_sample = 1: every injection leaves a footprint.
+      ASSERT_EQ(fps.size(), plan.faults.size());
+      for (const PropagationRecord& got : fps) {
+        const inject::FaultSpec& f = plan.faults[got.index];
+        const inject::Admission adm = ref.runner().admit(f);
+        const inject::RunResult primary = ref.runner().run(f);
+        const std::string what =
+            workload_name(GetParam()) + " " + inject::engine_name(engine) +
+            (v.early_exit ? " early-exit" : " no-exit") +
+            (v.dense ? " dense" : "") + " fault " +
+            std::to_string(got.index) + " @" + std::to_string(f.cycle) +
+            " x" + std::to_string(f.adjacent_bits) +
+            (f.mode == inject::FaultMode::Sticky ? " sticky" : "") +
+            (f.target == inject::FaultTarget::ArrayCell ? " cell" : "");
+        expect_same_footprint(got, replay(ref, plan, cfg.footprint, got.index,
+                                          f, primary),
+                              what);
+        ++by_path[path_of(adm, f)];
+        if (f.mode == inject::FaultMode::Sticky) ++sticky;
+        if (f.target == inject::FaultTarget::ArrayCell) ++cells;
+      }
+    }
+  }
+  // Footprints came from every way a run starts.
+  EXPECT_GT(by_path[kDeadOnArrival], 0u);
+  EXPECT_GT(by_path[kExitBeforeRead], 0u);
+  EXPECT_GT(by_path[kLateEntry], 0u);
+  EXPECT_GT(by_path[kOwnCycle], 0u);
+  EXPECT_GT(sticky, 0u);
+  EXPECT_GT(cells, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, FootprintObserved,
+    ::testing::Range<std::size_t>(0, kNumTestcases),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return workload_name(info.param);
+    });
 
 }  // namespace
 }  // namespace sfi

@@ -110,10 +110,11 @@
 // Propagation forensics (campaign; records/store R frames stay byte-identical
 // with these on — footprints are extra 'P' frames older readers skip):
 //   --footprint           trace infection footprints: every non-Vanished
-//                         injection is re-run from the nearest reference
-//                         checkpoint and its state diffed against the
-//                         reference trace at exponentially spaced cycles
-//                         after the flip
+//                         injection's own run is observed as it is
+//                         simulated (cycles it skips are read off the
+//                         reference's access timeline) and its state
+//                         diffed against the reference trace at
+//                         exponentially spaced cycles after the flip
 //   --footprint-sample N  also trace every Nth Vanished injection
 //                         (default 32; 0 = never trace Vanished)
 //   --footprint-window N  cap traced cycles after the flip for the bulk
@@ -360,7 +361,7 @@ commands:
 telemetry (campaign/beam): --metrics-out FILE, --events-out FILE.jsonl,
   --chrome-trace FILE.json, --telemetry-sample N (thins the event log
   only), --progress
-run `head -60 tools/sfi_cli.cpp` for the full option list.
+run `head -189 tools/sfi_cli.cpp` for the full option list.
 )";
   return 2;
 }
@@ -1024,11 +1025,12 @@ int cmd_explain(const Args& a) {
                 report::Table::count(checker_fatal[c])});
   }
   if (any_checker) {
-    std::cout << report::section("first checker to fire (re-run)");
+    std::cout << report::section("first checker to fire (in the window)");
     std::cout << ct.to_string();
   }
-  std::cout << "\nre-run cost: " << rerun_cycles
-            << " cycles simulated for forensics\n";
+  std::cout << "\nfootprint span: " << rerun_cycles
+            << " cycles after the flips (the windows the footprints "
+               "cover)\n";
 
   if (const auto json_out = a.str("json")) {
     telemetry::JsonWriter w;
