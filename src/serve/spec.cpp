@@ -7,7 +7,6 @@
 #include <charconv>
 #include <cstdlib>
 #include <limits>
-#include <utility>
 
 #include "farm/process.hpp"
 #include "sfi/engine.hpp"
@@ -29,12 +28,17 @@ std::string real_text(double v) {
   return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
 }
 
+/// A valued row's `sfi help`: its value's placeholder and one line.
+struct Doc {
+  std::string_view value, help;
+};
+
 /// An unsigned integer in [min, max] (max defaults to what fits the
 /// member). With `zero_keeps_default`, 0 leaves the member as it is: for
 /// threads, 0 has always meant "the runner's default".
 template <class T>
 SpecOption count(std::string_view flag, std::string_view key, u32 verbs,
-                 T S::*m, T dflt, T min = 0,
+                 Doc doc, T S::*m, T dflt, T min = 0,
                  T max = std::numeric_limits<T>::max(),
                  bool zero_keeps_default = false) {
   return {flag, key, verbs, SpecKind::Number, std::to_string(dflt),
@@ -48,12 +52,14 @@ SpecOption count(std::string_view flag, std::string_view key, u32 verbs,
                           std::to_string(max) + "]");
             }
             s.*m = static_cast<T>(v);
-          }};
+          },
+          doc.value, doc.help};
 }
 
 /// A real strictly between `above` and `below`.
 SpecOption real(std::string_view flag, std::string_view key, u32 verbs,
-                double S::*m, double dflt, double above, double below) {
+                Doc doc, double S::*m, double dflt, double above,
+                double below) {
   return {flag, key, verbs, SpecKind::Number, real_text(dflt),
           [m](const S& s) { return real_text(s.*m); },
           [=](S& s, std::string_view what, const std::string& text) {
@@ -64,20 +70,22 @@ SpecOption real(std::string_view flag, std::string_view key, u32 verbs,
                           real_text(below) + ")");
             }
             s.*m = v;
-          }};
+          },
+          doc.value, doc.help};
 }
 
 /// A bare flag: off unless given.
 SpecOption flag_on(std::string_view flag, std::string_view key, u32 verbs,
-                   bool S::*m) {
+                   std::string_view help, bool S::*m) {
   return {flag, key, verbs, SpecKind::Switch, "",
           [m](const S& s) { return std::string(s.*m ? "true" : ""); },
-          [m](S& s, std::string_view, const std::string&) { s.*m = true; }};
+          [m](S& s, std::string_view, const std::string&) { s.*m = true; },
+          "", help};
 }
 
 /// Text: the default or one of `names` (any text when there are none).
 SpecOption text(std::string_view flag, std::string_view key, u32 verbs,
-                std::string S::*m, const std::string& dflt,
+                Doc doc, std::string S::*m, const std::string& dflt,
                 std::vector<std::string> names) {
   return {flag, key, verbs, SpecKind::Text, dflt,
           [m](const S& s) { return s.*m; },
@@ -89,7 +97,8 @@ SpecOption text(std::string_view flag, std::string_view key, u32 verbs,
               invalid(what, v, "expected one of " + known.substr(1));
             }
             s.*m = v;
-          }};
+          },
+          doc.value, doc.help};
 }
 
 template <class E, std::size_t N>
@@ -100,22 +109,6 @@ std::vector<std::string> names_of(const std::array<E, N>& all) {
 }
 
 }  // namespace
-
-u32 verb_bit(std::string_view name) {
-  static constexpr std::pair<std::string_view, u32> kVerbs[] = {
-      {"inventory", verb::kInventory}, {"campaign", verb::kCampaign},
-      {"worker", verb::kWorker},       {"report", verb::kReport},
-      {"explain", verb::kExplain},     {"merge", verb::kMerge},
-      {"beam", verb::kBeam},           {"trace", verb::kTrace},
-      {"mix", verb::kMix},             {"derate", verb::kDerate},
-      {"serve", verb::kServe},         {"submit", verb::kSubmit},
-      {"status", verb::kStatus},       {"watch", verb::kWatch},
-      {"shutdown", verb::kShutdown},   {"top", verb::kTop}};
-  for (const auto& [verb_name, bit] : kVerbs) {
-    if (verb_name == name) return bit;
-  }
-  return 0;
-}
 
 const std::vector<SpecOption>& spec_options() {
   static const std::vector<SpecOption> rows = [] {
@@ -131,51 +124,84 @@ const std::vector<SpecOption>& spec_options() {
     constexpr u32 kWorkload = kRuns | kTrace | kMix;
     constexpr u32 kDriver = kCampaign | kSubmit;
     return std::vector<SpecOption>{
-        text("tenant", "tenant", kSubmit, &S::tenant, "default", {}),
-        count("seed", "seed", kRuns, &S::seed, cc.seed),
+        text("tenant", "tenant", kSubmit,
+             {"T", "fair-share accounting bucket"}, &S::tenant, "default", {}),
+        count("seed", "seed", kRuns, {"N", "experiment seed"}, &S::seed,
+              cc.seed),
         count<u64>("testcase-seed", "testcase_seed", kWorkload,
-                   &S::testcase_seed, 2026),
-        count("instructions", "instructions", kWorkload, &S::instructions,
+                   {"N", "AVP workload seed"}, &S::testcase_seed, 2026),
+        count("instructions", "instructions", kWorkload,
+              {"N", "AVP testcase length"}, &S::instructions,
               avp::TestcaseConfig{}.num_instructions, 1u),
-        count<u32>("n", "n", kRuns, &S::n, 1000, 1),
+        count<u32>("n", "n", kRuns,
+                   {"N", "injections (beam: events); early stop may end "
+                         "sooner"},
+                   &S::n, 1000, 1),
         // The daemon's stop granularity: one scheduler thread claims the
         // cycle-sorted order as an exact prefix, so a campaign stopped at k
         // records is byte-identical (after canonical merge) to `sfi
         // campaign --threads 1 --max-new k --shard-size 16 --flush 8`.
         count<u32>("threads", "threads", kDriver | kBeam | kDerate,
+                   {"N", "worker threads; 0 keeps the default, where 0 "
+                         "is every core"},
                    &S::threads, 1, 1, any, true),
-        count<u32>("workers", "workers", kDriver, &S::workers, 0),
-        count<u32>("shard-size", "shard_size", kDriver, &S::shard_size, 16,
-                   1),
-        count<u32>("flush", "flush_records", kDriver, &S::flush_records, 8,
-                   1),
+        count<u32>("workers", "workers", kDriver,
+                   {"N", "farm worker processes (0: in-process; a farm "
+                         "needs --out)"},
+                   &S::workers, 0),
+        count<u32>("shard-size", "shard_size", kDriver,
+                   {"N", "injections per scheduler shard"}, &S::shard_size,
+                   16, 1),
+        count<u32>("flush", "flush_records", kDriver,
+                   {"N", "records a worker buffers between store flushes"},
+                   &S::flush_records, 8, 1),
         real("confidence", "confidence", kDriver | kBeam | kReport,
+             {"C", "interval confidence, for the CI columns and early stop"},
              &S::confidence, st.confidence, 0.0, 1.0),
-        real("half-width", "half_width", kSubmit, &S::half_width,
-             st.half_width, 0.0, std::numeric_limits<double>::infinity()),
-        flag_on("stratify-unit", "by_unit", kSubmit, &S::by_unit),
-        text("engine", "inj_engine", kPlan | kDerate, &S::engine,
-             inject::engine_name(cc.engine),
+        real("half-width", "half_width", kSubmit,
+             {"W", "stop once every stratum's Wilson half-width is <= W"},
+             &S::half_width, st.half_width, 0.0,
+             std::numeric_limits<double>::infinity()),
+        flag_on("stratify-unit", "by_unit", kSubmit,
+                "hold each unit's stratum to --half-width too", &S::by_unit),
+        text("engine", "inj_engine", kPlan | kDerate,
+             {"E", "injection engine, scalar or lanes (the same records)"},
+             &S::engine, inject::engine_name(cc.engine),
              {inject::engine_name(inject::EngineKind::Scalar),
               inject::engine_name(inject::EngineKind::Lanes)}),
-        count("lanes", "lanes", kPlan | kDerate, &S::lanes, cc.lanes, 1u),
-        flag_on("raw", "raw", kRuns | kTrace, &S::raw),
-        text("unit", "unit", kPlan | kDerate, &S::unit, "",
-             names_of(netlist::kAllUnits)),
-        text("type", "type", kPlan | kDerate, &S::type, "",
-             names_of(netlist::kAllLatchTypes)),
-        count<u64>("sticky", "sticky", kPlan | kDerate | kTrace, &S::sticky,
-                   0),
-        count("ckpt-interval", "ckpt_interval", kRuns, &S::ckpt_interval,
-              cc.ckpt_interval),
-        count("ckpt-mem", "ckpt_mem", kRuns, &S::ckpt_mem,
+        count("lanes", "lanes", kPlan | kDerate,
+              {"N", "in-flight injections per lane-engine sweep"}, &S::lanes,
+              cc.lanes, 1u),
+        flag_on("raw", "raw", kRuns | kTrace,
+                "mask every core checker (Table 3 \"Raw\")", &S::raw),
+        text("unit", "unit", kPlan | kDerate,
+             {"U", "only this unit's latches (IFU..RUT, Core)"},
+             &S::unit, "", names_of(netlist::kAllUnits)),
+        text("type", "type", kPlan | kDerate,
+             {"T", "only this latch type (FUNC/REGFILE/MODE/GPTR)"},
+             &S::type, "", names_of(netlist::kAllLatchTypes)),
+        count<u64>("sticky", "sticky", kPlan | kDerate | kTrace,
+                   {"D", "sticky faults held D cycles (0: toggles)"},
+                   &S::sticky, 0),
+        count("ckpt-interval", "ckpt_interval", kRuns,
+              {"N", "reference checkpoint every N cycles (0: off; 2^64-1: "
+                    "auto from --ckpt-mem)"},
+              &S::ckpt_interval, cc.ckpt_interval),
+        count("ckpt-mem", "ckpt_mem", kRuns,
+              {"MIB", "checkpoint memory budget in MiB"}, &S::ckpt_mem,
               cc.ckpt_memory_budget >> 20, u64{0}, ~u64{0} >> 20),
-        flag_on("footprint", "footprint", kPlan, &S::footprint),
+        flag_on("footprint", "footprint", kPlan,
+                "trace the infection footprint of every non-Vanished "
+                "injection",
+                &S::footprint),
         count("footprint-sample", "footprint_sample", kPlan,
+              {"N", "also trace every Nth Vanished injection (0: none)"},
               &S::footprint_sample, cc.footprint.vanished_sample),
         count("footprint-window", "footprint_window", kPlan,
+              {"N", "cycles traced after a Vanished or Corrected flip"},
               &S::footprint_window, cc.footprint.max_trace_cycles),
         flag_on("footprint-every-cycle", "footprint_every_cycle", kPlan,
+                "diff every cycle after the flip (implies --footprint)",
                 &S::footprint_every_cycle),
     };
   }();

@@ -83,7 +83,8 @@ struct CampaignSpec {
 
 /// The `sfi` verbs, one bit each. An option names the set of verbs that
 /// read it (SpecOption::verbs, and the command line's own options); the
-/// command line refuses it on any other verb.
+/// command line refuses it on any other verb. The CLI's verb table names
+/// each bit's verb.
 namespace verb {
 inline constexpr u32 kInventory = 1u << 0, kCampaign = 1u << 1,
                      kWorker = 1u << 2, kReport = 1u << 3,
@@ -94,14 +95,12 @@ inline constexpr u32 kInventory = 1u << 0, kCampaign = 1u << 1,
                      kShutdown = 1u << 14, kTop = 1u << 15;
 }  // namespace verb
 
-/// The bit of the verb spelled `name` on the command line; 0 for none.
-[[nodiscard]] u32 verb_bit(std::string_view name);
-
 /// How a value is spelled in JSON: a number (its literal), a string, or a
 /// bool for a bare flag.
 enum class SpecKind : u8 { Number, Text, Switch };
 
-/// One row: an option's spellings, its default, and its member's accessors.
+/// One row: an option's spellings, its default, its member's accessors and
+/// its `sfi help` line.
 struct SpecOption {
   std::string_view flag;  ///< command-line flag, without the leading "--"
   std::string_view key;   ///< JSON key in submit requests and manifests
@@ -117,6 +116,8 @@ struct SpecOption {
   std::function<void(CampaignSpec&, std::string_view what,
                      const std::string& text)>
       set;
+  std::string_view value;  ///< placeholder for the value ("" for a switch)
+  std::string_view help;   ///< one line; says what a sentinel default means
 
   [[nodiscard]] bool bare() const { return kind == SpecKind::Switch; }
   /// Exec farm workers get it on their argv.

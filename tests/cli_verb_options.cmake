@@ -96,3 +96,57 @@ string(FIND "${raw}" "checker [" at)
 if(NOT at EQUAL -1)
   message(FATAL_ERROR "`sfi trace --raw` still shows a checker:\n${raw}")
 endif()
+
+# A verb takes only the positional arguments its row names: merge any
+# number of input stores, trace at most one store to stitch, the rest none.
+# Each refusal exits 2 and names the stray argument; merge's inputs parse
+# and then fail at run time on stores that are not there.
+foreach(stray IN ITEMS "campaign --n 20 --threads 1 10000" "mix stray"
+                       "inventory x" "trace a.sfr b.sfr" "help mix x")
+  separate_arguments(args UNIX_COMMAND "${stray}")
+  list(GET args -1 arg)
+  execute_process(COMMAND "${SFI}" ${args} TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${err}" "stray argument '${arg}'" at)
+  if(NOT rc EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR "`sfi ${stray}` exited ${rc}, want 2 naming "
+                        "'${arg}':\n${out}${err}")
+  endif()
+endforeach()
+execute_process(COMMAND "${SFI}" merge --out ${missing}_merged.sfr
+                        ${missing}.sfr ${missing}_2.sfr TIMEOUT 60
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "`sfi merge` of two missing stores exited ${rc}, "
+                      "want 1:\n${out}${err}")
+endif()
+
+# A latch bit past the latch's width is refused, however wide the number.
+foreach(latch IN ITEMS fxu.gpr1:64 fxu.gpr1:4294967296)
+  execute_process(COMMAND "${SFI}" trace --latch ${latch} TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${err}" "has 64 bits" at)
+  if(NOT rc EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR "`sfi trace --latch ${latch}` exited ${rc}, want 2 "
+                        "and the latch's width:\n${out}${err}")
+  endif()
+endforeach()
+
+# `sfi top --interval` takes only a finite period above 0, and says so
+# before it connects; a good period gets as far as the connect, which
+# nothing answers. The timeout turns a poll loop into a failure.
+foreach(interval IN ITEMS 0 -1 nan inf 0.5)
+  execute_process(COMMAND "${SFI}" top --http tcp:127.0.0.1:1
+                          --interval ${interval} TIMEOUT 30
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${err}" "--interval" at)
+  if(interval STREQUAL "0.5")
+    if(NOT rc EQUAL 1 OR NOT at EQUAL -1)
+      message(FATAL_ERROR "`sfi top --interval 0.5` exited ${rc}, want 1 "
+                          "on the connect:\n${out}${err}")
+    endif()
+  elseif(NOT rc EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR "`sfi top --interval ${interval}` exited ${rc}, want "
+                        "2 naming --interval:\n${out}${err}")
+  endif()
+endforeach()

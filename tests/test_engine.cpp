@@ -335,8 +335,10 @@ TEST(Pinned, WorkCountersMatchRecordedValues) {
   // The toggle case above, counted on one thread: how many faults retired
   // dead on arrival and how many early-exited are as deterministic as the
   // bytes. Both engines admit each fault through the same
-  // InjectionRunner::admit, so they retire the same faults that way. The footprint re-runs and the cycles they
-  // simulate are the forensics cost (DESIGN §11), counted free of noise.
+  // InjectionRunner::admit, so they retire the same faults that way. The
+  // footprints and the cycles they span are the forensics cost (DESIGN
+  // §11): observed on each injection's own run, nothing re-run, and
+  // counted free of noise.
   // So are the post-fault cycles by exit kind and the recovery tails the
   // certificate retires: the same tails on both engines, while the lane
   // engine's runner simulates only what leaves its fast path. Late flips

@@ -661,7 +661,7 @@ TEST(ScheduledTelemetry, ChromeTraceHasOneSlicePerFootprint) {
   tel.enable_span_plane("sfi", /*trace_id=*/0);
   inject::CampaignConfig cfg = small_campaign(24, 1);
   cfg.footprint.enabled = true;
-  cfg.footprint.vanished_sample = 1;  // re-run every injection
+  cfg.footprint.vanished_sample = 1;  // trace every injection
   cfg.telemetry = &tel;
   const sched::ScheduledResult r =
       sched::run_campaign_to_store(tc, cfg, store.path());

@@ -1,192 +1,10 @@
 // sfi — the command-line front end of the Statistical Fault Injection
-// framework.
-//
-//   sfi inventory                          latch/array population report
-//   sfi campaign [options]                 run a fault-injection campaign
-//   sfi worker   --shard-store FILE        farm worker (spawned by campaign
-//                                          --farm; reads stdin assignments,
-//                                          rings stdout per finished one)
-//   sfi report   --from FILE               regenerate tables from a store
-//   sfi explain  --from FILE               fault-propagation forensics report
-//   sfi merge    --out FILE IN...          merge campaign store shards
-//   sfi beam     [options]                 run a simulated beam exposure
-//   sfi trace    --latch NAME [options]    trace one fault cause→effect
-//   sfi trace    STORE.sfr [--out FILE]    stitch a campaign's distributed
-//                                          span plane into Perfetto JSON
-//   sfi mix      [options]                 AVP instruction mix & CPI
-//   sfi derate   [options]                 derating factors & FIT budget
-//   sfi serve    --state-dir DIR           multi-tenant campaign daemon
-//   sfi submit   --connect ADDR [options]  submit a campaign to a daemon
-//   sfi status   --connect ADDR            daemon + campaign status
-//   sfi watch    --connect ADDR --id N     stream a campaign's events
-//   sfi shutdown --connect ADDR            graceful daemon stop
-//   sfi top      --http ADDR               live per-campaign fleet table
-//
-// Every campaign option below (the seed, workload, sample size, population,
-// fault mode, checkers, engine, scheduler windows, footprints and the
-// early-stop target) is one row of serve::spec_options(), and the daemon
-// runs the same options from a submit request. Each row, and each of this
-// tool's own options, names the verbs that read it: a verb given an option
-// it does not read exits 2 naming both, as does a name no table knows.
-//
-// Common options:
-//   --seed N              experiment seed               (default 42)
-//   --testcase-seed N     AVP workload seed             (default 2026)
-//   --instructions N      AVP testcase length           (default 160)
-// Campaign options (`sfi derate` reads all of these; `sfi beam` reads
-// --n, --threads, --raw and the two --ckpt options):
-//   --n N                 injections / beam events      (default 1000)
-//   --threads N           worker threads                (default: hw)
-//   --unit U              restrict to one unit (IFU..RUT, Core)
-//   --type T              restrict to one latch type (FUNC/REGFILE/MODE/GPTR)
-//   --raw                 mask all core checkers (Table 3 "Raw")
-//   --sticky D            sticky faults of D cycles instead of toggles
-//   --ckpt-interval N     reference-run checkpoint every N cycles so each
-//                         injection warm-starts instead of replaying from
-//                         cycle 0 (0 = off; default: auto from window size
-//                         and the memory budget). Never changes outcomes.
-//   --ckpt-mem MIB        checkpoint memory budget in MiB (default 64)
-//   --engine E            injection engine: scalar (one in-flight injection
-//                         per worker) or lanes (N in-flight injections as
-//                         XOR-diff lanes over one shared reference replay;
-//                         0.6-0.9x the scalar engine's speed on the default
-//                         workload's 10k campaign, from 64 to 1024 lanes —
-//                         see bench/ablation_lane_engine).
-//                         Records are byte-identical across engines
-//                         (CI-gated), so stores resume/merge across engine
-//                         choices freely
-//   --lanes N             max in-flight injections per lane-engine sweep
-//                         (default 64; more lanes amortize the reference
-//                         replay further, diminishing past ~256)
-// Durable campaign options (scheduler + store):
-//   --out FILE.sfr        stream records to a durable campaign store
-//   --resume              continue an interrupted --out campaign; already
-//                         persisted injections are skipped exactly
-//   --shard-size N        injections per scheduler shard (default 64)
-//   --flush N             records buffered per worker between store
-//                         flushes (default 32)
-//   --max-new N           stop after N new injections (simulates an
-//                         interrupted run; finish later with --resume)
-//   SIGINT/SIGTERM        stop dispatching, flush committed work, close the
-//                         store cleanly and print the --resume hint (exit
-//                         130); a second signal kills immediately
-// Farm options (campaign; requires --out — workers stream per-worker shard
-// stores which the coordinator merges byte-identically to a 1-process run):
-//   --workers N           spawn N supervised local worker processes
-//   --farm HOSTS.txt      spawn workers per hosts file (`host [slots]`;
-//                         non-local hosts via ssh + shared filesystem)
-//   --watchdog SECS       kill a worker with no committed frame for SECS
-//                         (default 30); unfinished work retries elsewhere
-//   --strikes K           reproducible worker-killer injections get K tries
-//                         before being recorded as HarnessFatal (default 3)
-//   --keep-shards         keep per-worker shard files after the merge
-//   --sabotage-crash I    test hook: worker SIGKILLs itself at index I
-//                         (attempt 0 only, so the retry succeeds)
-//   --sabotage-wedge I    test hook: worker spins forever at index I
-//   --sabotage-wedge-once wedge only on attempt 0 (watchdog drill)
-//   --trace-spans         turn the span plane on (as --chrome-trace does)
-//                         without writing a trace file: every process
-//                         records spans ('S' frames) — dispatch, retries,
-//                         per-shard execution, tail-latency exemplar
-//                         injections — into the <out>.trace.sfr sidecar
-//                         (streamed, appended to on --resume; needs --out)
-//                         that `sfi trace <out>.sfr` stitches
-//   --postmortem FILE     crash flight recorder: keep recent telemetry
-//                         lines in a fixed in-memory ring and dump them to
-//                         FILE on a fatal signal; in farm mode also dumped
-//                         after every supervision failure (worker crash,
-//                         watchdog kill, strikeout)
-//   What workers ship follows the telemetry options: with any of them,
-//   workers send cumulative metrics snapshots ('M' frames, one per
-//   assignment) to the coordinator's fleet metrics; with the span plane on,
-//   spans too. Merge drops 'M' and 'S' frames, so the canonical store is
-//   byte-identical either way
-// Worker options (`sfi worker`; campaign flags from serve::worker_command):
-//   --shard-store FILE    shard store this worker appends to (required)
-//   --worker-id N         id stamped into heartbeat/assignment frames
-//   --ship-metrics        ship 'M' metrics snapshots (appended by the
-//                         coordinator when it has campaign telemetry)
-//   --trace-spans         ship 'S' spans (appended when its span plane is on)
-// Propagation forensics (campaign; records/store R frames stay byte-identical
-// with these on — footprints are extra 'P' frames older readers skip):
-//   --footprint           trace infection footprints: every non-Vanished
-//                         injection's own run is observed as it is
-//                         simulated (cycles it skips are read off the
-//                         reference's access timeline) and its state
-//                         diffed against the reference trace at
-//                         exponentially spaced cycles after the flip
-//   --footprint-sample N  also trace every Nth Vanished injection
-//                         (default 32; 0 = never trace Vanished)
-//   --footprint-window N  cap traced cycles after the flip for the bulk
-//                         classes Vanished/Corrected (default 512; escape
-//                         outcomes always get the full 4096-cycle window)
-//   --footprint-every-cycle
-//                         diff at every post-flip cycle instead of
-//                         exponentially (ablation/debug; implies --footprint)
-// Explain options:
-//   --from FILE.sfr       store to read 'P' frames from
-//   --json FILE           also write the full forensics report as JSON
-//   --csv FILE            also write one CSV row per traced injection
-// Telemetry options (campaign and beam; strictly read-only — records and
-// store bytes are identical with or without these):
-//   --metrics-out FILE    write the metrics registry (counters, gauges,
-//                         phase/latency histograms) as JSON at the end
-//   --events-out FILE     stream a structured JSONL event log (campaign
-//                         lifecycle, shard dispatch, checkpoint saves,
-//                         sampled per-injection records)
-//   --chrome-trace FILE   write a Chrome-trace/Perfetto timeline of the
-//                         span plane (one track per worker, shard spans,
-//                         tail-latency exemplar phase slices; farm worker
-//                         rows too): with --out, what `sfi trace` stitches
-//                         from the store; load it in chrome://tracing
-//   --telemetry-sample N  keep every Nth per-injection event-log record
-//                         (default 1 = all; lifecycle events are never
-//                         sampled away, and trace slices follow the span
-//                         plane's exemplar policy instead)
-//   --progress            live one-line progress (rate, ETA, outcome
-//                         tallies) on stderr
-// Serve options (`sfi serve`):
-//   --state-dir DIR       durable home for campaign stores + manifests
-//                         (required; a restarted daemon re-adopts it and
-//                         resumes incomplete campaigns)
-//   --listen ADDR         unix:PATH, tcp:HOST:PORT, or tcp:PORT
-//                         (default unix:<state-dir>/sfi.sock)
-//   --max-active N        campaigns running concurrently (default 2);
-//                         queued submissions are admitted fair-share by
-//                         tenant spend (price = injections x instructions)
-//   --http ADDR           HTTP observability listener (tcp:HOST:PORT or
-//                         tcp:PORT; tcp:0 picks a free port): GET /metrics
-//                         (Prometheus text format: fleet-wide counters,
-//                         histograms with p50/p95/p99, live per-stratum
-//                         early-stop gauges), /healthz and /campaigns
-//                         (JSON), /trace?campaign=N (live Trace Event JSON
-//                         of the campaign's distributed span plane)
-// Top options (`sfi top`; a terminal dashboard over the HTTP plane):
-//   --http ADDR           daemon HTTP address to poll (required)
-//   --interval SECS       refresh period (default 2)
-//   --once                print one table and exit (no screen clearing)
-//   --json                machine-readable: one JSON object per refresh
-//                         (campaigns plus computed rate/ETA; no screen
-//                         control — pipe it to jq or a logger)
-// Client options (`sfi submit` / `status` / `watch` / `shutdown`; submit
-// takes any campaign option and sends only those given; the rest take the
-// daemon's defaults, whose one thread and small shard and flush windows make
-// stop points deterministic):
-//   --connect ADDR        daemon address (same grammar as --listen)
-//   --tenant T            fair-share accounting bucket (default "default")
-//   --confidence C        interval confidence in (0,1)  (default 0.95; also
-//                         sets the CI level campaign/report tables print)
-//   --half-width W        early-stop target: stop once every stratum's
-//                         Wilson half-width is <= W     (default 0.02)
-//   --stratify-unit       require per-unit strata to meet the target too
-//   --wait                submit, then stream events until the campaign ends
-//   --json                status: raw JSON reply instead of the table
-//   --id N                watch: campaign id
-// Trace options (single-fault mode):
-//   --latch NAME[:BIT]    latch (by hierarchical name) to flip
-//   --cycle C             injection cycle               (default 30)
-// Trace options (stitch mode: `sfi trace STORE.sfr`):
-//   --out FILE.json       stitched Trace Event JSON     (default trace.json)
+// framework. `sfi help` lists the verbs; `sfi help VERB` lists what a verb
+// takes, each option with the default that verb runs with. Both are
+// rendered from three tables: the verbs (kVerbs, above main()), the
+// campaign options (serve::spec_options(), which the daemon also reads)
+// and this tool's own options (cli_options()). A verb given an option or
+// an argument it does not take exits 2 naming both.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -194,11 +12,13 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -233,193 +53,210 @@ namespace {
 using namespace sfi;
 
 /// A bad command line (unknown option, missing argument). Exits with 2,
-/// like usage() and a bad campaign option (serve::SpecError), rather than 1
-/// (runtime failure).
+/// like a bare `sfi` and a bad campaign option (serve::SpecError), rather
+/// than 1 (runtime failure).
 struct CliError : std::runtime_error {
   explicit CliError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// The options that are not campaign-spec rows (serve::spec_options() has
-/// those): together with the rows, every name the parser accepts, each with
-/// the verbs that read it (serve::verb bits). A bare option takes no value;
-/// a name may take a value on one verb and be bare on another.
-struct CliOption {
+struct Args;
+
+/// The daemon's defaults: what `submit` sends nothing for, and what an exec
+/// worker's argv is written over.
+serve::CampaignSpec daemon_defaults() { return {}; }
+
+/// One verb: a row of kVerbs.
+struct Verb {
   std::string_view name;
-  bool bare;
-  u32 verbs;
-};
-namespace verb = serve::verb;
-constexpr CliOption kCliOptions[] = {
-    // durable campaigns and the farm
-    {"out", false, verb::kCampaign | verb::kMerge | verb::kTrace},
-    {"resume", true, verb::kCampaign}, {"max-new", false, verb::kCampaign},
-    {"farm", false, verb::kCampaign}, {"watchdog", false, verb::kCampaign},
-    {"strikes", false, verb::kCampaign},
-    {"keep-shards", true, verb::kCampaign},
-    {"sabotage-crash", false, verb::kCampaign | verb::kWorker},
-    {"sabotage-wedge", false, verb::kCampaign | verb::kWorker},
-    {"sabotage-wedge-once", true, verb::kCampaign | verb::kWorker},
-    // farm workers
-    {"shard-store", false, verb::kWorker}, {"worker-id", false, verb::kWorker},
-    {"ship-metrics", true, verb::kWorker},
-    // telemetry
-    {"metrics-out", false, verb::kCampaign | verb::kBeam},
-    {"events-out", false, verb::kCampaign | verb::kBeam},
-    {"chrome-trace", false, verb::kCampaign | verb::kBeam},
-    {"telemetry-sample", false, verb::kCampaign | verb::kBeam},
-    {"progress", true, verb::kCampaign | verb::kBeam},
-    {"trace-spans", true, verb::kCampaign | verb::kWorker},
-    {"postmortem", false, verb::kCampaign},
-    // report, explain, trace; --json names a file for explain, and is a
-    // bare flag for status and top (machine-readable output)
-    {"from", false, verb::kReport | verb::kExplain},
-    {"json", false, verb::kExplain}, {"json", true, verb::kStatus | verb::kTop},
-    {"csv", false, verb::kExplain}, {"latch", false, verb::kTrace},
-    {"cycle", false, verb::kTrace},
-    // serve and its clients
-    {"state-dir", false, verb::kServe}, {"listen", false, verb::kServe},
-    {"max-active", false, verb::kServe},
-    {"http", false, verb::kServe | verb::kTop},
-    {"connect", false,
-     verb::kSubmit | verb::kStatus | verb::kWatch | verb::kShutdown},
-    {"wait", true, verb::kSubmit}, {"id", false, verb::kWatch},
-    {"interval", false, verb::kTop}, {"once", true, verb::kTop},
+  u32 bit;  ///< its serve::verb bit, which the options it reads carry
+  /// Its positional arguments: "" none, "[X]" at most one, "X..." any
+  /// number.
+  std::string_view args;
+  int (*run)(const Args&);
+  std::string_view summary;
+  /// The spec its campaign options start from.
+  serve::CampaignSpec (*start)() = daemon_defaults;
+
+  [[nodiscard]] std::size_t max_args() const {
+    if (args.empty()) return 0;
+    return args.ends_with("...") ? std::numeric_limits<std::size_t>::max()
+                                 : 1;
+  }
 };
 
+/// The options that are not campaign-spec rows (serve::spec_options() has
+/// those): together with the rows, every name the parser accepts, each with
+/// the verbs that read it (serve::verb bits). A name may take a value on one
+/// verb and be bare on another.
+struct CliOption {
+  std::string_view name;
+  std::string_view value;  ///< placeholder for its value; "" when bare
+  u32 verbs;
+  std::string dflt;  ///< what a verb reads when it is not given ("": none)
+  std::string_view help;
+
+  [[nodiscard]] bool bare() const { return value.empty(); }
+};
+namespace verb = serve::verb;
+
+const std::vector<CliOption>& cli_options() {
+  static const std::vector<CliOption> options = [] {
+    using namespace verb;
+    const farm::FarmConfig fc;
+    return std::vector<CliOption>{
+        // durable campaigns and the farm
+        {"out", "FILE.sfr", kCampaign | kMerge, "",
+         "store to write (a campaign's is durable and resumable)"},
+        {"resume", "", kCampaign, "",
+         "continue an interrupted --out campaign exactly"},
+        {"max-new", "N", kCampaign,
+         std::to_string(sched::SchedulerConfig{}.max_new_injections),
+         "stop after N new injections; finish with --resume (0: no cap)"},
+        {"farm", "HOSTS.txt", kCampaign, "",
+         "run workers per hosts-file line `host [slots]` (needs --out)"},
+        // The CLI takes whole seconds.
+        {"watchdog", "SECS", kCampaign,
+         std::to_string(static_cast<u64>(fc.watchdog_seconds)),
+         "kill a worker that commits nothing for SECS"},
+        {"strikes", "K", kCampaign, std::to_string(fc.max_strikes),
+         "tries a worker-killing injection gets before it is HarnessFatal"},
+        {"keep-shards", "", kCampaign, "",
+         "keep the workers' shard stores after the merge"},
+        {"sabotage-crash", "I", kCampaign | kWorker, "",
+         "test hook: a worker SIGKILLs itself at injection I, once"},
+        {"sabotage-wedge", "I", kCampaign | kWorker, "",
+         "test hook: a worker spins forever at injection I"},
+        {"sabotage-wedge-once", "", kCampaign | kWorker, "",
+         "wedge only on the first attempt (watchdog drill)"},
+        // farm workers
+        {"shard-store", "FILE.sfr", kWorker, "",
+         "shard store this worker appends to (required)"},
+        {"worker-id", "N", kWorker,
+         std::to_string(farm::WorkerOptions{}.worker_id),
+         "id stamped into this worker's frames"},
+        {"ship-metrics", "", kWorker, "",
+         "ship a metrics snapshot ('M' frame) per assignment"},
+        // telemetry
+        {"metrics-out", "FILE", kCampaign | kBeam, "",
+         "write the metrics registry as JSON at the end"},
+        {"events-out", "FILE", kCampaign | kBeam, "",
+         "stream a JSONL event log"},
+        {"chrome-trace", "FILE", kCampaign | kBeam, "",
+         "write the span plane as Chrome-trace/Perfetto JSON"},
+        {"telemetry-sample", "N", kCampaign | kBeam,
+         std::to_string(inject::TelemetryConfig{}.event_sample),
+         "keep every Nth per-injection event-log record"},
+        {"progress", "", kCampaign | kBeam, "",
+         "live one-line progress on stderr"},
+        {"trace-spans", "", kCampaign | kWorker, "",
+         "record spans ('S' frames; a campaign's go to <out>.trace.sfr)"},
+        {"postmortem", "FILE", kCampaign, "",
+         "dump recent telemetry lines to FILE on a crash or farm failure"},
+        // report, explain, trace; --json names a file for explain, and is a
+        // bare flag for status and top (machine-readable output)
+        {"from", "FILE.sfr", kReport | kExplain, "",
+         "store to read (required)"},
+        {"json", "FILE", kExplain, "", "also write the report as JSON"},
+        {"json", "", kStatus | kTop, "", "print JSON, not a table"},
+        {"csv", "FILE", kExplain, "", "also write one CSV row per footprint"},
+        {"latch", "NAME[:BIT]", kTrace, "",
+         "latch to flip, by hierarchical name (bit 0 unless given)"},
+        {"cycle", "C", kTrace, "30", "injection cycle"},
+        {"out", "FILE.json", kTrace, "trace.json",
+         "where a stitched STORE.sfr's Trace Event JSON goes"},
+        // serve and its clients
+        {"state-dir", "DIR", kServe, "",
+         "home of campaign stores; a restart resumes them (required)"},
+        {"listen", "ADDR", kServe, "",
+         "unix:PATH, tcp:HOST:PORT or tcp:PORT (unix:<state-dir>/sfi.sock)"},
+        {"max-active", "N", kServe,
+         std::to_string(serve::ServeConfig{}.max_active),
+         "campaigns running at once; the rest queue fair-share by tenant"},
+        {"http", "ADDR", kServe | kTop, "",
+         "the daemon's HTTP plane: serve listens on it, top polls it"},
+        {"connect", "ADDR", kSubmit | kStatus | kWatch | kShutdown, "",
+         "daemon address, as for serve --listen (required)"},
+        {"wait", "", kSubmit, "",
+         "then stream the campaign's events until it ends"},
+        {"id", "N", kWatch, "", "campaign id (required)"},
+        {"interval", "SECS", kTop, "2", "refresh period"},
+        {"once", "", kTop, "", "print one table and exit"},
+    };
+  }();
+  return options;
+}
+
+/// A parsed command line. An option the verb reads that is not given reads
+/// its default: a campaign option from the verb's starting spec (see
+/// campaign_spec()), any other from its cli_options() entry.
 struct Args {
-  std::string command;
+  const Verb* verb = nullptr;  ///< none: no verb given, or no such verb
   std::map<std::string, std::string> opts;
   std::set<std::string> flags;
   std::vector<std::string> positional;
 
-  [[nodiscard]] u64 num(const std::string& key, u64 dflt) const {
-    const auto it = opts.find(key);
-    return it == opts.end() ? dflt : serve::parse_count("--" + key, it->second);
+  /// The value given for `key`, else its entry's default, if it has one.
+  [[nodiscard]] std::optional<std::string> str(const std::string& key) const {
+    if (const auto it = opts.find(key); it != opts.end()) return it->second;
+    for (const CliOption& o : cli_options()) {
+      if (o.name == key && (o.verbs & verb->bit) != 0 && !o.dflt.empty()) {
+        return o.dflt;
+      }
+    }
+    return std::nullopt;
+  }
+  [[nodiscard]] u64 num(const std::string& key) const {
+    return serve::parse_count("--" + key, value(key));
   }
   /// num() for options that land in a u32 destination: values above 2^32-1
   /// are a usage error, not a silent wrap (--n 4294967297 used to become 1).
-  [[nodiscard]] u32 num_u32(const std::string& key, u32 dflt) const {
-    const u64 v = num(key, dflt);
+  [[nodiscard]] u32 num_u32(const std::string& key) const {
+    const u64 v = num(key);
     if (v > std::numeric_limits<u32>::max()) {
-      throw CliError("invalid value for --" + key + ": '" +
-                     opts.at(key) + "' (exceeds the 32-bit range)");
+      throw CliError("invalid value for --" + key + ": '" + value(key) +
+                     "' (exceeds the 32-bit range)");
     }
     return static_cast<u32>(v);
   }
-  [[nodiscard]] double fnum(const std::string& key, double dflt) const {
-    const auto it = opts.find(key);
-    return it == opts.end() ? dflt : serve::parse_real("--" + key, it->second);
-  }
-  [[nodiscard]] std::optional<std::string> str(const std::string& key) const {
-    const auto it = opts.find(key);
-    if (it == opts.end()) return std::nullopt;
-    return it->second;
+  [[nodiscard]] double fnum(const std::string& key) const {
+    return serve::parse_real("--" + key, value(key));
   }
   [[nodiscard]] bool flag(const std::string& key) const {
     return flags.count(key) != 0;
   }
+
+ private:
+  [[nodiscard]] std::string value(const std::string& key) const {
+    const auto v = str(key);
+    if (!v) throw std::logic_error("--" + key + " has no value or default");
+    return *v;
+  }
 };
 
-int usage() {
-  std::cout <<
-      R"(usage: sfi <command> [options]
-commands:
-  inventory   latch/array population report
-  campaign    run a statistical fault-injection campaign
-              (--out FILE.sfr streams records to a durable store; --resume
-               continues an interrupted one exactly; --workers N / --farm
-               HOSTS.txt run it on supervised worker processes)
-  worker      farm worker process (spawned by campaign --farm; reads
-              shard assignments on stdin, answers via --shard-store and
-              prints one blank line as each assignment finishes)
-  report      regenerate campaign tables from a store (--from FILE.sfr),
-              no re-simulation
-  explain     fault-propagation forensics from a store's footprints
-              (--from FILE.sfr [--json FILE] [--csv FILE]; needs a campaign
-               run with --footprint)
-  merge       merge store shards: sfi merge --out MERGED.sfr SHARD...
-  beam        run a simulated proton-beam exposure
-  trace       trace one injected fault from cause to effect (--latch), or
-              stitch a campaign's distributed span plane into one Perfetto
-              timeline (sfi trace STORE.sfr [--out trace.json])
-  mix         AVP instruction mix and CPI report
-  derate      derating factors & chip FIT budget from a campaign
-  serve       multi-tenant campaign daemon with adaptive early stop
-              (--state-dir DIR [--listen unix:PATH|tcp:HOST:PORT]
-               [--max-active N]); campaigns stop as soon as every stratum's
-              Wilson interval is under the submitted half-width target
-  submit      submit a campaign to a daemon (--connect ADDR [--tenant T]
-              [--wait] and any campaign option — --n, --half-width,
-              --stratify-unit, --workers, --raw, --unit, --sticky, ...;
-              only the options given are sent)
-  status      one-line-per-campaign daemon status (--connect ADDR [--json])
-  watch       stream a campaign's JSONL event log (--connect ADDR --id N)
-  shutdown    ask a daemon to stop (running campaigns stay resumable)
-  top         live refreshing per-campaign table over the daemon's HTTP
-              plane (--http ADDR [--interval SECS] [--once]); the same
-              endpoint Prometheus scrapes at /metrics
-telemetry (campaign/beam): --metrics-out FILE, --events-out FILE.jsonl,
-  --chrome-trace FILE.json, --telemetry-sample N (thins the event log
-  only), --progress
-run `head -189 tools/sfi_cli.cpp` for the full option list.
-)";
-  return 2;
+/// The campaign options on the command line, over the spec the verb starts
+/// from.
+serve::CampaignSpec campaign_spec(const Args& a) {
+  serve::CampaignSpec spec = a.verb->start();
+  serve::apply_flags(spec, a.opts, a.flags);
+  return spec;
 }
 
-Args parse(int argc, char** argv) {
-  Args a;
-  if (argc < 2) return a;
-  a.command = argv[1];
-  const u32 this_verb = serve::verb_bit(a.command);
-  if (this_verb == 0) return a;  // not a verb: main() prints the usage
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      a.positional.push_back(key);
-      continue;
-    }
-    key = key.substr(2);
-    // Whether the option takes no value, once one this verb reads is found.
-    std::optional<bool> bare;
-    bool known = false;
-    const auto match = [&](std::string_view name, u32 verbs, bool is_bare) {
-      known = known || name == key;
-      if (name == key && (verbs & this_verb) != 0) bare = is_bare;
-    };
-    for (const serve::SpecOption& row : serve::spec_options()) {
-      match(row.flag, row.verbs, row.bare());
-    }
-    for (const CliOption& o : kCliOptions) match(o.name, o.verbs, o.bare);
-    if (!known) throw CliError("unknown option --" + key);
-    if (!bare) throw CliError("sfi " + a.command + " does not take --" + key);
-    if (*bare) {
-      a.flags.insert(key);
-    } else if (i + 1 < argc) {
-      a.opts[key] = argv[++i];
-    } else {
-      throw CliError("option --" + key + " expects a value");
-    }
-  }
-  return a;
-}
-
-/// The campaign options on the command line, over `base`: the daemon's
-/// defaults unless a verb has its own.
-serve::CampaignSpec campaign_spec(const Args& a,
-                                  serve::CampaignSpec base = {}) {
-  serve::apply_flags(base, a.opts, a.flags);
-  return base;
-}
-
-/// What `sfi campaign` runs with when a flag is not given: the scheduler's
-/// shard and flush windows and hardware threads, not the daemon's
-/// deterministic-stop ones.
+/// What `sfi campaign` and `sfi beam` run with when a flag is not given:
+/// the scheduler's shard and flush windows and hardware threads, not the
+/// daemon's deterministic-stop ones.
 serve::CampaignSpec campaign_defaults() {
   serve::CampaignSpec spec;
   const sched::SchedulerConfig sc;
   spec.threads = inject::CampaignConfig{}.threads;
   spec.shard_size = sc.shard_size;
   spec.flush_records = sc.flush_records;
+  return spec;
+}
+
+/// `sfi derate` runs CampaignConfig's sample size.
+serve::CampaignSpec derate_defaults() {
+  serve::CampaignSpec spec = campaign_defaults();
+  spec.n = inject::CampaignConfig{}.num_injections;
   return spec;
 }
 
@@ -486,7 +323,7 @@ void print_throughput(double wall_seconds, u64 cycles_evaluated,
             << " MiB resident; " << checkpoint_ops << " checkpoint ops)\n";
 }
 
-int cmd_inventory() {
+int cmd_inventory(const Args& /*a*/) {
   core::Pearl6Model model;
   const auto& reg = model.registry();
 
@@ -563,7 +400,7 @@ TelemetrySinks make_telemetry(const Args& a) {
   const auto events_out = a.str("events-out");
   // Parse before the early return: a malformed value must error even when
   // no sink is enabled.
-  const auto sample = a.num_u32("telemetry-sample", 1);
+  const auto sample = a.num_u32("telemetry-sample");
   // --postmortem implies a telemetry facade: the flight-recorder ring only
   // holds lines the telemetry layer emits, so without one the dump would
   // always be empty.
@@ -638,10 +475,10 @@ std::string postmortem_from_args(const Args& a) {
 farm::SabotageConfig sabotage_from_args(const Args& a) {
   farm::SabotageConfig s;
   if (a.opts.count("sabotage-crash") != 0) {
-    s.crash_index = a.num_u32("sabotage-crash", 0);
+    s.crash_index = a.num_u32("sabotage-crash");
   }
   if (a.opts.count("sabotage-wedge") != 0) {
-    s.wedge_index = a.num_u32("sabotage-wedge", 0);
+    s.wedge_index = a.num_u32("sabotage-wedge");
   }
   s.wedge_once = a.flag("sabotage-wedge-once");
   return s;
@@ -659,8 +496,8 @@ int cmd_campaign_farm(const Args& a, const serve::CampaignSpec& spec,
     fc.worker_command = serve::worker_command(spec);
   }
   fc.shard_size = spec.shard_size;
-  fc.max_strikes = a.num_u32("strikes", fc.max_strikes);
-  fc.watchdog_seconds = static_cast<double>(a.num("watchdog", 30));
+  fc.max_strikes = a.num_u32("strikes");
+  fc.watchdog_seconds = static_cast<double>(a.num("watchdog"));
   fc.sabotage = sabotage_from_args(a);
   fc.keep_shards = a.flag("keep-shards");
   fc.postmortem_path = postmortem_from_args(a);
@@ -731,7 +568,7 @@ int cmd_worker(const Args& a) {
   if (!shard) throw CliError("worker requires --shard-store FILE.sfr");
   const serve::CampaignRun run = serve::campaign_run(campaign_spec(a));
   farm::WorkerOptions wo;
-  wo.worker_id = a.num_u32("worker-id", 0);
+  wo.worker_id = a.num_u32("worker-id");
   wo.shard_path = *shard;
   wo.sabotage = sabotage_from_args(a);
   wo.ship_metrics = a.flag("ship-metrics");
@@ -747,7 +584,7 @@ int cmd_campaign_to_store(const Args& a, const serve::CampaignSpec& spec,
                           const std::string& out,
                           const TelemetrySinks& sinks) {
   sched::SchedulerConfig sc = run.sched;
-  sc.max_new_injections = a.num("max-new", sc.max_new_injections);
+  sc.max_new_injections = a.num("max-new");
   (void)postmortem_from_args(a);  // in-process: dump on fatal signal only
   install_stop_handler();
   sc.should_stop = [] { return g_stop_requested != 0; };
@@ -802,7 +639,7 @@ int cmd_campaign_to_store(const Args& a, const serve::CampaignSpec& spec,
 }
 
 int cmd_campaign(const Args& a) {
-  const serve::CampaignSpec spec = campaign_spec(a, campaign_defaults());
+  const serve::CampaignSpec spec = campaign_spec(a);
   serve::CampaignRun run = serve::campaign_run(spec);
   const avp::Testcase tc = avp::generate_testcase(run.testcase);
   const TelemetrySinks sinks = make_telemetry(a);
@@ -1155,7 +992,7 @@ int cmd_merge(const Args& a) {
 }
 
 int cmd_beam(const Args& a) {
-  const serve::CampaignSpec spec = campaign_spec(a, campaign_defaults());
+  const serve::CampaignSpec spec = campaign_spec(a);
   const serve::CampaignRun run = serve::campaign_run(spec);
   const avp::Testcase tc = avp::generate_testcase(run.testcase);
   const inject::CampaignConfig& c = run.config;
@@ -1192,7 +1029,7 @@ int cmd_beam(const Args& a) {
 int cmd_trace_stitch(const Args& a) {
   const std::string& store_path = a.positional.front();
   const store::StitchResult r = store::stitch_trace(store_path);
-  const std::string out = a.str("out").value_or("trace.json");
+  const std::string out = *a.str("out");
   {
     std::ofstream f(out, std::ios::trunc | std::ios::binary);
     if (!f) throw std::runtime_error("trace: cannot write " + out);
@@ -1219,10 +1056,9 @@ int cmd_trace(const Args& a) {
         "positional STORE.sfr (stitch the campaign's span plane)");
   }
   std::string name = *latch;
-  u32 bit = 0;
+  u64 bit = 0;
   if (const auto colon = name.find(':'); colon != std::string::npos) {
-    bit = static_cast<u32>(
-        serve::parse_count("--latch", name.substr(colon + 1)));
+    bit = serve::parse_count("--latch", name.substr(colon + 1));
     name = name.substr(0, colon);
   }
 
@@ -1250,7 +1086,7 @@ int cmd_trace(const Args& a) {
 
   inject::FaultSpec f;
   f.index = ords[bit];
-  f.cycle = a.num("cycle", 30);
+  f.cycle = a.num("cycle");
   if (spec.sticky != 0) {
     f.mode = inject::FaultMode::Sticky;
     f.sticky_duration = spec.sticky;
@@ -1262,9 +1098,7 @@ int cmd_trace(const Args& a) {
 }
 
 int cmd_derate(const Args& a) {
-  serve::CampaignSpec base = campaign_defaults();
-  base.n = inject::CampaignConfig{}.num_injections;
-  const serve::CampaignRun run = serve::campaign_run(campaign_spec(a, base));
+  const serve::CampaignRun run = serve::campaign_run(campaign_spec(a));
   const inject::CampaignResult r = inject::run_campaign(
       avp::generate_testcase(run.testcase), run.config);
 
@@ -1311,7 +1145,7 @@ int cmd_serve(const Args& a) {
   serve::ServeConfig sc;
   sc.state_dir = *state_dir;
   if (const auto l = a.str("listen")) sc.listen = *l;
-  sc.max_active = a.num_u32("max-active", sc.max_active);
+  sc.max_active = a.num_u32("max-active");
   if (const auto h = a.str("http")) sc.http = *h;
   install_stop_handler();
   sc.should_stop = [] { return g_stop_requested != 0; };
@@ -1416,7 +1250,7 @@ int cmd_status(const Args& a) {
 
 int cmd_watch(const Args& a) {
   farm::ignore_sigpipe();
-  const u64 id = a.num("id", 0);
+  const u64 id = a.str("id") ? a.num("id") : 0;
   if (id == 0) throw CliError("watch requires --id N");
   serve::LineChannel ch(serve::connect_to(client_address(a)));
   telemetry::JsonWriter w;
@@ -1485,7 +1319,12 @@ int cmd_top(const Args& a) {
     throw CliError("top requires --http ADDR (the daemon's --http address)");
   }
   const serve::Address addr = serve::parse_address(*spec);
-  const double interval = a.fnum("interval", 2.0);
+  // Any other period polls without pause (0, -1, nan) or never again (inf).
+  const double interval = a.fnum("interval");
+  if (!(interval > 0.0) || !std::isfinite(interval)) {
+    throw CliError("invalid value for --interval: '" + *a.str("interval") +
+                   "' (expected a finite number of seconds above 0)");
+  }
   const bool once = a.flag("once");
   const bool json = a.flag("json");
   install_stop_handler();
@@ -1612,11 +1451,10 @@ int cmd_top(const Args& a) {
     }
     if (once) return 0;
     // Sleep in slices so Ctrl-C lands promptly, not a poll later.
-    const auto deadline =
-        now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(interval));
     while (g_stop_requested == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
+           std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         now)
+                   .count() < interval) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   }
@@ -1634,27 +1472,147 @@ int cmd_shutdown(const Args& a) {
   return 0;
 }
 
+int cmd_help(const Args& a);
+
+/// The verbs: what parse() looks a verb up in, what `sfi help` lists, and
+/// what main() dispatches through.
+constexpr Verb kVerbs[] = {
+    {"inventory", verb::kInventory, "", cmd_inventory,
+     "latch/array population report"},
+    {"campaign", verb::kCampaign, "", cmd_campaign,
+     "run a fault-injection campaign, in memory or into a resumable store",
+     campaign_defaults},
+    {"worker", verb::kWorker, "", cmd_worker,
+     "farm worker process (a coordinator spawns it; assignments on stdin)"},
+    {"report", verb::kReport, "", cmd_report,
+     "regenerate campaign tables from a store, with no simulation"},
+    {"explain", verb::kExplain, "", cmd_explain,
+     "fault-propagation forensics from a store's footprints"},
+    {"merge", verb::kMerge, "IN...", cmd_merge,
+     "merge store shards into one canonical store"},
+    {"beam", verb::kBeam, "", cmd_beam,
+     "run a simulated proton-beam exposure", campaign_defaults},
+    {"trace", verb::kTrace, "[STORE.sfr]", cmd_trace,
+     "trace one fault (--latch), or stitch a store's spans for Perfetto"},
+    {"mix", verb::kMix, "", cmd_mix, "AVP instruction mix and CPI"},
+    {"derate", verb::kDerate, "", cmd_derate,
+     "derating factors and chip FIT budget from a campaign",
+     derate_defaults},
+    {"serve", verb::kServe, "", cmd_serve,
+     "multi-tenant campaign daemon with adaptive early stop"},
+    {"submit", verb::kSubmit, "", cmd_submit,
+     "submit a campaign to a daemon; only the options given are sent"},
+    {"status", verb::kStatus, "", cmd_status, "one line per daemon campaign"},
+    {"watch", verb::kWatch, "", cmd_watch,
+     "stream a campaign's JSONL event log"},
+    {"shutdown", verb::kShutdown, "", cmd_shutdown,
+     "stop a daemon; running campaigns stay resumable"},
+    {"top", verb::kTop, "", cmd_top,
+     "live per-campaign table over a daemon's HTTP plane"},
+    {"help", 0, "[VERB]", cmd_help, "list the verbs, or what one verb takes"},
+};
+
+const Verb* find_verb(std::string_view name) {
+  for (const Verb& v : kVerbs) {
+    if (v.name == name) return &v;
+  }
+  return nullptr;
+}
+
+/// `sfi help`, and what a bare `sfi` prints.
+void print_verbs() {
+  std::cout << "usage: sfi VERB [options]  (`sfi help VERB` lists what a "
+               "verb takes)\n";
+  for (const Verb& v : kVerbs) {
+    std::cout << "  " << std::left << std::setw(10) << v.name << v.summary
+              << "\n";
+  }
+}
+
+/// `sfi help VERB`: each option the verb reads, with the default it runs
+/// with.
+void print_verb_help(const Verb& v) {
+  std::cout << "usage: sfi " << v.name << (v.args.empty() ? "" : " ")
+            << v.args << "\n" << v.summary << "\n";
+  const auto print = [](std::string_view name, std::string_view value,
+                        std::string_view help, const std::string& dflt) {
+    std::string option = "--" + std::string(name);
+    if (!value.empty()) option += " " + std::string(value);
+    std::cout << "  " << std::left << std::setw(23) << option << "  " << help;
+    if (!dflt.empty()) std::cout << " (default " << dflt << ")";
+    std::cout << "\n";
+  };
+  const serve::CampaignSpec start = v.start();
+  for (const serve::SpecOption& row : serve::spec_options()) {
+    if ((row.verbs & v.bit) != 0) {
+      print(row.flag, row.value, row.help, row.get(start));
+    }
+  }
+  for (const CliOption& o : cli_options()) {
+    if ((o.verbs & v.bit) != 0) print(o.name, o.value, o.help, o.dflt);
+  }
+}
+
+int cmd_help(const Args& a) {
+  if (a.positional.empty()) {
+    print_verbs();
+    return 0;
+  }
+  const Verb* v = find_verb(a.positional.front());
+  if (v == nullptr) {
+    throw CliError("no verb " + a.positional.front() + " (see `sfi help`)");
+  }
+  print_verb_help(*v);
+  return 0;
+}
+
+Args parse(int argc, char** argv) {
+  Args a;
+  if (argc < 2) return a;
+  a.verb = find_verb(argv[1]);
+  if (a.verb == nullptr) return a;  // main() prints the verbs
+  const std::string name(a.verb->name);
+  const std::string see = " (see `sfi help " + name + "`)";
+  for (int i = 2; i < argc; ++i) {
+    std::string key = argv[i];
+    if (key.rfind("--", 0) != 0) {
+      if (a.positional.size() == a.verb->max_args()) {
+        throw CliError("stray argument '" + key + "'" + see);
+      }
+      a.positional.push_back(key);
+      continue;
+    }
+    key = key.substr(2);
+    // Whether the option takes no value, once one this verb reads is found.
+    std::optional<bool> bare;
+    bool known = false;
+    const auto match = [&](std::string_view option, u32 verbs, bool is_bare) {
+      known = known || option == key;
+      if (option == key && (verbs & a.verb->bit) != 0) bare = is_bare;
+    };
+    for (const serve::SpecOption& row : serve::spec_options()) {
+      match(row.flag, row.verbs, row.bare());
+    }
+    for (const CliOption& o : cli_options()) match(o.name, o.verbs, o.bare());
+    if (!known) throw CliError("unknown option --" + key + see);
+    if (!bare) throw CliError("sfi " + name + " does not take --" + key + see);
+    if (*bare) {
+      a.flags.insert(key);
+    } else if (i + 1 < argc) {
+      a.opts[key] = argv[++i];
+    } else {
+      throw CliError("option --" + key + " expects a value");
+    }
+  }
+  return a;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const Args a = parse(argc, argv);
-    if (a.command == "inventory") return cmd_inventory();
-    if (a.command == "campaign") return cmd_campaign(a);
-    if (a.command == "worker") return cmd_worker(a);
-    if (a.command == "report") return cmd_report(a);
-    if (a.command == "explain") return cmd_explain(a);
-    if (a.command == "merge") return cmd_merge(a);
-    if (a.command == "beam") return cmd_beam(a);
-    if (a.command == "trace") return cmd_trace(a);
-    if (a.command == "mix") return cmd_mix(a);
-    if (a.command == "derate") return cmd_derate(a);
-    if (a.command == "serve") return cmd_serve(a);
-    if (a.command == "submit") return cmd_submit(a);
-    if (a.command == "status") return cmd_status(a);
-    if (a.command == "watch") return cmd_watch(a);
-    if (a.command == "shutdown") return cmd_shutdown(a);
-    if (a.command == "top") return cmd_top(a);
+    if (a.verb != nullptr) return a.verb->run(a);
   } catch (const CliError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
@@ -1665,5 +1623,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  return usage();
+  print_verbs();
+  return 2;
 }
