@@ -36,7 +36,6 @@ class Pearl6Model final : public emu::Model {
 
   [[nodiscard]] const CoreConfig& config() const { return cfg_; }
   [[nodiscard]] const isa::Program& program() const { return program_; }
-  [[nodiscard]] const isa::ArchState& initial_state() const { return init_; }
 
   // --- emu::Model ---
   [[nodiscard]] const netlist::LatchRegistry& registry() const override {

@@ -40,10 +40,6 @@ class Fxu {
 
   /// A multi-cycle op (mul/div) is occupying the unit.
   [[nodiscard]] bool multi_busy(const netlist::CycleFrame& f) const;
-  /// Any instruction in the EX stage.
-  [[nodiscard]] bool ex_valid(const netlist::CycleFrame& f) const {
-    return v_.get(f);
-  }
 
   [[nodiscard]] ParityRegFile& gpr() { return gpr_; }
   [[nodiscard]] const ParityRegFile& gpr() const { return gpr_; }

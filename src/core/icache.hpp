@@ -53,11 +53,6 @@ class ICache {
     return data_;
   }
 
-  /// True while a refill is outstanding (fetch cannot hit a different line).
-  [[nodiscard]] bool miss_pending(const netlist::CycleFrame& f) const {
-    return busy_.get(f);
-  }
-
  private:
   static constexpr u32 kLines = CoreConfig::kIcacheLines;
   static constexpr u32 kLineBytes = CoreConfig::kLineBytes;

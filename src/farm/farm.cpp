@@ -50,9 +50,8 @@ struct Slot {
   bool started = false;  ///< any committed frame seen this generation
   bool gap_warned = false;
   std::optional<WorkShard> current;
-  std::optional<u32> in_flight;  ///< last committed heartbeat's index
-  double last_activity = 0.0;    ///< steady seconds of last committed frame
-  double spawned_at = 0.0;
+  bool accepted = false;       ///< `current`'s 'A' echo was delivered
+  double last_activity = 0.0;  ///< steady seconds of last committed frame
   // Observability frames wait until their pass has dispatched, so decoding
   // them never delays a worker's next assignment: the newest 'M' payload
   // (a cumulative snapshot, so older ones are dropped undecoded) and every
@@ -315,9 +314,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     s.started = false;
     s.gap_warned = false;
     s.current.reset();
-    s.in_flight.reset();
-    s.spawned_at = now_s();
-    s.last_activity = s.spawned_at;
+    s.last_activity = now_s();
     ++result.workers_spawned;
     if (tel != nullptr) {
       tel->farm_worker_spawned(s.id, s.proc.pid, s.generation);
@@ -361,58 +358,15 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     s.span_frames.clear();
   };
 
-  // Strike bookkeeping for one failed worker: finger the culprit, requeue
-  // the unfinished remainder with backoff, and free the slot.
+  // Worker failures since the last newly committed record.
   u64 failures_without_progress = 0;
-  const auto handle_failure = [&](Slot& s) {
-    ++failures_without_progress;
-    s.alive = false;
-    observe(s);  // before a respawn moves the slot to its next generation
-    if (s.in_flight && *s.in_flight < cfg.num_injections &&
-        !done[*s.in_flight] && !struck.contains(*s.in_flight)) {
-      const u32 culprit = *s.in_flight;
-      const u32 n_strikes = ++strikes[culprit];
-      if (n_strikes >= farm.max_strikes) {
-        struck.insert(culprit);
-        --remaining;
-        if (tel != nullptr) tel->farm_strikeout(culprit, n_strikes);
-      }
-    }
-    if (s.current) {
-      WorkShard retry;
-      retry.id = s.current->id;
-      retry.attempt = s.current->attempt + 1;
-      for (const u32 i : s.current->indices) {
-        if (!done[i] && !struck.contains(i)) retry.indices.push_back(i);
-      }
-      s.current.reset();
-      if (!retry.indices.empty()) {
-        const double backoff = std::min(
-            farm.backoff_cap_seconds,
-            farm.backoff_base_seconds *
-                static_cast<double>(1ull << std::min<u32>(retry.attempt - 1,
-                                                          20)));
-        retry.not_before = now_s() + backoff;
-        ++result.shard_retries;
-        if (tel != nullptr) {
-          tel->farm_shard_retry(retry.id, retry.attempt, backoff);
-        }
-        queue.push_back(std::move(retry));
-      }
-    }
-    // The dead generation's shard file stays: its committed records are
-    // merge input. (usable_store filters headerless stubs later.)
-    postmortem();
-  };
 
   // Frame delivery from one slot's tail.
   const auto deliver = [&](Slot& s, u8 kind, std::span<const u8> payload) {
     switch (kind) {
-      case store::kHeartbeatFrame: {
-        const store::HeartbeatFrame hb = store::decode_heartbeat(payload);
-        if (hb.index != store::kHeartbeatIdle) s.in_flight = hb.index;
+      case store::kAssignmentFrame:
+        s.accepted = true;
         break;
-      }
       case store::kRecordFrame: {
         const store::StoredRecord sr = store::decode_record(payload);
         if (sr.index < cfg.num_injections && !done[sr.index]) {
@@ -443,8 +397,76 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
         }
         break;
       default:
-        break;  // 'A' echoes: liveness only
+        break;  // retired kinds ('B' heartbeats of older workers)
     }
+  };
+  // Deliver a slot's newly committed frames; returns how many there were.
+  const auto poll = [&](Slot& s) {
+    return s.tail->poll([&](u8 kind, std::span<const u8> payload) {
+      deliver(s, kind, payload);
+    });
+  };
+
+  // One failed worker (`watchdog`: shot for missing its deadline; else it
+  // crashed). It is killed and reaped, and what it committed before it
+  // died is read first, so a record that landed still counts. Blame is by
+  // isolation: only an accepted assignment of one index can take a strike,
+  // because only there did the index run alone. Every unfinished index is
+  // requeued as an assignment of its own after a backoff, so a
+  // reproducible killer fails again alone and a transient crash strikes
+  // nobody. The dead generation's shard file stays: its committed records
+  // are merge input (usable_store filters headerless stubs later).
+  const auto fail = [&](Slot& s, bool watchdog) {
+    kill_hard(s.proc);
+    bool clean = false;
+    int detail = 0;
+    reap(s.proc, clean, detail);
+    poll(s);
+    observe(s);  // before a respawn moves the slot to its next generation
+    s.alive = false;
+    ++failures_without_progress;
+    std::vector<u32> unfinished;
+    std::optional<u32> alone;
+    if (s.current) {
+      for (const u32 i : s.current->indices) {
+        if (!done[i]) unfinished.push_back(i);
+      }
+      if (s.accepted && s.current->indices.size() == 1 &&
+          !unfinished.empty()) {
+        alone = unfinished.front();
+      }
+    }
+    if (watchdog) {
+      ++result.watchdog_kills;
+      if (tel != nullptr) tel->farm_watchdog_kill(s.id, s.proc.pid, alone);
+    } else {
+      ++result.worker_crashes;
+      if (tel != nullptr) {
+        tel->farm_worker_exited(s.id, s.proc.pid, false, detail);
+      }
+    }
+    if (alone && ++strikes[*alone] >= farm.max_strikes) {
+      struck.insert(*alone);
+      --remaining;
+      unfinished.clear();
+      if (tel != nullptr) tel->farm_strikeout(*alone, strikes[*alone]);
+    }
+    if (!unfinished.empty()) {
+      const u32 attempt = s.current->attempt + 1;
+      const double backoff = std::min(
+          farm.backoff_cap_seconds,
+          farm.backoff_base_seconds *
+              static_cast<double>(1ull << std::min<u32>(attempt - 1, 20)));
+      ++result.shard_retries;
+      if (tel != nullptr) {
+        tel->farm_shard_retry(s.current->id, attempt, backoff);
+      }
+      for (const u32 i : unfinished) {
+        queue.push_back({s.current->id, {i}, attempt, now_s() + backoff});
+      }
+    }
+    s.current.reset();
+    postmortem();
   };
 
   const auto live_procs = [&slots] {
@@ -482,63 +504,36 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       if (!s.alive) continue;
 
       // 1. committed frames since last poll
-      const std::size_t delivered = s.tail->poll(
-          [&](u8 kind, std::span<const u8> payload) { deliver(s, kind, payload); });
-      if (delivered > 0) {
+      if (const std::size_t delivered = poll(s); delivered > 0) {
         delivered_total += delivered;
         s.started = true;
         s.last_activity = now;
         s.gap_warned = false;
       }
-      // Assignment complete once every index has a committed record (or was
-      // struck out by another route): the slot is idle again.
-      if (s.current &&
-          std::all_of(s.current->indices.begin(), s.current->indices.end(),
-                      [&](u32 i) { return done[i] || struck.contains(i); })) {
+      // Assignment complete once every index has a committed record: the
+      // slot is idle again.
+      if (s.current && std::ranges::all_of(s.current->indices,
+                                           [&](u32 i) { return done[i]; })) {
         s.current.reset();
-        s.in_flight.reset();
       }
-      if (s.tail->corrupt()) {
-        kill_hard(s.proc);
-        bool clean = false;
-        int detail = 0;
-        reap(s.proc, clean, detail);
-        ++result.worker_crashes;
-        if (tel != nullptr) {
-          tel->farm_worker_exited(s.id, s.proc.pid, false, detail);
-        }
-        handle_failure(s);
+
+      // 2. a corrupt shard stream, or an unexpected exit (a live worker
+      // only exits after Quit)
+      if (s.tail->corrupt() || s.proc.hung_up) {
+        fail(s, /*watchdog=*/false);
         continue;
       }
 
-      // 2. unexpected exit (a live worker only exits after Quit). Its bell
-      // hung up before this pass, so step 1 already read its last frames.
-      bool clean = false;
-      int detail = 0;
-      if (s.proc.hung_up) {
-        reap(s.proc, clean, detail);
-        ++result.worker_crashes;
-        if (tel != nullptr) {
-          tel->farm_worker_exited(s.id, s.proc.pid, false, detail);
-        }
-        handle_failure(s);
-        continue;
-      }
-
-      // 3. watchdog: no committed frame for too long
+      // 3. watchdog: no committed frame for too long. Until the first one
+      // (the 'A' echo of the assignment every spawn is handed in its own
+      // pass) the startup deadline applies.
       const double deadline =
           s.started ? (s.current ? farm.watchdog_seconds : 0.0)
                     : farm.startup_seconds;
       if (deadline > 0.0) {
         const double gap = now - s.last_activity;
         if (gap > deadline) {
-          kill_hard(s.proc);
-          reap(s.proc, clean, detail);
-          ++result.watchdog_kills;
-          if (tel != nullptr) {
-            tel->farm_watchdog_kill(s.id, s.proc.pid, s.in_flight);
-          }
-          handle_failure(s);
+          fail(s, /*watchdog=*/true);
           continue;
         }
         if (gap > deadline / 2.0 && !s.gap_warned) {
@@ -575,11 +570,6 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       if (ready == queue.end()) break;
       WorkShard shard = std::move(*ready);
       queue.erase(ready);
-      // Drop indices that committed or struck out since enqueueing.
-      std::erase_if(shard.indices, [&](u32 i) {
-        return done[i] || struck.contains(i);
-      });
-      if (shard.indices.empty()) continue;
       if (!s.alive) spawn_slot(s);
       // Dispatch span: the worker parents its shard slice under this id,
       // which is how the stitched trace links coordinator to worker.
@@ -605,6 +595,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
         continue;
       }
       s.current = std::move(shard);
+      s.accepted = false;
       s.gap_warned = false;
       // New assignment, fresh watchdog window.
       s.last_activity = now_s();
@@ -646,8 +637,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     bool clean = false;
     int detail = 0;
     reap(s.proc, clean, detail);
-    s.tail->poll(
-        [&](u8 kind, std::span<const u8> payload) { deliver(s, kind, payload); });
+    poll(s);
     observe(s);
     s.alive = false;
     if (tel != nullptr) {

@@ -8,24 +8,32 @@
 // Shape: the coordinator spawns workers as OS processes (fork-call locally,
 // fork-exec / ssh for a hosts file), hands out cycle-sorted shards over a
 // pipe, and watches each worker's shard store grow through a commit-aware
-// FrameTail. The store *is* the protocol — heartbeats ('B'), assignment
-// echoes ('A'), records ('R'/'P'), each flush sealed by a commit marker
-// ('F') — so supervision state and durable results can never disagree: an
-// injection is "done" exactly when its record frame is committed on disk.
+// FrameTail. The store *is* the protocol — assignment echoes ('A'),
+// records ('R'/'P'), each flush sealed by a commit marker ('F') — so
+// supervision state and durable results can never disagree: an injection
+// is "done" exactly when its record frame is committed on disk.
 // Between passes the coordinator sleeps in poll(2) on the workers' bells
 // (process.hpp): a worker rings when a shard's last record commits, and its
 // bell hangs up when it exits, so dispatch follows completion.
 //
 // Supervision policy:
-//   * crash (unexpected exit) or watchdog expiry (no committed frame for
-//     watchdog_seconds) kills the worker; its unfinished indices requeue
-//     with exponential backoff. A fresh worker takes the slot only when
-//     there is work for it: a dead slot is respawned when the dispatch pass
-//     hands it a shard, so with several slots a live worker may take the
-//     retry instead.
-//   * the culprit index (last heartbeat without a committed record) takes a
-//     strike; at max_strikes it is recorded as Outcome::HarnessFatal and
-//     excluded — graceful degradation instead of a sunk campaign.
+//   * crash (unexpected exit, corrupt shard stream) or watchdog expiry (no
+//     committed frame for watchdog_seconds; startup_seconds until the
+//     first, the echo of the assignment every spawn is handed) kills the
+//     worker. Its unfinished indices requeue one index per assignment, with
+//     exponential backoff. A fresh worker takes the slot only when there is
+//     work for it: a dead slot is respawned when the dispatch pass hands it
+//     a shard, so with several slots a live worker may take the retry
+//     instead.
+//   * blame by isolation: a failure strikes an index only when the worker
+//     had accepted ('A' echo committed) an assignment of that index alone
+//     and died before its record committed. The first failure of a
+//     multi-index assignment strikes nothing, so a transient crash strikes
+//     nobody and a reproducible killer fails again alone, under either
+//     engine (the lane engine claims its whole batch before it runs any)
+//     and with no per-injection write. At max_strikes it is recorded as
+//     Outcome::HarnessFatal and excluded — graceful degradation instead of
+//     a sunk campaign.
 //   * completion = every index committed or struck out; the coordinator
 //     then merges shard stores (tolerantly — a killed worker's shard
 //     legitimately ends in a torn window) into the canonical output, which
@@ -67,7 +75,7 @@ struct FarmConfig {
   /// Injections per assignment, grown to the lane batch width under the
   /// lane engine (inject::campaign_shard_size — the driver's rule).
   u32 shard_size = 64;
-  /// Strikes before an injection is declared HarnessFatal.
+  /// Failures of an injection run alone before it is declared HarnessFatal.
   u32 max_strikes = 3;
   /// No committed frame for this long => the worker is wedged; kill it.
   double watchdog_seconds = 30.0;

@@ -164,15 +164,7 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
   const std::unique_ptr<inject::InjectionEngine> engine =
       inject::make_engine(tc, wcfg, plan);
 
-  u64 hb_seq = 0;
-  u64 executed = 0;
   u64 m_seq = 0;
-  // First committed frame doubles as the startup signal: the (possibly
-  // slow) plan build above is done and the watchdog clock may start.
-  writer.append(store::HeartbeatFrame{opts.worker_id, hb_seq++,
-                                      store::kHeartbeatIdle, executed});
-  writer.flush();
-
   LineReader lines(opts.control_fd);
   std::string line;
   Assignment a;
@@ -191,12 +183,15 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
     }
     if (book != nullptr && a.trace_id != 0) book->set_trace_id(a.trace_id);
     const u64 shard_t0 = book != nullptr ? book->now_us() : 0;
+    // The committed echo says the assignment was accepted: only then may
+    // the coordinator blame it. The first one also ends the startup
+    // deadline, which the (possibly slow) plan build above ran under.
     writer.append(store::AssignmentFrame{opts.worker_id, a.shard, a.attempt,
                                          static_cast<u32>(a.indices.size())});
     writer.flush();
-    // Claims pull from the assignment in order; the engine may hold several
-    // in flight (lanes), so the heartbeat names the latest *claimed* index —
-    // the supervisor's blame stays shard-attempt granular either way.
+    // Claims pull from the assignment in order. Nothing names the index in
+    // flight: the lane engine claims its whole batch before it runs any,
+    // and the coordinator blames by isolation instead (farm.hpp).
     bool bad_index = false;
     std::size_t p = 0;
     engine->run(
@@ -207,13 +202,8 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
             bad_index = true;
             return std::nullopt;
           }
-          writer.append(
-              store::HeartbeatFrame{opts.worker_id, hb_seq++, index, executed});
-          writer.flush();
-          // Sabotage strikes after the heartbeat commits, like the real
-          // failure it stands in for (the injected flip wedging the harness
-          // mid-run) — so the supervisor can finger this index as the
-          // culprit.
+          // Sabotage strikes at the claim, as the real failure it stands in
+          // for would (the injected flip wedging the harness mid-run).
           maybe_sabotage(opts.sabotage, index, a.attempt);
           return index;
         },
@@ -224,7 +214,6 @@ int run_worker(const avp::Testcase& tc, const inject::CampaignConfig& cfg,
           sr.rec = rec;
           writer.append(sr);
           if (fp) writer.append(*fp);
-          ++executed;
           // Per-record flush+commit: the coordinator's done-count advances
           // one committed record at a time, and a crash can only lose the
           // injections in flight — exactly what the supervisor re-runs.

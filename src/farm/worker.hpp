@@ -8,16 +8,16 @@
 //   Q                                        drain and exit 0
 //
 // and answers exclusively through the shard store's frame stream: an 'A'
-// echo when it accepts an assignment, a 'B' heartbeat flushed *before* each
-// injection runs (so a crash fingers the culprit index), then the 'R'
-// record (+ optional 'P' footprint) flushed — and commit-marked — per
-// injection. After the flush that commits an assignment's last record it
-// writes one '\n' to its bell fd, so the coordinator wakes and dispatches
-// the next shard at once instead of on its next tick. The bell carries no
-// data — the coordinator learns what happened from the store alone — and a
-// ring that fails (coordinator gone) is ignored. EOF on the control fd is
-// equivalent to Q, so a dying coordinator reaps its farm rather than
-// orphaning it.
+// echo, committed when it accepts an assignment, then the 'R' record (+
+// optional 'P' footprint) flushed — and commit-marked — per injection.
+// Nothing names the injection in flight: a worker that dies is blamed by
+// isolation (farm.hpp). After the flush that commits an assignment's last
+// record it writes one '\n' to its bell fd, so the coordinator wakes and
+// dispatches the next shard at once instead of on its next tick. The bell
+// carries no data — the coordinator learns what happened from the store
+// alone — and a ring that fails (coordinator gone) is ignored. EOF on the
+// control fd is equivalent to Q, so a dying coordinator reaps its farm
+// rather than orphaning it.
 //
 // Workers never decide campaign-level questions (retry, strikes, merge);
 // they only execute. Determinism does the heavy lifting: injection i is a

@@ -154,10 +154,7 @@ struct Instr {
   i64 imm = 0;  ///< sign-extended immediate / branch displacement (bytes)
   bool lk = false;
 
-  [[nodiscard]] bool is_load() const { return cls == InstrClass::Load; }
   [[nodiscard]] bool is_store() const { return cls == InstrClass::Store; }
-  [[nodiscard]] bool is_branch() const { return cls == InstrClass::Branch; }
-  [[nodiscard]] bool is_fp() const { return cls == InstrClass::FloatingPoint; }
   [[nodiscard]] bool writes_gpr() const;
   [[nodiscard]] bool writes_fpr() const;
 };

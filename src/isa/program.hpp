@@ -28,8 +28,6 @@ struct Program {
       mem.write_block(blob.addr, blob.bytes);
     }
   }
-
-  [[nodiscard]] u64 code_end() const { return code_base + code.size() * 4; }
 };
 
 }  // namespace sfi::isa

@@ -41,7 +41,6 @@ class ProtectedArray {
   [[nodiscard]] ArrayProtection protection() const { return prot_; }
   [[nodiscard]] u32 num_entries() const { return num_entries_; }
   [[nodiscard]] u32 data_width() const { return data_width_; }
-  [[nodiscard]] u32 check_width() const { return check_width_; }
 
   /// Total raw storage bits (data + check), the beam's target space.
   [[nodiscard]] u64 storage_bits() const {

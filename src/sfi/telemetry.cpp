@@ -673,14 +673,6 @@ std::size_t CampaignTelemetry::fleet_workers() const {
   return worker_snapshots_.size();
 }
 
-std::array<u64, kNumOutcomes> CampaignTelemetry::live_outcome_counts() const {
-  std::array<u64, kNumOutcomes> counts{};
-  for (std::size_t i = 0; i < kNumOutcomes; ++i) {
-    counts[i] = live_outcomes_[i].load(std::memory_order_relaxed);
-  }
-  return counts;
-}
-
 void CampaignTelemetry::set_stop_target(double confidence,
                                         double half_width) {
   target_half_width_.store(half_width, std::memory_order_relaxed);

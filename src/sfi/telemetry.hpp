@@ -230,7 +230,9 @@ class CampaignTelemetry {
   /// else (signal, nonzero exit, corrupt shard stream) is a crash.
   void farm_worker_exited(u32 slot, i64 pid, bool clean, int detail);
   /// The supervisor SIGKILLed a worker for missing its watchdog deadline.
-  /// `in_flight` is the campaign index its last heartbeat fingered.
+  /// `in_flight` is the index of the accepted one-index assignment it was
+  /// running, the only kind of failure that can strike an index; absent
+  /// for any other assignment.
   void farm_watchdog_kill(u32 slot, i64 pid, std::optional<u32> in_flight);
   void farm_shard_retry(u64 shard, u32 attempt, double backoff_seconds);
   /// Injection `index` accumulated K strikes and was recorded HarnessFatal.
@@ -276,7 +278,6 @@ class CampaignTelemetry {
     live_outcomes_[static_cast<std::size_t>(outcome)].fetch_add(
         1, std::memory_order_relaxed);
   }
-  [[nodiscard]] std::array<u64, kNumOutcomes> live_outcome_counts() const;
 
   /// Give the progress line (and /metrics consumers) an early-stop target
   /// to render half-width progress against. Display-only.

@@ -230,16 +230,6 @@ struct Layout<inject::PropagationRecord> {
 };
 
 template <>
-struct Layout<HeartbeatFrame> {
-  static constexpr u8 kKind = kHeartbeatFrame;
-  static constexpr const char* kName = "heartbeat";
-  template <class Io, class H>
-  static void fields(Io& io, H& hb) {
-    io(hb.worker, hb.seq, hb.index, hb.executed);
-  }
-};
-
-template <>
 struct Layout<AssignmentFrame> {
   static constexpr u8 kKind = kAssignmentFrame;
   static constexpr const char* kName = "assignment";
@@ -329,7 +319,6 @@ std::vector<u8> encode_frame(const Payload& payload) {
 template std::vector<u8> encode_frame(const CampaignMeta&);
 template std::vector<u8> encode_frame(const StoredRecord&);
 template std::vector<u8> encode_frame(const inject::PropagationRecord&);
-template std::vector<u8> encode_frame(const HeartbeatFrame&);
 template std::vector<u8> encode_frame(const AssignmentFrame&);
 template std::vector<u8> encode_frame(const MetricsFrame&);
 template std::vector<u8> encode_frame(const telemetry::SpanRecord&);
@@ -353,12 +342,6 @@ std::vector<u8> encode_propagation(const inject::PropagationRecord& rec) {
 }
 inject::PropagationRecord decode_propagation(std::span<const u8> p) {
   return decode<inject::PropagationRecord>(p);
-}
-std::vector<u8> encode_heartbeat(const HeartbeatFrame& hb) {
-  return encode(hb);
-}
-HeartbeatFrame decode_heartbeat(std::span<const u8> p) {
-  return decode<HeartbeatFrame>(p);
 }
 std::vector<u8> encode_assignment(const AssignmentFrame& as) {
   return encode(as);

@@ -1,4 +1,4 @@
-// Payload codecs for the seven payload frame kinds, plus frame assembly.
+// Payload codecs for the six payload frame kinds, plus frame assembly.
 // Each payload type has one field list (codec.cpp) that both encodes and
 // decodes it. Encoding is canonical: a given (meta, records) set has exactly
 // one byte representation, which is what lets `merge` promise byte-identical
@@ -34,21 +34,6 @@ struct StoredRecord {
 [[nodiscard]] inject::PropagationRecord decode_propagation(
     std::span<const u8> payload);
 
-/// Farm-worker liveness beacon ('B' frame), flushed immediately before an
-/// injection runs. `index` is the campaign index in flight; a heartbeat with
-/// no later record for `index` fingers that injection as the one that took
-/// the worker down.
-/// `index` value for heartbeats with nothing in flight (the startup beacon
-/// a worker emits before its first assignment).
-inline constexpr u32 kHeartbeatIdle = 0xFFFFFFFFu;
-
-struct HeartbeatFrame {
-  u32 worker = 0;    ///< worker id within the farm
-  u64 seq = 0;       ///< monotonically increasing per worker
-  u32 index = 0;     ///< campaign index about to execute (kHeartbeatIdle)
-  u64 executed = 0;  ///< injections completed by this worker so far
-};
-
 /// Farm shard assignment echo ('A' frame): worker accepted (shard, attempt).
 struct AssignmentFrame {
   u32 worker = 0;
@@ -56,9 +41,6 @@ struct AssignmentFrame {
   u32 attempt = 0;  ///< 0 on first dispatch, +1 per supervised retry
   u32 count = 0;    ///< indices in this assignment
 };
-
-[[nodiscard]] std::vector<u8> encode_heartbeat(const HeartbeatFrame& hb);
-[[nodiscard]] HeartbeatFrame decode_heartbeat(std::span<const u8> payload);
 
 [[nodiscard]] std::vector<u8> encode_assignment(const AssignmentFrame& as);
 [[nodiscard]] AssignmentFrame decode_assignment(std::span<const u8> payload);
@@ -84,8 +66,8 @@ struct MetricsFrame {
 
 /// One CRC-framed frame carrying `payload`, ready for appending. The frame
 /// kind follows from the payload's type (CampaignMeta 'H', StoredRecord 'R',
-/// PropagationRecord 'P', HeartbeatFrame 'B', AssignmentFrame 'A',
-/// MetricsFrame 'M', SpanRecord 'S'); no other type is encodable.
+/// PropagationRecord 'P', AssignmentFrame 'A', MetricsFrame 'M', SpanRecord
+/// 'S'); no other type is encodable.
 template <class Payload>
 [[nodiscard]] std::vector<u8> encode_frame(const Payload& payload);
 

@@ -45,14 +45,15 @@ inline constexpr u8 kPropagationFrame = 'P';
 /// dropping a *whole* interrupted flush window instead of keeping a
 /// valid-looking orphan ('R' whose companion 'P' was lost mid-flush).
 inline constexpr u8 kCommitFrame = 'F';
-/// Farm-worker liveness beacon, flushed before each injection runs: the
-/// shard store's frame stream doubles as the worker's heartbeat channel, so
-/// the coordinator learns both "alive" and "which injection is in flight"
-/// from the file it must tail anyway.
+/// Retired: the farm-worker heartbeat that older builds flushed before each
+/// injection. Nothing writes it now; readers skip it like any kind they do
+/// not know, so the shard stores older farms kept still read.
 inline constexpr u8 kHeartbeatFrame = 'B';
-/// Farm shard assignment echo: which (shard, attempt) a worker accepted.
-/// Forensic only — replays of a supervised campaign can reconstruct the
-/// full dispatch history from the shard files.
+/// Farm shard assignment echo: which (shard, attempt) a worker accepted,
+/// committed before it runs any of it. The coordinator blames only an
+/// accepted assignment, and a new worker's first echo ends its startup
+/// deadline. The echoes also let a replay reconstruct the full dispatch
+/// history of a supervised campaign from its shard files.
 inline constexpr u8 kAssignmentFrame = 'A';
 /// Farm-worker metrics snapshot: the worker's whole metrics registry
 /// (cumulative counters/gauges/histograms) serialized every N injections so

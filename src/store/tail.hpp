@@ -2,7 +2,7 @@
 //
 // The farm coordinator tails each worker's shard store while the worker is
 // still writing it: the frame stream doubles as the supervision channel
-// (heartbeats, assignment echoes, results). Polling a live file means every
+// (assignment echoes, results). Polling a live file means every
 // read may end mid-frame, so FrameTail keeps its place across polls and only
 // surfaces a frame once its full extent (and CRC) is in hand.
 //

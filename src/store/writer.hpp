@@ -41,9 +41,9 @@ class StoreWriter {
 
   /// Append one frame; its kind follows from the payload's type (see
   /// encode_frame in codec.hpp). Only injection records count toward
-  /// records_written(): footprints, heartbeats, assignment echoes, metrics
-  /// snapshots and spans are observability data, and canonical merge drops
-  /// all but the records.
+  /// records_written(): footprints, assignment echoes, metrics snapshots
+  /// and spans are observability data, and canonical merge drops all but
+  /// the records.
   template <class Payload>
   void append(const Payload& payload) {
     write_bytes(encode_frame(payload));

@@ -157,10 +157,6 @@ class MetricsRegistry {
   [[nodiscard]] u64 histogram_count(HistogramId h) const;
   [[nodiscard]] double histogram_sum(HistogramId h) const;
   [[nodiscard]] std::vector<u64> histogram_buckets(HistogramId h) const;
-  [[nodiscard]] const std::vector<double>& histogram_bounds(
-      HistogramId h) const {
-    return hist_defs_[h.index].bounds;
-  }
 
   /// Copy every instrument's current merged value (registration order,
   /// stable across runs). Takes the registry lock once; worker shards that

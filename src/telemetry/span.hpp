@@ -3,7 +3,7 @@
 // A single-process campaign renders its book directly as a one-pid trace
 // (one track per worker thread). A farm campaign is many processes on
 // (potentially) many hosts, and the interesting time goes *between* them:
-// dispatch-to-first-heartbeat, retry backoff, a straggler shard. The plane
+// dispatch-to-first-record, retry backoff, a straggler shard. The plane
 // records those as SpanRecords, durably, in the same store the results
 // travel through ('S' frames, store/codec.hpp), and a stitcher reassembles
 // the fleet's timeline after the fact.

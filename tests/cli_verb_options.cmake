@@ -38,6 +38,22 @@ foreach(refusal IN LISTS refusals)
   endif()
 endforeach()
 
+# `sfi trace` has two modes under one verb: stitching a store reads only
+# --out, and tracing one fault (--latch) reads everything else. Each mode
+# refuses a given option only the other reads, exiting 2 and naming it.
+foreach(mixed IN ITEMS "trace a.sfr --latch fxu.gpr1:3"
+                       "trace --latch fxu.gpr1:3 --out x.json")
+  separate_arguments(args UNIX_COMMAND "${mixed}")
+  list(GET args -2 option)
+  execute_process(COMMAND "${SFI}" ${args} TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${err}" "does not take ${option}" at)
+  if(NOT rc EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR "`sfi ${mixed}` exited ${rc}, want 2 naming "
+                        "${option}:\n${out}${err}")
+  endif()
+endforeach()
+
 # A campaign with no store has nowhere to keep its spans: --trace-spans
 # without --out exits 2, naming --out and pointing at --chrome-trace.
 execute_process(COMMAND "${SFI}" campaign --n 100 --trace-spans
@@ -63,6 +79,7 @@ set(missing "${CMAKE_CURRENT_BINARY_DIR}/cli_verb_options_missing")
 set(accepted
   "explain --from ${missing}.sfr --json ${missing}.json"
   "report --from ${missing}.sfr --confidence 0.9"
+  "trace ${missing}.sfr --out ${missing}.json"
   "submit --connect unix:${missing}.sock --tenant t --half-width 0.1 --stratify-unit --sticky 3 --wait")
 foreach(accept IN LISTS accepted)
   separate_arguments(args UNIX_COMMAND "${accept}")

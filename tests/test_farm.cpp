@@ -561,6 +561,82 @@ TEST(Farm, DispatchFollowsCompletionNotTheTick) {
   EXPECT_EQ(child.bell_fd, -1);
 }
 
+TEST(Farm, ShardStoresCommitOncePerRecord) {
+  // A worker commits its assignment echo, then each record with its
+  // footprint, one flush apiece; beside the header's commit that is all it
+  // commits, and it writes no heartbeat.
+  const avp::Testcase tc = small_testcase();
+  inject::CampaignConfig cfg = small_campaign(40);
+  cfg.footprint.enabled = true;
+  cfg.footprint.vanished_sample = 4;
+  FarmConfig fc = quick_farm(2);
+  fc.keep_shards = true;
+
+  TempFile out("commit_once");
+  const FarmResult r = run_farm_campaign(tc, cfg, out.path(), fc);
+  ASSERT_TRUE(r.complete);
+  const auto shards = take_shard_frames(out.path());
+  ASSERT_EQ(shards.size(), 2u);
+  u64 records = 0;
+  u64 footprints = 0;
+  for (const auto& kinds : shards) {
+    const auto count = [&kinds](u8 kind) {
+      const auto it = kinds.find(kind);
+      return it == kinds.end() ? u64{0} : it->second;
+    };
+    EXPECT_EQ(count(store::kHeartbeatFrame), 0u);
+    EXPECT_EQ(count(store::kCommitFrame),
+              1 + count(store::kAssignmentFrame) +
+                  count(store::kRecordFrame));
+    records += count(store::kRecordFrame);
+    footprints += count(store::kPropagationFrame);
+  }
+  EXPECT_EQ(records, 40u);
+  EXPECT_GT(footprints, 0u);
+}
+
+TEST(Farm, LaneWedgeStruckOutAlone) {
+  // The lane engine claims its whole batch before it runs any, so the
+  // wedged batch's store says nothing of which index wedged it. Each of
+  // its indices is retried in an assignment of its own, and only the
+  // killer fails again: alone, twice, and then it is struck.
+  const avp::Testcase tc = small_testcase();
+  inject::CampaignConfig cfg = small_campaign(40);
+  cfg.engine = inject::EngineKind::Lanes;
+  cfg.lanes = 16;
+  FarmConfig fc = quick_farm(2);
+  fc.max_strikes = 2;
+  fc.sabotage.wedge_index = 5;
+
+  TempFile out("lane_wedge");
+  const FarmResult r = run_farm_campaign(tc, cfg, out.path(), fc);
+  EXPECT_TRUE(r.complete);
+  ASSERT_EQ(r.harness_fatal, (std::vector<u32>{5}));
+  EXPECT_EQ(r.executed, 39u);
+}
+
+TEST(Farm, WorkerThatNeverAcceptsIsNotBlamed) {
+  // A worker that dies before it echoes its assignment never ran any of
+  // it, so its failures strike nothing, however often they repeat: the
+  // farm gives up instead of recording HarnessFatal for injections that
+  // never ran.
+  const avp::Testcase tc = small_testcase();
+  FarmConfig fc = quick_farm(1);
+  fc.hosts = {{"localhost", 1}};
+  fc.worker_command = {"/bin/false"};
+  fc.max_strikes = 1;
+
+  TempFile out("never_accepts");
+  try {
+    (void)run_farm_campaign(tc, small_campaign(8), out.path(), fc);
+    ADD_FAILURE() << "the campaign finished";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("workers keep dying without progress"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Farm, LaneShardsFollowTheDriverRule) {
   const avp::Testcase tc = small_testcase();
   inject::CampaignConfig cfg = small_campaign(40);

@@ -320,18 +320,6 @@ TEST(Store, CorruptTailByteIsTornNotFatal) {
   EXPECT_EQ(c.records.size(), 2u);
 }
 
-TEST(Codec, HeartbeatRoundTrip) {
-  const HeartbeatFrame hb{3, 77, kHeartbeatIdle, 12};
-  const HeartbeatFrame back = decode_heartbeat(encode_heartbeat(hb));
-  EXPECT_EQ(back.worker, hb.worker);
-  EXPECT_EQ(back.seq, hb.seq);
-  EXPECT_EQ(back.index, hb.index);
-  EXPECT_EQ(back.executed, hb.executed);
-  std::vector<u8> bad = encode_heartbeat(hb);
-  bad.push_back(0);
-  EXPECT_THROW((void)decode_heartbeat(bad), StoreError);
-}
-
 TEST(Codec, AssignmentRoundTrip) {
   const AssignmentFrame as{2, 9, 1, 64};
   const AssignmentFrame back = decode_assignment(encode_assignment(as));
@@ -409,8 +397,8 @@ TEST(Store, TornFlushWindowMixedKinds) {
                                         {.commit_markers = true});
     w.append(sample_record(0));
     w.flush();
-    // A farm-shaped flush window: heartbeat, record, its footprint.
-    w.append(HeartbeatFrame{1, 4, 1, 1});
+    // A farm-shaped flush window: assignment echo, record, its footprint.
+    w.append(AssignmentFrame{1, 4, 0, 1});
     w.append(sample_record(1));
     inject::PropagationRecord fp;
     fp.index = 1;

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -119,7 +120,8 @@ const std::vector<CliOption>& cli_options() {
          std::to_string(static_cast<u64>(fc.watchdog_seconds)),
          "kill a worker that commits nothing for SECS"},
         {"strikes", "K", kCampaign, std::to_string(fc.max_strikes),
-         "tries a worker-killing injection gets before it is HarnessFatal"},
+         "worker deaths an injection run alone may cause before it is "
+         "HarnessFatal"},
         {"keep-shards", "", kCampaign, "",
          "keep the workers' shard stores after the merge"},
         {"sabotage-crash", "I", kCampaign | kWorker, "",
@@ -1028,6 +1030,9 @@ int cmd_beam(const Args& a) {
 /// at its source.
 int cmd_trace_stitch(const Args& a) {
   const std::string& store_path = a.positional.front();
+  if (!std::filesystem::exists(store_path)) {
+    throw store::StoreError("cannot open store file: " + store_path);
+  }
   const store::StitchResult r = store::stitch_trace(store_path);
   const std::string out = *a.str("out");
   {
@@ -1046,15 +1051,27 @@ int cmd_trace_stitch(const Args& a) {
 }
 
 int cmd_trace(const Args& a) {
-  // Positional store argument => stitch mode; --latch => single-fault
-  // cause-to-effect trace (the original verb).
-  if (!a.positional.empty()) return cmd_trace_stitch(a);
+  // Positional store argument => stitch mode, which reads only --out;
+  // --latch => single-fault cause-to-effect trace (the original verb),
+  // which reads every other option. The two share the verb's options, so
+  // each refuses a given one that only the other reads.
+  const bool stitch = !a.positional.empty();
   const auto latch = a.str("latch");
-  if (!latch) {
+  if (!stitch && !latch) {
     throw CliError(
         "trace requires --latch NAME[:BIT] (single-fault trace) or a "
         "positional STORE.sfr (stitch the campaign's span plane)");
   }
+  const auto refuse = [&](const std::string& key) {
+    if ((key == "out") != stitch) {
+      throw CliError(std::string("sfi trace ") +
+                     (stitch ? "STORE.sfr" : "--latch") +
+                     " does not take --" + key + " (see `sfi help trace`)");
+    }
+  };
+  for (const auto& [key, value] : a.opts) refuse(key);
+  for (const std::string& key : a.flags) refuse(key);
+  if (stitch) return cmd_trace_stitch(a);
   std::string name = *latch;
   u64 bit = 0;
   if (const auto colon = name.find(':'); colon != std::string::npos) {
