@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
   u64 scrape_bytes = 0;
   const auto run_obs = [&](const std::string& out) {
     inject::CampaignTelemetry tel;
-    tel.set_stop_target(0.95, 0.02);
     inject::CampaignConfig cfg = base;
     cfg.telemetry = &tel;
     farm::FarmConfig fc = farm_base;

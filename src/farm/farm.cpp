@@ -237,8 +237,10 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
       queue.push_back(std::move(cur));
     }
   }
-  u64 remaining = 0;
-  for (const WorkShard& s : queue) remaining += s.indices.size();
+  // Every index ends committed or struck out.
+  const auto remaining = [&] {
+    return cfg.num_injections - done_count - struck.size();
+  };
 
   const auto report_progress = [&] {
     if (!farm.on_progress) return;
@@ -373,12 +375,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
           done[sr.index] = true;
           ++done_count;
           ++result.executed;
-          if (remaining > 0) --remaining;
           failures_without_progress = 0;
-          // Coordinator-side live tallies: farm workers report through
-          // their shard stores, so this is where the progress line's
-          // outcome mix (and its Wilson half-width) comes from.
-          if (tel != nullptr) tel->live_outcome_add(sr.rec.outcome);
           if (farm.on_record) farm.on_record(sr);
         }
         break;
@@ -447,7 +444,6 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     }
     if (alone && ++strikes[*alone] >= farm.max_strikes) {
       struck.insert(*alone);
-      --remaining;
       unfinished.clear();
       if (tel != nullptr) tel->farm_strikeout(*alone, strikes[*alone]);
     }
@@ -491,7 +487,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
   }
 
   // --- supervision loop (single-threaded poll) ---
-  while (remaining > 0) {
+  while (remaining() > 0) {
     if (farm.should_stop && farm.should_stop()) {
       result.stopped = true;
       break;
@@ -545,7 +541,7 @@ FarmResult run_farm_campaign(const avp::Testcase& tc,
     }
 
     if (delivered_total > 0) report_progress();
-    if (remaining == 0) break;
+    if (remaining() == 0) break;
 
     if (failures_without_progress > spawn_sanity_cap) {
       throw std::runtime_error(

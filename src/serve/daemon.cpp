@@ -74,8 +74,12 @@ struct Daemon::Campaign {
 
   std::atomic<bool> early_stop{false};
   std::atomic<u64> live_done{0};
-  u64 committed = 0;       ///< monitor's committed count (mu_)
-  double widest_hw = -1.0; ///< widest stratum half-width so far (mu_)
+  // The committed tally the views show (mu_): the stop monitor's while the
+  // campaign runs, then the store's once it ends.
+  u64 committed = 0;
+  inject::OutcomeCounts counts;
+  double widest_hw = -1.0;  ///< widest stratum half-width so far
+  std::vector<StratumInterval> strata;  ///< live early-stop intervals
 
   std::vector<std::string> events;  ///< watch replay buffer (mu_)
 
@@ -84,13 +88,19 @@ struct Daemon::Campaign {
   /// because the views snapshot it outside mu_.
   std::shared_ptr<inject::CampaignTelemetry> tel;
 
-  std::vector<StratumInterval> strata;  ///< live early-stop intervals (mu_)
-
   std::thread runner;
   bool has_runner = false;
   std::atomic<bool> runner_finished{false};
 
   [[nodiscard]] bool farm() const { return spec.workers > 0; }
+
+  /// Show the tally of `agg`, an aggregate of committed records.
+  void set_tally(const inject::CampaignAggregate& agg) {
+    committed = agg.total();
+    counts = agg.counts;
+    widest_hw = widest_half_width(agg, spec.target());
+    strata = stratum_intervals(agg, spec.target());
+  }
 };
 
 /// What the read-only views (status, /campaigns, /metrics) show of one
@@ -112,6 +122,7 @@ struct Daemon::CampaignView {
   bool complete = false;
   u64 price = 0;
   std::string store;
+  inject::OutcomeCounts counts;
   std::vector<StratumInterval> strata;
   std::shared_ptr<inject::CampaignTelemetry> tel;
 };
@@ -383,6 +394,25 @@ void Daemon::adopt_state_dir() {
         .end_object();
     c->events.push_back(w.str());
     log_.emit(w.str());
+    if (c->state == CampaignState::Done) {
+      // One scan of a finished campaign's store gives the views its
+      // committed tally and a late watcher the finish report.
+      std::string line = failed_event_json(id, c->error);
+      if (!c->failed) {
+        try {
+          const inject::CampaignAggregate agg =
+              store::aggregate_store(c->store_path,
+                                     {.tolerate_torn_tail = true})
+                  .second;
+          c->set_tally(agg);
+          line = finish_event_json(*c, agg);
+        } catch (const std::exception& e) {
+          line = failed_event_json(id, e.what());
+        }
+      }
+      c->events.push_back(line);
+      log_.emit(line);
+    }
     campaigns_.emplace(id, std::move(c));
   }
 }
@@ -468,9 +498,6 @@ void Daemon::run_one(Campaign& c) {
     // store bytes are identical with the plane on or off.
     run.config.telemetry = c.tel.get();
     const StopTarget target = c.spec.target();
-    if (c.tel != nullptr) {
-      c.tel->set_stop_target(target.confidence, target.half_width);
-    }
 
     std::mutex mon_mu;
     StopMonitor monitor(c.spec.n, target);
@@ -494,13 +521,9 @@ void Daemon::run_one(Campaign& c) {
       last_interval = now;
       const double widest = widest_half_width(monitor.agg(), target);
       const u64 committed = monitor.committed();
-      std::vector<StratumInterval> strata =
-          stratum_intervals(monitor.agg(), target);
       {
         std::lock_guard lk(mu_);
-        c.committed = committed;
-        c.widest_hw = widest;
-        c.strata = std::move(strata);
+        c.set_tally(monitor.agg());
       }
       telemetry::JsonWriter w;
       w.begin_object()
@@ -638,12 +661,8 @@ void Daemon::finalize(Campaign& c, bool failed, const std::string& error) {
     c.error = why;
     c.records = records;
     c.complete = complete;
-    c.committed = records;
     if (early) c.stop_point = records;
-    if (!failed) {
-      c.widest_hw = widest_half_width(agg, c.spec.target());
-      c.strata = stratum_intervals(agg, c.spec.target());
-    }
+    c.set_tally(agg);
     // Interrupted (daemon shutdown before the target or N was reached):
     // stays Running on disk, so the next daemon requeues and resumes it.
     c.state = (failed || early || complete) ? CampaignState::Done
@@ -715,33 +734,6 @@ std::string Daemon::failed_event_json(u64 id, std::string_view error) const {
       .field("error", error)
       .end_object();
   return w.str();
-}
-
-void Daemon::ensure_final_event(Campaign& c) {
-  // Adopted-done campaigns carry no finish event yet; synthesize one from
-  // the durable store so `sfi watch` of an old campaign still ends with the
-  // full report line (identical content — same aggregation path).
-  if (c.state != CampaignState::Done) return;
-  for (const std::string& e : c.events) {
-    if (e.find("\"ev\":\"finish\"") != std::string::npos ||
-        e.find("\"ev\":\"failed\"") != std::string::npos) {
-      return;
-    }
-  }
-  std::string line;
-  if (c.failed) {
-    line = failed_event_json(c.id, c.error);
-  } else {
-    try {
-      auto [meta, agg] =
-          store::aggregate_store(c.store_path, {.tolerate_torn_tail = true});
-      line = finish_event_json(c, agg);
-    } catch (const std::exception& e) {
-      line = failed_event_json(c.id, e.what());
-    }
-  }
-  c.events.push_back(line);
-  log_.emit(line);
 }
 
 // --- IO ------------------------------------------------------------------
@@ -980,7 +972,6 @@ void Daemon::handle_watch(Conn& conn, const Json& req) {
     conn.close_after_flush = true;
     return;
   }
-  ensure_final_event(*it->second);
   conn.watcher = true;
   conn.watch_id = id;
   conn.next_event = 0;  // replay history first, then follow live
@@ -1114,7 +1105,8 @@ std::vector<Daemon::CampaignView> Daemon::campaign_views() {
                      c->committed, c->spec.confidence,
                      c->spec.half_width, c->widest_hw,
                      c->early_stop.load(), c->stop_point, c->complete,
-                     c->spec.price(), c->store_path, c->strata, c->tel});
+                     c->spec.price(), c->store_path, c->counts, c->strata,
+                     c->tel});
   }
   return views;
 }
@@ -1213,17 +1205,15 @@ std::string Daemon::campaigns_json() {
         .field("complete", v.complete)
         .field("price", v.price)
         .field("store", v.store);
+    w.key("counts").begin_object();
+    for (const inject::Outcome o : inject::kAllOutcomes) {
+      w.field(inject::to_string(o), v.counts.of(o));
+    }
+    w.end_object();
     if (v.tel != nullptr) {
-      const telemetry::MetricsSnapshot snap = v.tel->fleet_snapshot();
       w.field("workers", static_cast<u64>(v.tel->fleet_workers()));
-      w.key("counts").begin_object();
-      for (const inject::Outcome o : inject::kAllOutcomes) {
-        w.field(inject::to_string(o),
-                snap.counter_value("outcome." +
-                                   std::string(inject::to_string(o))));
-      }
-      w.end_object();
-      w.field("dead_on_arrival", snap.counter_value("dead_on_arrival"));
+      w.field("dead_on_arrival",
+              v.tel->fleet_snapshot().counter_value("dead_on_arrival"));
     }
     w.end_object();
   }

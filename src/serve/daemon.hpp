@@ -19,10 +19,11 @@
 //     record store (the exact artifact `sfi report` reads) and
 //     `campaign-<id>.json` a manifest (tenant, spec, state, stop point)
 //     written atomically via tmp+rename. A restarted daemon re-adopts the
-//     directory: finished campaigns are served from their manifest,
-//     unfinished ones re-enter the queue and resume from their store —
-//     early-stopped ones stay stopped, because the monitor re-counts the
-//     committed records before the scheduler claims anything new.
+//     directory: finished campaigns are served from their manifest and
+//     one scan of their store, unfinished ones re-enter the queue and
+//     resume from their store — early-stopped ones stay stopped, because
+//     the monitor re-counts the committed records before the scheduler
+//     claims anything new.
 //   * admission is fair-share across tenants: the queue is priced by
 //     estimated work (injections x workload instructions — the cycle proxy
 //     the store header exposes before any simulation runs) and the next
@@ -144,7 +145,6 @@ class Daemon {
   // --- events ---
   [[nodiscard]] u64 now_us() const;
   void emit(Campaign& c, const std::string& line);
-  void ensure_final_event(Campaign& c);
   [[nodiscard]] std::string finish_event_json(
       const Campaign& c, const inject::CampaignAggregate& agg) const;
   [[nodiscard]] std::string failed_event_json(u64 id,

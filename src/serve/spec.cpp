@@ -146,8 +146,7 @@ const std::vector<SpecOption>& spec_options() {
                          "is every core"},
                    &S::threads, 1, 1, any, true),
         count<u32>("workers", "workers", kDriver,
-                   {"N", "farm worker processes (0: in-process; a farm "
-                         "needs --out)"},
+                   {"N", "farm worker processes (0: in-process)"},
                    &S::workers, 0),
         count<u32>("shard-size", "shard_size", kDriver,
                    {"N", "injections per scheduler shard"}, &S::shard_size,

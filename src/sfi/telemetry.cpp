@@ -1,15 +1,11 @@
 #include "sfi/telemetry.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <type_traits>
 
 #include "sfi/aggregate.hpp"
 #include "sfi/propagation.hpp"
-#include "stats/intervals.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
 
@@ -165,8 +161,6 @@ void WorkerTelemetry::record_injection(u32 index, const InjectionRecord& rec,
   if (ph.warm_restore) shard_.add(o.c_warm_restores_);
   if (ph.new_checkpoint) shard_.add(o.c_ckpt_materializations_);
   shard_.add(o.c_outcome_[static_cast<std::size_t>(rec.outcome)]);
-  o.live_outcomes_[static_cast<std::size_t>(rec.outcome)].fetch_add(
-      1, std::memory_order_relaxed);
 
   for (std::size_t p = 0; p < kNumRunPhases; ++p) {
     shard_.observe(o.h_phase_[p], ph.seconds[p]);
@@ -671,68 +665,6 @@ telemetry::MetricsSnapshot CampaignTelemetry::fleet_snapshot() const {
 std::size_t CampaignTelemetry::fleet_workers() const {
   const std::lock_guard<std::mutex> lock(fleet_mu_);
   return worker_snapshots_.size();
-}
-
-void CampaignTelemetry::set_stop_target(double confidence,
-                                        double half_width) {
-  target_half_width_.store(half_width, std::memory_order_relaxed);
-  target_z_.store(stats::z_for_confidence(confidence),
-                  std::memory_order_relaxed);
-}
-
-std::string CampaignTelemetry::progress_line(u64 done, u64 total,
-                                             u64 executed,
-                                             double wall_seconds) const {
-  const double rate =
-      wall_seconds > 0.0 ? static_cast<double>(executed) / wall_seconds : 0.0;
-  std::string line = std::to_string(done) + "/" + std::to_string(total);
-  char buf[64];
-  // Guard the live line against degenerate rates: before the first
-  // completion (done == 0, executed == 0) or with a zero/denormal wall
-  // clock the division yields 0, inf or nan — print placeholders instead of
-  // leaking them into the terminal.
-  if (rate > 0.0 && std::isfinite(rate) && done <= total) {
-    const double remaining = static_cast<double>(total - done) / rate;
-    std::snprintf(buf, sizeof buf, " (%.0f inj/s, ETA %.0fs)", rate,
-                  remaining);
-    line += buf;
-  } else {
-    line += " (-- inj/s, ETA --)";
-  }
-  static constexpr std::array<std::string_view, kNumOutcomes> kShort = {
-      "van", "corr", "hang", "cstop", "sdc", "hfatal"};
-  u64 tally_total = 0;
-  for (std::size_t i = 0; i < kNumOutcomes; ++i) {
-    const u64 n = live_outcomes_[i].load(std::memory_order_relaxed);
-    tally_total += n;
-    line += " ";
-    line += kShort[i];
-    line += " ";
-    line += std::to_string(n);
-  }
-  // Live early-stop state: the worst (widest) outcome-stratum Wilson
-  // half-width so far, against the stop target when one is set — the same
-  // statistic the daemon stops campaigns on, visible while it converges.
-  const double target = target_half_width_.load(std::memory_order_relaxed);
-  double z = target_z_.load(std::memory_order_relaxed);
-  if (z <= 0.0) z = stats::z_for_confidence(stats::kDefaultConfidence);
-  if (tally_total > 0) {
-    double worst = 0.0;
-    for (std::size_t i = 0; i < kNumOutcomes; ++i) {
-      const u64 n = live_outcomes_[i].load(std::memory_order_relaxed);
-      const stats::Interval iv = stats::wilson(n, tally_total, z);
-      worst = std::max(worst, iv.width() / 2.0);
-    }
-    std::snprintf(buf, sizeof buf, " hw %.4f", worst);
-    line += buf;
-    if (target > 0.0) {
-      std::snprintf(buf, sizeof buf, "/%.4f", target);
-      line += buf;
-    }
-  } else {
-    line += " hw --";
-  }
-  return line;
 }
 
 void CampaignTelemetry::write_metrics(const std::string& path) {

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -271,25 +270,6 @@ class CampaignTelemetry {
   /// Worker processes that have reported at least one snapshot.
   [[nodiscard]] std::size_t fleet_workers() const;
 
-  // --- live progress ---
-  /// Outcome tally feed for records that arrive outside a WorkerTelemetry
-  /// (the farm coordinator counting shard-store deliveries).
-  void live_outcome_add(Outcome outcome) {
-    live_outcomes_[static_cast<std::size_t>(outcome)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-
-  /// Give the progress line (and /metrics consumers) an early-stop target
-  /// to render half-width progress against. Display-only.
-  void set_stop_target(double confidence, double half_width);
-
-  /// One-line status built from the registry's live tallies:
-  /// "4312/10000 (1523 inj/s, ETA 4s) van 3900 corr 380 ... hw 0.013/0.020"
-  /// — the trailing pair is the worst outcome-stratum Wilson half-width
-  /// against the stop target (target omitted when none is set).
-  [[nodiscard]] std::string progress_line(u64 done, u64 total, u64 executed,
-                                          double wall_seconds) const;
-
   // --- outputs ---
   /// Merge outstanding shards and write fleet_snapshot() as JSON.
   void write_metrics(const std::string& path);
@@ -358,19 +338,10 @@ class CampaignTelemetry {
   telemetry::GaugeId g_ckpt_interval_{};
   telemetry::GaugeId g_timeline_bytes_{};
 
-  /// Live outcome tallies for the progress line (relaxed atomics; the
-  /// authoritative numbers are the merged registry counters).
-  std::array<std::atomic<u64>, kNumOutcomes> live_outcomes_{};
-
   /// Latest per-worker-process snapshots ('M' frames), keyed
   /// (slot << 32) | generation. Guarded by fleet_mu_.
   mutable std::mutex fleet_mu_;
   std::map<u64, telemetry::MetricsSnapshot> worker_snapshots_;
-
-  /// Early-stop target for display (0 target = none). Relaxed atomics:
-  /// set once before workers start, read by the progress printer.
-  std::atomic<double> target_half_width_{0.0};
-  std::atomic<double> target_z_{0.0};
 };
 
 }  // namespace sfi::inject

@@ -1,25 +1,12 @@
 #include "stats/sampling.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <unordered_set>
 
 #include "common/check.hpp"
 
 namespace sfi::stats {
-namespace {
-
-/// Standard normal draw (Box–Muller, one branch of the pair).
-double standard_normal(Xoshiro256& rng) {
-  double u1 = rng.uniform();
-  if (u1 <= 0.0) u1 = 1e-300;
-  const double u2 = rng.uniform();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * 3.14159265358979323846 * u2);
-}
-
-}  // namespace
 
 std::vector<u64> sample_without_replacement(u64 n, u64 k, Xoshiro256& rng) {
   require(k <= n, "sample_without_replacement k <= n");
@@ -54,13 +41,6 @@ std::vector<u64> sample_without_replacement(u64 n, u64 k, Xoshiro256& rng) {
   return out;
 }
 
-void shuffle(std::span<u64> xs, Xoshiro256& rng) {
-  for (std::size_t i = xs.size(); i > 1; --i) {
-    const u64 j = rng.below(i);
-    std::swap(xs[i - 1], xs[j]);
-  }
-}
-
 std::size_t weighted_index(std::span<const double> weights, Xoshiro256& rng) {
   require(!weights.empty(), "weighted_index needs weights");
   double total = 0.0;
@@ -75,26 +55,6 @@ std::size_t weighted_index(std::span<const double> weights, Xoshiro256& rng) {
     if (x <= 0.0) return i;
   }
   return weights.size() - 1;  // numerical slack lands on the last bucket
-}
-
-u64 poisson(double lambda, Xoshiro256& rng) {
-  require(lambda >= 0.0, "poisson lambda >= 0");
-  if (lambda == 0.0) return 0;
-  if (lambda < 30.0) {
-    // Knuth inversion.
-    const double limit = std::exp(-lambda);
-    u64 k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= rng.uniform();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction; adequate for the beam
-  // arrival process where lambda is a modelling knob, not physics.
-  const double x = lambda + std::sqrt(lambda) * standard_normal(rng);
-  return x <= 0.0 ? 0 : static_cast<u64>(std::llround(x));
 }
 
 }  // namespace sfi::stats

@@ -1,7 +1,7 @@
 // Sampling utilities: k-of-n without replacement (Fisher–Yates over an index
-// pool or Floyd's algorithm), shuffles, and weighted category draws. These
-// drive latch selection ("randomly choose latches from all latches in the
-// design", paper Figure 1) and the Figure 2 resampling study.
+// pool or Floyd's algorithm) and weighted category draws. These drive latch
+// selection ("randomly choose latches from all latches in the design", paper
+// Figure 1) and the Figure 2 resampling study.
 #pragma once
 
 #include <span>
@@ -18,16 +18,9 @@ namespace sfi::stats {
 [[nodiscard]] std::vector<u64> sample_without_replacement(u64 n, u64 k,
                                                           Xoshiro256& rng);
 
-/// In-place Fisher–Yates shuffle.
-void shuffle(std::span<u64> xs, Xoshiro256& rng);
-
 /// Draw an index from a discrete distribution given non-negative weights.
 /// Linear scan; intended for small weight vectors (per-unit cross-sections).
 [[nodiscard]] std::size_t weighted_index(std::span<const double> weights,
                                          Xoshiro256& rng);
-
-/// Poisson draw via inversion for small lambda and normal approximation for
-/// large lambda. Used by the beam simulator's strike-arrival process.
-[[nodiscard]] u64 poisson(double lambda, Xoshiro256& rng);
 
 }  // namespace sfi::stats

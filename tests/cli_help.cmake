@@ -84,7 +84,7 @@ list(REMOVE_DUPLICATES universe)
 
 # Switches the docs and CI use: some verb's help must list each, or a help
 # that dropped every switch would leave the probe below none to try.
-foreach(switch IN ITEMS raw resume footprint stratify-unit progress wait
+foreach(switch IN ITEMS raw resume footprint stratify-unit wait
                         once json)
   list(FIND universe "${switch}" at)
   if(at EQUAL -1)

@@ -54,6 +54,43 @@ foreach(mixed IN ITEMS "trace a.sfr --latch fxu.gpr1:3"
   endif()
 endforeach()
 
+# `sfi campaign` has three modes under one verb: in memory (no --out), into
+# a store in process (--out), and on a farm (--workers or --farm, with
+# --out). Each refuses a given option it does not read, exiting 2 and naming
+# the mode and the option: only a farm supervises workers, a farm's workers
+# run one thread and commit each record, and only a store has windows.
+set(mode_store "${CMAKE_CURRENT_BINARY_DIR}/cli_verb_options_mode.sfr")
+set(mode_hosts "${CMAKE_CURRENT_BINARY_DIR}/cli_verb_options_hosts.txt")
+file(WRITE "${mode_hosts}" "localhost 2\n")
+set(mode_refusals
+  "--workers|--max-new|--workers 2 --out ${mode_store} --max-new 10"
+  "--workers|--flush|--workers 2 --out ${mode_store} --flush 4"
+  "--workers|--threads|--workers 2 --out ${mode_store} --threads 2"
+  "--farm|--flush|--farm ${mode_hosts} --out ${mode_store} --flush 4"
+  "--out without --workers|--watchdog|--out ${mode_store} --watchdog 5"
+  "--out without --workers|--strikes|--out ${mode_store} --strikes 2"
+  "--out without --workers|--keep-shards|--out ${mode_store} --keep-shards"
+  "--out without --workers|--sabotage-crash|--out ${mode_store} --sabotage-crash 3"
+  "without --out|--shard-size|--shard-size 8"
+  "without --out|--flush|--flush 4"
+  "without --out|--max-new|--max-new 10"
+  "without --out|--postmortem|--postmortem ${mode_store}.jsonl")
+foreach(refusal IN LISTS mode_refusals)
+  string(REPLACE "|" ";" parts "${refusal}")
+  list(GET parts 0 mode)
+  list(GET parts 1 option)
+  list(GET parts 2 given)
+  separate_arguments(args UNIX_COMMAND "campaign --n 20 ${given}")
+  execute_process(COMMAND "${SFI}" ${args} TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${err}" "sfi campaign ${mode} does not take ${option}" at)
+  if(NOT rc EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR "`sfi campaign --n 20 ${given}` exited ${rc}, want 2 "
+                        "naming '${mode}' and ${option}:\n${out}${err}")
+  endif()
+endforeach()
+file(REMOVE "${mode_hosts}")
+
 # A campaign with no store has nowhere to keep its spans: --trace-spans
 # without --out exits 2, naming --out and pointing at --chrome-trace.
 execute_process(COMMAND "${SFI}" campaign --n 100 --trace-spans

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -735,6 +736,7 @@ TEST(Daemon, ResumeHonorsEarlyStopPoint) {
 TEST(Daemon, AdoptsFinishedCampaignsAcrossRestart) {
   TempDir dir("adopt");
   u64 records = 0;
+  std::array<u64, inject::kNumOutcomes> counts{};
   {
     DaemonHarness h(dir.path());
     const u64 id = h.submit(kSmallSpec);
@@ -742,12 +744,37 @@ TEST(Daemon, AdoptsFinishedCampaignsAcrossRestart) {
     const Json* finish = find_event(events, "finish");
     ASSERT_NE(finish, nullptr);
     records = finish->get_u64("records", 0);
+    ASSERT_NE(finish->find("counts"), nullptr);
+    for (const inject::Outcome o : inject::kAllOutcomes) {
+      counts[static_cast<std::size_t>(o)] =
+          finish->find("counts")->get_u64(std::string(inject::to_string(o)),
+                                          0);
+    }
   }
+  ASSERT_GT(records, 0u);
   {
-    DaemonHarness h(dir.path());
+    DaemonHarness h(dir.path(), 2, "tcp:127.0.0.1:0");
     const Json c = h.status_of(1);
     EXPECT_EQ(c.get_str("state", ""), "done");
     EXPECT_EQ(c.get_u64("done", 0), records);
+    // Its outcome counts, in status and /campaigns alike, are the store's:
+    // what the first daemon's finish event counted.
+    const Json web = Json::parse(h.http_get("/campaigns"));
+    ASSERT_NE(web.find("campaigns"), nullptr);
+    ASSERT_EQ(web.find("campaigns")->items().size(), 1u);
+    for (const Json* view : {&c, &web.find("campaigns")->items()[0]}) {
+      const Json* shown = view->find("counts");
+      ASSERT_NE(shown, nullptr);
+      u64 sum = 0;
+      for (const inject::Outcome o : inject::kAllOutcomes) {
+        const std::string name(inject::to_string(o));
+        EXPECT_EQ(shown->get_u64(name, ~u64{0}),
+                  counts[static_cast<std::size_t>(o)])
+            << name;
+        sum += shown->get_u64(name, 0);
+      }
+      EXPECT_EQ(sum, records);
+    }
     // Watching an adopted campaign still ends with a full finish report.
     const std::vector<Json> events = h.watch(1);
     const Json* finish = find_event(events, "finish");

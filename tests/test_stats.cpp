@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <set>
@@ -296,31 +295,6 @@ TEST(Sampling, WeightedIndex) {
   for (int i = 0; i < 10000; ++i) counts[weighted_index(w, rng)]++;
   EXPECT_EQ(counts[0], 0);
   EXPECT_NEAR(counts[2], 7500, 400);
-}
-
-TEST(Sampling, PoissonMeanMatches) {
-  Xoshiro256 rng(18);
-  for (const double lambda : {0.5, 4.0, 50.0}) {
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) sum += static_cast<double>(poisson(lambda, rng));
-    EXPECT_NEAR(sum / n, lambda, lambda * 0.1 + 0.05);
-  }
-}
-
-TEST(Sampling, PoissonZeroLambda) {
-  Xoshiro256 rng(19);
-  EXPECT_EQ(poisson(0.0, rng), 0u);
-}
-
-TEST(Sampling, Shuffle) {
-  Xoshiro256 rng(20);
-  std::vector<u64> xs(32);
-  for (u64 i = 0; i < 32; ++i) xs[i] = i;
-  auto copy = xs;
-  shuffle(copy, rng);
-  std::sort(copy.begin(), copy.end());
-  EXPECT_EQ(copy, xs);
 }
 
 }  // namespace

@@ -456,57 +456,6 @@ TEST(CampaignTelemetry, ResultsIdenticalWithAndWithoutTelemetry) {
   EXPECT_NE(log.find("\"ev\":\"injection\""), std::string::npos);
 }
 
-TEST(CampaignTelemetry, ProgressLineHasRateAndTallies) {
-  inject::CampaignTelemetry tel;
-  const std::string line = tel.progress_line(50, 100, 50, 2.0);
-  EXPECT_NE(line.find("50/100"), std::string::npos);
-  EXPECT_NE(line.find("25 inj/s"), std::string::npos);
-  EXPECT_NE(line.find("ETA"), std::string::npos);
-  EXPECT_NE(line.find("van"), std::string::npos);
-  EXPECT_NE(line.find("sdc"), std::string::npos);
-}
-
-TEST(CampaignTelemetry, ProgressLineGuardsDegenerateRate) {
-  inject::CampaignTelemetry tel;
-  // Zero executed / zero wall time must not divide through to inf/nan ETAs.
-  const std::string at_start = tel.progress_line(0, 100, 0, 0.0);
-  EXPECT_NE(at_start.find("0/100"), std::string::npos);
-  EXPECT_NE(at_start.find("ETA --"), std::string::npos);
-  EXPECT_EQ(at_start.find("nan"), std::string::npos);
-  EXPECT_EQ(at_start.find("inf"), std::string::npos);
-
-  // Resumed-only progress: everything persisted, nothing executed live.
-  const std::string resumed_only = tel.progress_line(80, 100, 0, 5.0);
-  EXPECT_NE(resumed_only.find("ETA --"), std::string::npos);
-
-  // done > total (defensive: a resumed store with surplus records) must not
-  // print a negative ETA.
-  const std::string overshoot = tel.progress_line(120, 100, 120, 2.0);
-  EXPECT_NE(overshoot.find("ETA --"), std::string::npos);
-}
-
-TEST(CampaignTelemetry, ProgressLineShowsEarlyStopState) {
-  inject::CampaignTelemetry tel;
-  // No records yet: the half-width is meaningless, print a placeholder.
-  EXPECT_NE(tel.progress_line(0, 100, 0, 0.0).find("hw --"),
-            std::string::npos);
-
-  // 90/10 split over 100 records: the worst outcome-stratum Wilson
-  // half-width is a concrete number, rendered against the stop target.
-  for (int i = 0; i < 90; ++i) {
-    tel.live_outcome_add(inject::Outcome::Vanished);
-  }
-  for (int i = 0; i < 10; ++i) {
-    tel.live_outcome_add(inject::Outcome::Corrected);
-  }
-  tel.set_stop_target(0.95, 0.05);
-  const std::string line = tel.progress_line(100, 600, 100, 1.0);
-  const auto hw = line.find(" hw 0.0");
-  ASSERT_NE(hw, std::string::npos) << line;
-  EXPECT_NE(line.find("/0.05", hw), std::string::npos) << line;
-  EXPECT_EQ(line.find("hw --"), std::string::npos);
-}
-
 TEST(CampaignTelemetry, FleetSnapshotFoldsWorkerReports) {
   inject::CampaignTelemetry tel;
   EXPECT_EQ(tel.fleet_workers(), 0u);

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -23,8 +24,10 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +42,7 @@
 #include "telemetry/json.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/daemon.hpp"
+#include "serve/stop.hpp"
 #include "stats/intervals.hpp"
 #include "sfi/campaign.hpp"
 #include "sfi/derating.hpp"
@@ -148,8 +152,6 @@ const std::vector<CliOption>& cli_options() {
         {"telemetry-sample", "N", kCampaign | kBeam,
          std::to_string(inject::TelemetryConfig{}.event_sample),
          "keep every Nth per-injection event-log record"},
-        {"progress", "", kCampaign | kBeam, "",
-         "live one-line progress on stderr"},
         {"trace-spans", "", kCampaign | kWorker, "",
          "record spans ('S' frames; a campaign's go to <out>.trace.sfr)"},
         {"postmortem", "FILE", kCampaign, "",
@@ -368,7 +370,6 @@ struct TelemetrySinks {
   std::unique_ptr<inject::CampaignTelemetry> tel;
   std::optional<std::string> metrics_out;
   std::optional<std::string> trace_out;
-  bool progress = false;
 
   [[nodiscard]] inject::CampaignTelemetry* get() const { return tel.get(); }
 
@@ -398,7 +399,6 @@ TelemetrySinks make_telemetry(const Args& a) {
   TelemetrySinks s;
   s.metrics_out = a.str("metrics-out");
   s.trace_out = a.str("chrome-trace");
-  s.progress = a.flag("progress");
   const auto events_out = a.str("events-out");
   // Parse before the early return: a malformed value must error even when
   // no sink is enabled.
@@ -408,10 +408,7 @@ TelemetrySinks make_telemetry(const Args& a) {
   // always be empty.
   const bool postmortem = a.str("postmortem").has_value();
   const bool spans = s.trace_out || a.flag("trace-spans");
-  if (!s.metrics_out && !events_out && !s.progress && !postmortem &&
-      !spans) {
-    return s;
-  }
+  if (!s.metrics_out && !events_out && !postmortem && !spans) return s;
   s.tel = std::make_unique<inject::CampaignTelemetry>(
       inject::TelemetryConfig{.event_sample = sample});
   if (events_out) s.tel->open_event_log(*events_out);
@@ -441,20 +438,74 @@ void install_stop_handler() {
   std::signal(SIGTERM, on_stop_signal);
 }
 
-/// " (N inj/s, ETA Ns)" for live progress lines, from the clamped
-/// sched::Progress accessors: em-dash placeholders until the rate window is
-/// real (the first report of a run fires before any injection completes).
-std::string progress_rate_suffix(const sched::Progress& p) {
-  const auto rate = p.rate_per_s();
-  if (!rate) return " (— inj/s, ETA —)";
-  char buf[64];
-  if (const auto eta = p.eta_seconds()) {
-    std::snprintf(buf, sizeof buf, " (%.0f inj/s, ETA %.0fs)", *rate, *eta);
-  } else {
-    std::snprintf(buf, sizeof buf, " (%.0f inj/s, ETA —)", *rate);
+/// The progress line of a store or farm campaign, redrawn in place on
+/// stderr. Its record count and outcome tallies count the executor's
+/// durable-record feed (on_record: the resumed records, then each record
+/// once it is committed), and its `hw` is the widest outcome interval at
+/// the campaign's --confidence, the statistic the daemon stops on. Rate
+/// and ETA are sched::Progress's.
+class ProgressLine {
+ public:
+  ProgressLine(std::string tag, double confidence)
+      : tag_(std::move(tag)), target_{.confidence = confidence} {}
+
+  /// The executor's on_record; flushing workers call it concurrently.
+  void count(const store::StoredRecord& sr) {
+    const std::lock_guard lock(mu_);
+    agg_.add(sr.rec);
   }
-  return buf;
-}
+
+  /// The executor's on_progress.
+  void redraw(const sched::Progress& p) {
+    inject::CampaignAggregate agg;
+    {
+      const std::lock_guard lock(mu_);
+      agg = agg_;
+    }
+    std::cerr << "\r" << render(p, agg) << std::flush;
+  }
+
+  /// The last line, from a sched::ScheduledResult or farm::FarmResult: the
+  /// aggregate of the store the run left.
+  template <class Result>
+  void finish(const Result& r) const {
+    const sched::Progress p{.done = r.agg.total(),
+                            .total = r.meta.num_injections,
+                            .executed = r.executed,
+                            .wall_seconds = r.wall_seconds};
+    std::cerr << "\r" << render(p, r.agg) << "\n";
+  }
+
+ private:
+  [[nodiscard]] std::string render(const sched::Progress& p,
+                                   const inject::CampaignAggregate& agg) const {
+    static constexpr std::array<std::string_view, inject::kNumOutcomes>
+        kShort = {"van", "corr", "hang", "cstop", "sdc", "hfatal"};
+    // "—" until a value is real: no rate before the first injection, no
+    // half-width before the first record.
+    const auto num = [](std::optional<double> v, int decimals,
+                        std::string_view unit = "") {
+      return v ? report::Table::num(*v, decimals) + std::string(unit)
+               : std::string("—");
+    };
+    const double hw = serve::widest_half_width(agg, target_);
+    std::ostringstream line;
+    line << tag_ << ' ' << agg.total() << '/' << p.total << " ("
+         << num(p.rate_per_s(), 0) << " inj/s, ETA "
+         << num(p.eta_seconds(), 0, "s") << ")";
+    for (const auto o : inject::kAllOutcomes) {
+      line << ' ' << kShort[static_cast<std::size_t>(o)] << ' '
+           << agg.counts.of(o);
+    }
+    line << " hw " << num(hw < 0.0 ? std::nullopt : std::optional(hw), 4);
+    return line.str();
+  }
+
+  std::string tag_;
+  serve::StopTarget target_;
+  std::mutex mu_;
+  inject::CampaignAggregate agg_;
+};
 
 void print_resume_hint(const std::string& out) {
   std::cout << "interrupted — committed records are durable; finish with:\n"
@@ -505,25 +556,13 @@ int cmd_campaign_farm(const Args& a, const serve::CampaignSpec& spec,
   fc.postmortem_path = postmortem_from_args(a);
   install_stop_handler();
   fc.should_stop = [] { return g_stop_requested != 0; };
-  if (sinks.progress && sinks.tel) {
-    inject::CampaignTelemetry* tel = sinks.get();
-    fc.on_progress = [tel](const sched::Progress& p) {
-      std::cerr << "\r[farm] "
-                << tel->progress_line(p.done, p.total, p.executed,
-                                      p.wall_seconds)
-                << std::flush;
-    };
-  } else {
-    fc.on_progress = [](const sched::Progress& p) {
-      std::cerr << "\r[farm] " << p.done << "/" << p.total
-                << " injections committed" << progress_rate_suffix(p)
-                << std::flush;
-    };
-  }
+  ProgressLine progress("[farm]", spec.confidence);
+  fc.on_record = [&](const store::StoredRecord& sr) { progress.count(sr); };
+  fc.on_progress = [&](const sched::Progress& p) { progress.redraw(p); };
 
   const farm::FarmResult r =
       farm::run_farm_campaign(tc, run.config, out, fc, a.flag("resume"));
-  std::cerr << "\n";
+  progress.finish(r);
 
   std::cout << report::section("farm campaign result");
   std::cout << "store: " << out << " ("
@@ -590,25 +629,13 @@ int cmd_campaign_to_store(const Args& a, const serve::CampaignSpec& spec,
   (void)postmortem_from_args(a);  // in-process: dump on fatal signal only
   install_stop_handler();
   sc.should_stop = [] { return g_stop_requested != 0; };
-  if (sinks.progress && sinks.tel) {
-    inject::CampaignTelemetry* tel = sinks.get();
-    sc.on_progress = [tel](const sched::Progress& p) {
-      std::cerr << "\r[campaign] "
-                << tel->progress_line(p.done, p.total, p.executed,
-                                      p.wall_seconds)
-                << std::flush;
-    };
-  } else {
-    sc.on_progress = [](const sched::Progress& p) {
-      std::cerr << "\r[campaign] " << p.done << "/" << p.total
-                << " injections persisted" << progress_rate_suffix(p)
-                << std::flush;
-    };
-  }
+  ProgressLine progress("[campaign]", spec.confidence);
+  sc.on_record = [&](const store::StoredRecord& sr) { progress.count(sr); };
+  sc.on_progress = [&](const sched::Progress& p) { progress.redraw(p); };
 
   const sched::ScheduledResult r =
       sched::run_campaign_to_store(tc, run.config, out, sc, a.flag("resume"));
-  std::cerr << "\n";
+  progress.finish(r);
 
   std::cout << report::section("campaign result");
   std::cout << "store: " << out << " ("
@@ -640,38 +667,58 @@ int cmd_campaign_to_store(const Args& a, const serve::CampaignSpec& spec,
   return 0;
 }
 
+/// `sfi campaign` runs in memory (no --out), into a store in process, or
+/// on a farm (--workers/--farm), and refuses a given option its mode does
+/// not read, naming both. Only a farm supervises workers; a farm's workers
+/// run one thread and commit each record; only a store has windows.
+void refuse_unread(const Args& a, const std::string& mode,
+                   std::initializer_list<std::string_view> keys) {
+  for (const std::string_view key : keys) {
+    const std::string k(key);
+    if (a.opts.count(k) != 0 || a.flag(k)) {
+      throw CliError("sfi campaign " + mode + " does not take --" + k +
+                     " (see `sfi help campaign`)");
+    }
+  }
+}
+
 int cmd_campaign(const Args& a) {
   const serve::CampaignSpec spec = campaign_spec(a);
+  const bool farm_mode = spec.workers != 0 || a.opts.count("farm") != 0;
+  const auto out = a.str("out");
+  const std::initializer_list<std::string_view> supervision = {
+      "watchdog",       "strikes",        "keep-shards",
+      "sabotage-crash", "sabotage-wedge", "sabotage-wedge-once"};
+  if (!out) {
+    if (farm_mode) {
+      throw CliError(
+          "--workers/--farm require --out FILE.sfr (shards merge into it)");
+    }
+    if (a.flag("trace-spans")) {
+      throw CliError(
+          "--trace-spans requires --out FILE.sfr (its trace sidecar holds "
+          "the spans); for a run with no store, use --chrome-trace FILE");
+    }
+    refuse_unread(a, "without --out",
+                  {"resume", "shard-size", "flush", "max-new", "postmortem"});
+    refuse_unread(a, "without --out", supervision);
+  } else if (farm_mode) {
+    refuse_unread(a, a.opts.count("farm") != 0 ? "--farm" : "--workers",
+                  {"threads", "flush", "max-new"});
+  } else {
+    refuse_unread(a, "--out without --workers", supervision);
+  }
+
   serve::CampaignRun run = serve::campaign_run(spec);
   const avp::Testcase tc = avp::generate_testcase(run.testcase);
   const TelemetrySinks sinks = make_telemetry(a);
   run.config.telemetry = sinks.get();
-
-  const bool farm_mode = spec.workers != 0 || a.opts.count("farm") != 0;
-  if (const auto out = a.str("out")) {
+  if (out) {
     if (farm_mode) return cmd_campaign_farm(a, spec, tc, run, *out, sinks);
     return cmd_campaign_to_store(a, spec, tc, run, *out, sinks);
   }
-  if (farm_mode) {
-    throw CliError(
-        "--workers/--farm require --out FILE.sfr (shards merge into it)");
-  }
-  if (a.flag("resume")) {
-    throw CliError("--resume requires --out FILE (a store to resume into)");
-  }
-  if (a.flag("trace-spans")) {
-    throw CliError(
-        "--trace-spans requires --out FILE.sfr (its trace sidecar holds the "
-        "spans); for a run with no store, use --chrome-trace FILE");
-  }
 
   const inject::CampaignResult r = inject::run_campaign(tc, run.config);
-  if (sinks.progress && sinks.tel) {
-    std::cerr << "[campaign] "
-              << sinks.tel->progress_line(r.records.size(), r.records.size(),
-                                          r.records.size(), r.wall_seconds)
-              << "\n";
-  }
   std::cout << report::section("campaign result");
   std::cout << "workload: " << r.workload_instructions << " instructions / "
             << r.workload_cycles << " cycles; population "
@@ -1008,12 +1055,6 @@ int cmd_beam(const Args& a) {
   const TelemetrySinks sinks = make_telemetry(a);
   cfg.telemetry = sinks.get();
   const beam::BeamResult r = beam::run_beam_experiment(tc, cfg);
-  if (sinks.progress && sinks.tel) {
-    std::cerr << "[beam] "
-              << sinks.tel->progress_line(r.records.size(), r.records.size(),
-                                          r.records.size(), r.wall_seconds)
-              << "\n";
-  }
   std::cout << report::section("beam exposure result");
   std::cout << r.latch_events << " latch strikes, " << r.array_events
             << " protected-array strikes\n\n";
